@@ -20,7 +20,7 @@ import argparse
 import contextlib
 import io
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,17 +45,22 @@ C09_ANOMALIES = (
 )
 
 
+# c09's model; `train` and the checkpoint of `score` and `stream` both
+# train it for EPOCHS epochs at train stride STRIDE
+MODEL = {"window_length": WINDOW, "hidden": 32, "k_periods": 3, "n_factors": 4,
+         "num_layers": 2, "num_blocks": 2, "batch_size": 32, "sigma": 0.1}
+EPOCHS = 1
+STRIDE = 4
+
+
 @dataclass(frozen=True)
 class Sizes:
-    """Every size a workload depends on; `FULL` is what the benchmark runs."""
+    """Series lengths and anomaly schedules; `FULL` is what the benchmark
+    runs, and the self-tests run a smaller one."""
 
     train_length: int = 4000
-    train_epochs: int = 2
-    train_stride: int = 4
-    ckpt_epochs: int = 1
-    ckpt_stride: int = 4
     score_length: int = 4000
-    stream_length: int = 1100  # 1041 windows: p99 of a round has 10 beyond it
+    stream_length: int = 1100  # 1041 windows per pass
     anomalies: tuple = C09_ANOMALIES
     stream_anomalies: tuple = (
         ("spike", 180, 2, 8.0),
@@ -64,9 +69,6 @@ class Sizes:
         ("spike", 760, 2, -8.0),
         ("level_shift", 850, 30, -4.0),
     )
-    model: dict = field(default_factory=lambda: {
-        "window_length": WINDOW, "hidden": 32, "k_periods": 3, "n_factors": 4,
-        "num_layers": 2, "num_blocks": 2, "batch_size": 32, "sigma": 0.1})
 
 
 FULL = Sizes()
@@ -122,11 +124,10 @@ def split_bounds(length: int) -> tuple[int, int]:
             int(np.floor((SPLIT[0] + SPLIT[1]) * length)))
 
 
-def train_args(data: Path, out: Path, seed: int, epochs: int, stride: int,
-               sizes: Sizes = FULL) -> list[str]:
-    """`periflow train` arguments for the benchmark's model config."""
-    sets = [f"{k}={v}" for k, v in sizes.model.items()]
-    sets += [f"epochs={epochs}", f"train_stride={stride}"]
+def train_args(data: Path, out: Path, seed: int) -> list[str]:
+    """`periflow train` arguments for the benchmark's model and recipe."""
+    sets = [f"{k}={v}" for k, v in MODEL.items()]
+    sets += [f"epochs={EPOCHS}", f"train_stride={STRIDE}"]
     args = ["train", "--data", str(data), "--out", str(out), "--seed", str(seed)]
     for item in sets:
         args += ["--set", item]
@@ -155,8 +156,7 @@ def set_up(workload: str, seed: int, work: Path, sizes: Sizes = FULL) -> None:
     values, labels = generate(length, anomalies, phases, eval_rng,
                               start=sizes.train_length)
     write_csv(work / f"{workload}.csv", values, labels)
-    args = train_args(work / "train.csv", work / "ckpt", seed,
-                      sizes.ckpt_epochs, sizes.ckpt_stride, sizes)
+    args = train_args(work / "train.csv", work / "ckpt", seed)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(args)
     if code != 0:

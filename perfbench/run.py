@@ -4,10 +4,11 @@
         --seconds S --trace {0,1}
 
 Run from the root of a periflow source tree; the program is imported from
-`src/`. The set-up step (`inputs.py`) runs in a fresh process at least
-SETUP_REPEATS times and for at least SETUP_MIN_S seconds; `setup_s` is the
-median. The timed phase then repeats whole
-rounds of the workload for S seconds and checks every output. With
+`src/`. The set-up step (`inputs.py`) runs in a fresh process once before
+the timed phase. The timed phase repeats whole rounds of the workload for
+S seconds and checks every output. Then the set-up runs again until it has
+run at least SETUP_REPEATS times and for at least SETUP_MIN_S seconds;
+`setup_s` is the median. With
 `--trace 1` the run alternates untraced and traced phases, TRACE_PAIRS of
 each at S / TRACE_PAIRS seconds, so that drift in the machine's speed
 falls on both sides of the tracing overhead, and prints per-layer metrics
@@ -83,14 +84,14 @@ def environment() -> dict:
             "loadavg": list(os.getloadavg())}
 
 
-def set_up(workload: str, seed: int, work: Path, repeats: int,
-           min_s: float) -> float:
-    """Median wall time of fresh set-up processes, run at least `repeats`
-    times and for at least `min_s` seconds."""
+def set_up(workload: str, seed: int, work: Path, times: list[float],
+           repeats: int, min_s: float) -> None:
+    """Run fresh set-up processes, appending each one's wall time to
+    `times`, until it holds at least `repeats` and sums to `min_s` seconds.
+    Every set-up writes the same inputs for the same seed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    times = []
     while len(times) < repeats or sum(times) < min_s:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, str(HERE / "inputs.py"),
@@ -107,7 +108,6 @@ def set_up(workload: str, seed: int, work: Path, repeats: int,
         times.append(time.perf_counter() - start)
         if code != 0:
             raise subprocess.CalledProcessError(code, proc.args)
-    return statistics.median(times)
 
 
 def main() -> int:
@@ -124,17 +124,16 @@ def main() -> int:
         return 2
     sys.path.insert(0, str(SRC))
 
+    env = environment()
+    if env["blas_threads"] != 1:
+        print(f"error: BLAS runs {env['blas_threads']} threads, expected 1 "
+              "(None: no bundled OpenBLAS to ask)", file=sys.stderr)
+        return 2
+
     work = WORK / args.workload
     shutil.rmtree(work, ignore_errors=True)
-    # a traced run reports no setup_s, so it sets up once
-    setup_s = set_up(args.workload, args.seed, work,
-                     *((1, 0.0) if args.trace else (SETUP_REPEATS, SETUP_MIN_S)))
-
-    env = environment()
-    if env["blas_threads"] not in (None, 1):
-        print(f"error: BLAS runs {env['blas_threads']} threads, expected 1",
-              file=sys.stderr)
-        return 2
+    setup_times: list[float] = []
+    set_up(args.workload, args.seed, work, setup_times, 1, 0.0)
 
     import workloads
     run = workloads.WORKLOADS[args.workload]
@@ -151,13 +150,19 @@ def main() -> int:
         phases = untraced + traced
     else:
         phases = [run(work, args.seed, args.seconds)]
-        metrics = workloads.end_to_end(phases[0], setup_s)
+        # a traced run reports no setup_s, so only here do the other
+        # set-ups run; after the timed phase, so that their median samples
+        # the machine at both ends of the run
+        set_up(args.workload, args.seed, work, setup_times, SETUP_REPEATS,
+               SETUP_MIN_S)
+        metrics = workloads.end_to_end(phases[0],
+                                       statistics.median(setup_times))
 
     for p in phases:
         for failure in p.failures:
             print(f"check failed: {failure}", file=sys.stderr)
     env["samples"] = [{"operations": p.attempted,
-                       "latency_samples": list(map(len, p.latencies))}
+                       "latency_samples": len(p.latencies)}
                       for p in phases]
     print(json.dumps({"environment": env}))
     print(json.dumps({

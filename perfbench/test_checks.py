@@ -21,8 +21,7 @@ from periflow import training  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 TINY = inputs.Sizes(
-    train_length=2000, train_epochs=1, train_stride=4,
-    ckpt_epochs=1, ckpt_stride=4, score_length=2000, stream_length=300,
+    train_length=2000, score_length=2000, stream_length=300,
     anomalies=(("spike", 210, 2, 8.0), ("level_shift", 350, 30, 4.0),
                ("period_break", 575, 31, 7), ("spike", 950, 2, -8.0),
                ("level_shift", 1200, 30, -4.0), ("spike", 1440, 2, 8.0),
@@ -43,8 +42,7 @@ def tiny_run(tmp_path_factory):
         if name not in runs:
             work = tmp_path_factory.mktemp(name)
             inputs.set_up(name, SEED, work, TINY)
-            runs[name] = work, workloads.WORKLOADS[name](work, SEED, 0.0,
-                                                          sizes=TINY)
+            runs[name] = work, workloads.WORKLOADS[name](work, SEED, 0.0)
         return runs[name]
     return get
 
@@ -65,7 +63,7 @@ def test_traced_run_reports_every_layer(tiny_run, name):
     work, untraced = tiny_run(name)
     tracer = Tracer()
     traced = workloads.WORKLOADS[name](work, SEED, 0.0, tracer=tracer,
-                                       sizes=TINY, tag="t")
+                                       tag="t")
     assert traced.failed == 0, traced.failures
     layers = workloads.per_layer(tracer, [traced], [untraced])
     assert set(layers) == {m["name"] for m in DECLARED["per_layer"]}

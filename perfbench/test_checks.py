@@ -110,6 +110,17 @@ def test_perturbed_single_score_fails_batch_independence(tiny_run):
     assert list(checks.batch_mismatches(single, batched)) == [3]
 
 
+def test_timings_are_scaled_to_reference_seconds():
+    # 100 windows in 2 CPU s, on a machine at half the reference speed: the
+    # reference computation took twice REFERENCE_S, so 2 CPU s are 1
+    # reference second
+    phase = workloads.Phase(rounds=[(100, 2.5, 2.0)], latencies=[2.0],
+                            scale=0.5)
+    metrics = workloads.end_to_end(phase, setup_s=1.0)
+    assert metrics["windows_per_s"][0] == pytest.approx(100.0)
+    assert metrics["latency_p50_ms"][0] == pytest.approx(1000.0)
+
+
 def test_history_check_rejects_a_wrong_identity_nll():
     history = {"epoch": np.array([0.0, 1.0]), "nll": np.array([200.0, 150.0]),
                "similarity": np.zeros(2), "independence": np.zeros(2),

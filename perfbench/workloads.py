@@ -5,6 +5,10 @@ Each workload repeats whole rounds of the same operations until the run
 length has passed, then checks every operation's output with `checks`.
 A failed check counts the operation as failed. Inputs come from the
 set-up step (`inputs.py`), which has already written them into `work`.
+A block of reference samples (`speed.Speedometer`) runs before the first
+round and after every round, outside the rounds' timing. Their median
+gives the factor that turns the phase's CPU seconds into reference
+seconds.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 import checks
+import speed
 from inputs import STRIDE, WINDOW, split_bounds, train_args
 from periflow import autodiff, cli, evaluate, flow, optim, training
 
@@ -78,13 +83,13 @@ LAYER_SPANS = {
 class Phase:
     """What one timed phase did, before and after its checks."""
 
-    rounds: list = field(default_factory=list)  # (windows, seconds) per round
-    loop_wall: float = 0.0    # seconds from the first call to the last return
-    # CPU seconds per operation. On a shared VM the hypervisor takes the
-    # CPU away now and then for milliseconds (steal time), which spoils the
-    # tail of wall-clock latency whatever the program does; CPU time
-    # leaves that out
-    latencies: list = field(default_factory=list)
+    # (windows, wall seconds, CPU seconds) per round. On a shared VM the
+    # hypervisor takes the CPU away now and then for milliseconds (steal
+    # time) whatever the program does; CPU time leaves that out, and
+    # `scale` how fast the host's load lets the CPU run (see `speed`)
+    rounds: list = field(default_factory=list)
+    latencies: list = field(default_factory=list)  # CPU s per operation
+    scale: float = math.nan   # reference seconds per CPU second
     attempted: int = 0
     failed: int = 0
     auroc: float = math.nan
@@ -93,7 +98,7 @@ class Phase:
 
     @property
     def windows(self) -> int:
-        return sum(w for w, _ in self.rounds)
+        return sum(r[0] for r in self.rounds)
 
     def fail(self, what: str, reasons: list[str]) -> None:
         if reasons:
@@ -123,21 +128,25 @@ def tracing(tracer):
 
 
 def _cli_rounds(prefix: Path, argv_for, seconds: float, tracer,
-                phase: Phase) -> list[tuple[Path, int, float]]:
+                phase: Phase) -> list[tuple]:
     """Run one `periflow` command in-process per round, each round writing
-    to its own directory, until `seconds` have passed."""
+    to its own directory, until `seconds` have passed. Returns (out dir,
+    exit code, wall s, CPU s) per round."""
     rounds = []
     with tracing(tracer):
         start = time.perf_counter()
+        speedo = speed.Speedometer()
         while not rounds or time.perf_counter() - start < seconds:
             out = prefix.with_name(f"{prefix.name}{len(rounds)}")
             span = tracer.span("cli.main") if tracer else contextlib.nullcontext()
             t0, c0 = time.perf_counter(), time.process_time()
             with contextlib.redirect_stdout(io.StringIO()), span:
                 code = cli.main(argv_for(out))
-            phase.latencies.append(time.process_time() - c0)
-            rounds.append((out, code, time.perf_counter() - t0))
-        phase.loop_wall = time.perf_counter() - start
+            wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+            speedo.block()
+            phase.latencies.append(cpu)
+            rounds.append((out, code, wall, cpu))
+    phase.scale = speedo.scale()
     phase.attempted = len(rounds)
     phase.peak_rss_mb = peak_rss_mb()
     return rounds
@@ -159,13 +168,13 @@ def run_train(work: Path, seed: int, seconds: float, tracer=None,
     test_values, test_labels = checks.read_series(work / "test.csv")
     baseline = checks.energy_baseline((test_values - mean) / std)
     aurocs = []
-    for out, code, wall in rounds:
+    for out, code, *times in rounds:
         if code != 0:
             phase.fail(out.name, [f"periflow train exited {code}"])
             continue
         history = checks.read_table(out / "history.csv")
         phase.rounds.append((len(train_windows) * int(history["epoch"][-1]),
-                             wall))
+                             *times))
         reasons = checks.check_history(history, closed_form)
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["score", "--checkpoint", str(out / "model.npz"),
@@ -205,11 +214,11 @@ def run_score(work: Path, seed: int, seconds: float, tracer=None,
     values, labels = checks.read_series(work / "score.csv")
     baseline = checks.energy_baseline((values - mean) / std)
     aurocs = []
-    for out, code, wall in rounds:
+    for out, code, *times in rounds:
         if code != 0:
             phase.fail(out.name, [f"periflow score exited {code}"])
             continue
-        phase.rounds.append((len(values) - WINDOW + 1, wall))
+        phase.rounds.append((len(values) - WINDOW + 1, *times))
         reasons, auroc = checks.check_scored(out, labels, baseline)
         aurocs.append(auroc)
         phase.fail(out.name, reasons)
@@ -231,19 +240,23 @@ def run_stream(work: Path, seed: int, seconds: float, tracer=None,
     singles, first_steps = [], []
     with tracing(tracer):
         start = time.perf_counter()
+        speedo = speed.Speedometer()
         while not singles or time.perf_counter() - start < seconds:
-            round_start = time.perf_counter()
-            taus = np.empty(len(windows))
+            t0, c0 = time.perf_counter(), time.process_time()
+            taus, calls = np.empty(len(windows)), []
             for i in range(len(windows)):
-                c0 = time.process_time()
+                c = time.process_time()
                 tau, tau_t, _ = training.score_windows(bundle, windows[i:i + 1])
-                phase.latencies.append(time.process_time() - c0)
+                calls.append(time.process_time() - c)
                 taus[i] = tau[0]
                 if not singles:
                     first_steps.append(tau_t[0])
+            wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+            speedo.block()
             singles.append(taus)
-            phase.rounds.append((len(windows), time.perf_counter() - round_start))
-        phase.loop_wall = time.perf_counter() - start
+            phase.latencies += calls
+            phase.rounds.append((len(windows), wall, cpu))
+    phase.scale = speedo.scale()
     phase.attempted = len(phase.latencies)
     phase.peak_rss_mb = peak_rss_mb()
 
@@ -267,11 +280,14 @@ def percentile(samples, q: float) -> float:
 
 
 def end_to_end(phase: Phase, setup_s: float) -> dict:
+    """Timings in reference seconds (see `speed`)."""
+    ms = 1e3 * phase.scale
     return {
-        "windows_per_s": (statistics.median(w / s for w, s in phase.rounds),
+        "windows_per_s": (statistics.median(w / cpu for w, _, cpu
+                                            in phase.rounds) / phase.scale,
                           "1/s"),
-        "latency_p50_ms": (1e3 * statistics.median(phase.latencies), "ms"),
-        "latency_p99_ms": (1e3 * percentile(phase.latencies, 99), "ms"),
+        "latency_p50_ms": (ms * statistics.median(phase.latencies), "ms"),
+        "latency_p90_ms": (ms * percentile(phase.latencies, 90), "ms"),
         "auroc": (phase.auroc, "ratio"),
         "peak_rss_mb": (phase.peak_rss_mb, "MB"),
         "setup_s": (setup_s, "s"),
@@ -283,11 +299,11 @@ def per_layer(tracer, traced: list[Phase], untraced: list[Phase]) -> dict:
     splits into layers, other spans and time outside every span, and the
     cost of tracing against the untraced phases."""
     def per_window_s(phases):
-        return (sum(p.loop_wall for p in phases)
+        return (sum(r[1] for p in phases for r in p.rounds)
                 / sum(p.windows for p in phases))
 
     windows = sum(p.windows for p in traced)
-    loop_wall = sum(p.loop_wall for p in traced)
+    rounds_wall = sum(r[1] for p in traced for r in p.rounds)
     selfs = tracer.self_times()
     out = {}
     for metric, names in LAYER_SPANS.items():
@@ -302,7 +318,7 @@ def per_layer(tracer, traced: list[Phase], untraced: list[Phase]) -> dict:
     out["autodiff.tensors_per_window"] = (
         tracer.counts["autodiff.tensors"] / windows, "count")
     out["trace.unaccounted_pct"] = (
-        100.0 * (loop_wall - tracer.root_time()) / loop_wall, "%")
+        100.0 * (rounds_wall - tracer.root_time()) / rounds_wall, "%")
     out["trace.overhead_pct"] = (
         100.0 * (per_window_s(traced) / per_window_s(untraced) - 1.0), "%")
     return out

@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation on float64 numpy buffers.
 
-Every operation allocates a fresh output buffer and records a backward
-closure on the output node, so a loss scalar can be differentiated with
-respect to any participating tensor by a single reverse sweep over the
-dynamically built graph.
+Every operation allocates a fresh output buffer and, when an input
+requires gradients, records its parents and a backward closure on the
+output node, so a loss scalar can be differentiated with respect to any
+participating tensor by a single reverse sweep over the dynamically
+built graph. Inside `no_grad()` nothing is recorded, so intermediates
+are freed as soon as the pass drops them; values and checks are the same.
 
 Broadcasting is deliberately restricted: elementwise ops accept operands
 of identical shape or a true scalar, and `affine` handles the bias-add
@@ -12,11 +14,20 @@ case. Any other shape expansion must go through the explicit
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import contextlib
+import threading
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+
+
+class _Mode(threading.local):
+    recording = True  # per thread, so one thread's no_grad leaves others taping
+
+
+_mode = _Mode()
 
 
 class NumericOverflow(ArithmeticError):
@@ -61,6 +72,8 @@ class Tensor:
         """Accumulate gradients of this scalar into every reachable leaf."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise RuntimeError("backward(): tensor records no graph (built under no_grad?)")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -135,9 +148,20 @@ def parameter(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64).copy(), requires_grad=True)
 
 
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without recording the graph; for passes nothing differentiates."""
+    saved = _mode.recording
+    _mode.recording = False
+    try:
+        yield
+    finally:
+        _mode.recording = saved
+
+
 def _node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], tuple]) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _mode.recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -330,25 +354,31 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
-def time_context(x: Tensor, radius: int) -> Tensor:
+def time_context(x: Tensor, radius: int, cond: Tensor | None = None) -> Tensor:
     """Sliding temporal window view of a (B, T, C) tensor.
 
     Output (B, T, (2*radius+1)*C) concatenates x[:, t-radius ... t+radius, :]
-    per timestep, zero-padded at the boundaries. radius=0 is the identity.
+    per timestep, zero-padded at the boundaries; radius=0 copies x.
+    A (B, T, H) `cond` is appended as H more columns, so a coupling net's
+    whole input is written in one buffer.
     """
     if x.ndim != 3:
         raise ValueError(f"time_context expects (B,T,C), got {x.shape}")
-    if radius == 0:
-        return reshape(x, x.shape)
     b, t, c = x.shape
+    if cond is not None and (cond.ndim != 3 or cond.shape[:2] != (b, t)):
+        raise ValueError(f"time_context: cond {cond.shape} does not match x {x.shape}")
+    parents = (x,) if cond is None else (x, cond)
+    width = (2 * radius + 1) * c
     padded = np.zeros((b, t + 2 * radius, c))
     padded[:, radius:radius + t, :] = x.data
-    out_data = np.concatenate([padded[:, j:j + t, :] for j in range(2 * radius + 1)], axis=2)
+    out_data = np.concatenate([padded[:, j:j + t, :] for j in range(2 * radius + 1)]
+                              + [p.data for p in parents[1:]], axis=2)
 
     def backward(g: Array):
         acc = np.zeros((b, t + 2 * radius, c))
         for j in range(2 * radius + 1):
             acc[:, j:j + t, :] += g[:, :, j * c:(j + 1) * c]
-        return (np.ascontiguousarray(acc[:, radius:radius + t, :]),)
+        gx = np.ascontiguousarray(acc[:, radius:radius + t, :])
+        return (gx, g[:, :, width:])[:len(parents)]
 
-    return _node(out_data, (x,), backward)
+    return _node(out_data, parents, backward)

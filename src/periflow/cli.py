@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import auroc, emit_reports, window_scores_to_points
+from .evaluate import auroc_summary, emit_reports, window_scores_to_points
 from .series import (MultivariateSeries, SeriesError, SplitSpec, load_csv,
                      make_windows)
 from .spectral import discover_global_period, periodicity_strength, top_k_periods
@@ -222,11 +222,11 @@ def cmd_eval(args) -> int:
     if len(scores) != series.length:
         raise ConfigError(f"{args.scores}: {len(scores)} scores vs "
                           f"{series.length} labels")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {"auroc": auroc(np.asarray(scores), series.labels),
+    summary = {**auroc_summary(np.asarray(scores), series.labels),
                "n_points": len(scores),
                "anomaly_rate": float(series.labels.mean())}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

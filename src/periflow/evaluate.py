@@ -97,15 +97,34 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def auroc_summary(scores: np.ndarray, labels: np.ndarray) -> dict:
+    """{"auroc": value}, or {"auroc": None, "auroc_reason": why} when the
+    labels hold one class and AUROC is undefined."""
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    if n_pos == 0 or n_neg == 0:
+        return {"auroc": None,
+                "auroc_reason": f"labels hold one class ({n_neg} normal, "
+                                f"{n_pos} anomalous), so AUROC is undefined"}
+    return {"auroc": auroc(scores, labels)}
+
+
 def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
                  diagnostics: list[dict] | None = None,
                  per_step: np.ndarray | None = None,
                  metadata: dict | None = None, bins: int = 50) -> dict:
     """Write the score histogram, per-step trace, per-window period-weight
-    table, and a summary JSON. Returns the summary dict."""
+    table, and a summary JSON. Returns the summary dict.
+
+    The summary is computed first, so a failure there writes no file."""
+    scores = np.asarray(scores, dtype=np.float64)
+    summary = dict(metadata or {})
+    summary["n_scores"] = int(scores.size)
+    if labels is not None:
+        summary.update(auroc_summary(scores, labels))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scores = np.asarray(scores, dtype=np.float64)
 
     edges = np.histogram_bin_edges(scores, bins=bins)
     with open(out / "score_histogram.csv", "w", encoding="utf-8") as fh:
@@ -138,10 +157,6 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
                     fh.write(f"{row['window_start']},{p},"
                              f"{float(w)!r},{float(a)!r}\n")
 
-    summary = dict(metadata or {})
-    summary["n_scores"] = int(scores.size)
-    if labels is not None:
-        summary["auroc"] = auroc(scores, labels)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

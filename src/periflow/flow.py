@@ -6,7 +6,9 @@ translation networks see the masked values inside a temporal context
 window around each timestep, concatenated with the per-window conditioning
 vector, so the Jacobian stays block-triangular and the log-determinant is
 exactly -sum(s) over transformed entries. Masks alternate with their
-complement across layers, covering every entry.
+complement across layers, covering every entry. `forward` and `inverse`
+compute each layer's (s, t) with the same helper; `inverse` records no
+graph.
 
 Zero-initialised output layers make the whole flow start as the identity.
 """
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericOverflow, Tensor
-from .masks import PeriodicMask, build_mask
+from .masks import PeriodicMask, build_mask, complement
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 SCALE_CLAMP = 5.0
@@ -40,14 +42,6 @@ class Mlp:
             h = ad.affine(h, w, b)
             if i < len(self.layers) - 1:
                 h = ad.tanh(h)
-        return h
-
-    def eval_np(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        for i, (w, b) in enumerate(self.layers):
-            h = h @ w.data + b.data
-            if i < len(self.layers) - 1:
-                h = np.tanh(h)
         return h
 
 
@@ -79,9 +73,6 @@ class FlowModel:
                     out[f"{prefix}.layer{li}.{net_name}{wi}.w"] = w
                     out[f"{prefix}.layer{li}.{net_name}{wi}.b"] = b
         return out
-
-    def feature_width(self) -> int:
-        return (2 * self.context_radius + 1) * self.d_in + self.hidden
 
 
 def _make_mlp(f_in: int, hidden: int, f_out: int, num_blocks: int,
@@ -131,21 +122,41 @@ def condition(c_ind, model: FlowModel) -> Tensor:
 
 
 def _layer_masks(model: FlowModel, t: int) -> list[np.ndarray]:
-    # Same block-alternation law as build_mask, but tolerant of t == 1 so
-    # single-step windows can still be scored (the flow is identity there
-    # anyway when nets are zero).
-    p = model.mask.period if model.mask.period < t else max(1, int(np.ceil(t / 2)))
-    pattern = ((np.arange(t) // p) % 2).astype(np.float64)
-    out = []
-    for li in range(len(model.layers)):
-        row = pattern if li % 2 == 0 else 1.0 - pattern
-        out.append(np.tile(row[:, None], (1, model.d_in))[None, :, :])
-    return out
+    """(1, T, D) keep-masks per layer, alternating with their complement.
+    A one-step window is cut from a two-step mask so it can still be
+    scored (the flow is the identity there anyway when nets are zero)."""
+    even = build_mask(model.mask.period, max(t, 2), model.d_in)
+    pair = [m.bits[None, :t] for m in (even, complement(even))]
+    return [pair[li % 2] for li in range(len(model.layers))]
 
 
 def _lift_x(x) -> Tensor:
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
     return ad.reshape(t, (1,) + t.shape) if t.ndim == 2 else t
+
+
+def _cond_per_step(h_c, b: int, t: int, model: FlowModel) -> Tensor:
+    """Conditioning vectors (B, D_h), repeated over the T timesteps once for
+    all layers."""
+    hc = h_c if isinstance(h_c, Tensor) else Tensor(np.asarray(h_c))
+    if hc.ndim == 1:
+        hc = ad.reshape(hc, (1,) + hc.shape)
+    if hc.shape != (b, model.hidden):
+        raise FlowError(f"conditioning shape {hc.shape} != ({b}, {model.hidden})")
+    return ad.broadcast_to(ad.reshape(hc, (b, 1, model.hidden)),
+                           (b, t, model.hidden))
+
+
+def _scale_shift(layer: CouplingLayer, kept: Tensor, hc_wide: Tensor,
+                 model: FlowModel) -> tuple[Tensor, Tensor]:
+    """(s, t) of one coupling layer from the kept entries (B, T, D) and the
+    per-step conditioning (B, T, D_h); s is soft-clamped to
+    (-SCALE_CLAMP, SCALE_CLAMP)."""
+    b, t, d = kept.shape
+    inp = ad.reshape(ad.time_context(kept, model.context_radius, hc_wide), (b * t, -1))
+    s_raw = ad.reshape(layer.s_net(inp), (b, t, d))
+    s = ad.tanh(s_raw * (1.0 / SCALE_CLAMP)) * SCALE_CLAMP
+    return s, ad.reshape(layer.t_net(inp), (b, t, d))
 
 
 def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
@@ -159,11 +170,7 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
     b, t, d = xt.shape
     if d != model.d_in:
         raise FlowError(f"forward: input dim {d} != model dim {model.d_in}")
-    hc = h_c if isinstance(h_c, Tensor) else Tensor(np.asarray(h_c))
-    if hc.ndim == 1:
-        hc = ad.reshape(hc, (1,) + hc.shape)
-    hc_wide = ad.broadcast_to(ad.reshape(hc, (b, 1, model.hidden)),
-                              (b, t, model.hidden))
+    hc_wide = _cond_per_step(h_c, b, t, model)
 
     h = xt
     logdet = Tensor(np.zeros(b))
@@ -171,12 +178,7 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
     for li, (layer, mask_np) in enumerate(zip(model.layers, _layer_masks(model, t))):
         keep = Tensor(np.broadcast_to(mask_np, (b, t, d)).copy())
         move = Tensor(np.broadcast_to(1.0 - mask_np, (b, t, d)).copy())
-        ctx = ad.time_context(h * keep, model.context_radius)
-        inp = ad.reshape(ad.concat([ctx, hc_wide], axis=2),
-                         (b * t, model.feature_width()))
-        s_raw = ad.reshape(layer.s_net(inp), (b, t, d))
-        s = ad.tanh(s_raw * (1.0 / SCALE_CLAMP)) * SCALE_CLAMP
-        t_out = ad.reshape(layer.t_net(inp), (b, t, d))
+        s, t_out = _scale_shift(layer, h * keep, hc_wide, model)
         h = h * keep + ((h - t_out) * ad.exp(ad.neg(s))) * move
         if not np.all(np.isfinite(h.data)):
             raise NumericOverflow(f"non-finite values after coupling layer {li}")
@@ -190,40 +192,23 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
 
 
 def inverse(z, h_c, model: FlowModel) -> np.ndarray:
-    """Exact inverse of `forward` (numpy only, no gradients)."""
+    """Exact inverse of `forward`, as a numpy array (no gradients)."""
     zt = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
     squeeze = zt.ndim == 2
     if squeeze:
         zt = zt[None]
     b, t, d = zt.shape
-    hc = np.asarray(h_c.data if isinstance(h_c, Tensor) else h_c)
-    if hc.ndim == 1:
-        hc = hc[None]
-    hc_wide = np.broadcast_to(hc[:, None, :], (b, t, model.hidden))
-
     h = zt
-    for layer, mask_np in zip(reversed(model.layers),
-                              reversed(_layer_masks(model, t))):
-        keep = np.broadcast_to(mask_np, (b, t, d))
-        move = 1.0 - keep
-        ctx = _context_np(h * keep, model.context_radius)
-        inp = np.concatenate([ctx, hc_wide], axis=2).reshape(b * t, -1)
-        s = np.tanh(layer.s_net.eval_np(inp).reshape(b, t, d) / SCALE_CLAMP) * SCALE_CLAMP
-        t_out = layer.t_net.eval_np(inp).reshape(b, t, d)
-        h = h * keep + (h * np.exp(s) + t_out) * move
-        if not np.all(np.isfinite(h)):
-            raise NumericOverflow("non-finite values while inverting")
+    with ad.no_grad():
+        hc_wide = _cond_per_step(h_c, b, t, model)
+        for layer, mask_np in zip(reversed(model.layers),
+                                  reversed(_layer_masks(model, t))):
+            keep = np.broadcast_to(mask_np, (b, t, d))
+            s, t_out = _scale_shift(layer, Tensor(h * keep), hc_wide, model)
+            h = h * keep + (h * np.exp(s.data) + t_out.data) * (1.0 - keep)
+            if not np.all(np.isfinite(h)):
+                raise NumericOverflow("non-finite values while inverting")
     return h[0] if squeeze else h
-
-
-def _context_np(x: np.ndarray, radius: int) -> np.ndarray:
-    if radius == 0:
-        return x
-    b, t, c = x.shape
-    padded = np.zeros((b, t + 2 * radius, c))
-    padded[:, radius:radius + t, :] = x
-    return np.concatenate([padded[:, j:j + t, :] for j in range(2 * radius + 1)],
-                          axis=2)
 
 
 def log_prob(x, h_c, model: FlowModel) -> Tensor:

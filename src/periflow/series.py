@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -110,11 +111,19 @@ class WindowBatch:
         return self.windows.shape[1]
 
 
-def _parse_timestamp(text: str, line_no: int):
+def _parse_number(text: str, line_no: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
+        raise SeriesError(f"line {line_no}: cannot parse value {text!r}") from None
+    if not math.isfinite(value):
+        raise SeriesError(f"line {line_no}, column {column}: non-finite value {text!r}")
+    return value
+
+
+def _parse_timestamp(text: str, line_no: int, column: str) -> float:
+    if _is_float(text):
+        return _parse_number(text, line_no, column)
     try:
         return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
     except ValueError:
@@ -127,7 +136,7 @@ def load_csv(path, label_column: str = "label") -> MultivariateSeries:
     A leading timestamp column (named `timestamp` or `t`) and a `label`
     column are recognised when present; every remaining column is parsed
     as float64. Timestamps are synthesised as 0..T_l-1 when the file has
-    none.
+    none. A NaN or infinite value is rejected with its line and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -149,13 +158,9 @@ def load_csv(path, label_column: str = "label") -> MultivariateSeries:
                 continue
             if len(row) != len(header):
                 raise SeriesError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(row[i]) for i in data_idx])
-            except ValueError:
-                bad = next(row[i] for i in data_idx if not _is_float(row[i]))
-                raise SeriesError(f"line {line_no}: cannot parse value {bad!r}") from None
+            rows.append([_parse_number(row[i], line_no, header[i]) for i in data_idx])
             if has_ts:
-                stamps.append(_parse_timestamp(row[0], line_no))
+                stamps.append(_parse_timestamp(row[0], line_no, header[0]))
             if label_idx is not None:
                 try:
                     lab = int(row[label_idx])

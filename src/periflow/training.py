@@ -193,25 +193,29 @@ def total_loss(windows: np.ndarray, bundle: ModelBundle,
 
 def _clean_nll(windows: np.ndarray, bundle: ModelBundle,
                batch_size: int = 256) -> float:
-    """Deterministic NLL with clean-path conditioning (the scoring path)."""
+    """Deterministic NLL with clean-path conditioning (the scoring path),
+    computed without recording a graph."""
     total, count = 0.0, 0
-    for lo in range(0, windows.shape[0], batch_size):
-        chunk = windows[lo:lo + batch_size]
-        rep, _ = encode_batch(chunk, bundle)
-        h_c = condition(rep, bundle.flow)
-        total += nll_loss(chunk, h_c, bundle.flow).item() * chunk.shape[0]
-        count += chunk.shape[0]
+    with ad.no_grad():
+        for lo in range(0, windows.shape[0], batch_size):
+            chunk = windows[lo:lo + batch_size]
+            rep, _ = encode_batch(chunk, bundle)
+            h_c = condition(rep, bundle.flow)
+            total += nll_loss(chunk, h_c, bundle.flow).item() * chunk.shape[0]
+            count += chunk.shape[0]
     return total / count
 
 
 def evaluate_objective(windows: np.ndarray, bundle: ModelBundle,
                        rng: np.random.Generator, batch_size: int = 256) -> dict:
-    """Loss components averaged over the given windows, without updates."""
+    """Loss components averaged over the given windows, without updates
+    and without recording a graph."""
     sums = {"nll": 0.0, "similarity": 0.0, "independence": 0.0}
     count = 0
     for lo in range(0, windows.shape[0], batch_size):
         chunk = windows[lo:lo + batch_size]
-        _, comps, _ = total_loss(chunk, bundle, rng)
+        with ad.no_grad():
+            _, comps, _ = total_loss(chunk, bundle, rng)
         for key in sums:
             sums[key] += comps[key] * chunk.shape[0]
         count += chunk.shape[0]
@@ -265,6 +269,7 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
             store.zero_grad()
             loss.backward()
             store.adam_step(config.lr)
+            del loss  # free this step's tape before the next one is built
             for key in sums:
                 sums[key] += comps[key] * len(idx)
             seen += len(idx)
@@ -294,18 +299,19 @@ def score_windows(bundle: ModelBundle, windows: np.ndarray,
                   batch_size: int = 256):
     """Anomaly scores for standardized windows.
 
-    Conditioning uses the clean path only, so scoring is deterministic.
-    Returns (tau (B,), tau_t (B, T), diagnostics list).
+    Conditioning uses the clean path only, so scoring is deterministic;
+    no graph is recorded. Returns (tau (B,), tau_t (B, T), diagnostics list).
     """
     taus, tau_ts, diags = [], [], []
-    for lo in range(0, windows.shape[0], batch_size):
-        chunk = windows[lo:lo + batch_size]
-        rep, d = encode_batch(chunk, bundle)
-        h_c = condition(rep, bundle.flow)
-        tau, tau_t = anomaly_score(chunk, h_c, bundle.flow)
-        taus.append(tau)
-        tau_ts.append(tau_t)
-        diags.extend(d)
+    with ad.no_grad():
+        for lo in range(0, windows.shape[0], batch_size):
+            chunk = windows[lo:lo + batch_size]
+            rep, d = encode_batch(chunk, bundle)
+            h_c = condition(rep, bundle.flow)
+            tau, tau_t = anomaly_score(chunk, h_c, bundle.flow)
+            taus.append(tau)
+            tau_ts.append(tau_t)
+            diags.extend(d)
     return np.concatenate(taus), np.concatenate(tau_ts), diags
 
 

@@ -147,3 +147,87 @@ def test_time_context_gradient():
         return ad.tsum(ad.tanh(ad.matmul(flat, w)))
 
     check_gradients(loss, [x, w])
+
+
+def test_time_context_cond_columns():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2, 5, 3))
+    cond = rng.normal(size=(2, 5, 4))
+    out = ad.time_context(Tensor(x), 1, Tensor(cond)).data
+    np.testing.assert_array_equal(out[:, :, :9], ad.time_context(Tensor(x), 1).data)
+    np.testing.assert_array_equal(out[:, :, 9:], cond)
+    with pytest.raises(ValueError, match="does not match"):
+        ad.time_context(Tensor(x), 1, Tensor(cond[:, :4]))
+
+
+@pytest.mark.parametrize("radius", [0, 2])
+def test_time_context_cond_gradient(radius):
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+    hc = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
+    width = (2 * radius + 1) * 3 + 4
+    w = Tensor(rng.normal(size=(width, 2)), requires_grad=True)
+
+    def loss():
+        cond = ad.broadcast_to(hc, (2, 5, 4))
+        flat = ad.reshape(ad.time_context(x, radius, cond), (10, width))
+        return ad.tsum(ad.tanh(ad.matmul(flat, w)))
+
+    check_gradients(loss, [x, hc, w])
+
+
+def _composite(a, b):
+    h = ad.tanh(ad.affine(a, b, Tensor(np.zeros(b.shape[1]))))
+    return ad.tsum(ad.softmax(h) * h, axis=1)
+
+
+def test_no_grad_records_nothing():
+    rng = np.random.default_rng(15)
+    a, b = _param(rng, 4, 3), _param(rng, 3, 2)
+    taped = _composite(a, b)
+    assert taped.requires_grad and taped._parents and taped._backward is not None
+    with ad.no_grad():
+        plain = _composite(a, b)
+        ctx = ad.time_context(ad.reshape(a, (1, 4, 3)), 1)
+    for out in (plain, ctx):
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+    np.testing.assert_array_equal(plain.data, taped.data)
+
+
+def _records(a) -> bool:
+    return (a * 2.0)._backward is not None
+
+
+def test_no_grad_restores_after_nesting_and_errors():
+    a = Tensor(np.ones(3), requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not _records(a)
+        assert not _records(a)
+    assert _records(a)
+    with pytest.raises(ValueError):
+        with ad.no_grad():
+            ad.add(a, Tensor(np.ones(2)))  # shape check still raises
+    assert _records(a)
+
+
+def test_backward_without_graph_fails_fast():
+    a = Tensor(np.ones(3), requires_grad=True)
+    with ad.no_grad():
+        loss = ad.tsum(a * a)
+    with pytest.raises(RuntimeError, match=r"^backward\(\): tensor records no graph"):
+        loss.backward()
+    ad.tsum(a * a).backward()
+    np.testing.assert_array_equal(a.grad, 2.0 * np.ones(3))
+
+
+def test_no_grad_is_per_thread():
+    import threading
+    a = Tensor(np.ones(3), requires_grad=True)
+    seen = []
+    with ad.no_grad():
+        worker = threading.Thread(target=lambda: seen.append(_records(a)))
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and seen == [True]

@@ -113,3 +113,41 @@ def test_bad_config_key_is_one_line_error(tmp_path, capsys):
     code = main(["gen", "--out", str(tmp_path), "--set", "mystery=1"])
     assert code == 1
     assert "mystery" in capsys.readouterr().err
+
+
+def test_one_class_labels_score_and_eval(tmp_path, capsys):
+    # gen without anomalies labels every step normal; AUROC is undefined
+    data_dir = tmp_path / "data"
+    assert main(["gen", "--out", str(data_dir), "--seed", "5", *FAST,
+                 "--set", "gen_anomalies="]) == 0
+    csv = data_dir / "synthetic.csv"
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(csv), "--out", str(run), "--seed", "5",
+                 *FAST, "--set", "epochs=1"]) == 0
+    score_dir, eval_dir = tmp_path / "scored", tmp_path / "eval"
+    assert main(["score", "--checkpoint", str(run / "model.npz"),
+                 "--data", str(csv), "--out", str(score_dir)]) == 0
+    assert main(["eval", "--scores", str(score_dir / "scores.csv"),
+                 "--data", str(csv), "--out", str(eval_dir)]) == 0
+    for summary_dir in (score_dir, eval_dir):
+        summary = json.loads((summary_dir / "summary.json").read_text())
+        assert summary["auroc"] is None
+        assert "one class" in summary["auroc_reason"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_csv_value_is_rejected_at_load(tmp_path, capsys, bad):
+    data_dir = tmp_path / "data"
+    assert main(["gen", "--out", str(data_dir), "--seed", "5", *FAST]) == 0
+    csv = data_dir / "synthetic.csv"
+    lines = csv.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[10].split(",")
+    row[2] = bad  # line 11 of the file, second data column
+    lines[10] = ",".join(row)
+    csv.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--data", str(csv), "--out", str(tmp_path / "run"), *FAST])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line 11, column {header[2]}: non-finite value '{bad}'\n"
+    assert not (tmp_path / "run").exists()

@@ -133,3 +133,18 @@ def test_emit_reports_without_labels(tmp_path):
     assert "auroc" not in summary
     hist = (tmp_path / "score_histogram.csv").read_text().splitlines()
     assert hist[0] == "bin_left,bin_right,count"
+
+
+def test_emit_reports_one_class_labels(tmp_path):
+    summary = emit_reports(tmp_path, np.arange(10.0), np.zeros(10, dtype=int))
+    loaded = json.loads((tmp_path / "summary.json").read_text())
+    assert loaded["auroc"] is None and summary["auroc"] is None
+    assert "one class" in loaded["auroc_reason"]
+    assert "\n" not in loaded["auroc_reason"]
+
+
+def test_emit_reports_failure_writes_nothing(tmp_path):
+    out = tmp_path / "report"
+    with pytest.raises(EvalError, match="align"):
+        emit_reports(out, np.arange(10.0), np.array([0, 1] * 4))
+    assert not out.exists()

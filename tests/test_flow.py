@@ -243,3 +243,50 @@ def test_forward_rejects_wrong_dim():
     model = _model(d=2)
     with pytest.raises(Exception, match="input dim"):
         forward(np.zeros((4, 3)), Tensor(np.zeros((1, 6))), model)
+
+
+def test_layer_masks_follow_build_mask():
+    from periflow.flow import _layer_masks
+    from periflow.masks import build_mask
+    model = _model(d=2, t=9, period=3, layers=3)
+    masks = _layer_masks(model, 9)
+    bits = build_mask(3, 9, 2).bits
+    for li, m in enumerate(masks):
+        np.testing.assert_array_equal(m[0], bits if li % 2 == 0 else 1.0 - bits)
+    one_step = _layer_masks(model, 1)
+    assert [m.shape for m in one_step] == [(1, 1, 2)] * 3
+    assert [m[0, 0, 0] for m in one_step] == [0.0, 1.0, 0.0]
+
+
+def test_single_step_window_roundtrip():
+    model = _model(d=2, t=8, period=3, seed=30, out_scale=0.5)
+    x = np.random.default_rng(31).normal(size=(3, 1, 2))
+    hc = _hc(model, 3, seed=32)
+    z, _ = forward(x, hc, model)
+    np.testing.assert_allclose(inverse(z.data, hc, model), x, atol=1e-10)
+
+
+def test_forward_rejects_wrong_conditioning_shape():
+    model = _model(d=2)
+    with pytest.raises(Exception, match="conditioning shape"):
+        forward(np.zeros((2, 8, 2)), Tensor(np.zeros((1, 6))), model)
+
+
+def test_no_grad_keeps_overflow_checks():
+    model = _model(d=2)
+    _, b = model.layers[0].t_net.layers[-1]
+    b.data = np.full(b.shape, np.inf)
+    with ad.no_grad(), np.errstate(all="ignore"), \
+            pytest.raises(ad.NumericOverflow, match="coupling layer 0"):
+        forward(np.zeros((1, 8, 2)), _hc(model), model)
+
+
+def test_anomaly_score_same_with_and_without_tape():
+    model = _model(d=2, t=8, period=3, seed=40, out_scale=0.5)
+    x = np.random.default_rng(41).normal(size=(4, 8, 2))
+    hc = Tensor(_hc(model, 4, seed=42).data, requires_grad=True)
+    taped_tau, taped_tau_t = anomaly_score(x, hc, model)
+    with ad.no_grad():
+        tau, tau_t = anomaly_score(x, hc, model)
+    np.testing.assert_array_equal(tau, taped_tau)
+    np.testing.assert_array_equal(tau_t, taped_tau_t)

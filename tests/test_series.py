@@ -133,3 +133,15 @@ def test_non_overlapping_windows_reconstruct_prefix():
     wb = make_windows(s, 10, stride=10)
     rebuilt = wb.windows.reshape(-1, 3)
     np.testing.assert_array_equal(rebuilt, s.values[:rebuilt.shape[0]])
+
+
+@pytest.mark.parametrize("text,where", [
+    ("t,a,b\n0,1,2\n1,NaN,2\n", "line 3, column a: non-finite value 'NaN'"),
+    ("t,a,b\n0,1,-inf\n", "line 2, column b: non-finite value '-inf'"),
+    ("t,a,b\n0,1,2\ninf,1,2\n", "line 3, column t: non-finite value 'inf'"),
+])
+def test_load_csv_rejects_non_finite(tmp_path, text, where):
+    p = _write(tmp_path, text)
+    with pytest.raises(SeriesError) as info:
+        load_csv(p)
+    assert str(info.value) == where

@@ -271,3 +271,47 @@ def test_score_windows_deterministic():
     np.testing.assert_array_equal(tau1, tau2)
     np.testing.assert_array_equal(tau_t1, tau_t2)
     assert len(diag1) == 10 and "attention" in diag1[0]
+
+
+def test_scoring_without_tape_matches_taped_path():
+    # c09-style series: periods {20, 60}, D=3, noise 0.3, mixed anomalies
+    from periflow.flow import anomaly_score
+    from periflow.synthetic import Anomaly
+    series = generate(SynthConfig(length=1000, dims=3, periods={20: 3.0, 60: 1.0},
+                                  noise_std=0.3, seed=4,
+                                  anomalies=[Anomaly("spike", 850, 2, 8.0),
+                                             Anomaly("level_shift", 900, 20, 4.0)]))
+    config = TrainConfig(window_length=60, hidden=8, n_factors=2, k_periods=3,
+                         num_blocks=1, seed=4)
+    data = prepare_series(series, config)
+    bundle = build_models(config, 3, data["global_period"], np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for layer in bundle.flow.layers:  # leave the identity start
+        for net in (layer.s_net, layer.t_net):
+            w, b = net.layers[-1]
+            w.data = rng.normal(0.0, 0.3, size=w.shape)
+            b.data = rng.normal(0.0, 0.3, size=b.shape)
+    windows = data["test"].windows
+    tau, tau_t, _ = score_windows(bundle, windows, batch_size=64)
+
+    taped_tau, taped_tau_t = [], []
+    for lo in range(0, windows.shape[0], 64):
+        chunk = windows[lo:lo + 64]
+        rep, _ = encode_batch(chunk, bundle)
+        h_c = condition(rep, bundle.flow)
+        assert h_c._backward is not None  # this path records the tape
+        part, part_t = anomaly_score(chunk, h_c, bundle.flow)
+        taped_tau.append(part)
+        taped_tau_t.append(part_t)
+    np.testing.assert_array_equal(tau, np.concatenate(taped_tau))
+    np.testing.assert_array_equal(tau_t, np.concatenate(taped_tau_t))
+
+
+def test_evaluate_objective_matches_taped_loss():
+    config, data = _prepared()
+    bundle = build_models(config, 2, data["global_period"], np.random.default_rng(7))
+    windows = data["val"].windows
+    comps = evaluate_objective(windows, bundle, np.random.default_rng(8))
+    loss, taped, _ = total_loss(windows, bundle, np.random.default_rng(8))
+    assert loss._backward is not None
+    assert comps == pytest.approx(taped, rel=1e-12)

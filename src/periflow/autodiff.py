@@ -38,7 +38,8 @@ class Tensor:
     """Node of the recorded computation graph.
 
     `data` is always a contiguous float64 ndarray. `grad` is allocated
-    lazily during the backward sweep and has the same shape as `data`.
+    lazily during the backward sweep and has the same shape as `data`;
+    after the sweep only leaves (tensors with no backward closure) keep it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -101,6 +102,9 @@ class Tensor:
                     parent.grad = np.array(g)
                 else:
                     parent.grad += g
+            # every consumer of this node ran before it, so its gradient is
+            # complete and spent; only leaves keep theirs
+            node.grad = None
 
     # Operator sugar; scalars are promoted to constant tensors.
     def __add__(self, other):
@@ -137,15 +141,6 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-def constant(x) -> Tensor:
-    """Wrap an array-like as a non-differentiable tensor."""
-    return _wrap(x)
-
-
-def parameter(x) -> Tensor:
-    return Tensor(np.asarray(x, dtype=np.float64).copy(), requires_grad=True)
 
 
 @contextlib.contextmanager

@@ -1,30 +1,17 @@
-"""Consistency and independence treatments over fused representations.
+"""Consistency and independence losses over fused representations.
 
-A window and its band-noise-augmented twin are encoded with shared
-parameters; a cosine loss pulls the two representations together, their
-average is the conditioning representation, and an orthogonality penalty
-on its factor rows discourages redundant factors.
+`training.total_loss` encodes a batch and its band-noise-augmented twin
+with shared parameters. The consistency loss here pulls the two
+representations together; their average is the conditioning
+representation, and the independence loss, an orthogonality penalty on
+its factor rows, discourages redundant factors.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .factors import MinerParams, embed, extract_pyramid
-from .fusion import FusionParams, fuse
-from .spectral import intervene
-
-
-@dataclass
-class CausalBundle:
-    clean: Tensor
-    augmented: Tensor
-    conditioning: Tensor
-    similarity: Tensor
-    independence: Tensor
 
 
 def _as_batch(x) -> Tensor:
@@ -61,33 +48,3 @@ def independence_loss(c) -> Tensor:
     eye = Tensor(np.broadcast_to(np.eye(n), (bsz, n, n)).copy())
     diff = gram - eye
     return ad.tmean(ad.tsum(diff * diff, axis=(1, 2)))
-
-
-def encode(x, miner: MinerParams, fusion_params: FusionParams, k: int,
-           periods=None):
-    """Embed, extract the period pyramid, and fuse. x is (T,D) or (B,T,D)."""
-    h = embed(_as_batch(x), miner)
-    pyramid = extract_pyramid(h, k, miner, periods=periods)
-    return fuse(pyramid, fusion_params), pyramid
-
-
-def causal_forward(x: np.ndarray, miner: MinerParams, fusion_params: FusionParams,
-                   k: int, sigma: float, k_h_frac: float, noise: str,
-                   rng: np.random.Generator) -> CausalBundle:
-    """Clean and augmented encodings of one (T, D) window with shared
-    parameters, plus both treatment losses.
-
-    sigma == 0 short-circuits the augmentation so both paths are
-    bitwise identical.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    clean_rep, _ = encode(x, miner, fusion_params, k)
-    if sigma == 0.0:
-        aug_rep = clean_rep
-    else:
-        x_aug = intervene(x, k_h_frac=k_h_frac, sigma=sigma, noise=noise, rng=rng)
-        aug_rep, _ = encode(x_aug, miner, fusion_params, k)
-    conditioning = (clean_rep.values + aug_rep.values) * 0.5
-    sim = similarity_loss(clean_rep.values, aug_rep.values)
-    ind = independence_loss(conditioning)
-    return CausalBundle(clean_rep.values, aug_rep.values, conditioning, sim, ind)

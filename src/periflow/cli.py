@@ -19,7 +19,8 @@ import numpy as np
 from .evaluate import auroc_summary, emit_reports, window_scores_to_points
 from .series import (MultivariateSeries, SeriesError, SplitSpec, load_csv,
                      make_windows)
-from .spectral import discover_global_period, periodicity_strength, top_k_periods
+from .spectral import (SpectralError, discover_global_period,
+                       periodicity_strength, top_k_periods)
 from .synthetic import Anomaly, SynthConfig, generate, write_csv
 from .training import (TrainConfig, fit, history_to_csv, load_checkpoint,
                        prepare_series, score_windows)
@@ -107,28 +108,37 @@ def write_resolved_config(out_dir: Path, train_cfg: TrainConfig,
             fh.write(f"{key} = {value}\n")
 
 
-def _parse_periods(spec: str) -> dict[int, float]:
-    out = {}
-    for part in spec.split(","):
+def _parse_entries(key: str, spec: str, sep: str, form: str,
+                   types: tuple[type, ...]) -> list[tuple]:
+    """Entries of `spec` split at `sep`, each `:`-separated fields parsed
+    with `types`; a malformed entry is a ConfigError naming it and `form`."""
+    out = []
+    for part in spec.split(sep):
         part = part.strip()
         if not part:
             continue
-        period, amp = part.split(":")
-        out[int(period)] = float(amp)
+        values = part.split(":")
+        try:
+            if len(values) != len(types):
+                raise ValueError
+            out.append(tuple(cast(v) for cast, v in zip(types, values)))
+        except ValueError:
+            raise ConfigError(f"{key} entry {part!r}: expected {form}") from None
+    return out
+
+
+def _parse_periods(spec: str) -> dict[int, float]:
+    out = dict(_parse_entries("gen_periods", spec, ",", "period:amplitude",
+                              (int, float)))
     if not out:
         raise ConfigError("gen_periods must name at least one period")
     return out
 
 
 def _parse_anomalies(spec: str) -> list[Anomaly]:
-    out = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        kind, start, duration, magnitude = part.split(":")
-        out.append(Anomaly(kind, int(start), int(duration), float(magnitude)))
-    return out
+    return [Anomaly(*entry) for entry in _parse_entries(
+        "gen_anomalies", spec, ";", "kind:start:duration:magnitude",
+        (str, int, int, float))]
 
 
 def _split_spec(gen_cfg: GenConfig) -> SplitSpec:
@@ -244,7 +254,7 @@ def cmd_inspect(args) -> int:
     for d, name in enumerate(series.dim_names):
         try:
             strength[name] = periodicity_strength(series.values[:, d], period)
-        except Exception:
+        except SpectralError:  # too short for two cycles of the period
             strength[name] = None
     report = {"global_period": period,
               "top_periods": list(ps.periods),

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+HIST_BINS = 50  # bins of score_histogram.csv
+
 
 class EvalError(ValueError):
     pass
@@ -25,23 +27,19 @@ class AnomalyScoreSeries:
 
 
 def window_scores_to_points(step_scores: np.ndarray, window_starts: np.ndarray,
-                            series_length: int,
-                            aggregate: str = "mean") -> AnomalyScoreSeries:
+                            series_length: int) -> AnomalyScoreSeries:
     """Spread per-window per-timestep scores back onto the source timeline.
 
-    Each covered timestep receives the mean (or max) over all windows that
-    include it; timesteps outside every window copy the nearest covered
-    score and keep coverage 0.
+    Each covered timestep receives the mean over all windows that include
+    it; timesteps outside every window copy the nearest covered score and
+    keep coverage 0.
     """
     step_scores = np.atleast_2d(np.asarray(step_scores, dtype=np.float64))
     window_starts = np.asarray(window_starts, dtype=np.int64)
     b, t = step_scores.shape
     if b != window_starts.shape[0]:
         raise EvalError("one start index per window required")
-    if aggregate not in ("mean", "max"):
-        raise EvalError(f"unknown aggregate {aggregate!r}")
     sums = np.zeros(series_length)
-    peak = np.full(series_length, -np.inf)
     counts = np.zeros(series_length, dtype=np.int64)
     for w in range(b):
         lo = int(window_starts[w])
@@ -49,16 +47,12 @@ def window_scores_to_points(step_scores: np.ndarray, window_starts: np.ndarray,
         if hi > series_length:
             raise EvalError(f"window at {lo} overruns series of length {series_length}")
         sums[lo:hi] += step_scores[w]
-        np.maximum(peak[lo:hi], step_scores[w], out=peak[lo:hi])
         counts[lo:hi] += 1
     covered = counts > 0
     if not covered.any():
         raise EvalError("no timestep is covered by any window")
     scores = np.zeros(series_length)
-    if aggregate == "mean":
-        scores[covered] = sums[covered] / counts[covered]
-    else:
-        scores[covered] = peak[covered]
+    scores[covered] = sums[covered] / counts[covered]
     # nearest-covered fill for leading/trailing gaps
     idx = np.where(covered)[0]
     scores[:idx[0]] = scores[idx[0]]
@@ -83,16 +77,10 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise EvalError("labels must contain both classes")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty_like(scores)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    # 1-based midrank of a tie group ending at sorted position `ends`
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - (counts - 1) / 2.0)[group]
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -112,8 +100,7 @@ def auroc_summary(scores: np.ndarray, labels: np.ndarray) -> dict:
 
 def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
                  diagnostics: list[dict] | None = None,
-                 per_step: np.ndarray | None = None,
-                 metadata: dict | None = None, bins: int = 50) -> dict:
+                 metadata: dict | None = None) -> dict:
     """Write the score histogram, per-step trace, per-window period-weight
     table, and a summary JSON. Returns the summary dict.
 
@@ -126,7 +113,7 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    edges = np.histogram_bin_edges(scores, bins=bins)
+    edges = np.histogram_bin_edges(scores, bins=HIST_BINS)
     with open(out / "score_histogram.csv", "w", encoding="utf-8") as fh:
         if labels is None:
             fh.write("bin_left,bin_right,count\n")
@@ -142,10 +129,9 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
                 fh.write(f"{float(edges[i])!r},{float(edges[i + 1])!r},"
                          f"{c0[i]},{c1[i]}\n")
 
-    trace = per_step if per_step is not None else scores
     with open(out / "scores.csv", "w", encoding="utf-8") as fh:
         fh.write("index,score,log_likelihood\n")
-        for i, s in enumerate(trace):
+        for i, s in enumerate(scores):
             fh.write(f"{i},{float(s)!r},{float(-s)!r}\n")
 
     if diagnostics is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericOverflow, Tensor
-from .spectral import PeriodSet, top_k_periods
+from .spectral import PeriodSet
 
 
 @dataclass
@@ -129,26 +129,22 @@ def bin_amplitudes(h: Tensor, frequencies: tuple[int, ...]) -> Tensor:
     return ad.transpose(ad.tmean(amp, axis=2), (1, 0))
 
 
-def extract_pyramid(h, k: int, params: MinerParams,
-                    periods: PeriodSet | None = None) -> CausalPyramid:
-    """Fold the embedded window into per-period grids and project to slots.
+def extract_pyramid(h, params: MinerParams, periods: PeriodSet) -> CausalPyramid:
+    """Fold embedded windows into per-period grids and project to slots.
 
-    For each selected period p the window is zero-padded to ceil(T/p)*p and
-    reshaped to a cycles-by-phase grid. The shared residual transform feeds
-    every cell its own value together with its phase-column mean and
-    cycle-row mean (the per-period seasonal profile), so grids folded at
-    different periods genuinely differ. The transformed grid is mean-pooled
-    and projected onto N factor slots; blocks are (B, N, D_h).
+    Every window of the batch shares `periods` (`training.encode_batch`
+    groups windows by their picks). For each period p the window is
+    zero-padded to ceil(T/p)*p and reshaped to a cycles-by-phase grid. The
+    shared residual transform feeds every cell its own value together with
+    its phase-column mean and cycle-row mean (the per-period seasonal
+    profile), so grids folded at different periods genuinely differ. The
+    transformed grid is mean-pooled and projected onto N factor slots;
+    blocks are (B, N, D_h).
     """
     ht, _ = _lift(h)
     b, t, c = ht.shape
     if c != params.hidden:
         raise ValueError(f"extract_pyramid: channel dim {c} != hidden {params.hidden}")
-    if periods is None:
-        if b != 1:
-            raise ValueError("period selection on a batch needs an explicit PeriodSet")
-        periods = top_k_periods(ht.data[0], k)
-
     n = params.n_factors
     blocks: list[Tensor] = []
     for p in periods.periods:

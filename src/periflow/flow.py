@@ -63,7 +63,6 @@ class FlowModel:
     hidden: int
     n_factors: int
     context_radius: int
-    num_blocks: int
 
     def named(self, prefix: str = "flow") -> dict[str, Tensor]:
         out = {f"{prefix}.cond_w": self.cond_w, f"{prefix}.cond_b": self.cond_b}
@@ -94,7 +93,7 @@ def init_flow(d_in: int, hidden: int, n_factors: int, period: int,
               window_length: int, num_layers: int, num_blocks: int,
               rng: np.random.Generator,
               context_radius: int | None = None) -> FlowModel:
-    mask = build_mask(period, window_length, d_in)
+    mask = build_mask(period, window_length)
     radius = mask.period if context_radius is None else int(context_radius)
     f_in = (2 * radius + 1) * d_in + hidden
     layers = [CouplingLayer(_make_mlp(f_in, hidden, d_in, num_blocks, rng),
@@ -105,7 +104,7 @@ def init_flow(d_in: int, hidden: int, n_factors: int, period: int,
                     requires_grad=True)
     cond_b = Tensor(np.zeros(hidden), requires_grad=True)
     return FlowModel(layers, cond_w, cond_b, mask, d_in, hidden, n_factors,
-                     radius, num_blocks)
+                     radius)
 
 
 def condition(c_ind, model: FlowModel) -> Tensor:
@@ -122,11 +121,12 @@ def condition(c_ind, model: FlowModel) -> Tensor:
 
 
 def _layer_masks(model: FlowModel, t: int) -> list[np.ndarray]:
-    """(1, T, D) keep-masks per layer, alternating with their complement.
-    A one-step window is cut from a two-step mask so it can still be
-    scored (the flow is the identity there anyway when nets are zero)."""
-    even = build_mask(model.mask.period, max(t, 2), model.d_in)
-    pair = [m.bits[None, :t] for m in (even, complement(even))]
+    """(1, T, 1) keep-masks per layer, alternating with their complement;
+    callers broadcast them over batch and channels. A one-step window is
+    cut from a two-step mask so it can still be scored (the flow is the
+    identity there anyway when nets are zero)."""
+    even = build_mask(model.mask.period, max(t, 2))
+    pair = [m.time_pattern[None, :t, None] for m in (even, complement(even))]
     return [pair[li % 2] for li in range(len(model.layers))]
 
 

@@ -1,4 +1,8 @@
-"""Checkerboard-in-time masks whose block length follows the global period."""
+"""Checkerboard-in-time masks whose block length follows the global period.
+
+A mask is a time pattern only: it varies along time and every channel
+shares it, so the flow broadcasts the (T,) pattern over its channels.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,42 +16,24 @@ class MaskError(ValueError):
 
 @dataclass(frozen=True)
 class PeriodicMask:
-    """Binary (T, D) mask alternating blocks of `period` zeros and ones.
+    """Binary (T,) pattern alternating blocks of `period` zeros and ones:
+    entry t equals floor(t / period) mod 2."""
 
-    The pattern varies along time only; every dimension shares the same
-    row. Entry (t, d) equals floor(t / period) mod 2.
-    """
-
-    bits: np.ndarray
+    time_pattern: np.ndarray
     period: int
 
-    @property
-    def time_pattern(self) -> np.ndarray:
-        return self.bits[:, 0]
 
-    @property
-    def window_length(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def dims(self) -> int:
-        return self.bits.shape[1]
-
-
-def build_mask(period: int, window_length: int, dims: int) -> PeriodicMask:
+def build_mask(period: int, window_length: int) -> PeriodicMask:
     """Block-alternating mask; a period >= T is clamped to ceil(T/2) so both
     mask values always occur."""
     if period <= 0:
         raise MaskError(f"period must be positive, got {period}")
     if window_length < 2:
         raise MaskError("window length must be >= 2")
-    if dims < 1:
-        raise MaskError("dims must be >= 1")
     p = period if period < window_length else int(np.ceil(window_length / 2))
     pattern = (np.arange(window_length) // p) % 2
-    bits = np.tile(pattern[:, None], (1, dims)).astype(np.float64)
-    return PeriodicMask(bits, p)
+    return PeriodicMask(pattern.astype(np.float64), p)
 
 
 def complement(mask: PeriodicMask) -> PeriodicMask:
-    return PeriodicMask(1.0 - mask.bits, mask.period)
+    return PeriodicMask(1.0 - mask.time_pattern, mask.period)

@@ -25,9 +25,6 @@ class ParamStore:
         self.v[name] = np.zeros_like(tensor.data)
         return tensor
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None

@@ -130,7 +130,7 @@ def _parse_timestamp(text: str, line_no: int, column: str) -> float:
         raise SeriesError(f"line {line_no}: cannot parse timestamp {text!r}") from None
 
 
-def load_csv(path, label_column: str = "label") -> MultivariateSeries:
+def load_csv(path) -> MultivariateSeries:
     """Read a comma-separated file with a header row into a series.
 
     A leading timestamp column (named `timestamp` or `t`) and a `label`
@@ -146,7 +146,7 @@ def load_csv(path, label_column: str = "label") -> MultivariateSeries:
             raise SeriesError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         has_ts = bool(header) and header[0] in ("timestamp", "t")
-        label_idx = header.index(label_column) if label_column in header else None
+        label_idx = header.index("label") if "label" in header else None
         data_idx = [i for i, name in enumerate(header)
                     if not (has_ts and i == 0) and i != label_idx]
         if not data_idx:
@@ -192,9 +192,6 @@ class Standardization:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
 
 
 def standardize(series: MultivariateSeries, spec: SplitSpec = SplitSpec(),

@@ -1,9 +1,10 @@
-"""Frequency-domain utilities: period discovery, band-noise augmentation,
+"""Frequency-domain utilities: period selection, band-noise augmentation,
 and a seasonal-strength diagnostic.
 
-Convention throughout: unnormalized forward transform, 1/n inverse, so
-Parseval reads sum|x|^2 = (1/n) sum|X|^2. The DC bin never participates
-in period selection because it encodes the mean, not a rhythm.
+`top_k_periods` is the one period picker: the strongest bins of the
+channel-averaged amplitude spectrum (unnormalized numpy FFT). The global
+period of a series is its top-1 pick. The DC bin never participates in
+period selection because it encodes the mean, not a rhythm.
 """
 from __future__ import annotations
 
@@ -19,20 +20,12 @@ class SpectralError(ValueError):
 
 
 @dataclass(frozen=True)
-class AmplitudeSpectrum:
-    amplitudes: np.ndarray
-    bin_count: int
-    source_length: int
-
-
-@dataclass(frozen=True)
 class PeriodSet:
     """Top-k frequency bins with their period lengths and raw amplitudes."""
 
     frequencies: tuple[int, ...]
     periods: tuple[int, ...]
     weights: np.ndarray
-    short_count: bool = False
 
     def __post_init__(self):
         if len(self.frequencies) < 1:
@@ -45,60 +38,12 @@ class PeriodSet:
         return len(self.frequencies)
 
 
-def forward_fft(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    if x.size == 0:
-        raise SpectralError("empty input")
-    if not np.all(np.isfinite(x)):
-        raise SpectralError("non-finite input to forward_fft")
-    return np.fft.fft(x, axis=0) if x.ndim > 1 else np.fft.fft(x)
-
-
-def inverse_fft(spectrum: np.ndarray) -> np.ndarray:
-    spectrum = np.asarray(spectrum)
-    if not np.all(np.isfinite(spectrum)):
-        raise SpectralError("non-finite input to inverse_fft")
-    out = np.fft.ifft(spectrum, axis=0) if spectrum.ndim > 1 else np.fft.ifft(spectrum)
-    return out
-
-
-def amplitude_spectrum(x: np.ndarray) -> AmplitudeSpectrum:
-    """Channel-averaged amplitude of the forward transform of (n,) or (n, D)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 1 and x.size > 1:
-        x = x.T
-    spec = np.abs(np.fft.fft(x, axis=0)).mean(axis=1)
-    return AmplitudeSpectrum(spec, spec.shape[0], x.shape[0])
-
-
-def _dominant_bin(amplitudes: np.ndarray, n: int) -> int:
-    # Candidates are the non-redundant bins 1..n//2; the conjugate half
-    # mirrors them for real input. Ties resolve to the lower bin.
-    half = n // 2
-    if half < 1:
-        raise SpectralError("series too short for period discovery")
-    band = amplitudes[1:half + 1]
-    return int(np.argmax(band)) + 1
-
-
-def discover_global_period(series: MultivariateSeries) -> int:
-    """Dominant period of the full series: ceil(T_l / argmax averaged amplitude)."""
-    values = series.values
-    if series.length < 4:
-        raise SpectralError("need at least 4 samples to discover a period")
-    if np.allclose(values, values[0], atol=1e-12):
-        raise SpectralError("constant series has no dominant frequency")
-    amp = amplitude_spectrum(values).amplitudes
-    f_g = _dominant_bin(amp, series.length)
-    return int(np.ceil(series.length / f_g))
-
-
 def top_k_periods(x: np.ndarray, k: int) -> PeriodSet:
     """k largest-amplitude bins (channel-averaged, DC excluded) of (T, C).
 
-    Candidate bins are the non-redundant half 1..T//2. If fewer bins carry
-    energy than requested, all available ones are returned and the result
-    is flagged short.
+    Candidate bins are the non-redundant half 1..T//2; ties resolve to the
+    lower bin. If fewer bins carry energy than requested, only those are
+    returned.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -121,20 +66,30 @@ def top_k_periods(x: np.ndarray, k: int) -> PeriodSet:
         chosen.append((f, period, float(amp[f])))
         if len(chosen) == k:
             break
-    short = len(chosen) < k
     freqs, periods, weights = zip(*chosen)
-    return PeriodSet(freqs, periods, np.asarray(weights), short_count=short)
+    return PeriodSet(freqs, periods, np.asarray(weights))
+
+
+def discover_global_period(series: MultivariateSeries) -> int:
+    """Dominant period of the full series: the top-1 pick of `top_k_periods`,
+    ceil(T_l / f) for the strongest non-DC bin f."""
+    values = series.values
+    if series.length < 4:
+        raise SpectralError("need at least 4 samples to discover a period")
+    if np.allclose(values, values[0], atol=1e-12):
+        raise SpectralError("constant series has no dominant frequency")
+    return top_k_periods(values, 1).periods[0]
 
 
 def intervene(x: np.ndarray, k_h_frac: float = 0.25, sigma: float = 0.1,
-              noise: str = "gaussian", location: str = "high",
+              noise: str = "gaussian",
               rng: np.random.Generator | None = None) -> np.ndarray:
-    """Perturb one frequency band of a (T, D) window and transform back.
+    """Perturb the high frequency band of a (T, D) window and transform back.
 
     The spectrum splits at bin k_h = round(k_h_frac * T). Noise with
-    per-component scale sigma lands on the selected band; conjugate
-    symmetry is maintained so the output stays real, which leaves the
-    mirror images of the untouched band clean as well.
+    per-component scale sigma lands on bins k_h..T//2; conjugate symmetry
+    is maintained so the output stays real, which leaves the low band and
+    its mirror images clean.
     """
     if sigma < 0:
         raise SpectralError("sigma must be non-negative")
@@ -142,8 +97,6 @@ def intervene(x: np.ndarray, k_h_frac: float = 0.25, sigma: float = 0.1,
         raise SpectralError("k_h_frac must lie in (0, 1)")
     if noise not in ("gaussian", "laplace"):
         raise SpectralError(f"unknown noise type {noise!r}")
-    if location not in ("high", "low"):
-        raise SpectralError(f"unknown noise location {location!r}")
     rng = rng or np.random.default_rng()
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -155,10 +108,7 @@ def intervene(x: np.ndarray, k_h_frac: float = 0.25, sigma: float = 0.1,
 
     spec = np.fft.fft(x, axis=0)
     half = t // 2
-    if location == "high":
-        bins = np.arange(k_h, half + 1)
-    else:
-        bins = np.arange(0, k_h)
+    bins = np.arange(k_h, half + 1)
     draw = rng.standard_normal if noise == "gaussian" else (
         lambda size: rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=size))
     for b in bins:

@@ -141,7 +141,7 @@ def encode_batch(windows: np.ndarray, bundle: ModelBundle):
     for key, idx in groups.items():
         ps = period_sets[key]
         h_group = embed(windows[idx], bundle.miner)
-        pyramid = extract_pyramid(h_group, cfg.k_periods, bundle.miner, periods=ps)
+        pyramid = extract_pyramid(h_group, bundle.miner, ps)
         rep = fuse(pyramid, bundle.fusion)
         parts.append(ad.reshape(rep.values, (len(idx), n * dh)))
         for row, i in enumerate(idx):

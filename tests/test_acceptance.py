@@ -191,7 +191,7 @@ def test_c05_mask_law():
     for t in range(2, 257):
         expected_full = (np.arange(t) // np.arange(1, t)[:, None]) % 2
         for p in range(1, t):
-            mask = build_mask(p, t, 1)
+            mask = build_mask(p, t)
             np.testing.assert_array_equal(mask.time_pattern, expected_full[p - 1])
     elapsed = time.time() - start
     assert elapsed < 5.0

@@ -1,12 +1,8 @@
-"""Consistency loss, orthogonality loss, and the two-path forward."""
+"""Consistency loss and orthogonality loss."""
 import numpy as np
 import pytest
 
-from conftest import numeric_gradient, relative_error
-from periflow.causal import (causal_forward, independence_loss,
-                             similarity_loss)
-from periflow.factors import init_miner
-from periflow.fusion import init_fusion
+from periflow.causal import independence_loss, similarity_loss
 
 
 def test_similarity_identical_is_zero():
@@ -50,68 +46,3 @@ def test_independence_scaled_rows():
     c = 2.0 * np.eye(4)[:2]
     # Gram = 4I, loss = ||3I||_F^2 = 18
     np.testing.assert_allclose(independence_loss(c).item(), 18.0)
-
-
-def _setup(seed=0, d=2, hidden=6, n=2):
-    rng = np.random.default_rng(seed)
-    miner = init_miner(d, hidden, n, rng)
-    fusion_params = init_fusion(hidden, rng)
-    t = np.arange(20)
-    x = np.column_stack([np.sin(2 * np.pi * t / 5.0) + 0.1 * rng.normal(size=20)
-                         for _ in range(d)])
-    return miner, fusion_params, x
-
-
-def test_forward_zero_sigma_paths_identical():
-    miner, fusion_params, x = _setup()
-    bundle = causal_forward(x, miner, fusion_params, k=2, sigma=0.0,
-                            k_h_frac=0.25, noise="gaussian",
-                            rng=np.random.default_rng(0))
-    np.testing.assert_array_equal(bundle.clean.data, bundle.augmented.data)
-    assert abs(bundle.similarity.item()) < 1e-12
-
-
-def test_forward_seeded_determinism():
-    miner, fusion_params, x = _setup()
-    runs = []
-    for _ in range(2):
-        bundle = causal_forward(x, miner, fusion_params, k=2, sigma=0.1,
-                                k_h_frac=0.25, noise="gaussian",
-                                rng=np.random.default_rng(7))
-        runs.append((bundle.conditioning.data.copy(), bundle.similarity.item(),
-                     bundle.independence.item()))
-    np.testing.assert_array_equal(runs[0][0], runs[1][0])
-    assert runs[0][1] == runs[1][1] and runs[0][2] == runs[1][2]
-
-
-def test_conditioning_is_midpoint():
-    miner, fusion_params, x = _setup(seed=3)
-    bundle = causal_forward(x, miner, fusion_params, k=2, sigma=0.2,
-                            k_h_frac=0.25, noise="gaussian",
-                            rng=np.random.default_rng(1))
-    np.testing.assert_allclose(
-        bundle.conditioning.data,
-        0.5 * (bundle.clean.data + bundle.augmented.data), atol=1e-15)
-    d_clean = np.abs(bundle.conditioning.data - bundle.clean.data)
-    d_aug = np.abs(bundle.conditioning.data - bundle.augmented.data)
-    np.testing.assert_allclose(d_clean, d_aug, atol=1e-12)
-
-
-def test_treatment_loss_gradients():
-    miner, fusion_params, x = _setup(seed=4)
-
-    def scalar():
-        bundle = causal_forward(x, miner, fusion_params, k=2, sigma=0.1,
-                                k_h_frac=0.25, noise="gaussian",
-                                rng=np.random.default_rng(11))
-        return bundle.similarity + bundle.independence
-
-    tensors = [miner.embed_w, miner.grid_w, miner.slot_w,
-               fusion_params.query_w, fusion_params.key_w]
-    for t in tensors:
-        t.grad = None
-    loss = scalar()
-    loss.backward()
-    for t in tensors:
-        fd = numeric_gradient(lambda: scalar().data, t)
-        assert relative_error(t.grad, fd) < 1e-4

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline."""
 import json
 
+import numpy as np
 import pytest
 
 from periflow.cli import ConfigError, load_config, main
@@ -113,6 +114,32 @@ def test_bad_config_key_is_one_line_error(tmp_path, capsys):
     code = main(["gen", "--out", str(tmp_path), "--set", "mystery=1"])
     assert code == 1
     assert "mystery" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("gen_periods=20", "gen_periods entry '20': expected period:amplitude"),
+    ("gen_periods=20:x", "gen_periods entry '20:x': expected period:amplitude"),
+    ("gen_anomalies=spike:10:2",
+     "gen_anomalies entry 'spike:10:2': expected kind:start:duration:magnitude"),
+    ("gen_anomalies=spike:10:2:8.0;spike:x:2:8.0",
+     "gen_anomalies entry 'spike:x:2:8.0': expected kind:start:duration:magnitude"),
+])
+def test_bad_gen_entry_names_the_cause(tmp_path, capsys, setting, message):
+    code = main(["gen", "--out", str(tmp_path / "data"), "--set", setting])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_inspect_short_series_reports_null_strength(tmp_path, capsys):
+    # one cycle in 6 rows: period 6 needs 12 samples for a strength
+    rows = "\n".join(f"{t},{np.sin(2 * np.pi * t / 6):.6f}" for t in range(6))
+    csv = tmp_path / "short.csv"
+    csv.write_text("t,x0\n" + rows + "\n")
+    assert main(["inspect", "--data", str(csv)]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["global_period"] == 6
+    assert report["periodicity_strength"] == {"x0": None}
 
 
 def test_one_class_labels_score_and_eval(tmp_path, capsys):

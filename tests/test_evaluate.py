@@ -28,6 +28,11 @@ def test_auroc_perfect_separation():
 
 def test_auroc_all_ties():
     assert auroc(np.ones(6), np.array([0, 1, 0, 1, 0, 1])) == 0.5
+    assert auroc(np.full(10, -3.5), np.array([0] * 9 + [1])) == 0.5
+    # two tie groups; the positives share the top one with a negative
+    scores = np.array([1.0] * 8 + [2.0] * 3)
+    labels = np.array([0] * 8 + [1, 1, 0])
+    assert auroc(scores, labels) == brute_force_auroc(scores, labels) == 17 / 18
 
 
 def test_auroc_matches_brute_force_random():
@@ -76,12 +81,6 @@ def test_alignment_overlap_mean():
     out = window_scores_to_points(step, np.array([0, 1]), 3)
     assert out.scores[1] == 2.0
     assert out.coverage[1] == 2
-
-
-def test_alignment_max_aggregate():
-    step = np.array([[1.0, 1.0], [3.0, 3.0]])
-    out = window_scores_to_points(step, np.array([0, 1]), 3, aggregate="max")
-    assert out.scores[1] == 3.0
 
 
 def test_alignment_conservation_identity():

@@ -58,7 +58,7 @@ def test_pyramid_shapes_fixed_regardless_of_periods():
     params = _miner()
     h = embed(_window(), params)
     for k in (1, 2, 3):
-        pyr = extract_pyramid(h, k, params)
+        pyr = extract_pyramid(h, params, top_k_periods(h.data, k))
         assert len(pyr.factors) == pyr.periods.k <= k
         for block in pyr.factors:
             assert block.shape == (1, 2, 8)
@@ -77,7 +77,7 @@ def test_pyramid_identity_path():
     x = np.column_stack([np.sin(2 * np.pi * np.arange(t) / 8.0)] * 2)
     h = embed(x, params)
     periods = PeriodSet((3,), (8,), np.array([1.0]))  # 24 = 3 cycles of 8
-    pyr = extract_pyramid(h, 1, params, periods=periods)
+    pyr = extract_pyramid(h, params, periods)
     pooled = h.data.mean(axis=0)
     for row in range(3):
         np.testing.assert_allclose(pyr.factors[0].data[0, row], pooled, atol=1e-12)
@@ -91,7 +91,7 @@ def test_padded_cells_contribute_zero():
     x = _window(t=t, d=2, seed=3)
     h = embed(x, params)
     periods = PeriodSet((3,), (p,), np.array([1.0]))
-    pyr = extract_pyramid(h, 1, params, periods=periods)
+    pyr = extract_pyramid(h, params, periods)
 
     grid = np.concatenate([h.data, np.zeros((2, 4))]).reshape(3, 4, 4)
     col_mean = np.broadcast_to(grid.mean(axis=0, keepdims=True), grid.shape)
@@ -107,8 +107,9 @@ def test_padded_cells_contribute_zero():
 def test_pyramid_deterministic():
     params = _miner()
     x = _window()
-    a = extract_pyramid(embed(x, params), 2, params)
-    b = extract_pyramid(embed(x, params), 2, params)
+    periods = top_k_periods(embed(x, params).data, 2)
+    a = extract_pyramid(embed(x, params), params, periods)
+    b = extract_pyramid(embed(x, params), params, periods)
     for fa, fb in zip(a.factors, b.factors):
         np.testing.assert_array_equal(fa.data, fb.data)
     np.testing.assert_array_equal(a.weights.data, b.weights.data)
@@ -134,8 +135,8 @@ def test_pyramid_weights_match_selection():
     params = _miner()
     x = _window(t=32)
     h = embed(x, params)
-    pyr = extract_pyramid(h, 2, params)
     oracle = top_k_periods(h.data, 2)
+    pyr = extract_pyramid(h, params, oracle)
     assert pyr.periods.frequencies == oracle.frequencies
     np.testing.assert_allclose(pyr.weights.data[0], oracle.weights * (2.0 / 32),
                                atol=1e-9)
@@ -148,7 +149,7 @@ def test_pyramid_gradient_wrt_embedding():
 
     def scalar():
         h = embed(x, params)
-        pyr = extract_pyramid(h, 2, params, periods=periods)
+        pyr = extract_pyramid(h, params, periods)
         total = ad.tsum(pyr.weights)
         for block in pyr.factors:
             total = total + ad.tsum(ad.tanh(block))

@@ -250,11 +250,13 @@ def test_layer_masks_follow_build_mask():
     from periflow.masks import build_mask
     model = _model(d=2, t=9, period=3, layers=3)
     masks = _layer_masks(model, 9)
-    bits = build_mask(3, 9, 2).bits
+    pattern = build_mask(3, 9).time_pattern
     for li, m in enumerate(masks):
-        np.testing.assert_array_equal(m[0], bits if li % 2 == 0 else 1.0 - bits)
+        assert m.shape == (1, 9, 1)
+        np.testing.assert_array_equal(m[0, :, 0],
+                                      pattern if li % 2 == 0 else 1.0 - pattern)
     one_step = _layer_masks(model, 1)
-    assert [m.shape for m in one_step] == [(1, 1, 2)] * 3
+    assert [m.shape for m in one_step] == [(1, 1, 1)] * 3
     assert [m[0, 0, 0] for m in one_step] == [0.0, 1.0, 0.0]
 
 

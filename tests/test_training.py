@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from periflow.autodiff import Tensor
-from periflow.causal import causal_forward, independence_loss, similarity_loss
+from periflow.causal import independence_loss, similarity_loss
 from periflow.factors import embed, extract_pyramid
 from periflow.flow import LOG_2PI, condition, nll_loss
 from periflow.fusion import fuse
+from periflow.spectral import intervene, top_k_periods
 from periflow.synthetic import SynthConfig, generate
 from periflow.training import (TrainConfig, TrainingDiverged,
                                build_models, encode_batch, evaluate_objective,
@@ -49,7 +50,8 @@ def test_total_loss_zero_sigma_sim_vanishes():
 
 
 def test_total_loss_matches_module_composition():
-    # the grouped batched path must agree with composing the per-window ops
+    # the grouped batched path must agree with encoding window by window,
+    # drawing the band noise in the same order
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(3))
@@ -60,10 +62,10 @@ def test_total_loss_matches_module_composition():
     rng = np.random.default_rng(seed)
     reps_clean, reps_aug = [], []
     for w in windows:
-        bndl = causal_forward(w, bundle.miner, bundle.fusion, config.k_periods,
-                              config.sigma, config.k_h_frac, config.noise, rng)
-        reps_clean.append(bndl.clean.data[0])
-        reps_aug.append(bndl.augmented.data[0])
+        w_aug = intervene(w, k_h_frac=config.k_h_frac, sigma=config.sigma,
+                          noise=config.noise, rng=rng)
+        reps_clean.append(encode_batch(w[None], bundle)[0].data[0])
+        reps_aug.append(encode_batch(w_aug[None], bundle)[0].data[0])
     c_o = np.stack(reps_clean)
     c_aug = np.stack(reps_aug)
     l_sim = similarity_loss(Tensor(c_o), Tensor(c_aug)).item()
@@ -85,10 +87,10 @@ def test_encode_batch_matches_per_window():
     rep, diags = encode_batch(windows, bundle)
     for i, w in enumerate(windows):
         h = embed(w, bundle.miner)
-        pyr = extract_pyramid(h, config.k_periods, bundle.miner)
-        one = fuse(pyr, bundle.fusion)
+        periods = top_k_periods(h.data, config.k_periods)
+        one = fuse(extract_pyramid(h, bundle.miner, periods), bundle.fusion)
         np.testing.assert_allclose(rep.data[i], one.values.data[0], atol=1e-9)
-        assert diags[i]["periods"] == pyr.periods.periods
+        assert diags[i]["periods"] == periods.periods
 
 
 def test_identity_start_nll_is_standard_normal():
@@ -206,6 +208,58 @@ def test_gradient_reaches_every_parameter_group():
     after = store.snapshot()
     unchanged = [n for n in before if np.array_equal(before[n], after[n])]
     assert unchanged == []
+
+
+def _graph_order(root):
+    """Nodes reachable from root, in the library's topological order."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents
+                     if p.requires_grad and id(p) not in seen)
+    return order
+
+
+def _sweep_keeping_every_grad(root):
+    """The reverse sweep as it was before intermediates were freed: every
+    node keeps its gradient."""
+    root.grad = np.ones_like(root.data)
+    for node in reversed(_graph_order(root)):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if g is not None and parent.requires_grad:
+                parent.grad = np.array(g) if parent.grad is None else parent.grad + g
+
+
+def test_backward_frees_intermediate_grads_only():
+    config, data = _prepared()
+    bundle = build_models(config, 2, data["global_period"],
+                          np.random.default_rng(12))
+    params = bundle.named_params()
+    loss, _, _ = total_loss(data["train"].windows[:8], bundle,
+                            np.random.default_rng(13))
+    inner = [n for n in _graph_order(loss) if n._backward is not None]
+    assert len(inner) > 100
+
+    loss.backward()
+    assert all(n.grad is None for n in inner)
+    freed = {name: t.grad for name, t in params.items()}
+    assert all(g is not None for g in freed.values())
+
+    for t in params.values():
+        t.grad = None
+    _sweep_keeping_every_grad(loss)
+    assert all(n.grad is not None for n in inner)
+    for name, t in params.items():
+        np.testing.assert_array_equal(t.grad, freed[name])
 
 
 def test_fit_divergence_aborts_with_context(tmp_path):

@@ -277,6 +277,19 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
+def take(a: Tensor, rows) -> Tensor:
+    """Rows of `a` along axis 0 in the given order; a repeated row
+    receives the sum of its gradients."""
+    rows = np.asarray(rows, dtype=np.intp)
+
+    def backward(g: Array):
+        out = np.zeros_like(a.data)
+        np.add.at(out, rows, g)
+        return (out,)
+
+    return _node(a.data[rows], (a,), backward)
+
+
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     parts = list(parts)
     sizes = [p.shape[axis] for p in parts]

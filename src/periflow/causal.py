@@ -14,17 +14,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def _as_batch(x) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    return ad.reshape(t, (1,) + t.shape) if t.ndim == 2 else t
-
-
 def similarity_loss(a, b) -> Tensor:
     """1 - cosine similarity between flattened representations, averaged
-    over the batch. Zero iff the two are positive scalar multiples."""
-    at, bt = _as_batch(a), _as_batch(b)
-    if at.shape != bt.shape:
-        raise ValueError(f"similarity_loss: shapes differ, {at.shape} vs {bt.shape}")
+    over a (B, N, D_h) batch. Zero iff the two are positive scalar multiples."""
+    at, bt = (x if isinstance(x, Tensor) else Tensor(x) for x in (a, b))
+    if at.ndim != 3 or at.shape != bt.shape:
+        raise ValueError(f"similarity_loss expects two (B, N, D_h) batches of "
+                         f"one shape, got {at.shape} and {bt.shape}")
     bsz = at.shape[0]
     flat_a = ad.reshape(at, (bsz, at.shape[1] * at.shape[2]))
     flat_b = ad.reshape(bt, (bsz, bt.shape[1] * bt.shape[2]))
@@ -41,8 +37,11 @@ def similarity_loss(a, b) -> Tensor:
 
 def independence_loss(c) -> Tensor:
     """Squared Frobenius distance between the factor-row Gram matrix and
-    the identity, averaged over the batch. Zero iff rows are orthonormal."""
-    ct = _as_batch(c)
+    the identity, averaged over a (B, N, D_h) batch. Zero iff rows are
+    orthonormal."""
+    ct = c if isinstance(c, Tensor) else Tensor(c)
+    if ct.ndim != 3:
+        raise ValueError(f"independence_loss expects (B, N, D_h), got shape {ct.shape}")
     bsz, n, _ = ct.shape
     gram = ad.bmm(ct, ad.transpose(ct, (0, 2, 1)))
     eye = Tensor(np.broadcast_to(np.eye(n), (bsz, n, n)).copy())

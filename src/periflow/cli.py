@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import auroc_summary, emit_reports, window_scores_to_points
-from .series import (MultivariateSeries, SeriesError, SplitSpec, load_csv,
-                     make_windows)
+from .series import (MultivariateSeries, SeriesError, SplitSpec, _parse_number,
+                     load_csv, make_windows)
 from .spectral import (SpectralError, discover_global_period,
                        periodicity_strength, top_k_periods)
 from .synthetic import Anomaly, SynthConfig, generate, write_csv
@@ -224,8 +224,9 @@ def cmd_eval(args) -> int:
         if "score" not in header:
             raise ConfigError(f"{args.scores}: no 'score' column")
         col = header.index("score")
-        for line in fh:
-            scores.append(float(line.split(",")[col]))
+        for line_no, line in enumerate(fh, start=2):
+            scores.append(_parse_number(line.split(",")[col].strip(), line_no,
+                                        "score"))
     series = load_csv(args.data)
     if series.labels is None:
         raise SeriesError(f"{args.data}: no label column to evaluate against")
@@ -248,8 +249,8 @@ def cmd_inspect(args) -> int:
     train_cfg, _ = load_config(args.config, args.set, args.seed)
     series = load_csv(args.data)
     period = discover_global_period(series)
-    ps = top_k_periods(series.values, min(train_cfg.k_periods,
-                                          max(1, series.length // 2 - 1)))
+    ps = top_k_periods(series.values[None], min(train_cfg.k_periods,
+                                                 max(1, series.length // 2 - 1)))[0]
     strength = {}
     for d, name in enumerate(series.dim_names):
         try:

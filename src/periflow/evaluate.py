@@ -39,29 +39,26 @@ def window_scores_to_points(step_scores: np.ndarray, window_starts: np.ndarray,
     b, t = step_scores.shape
     if b != window_starts.shape[0]:
         raise EvalError("one start index per window required")
+    over = window_starts + t > series_length
+    if over.any():
+        raise EvalError(f"window at {window_starts[over][0]} overruns series of "
+                        f"length {series_length}")
+    steps = window_starts[:, None] + np.arange(t)
     sums = np.zeros(series_length)
-    counts = np.zeros(series_length, dtype=np.int64)
-    for w in range(b):
-        lo = int(window_starts[w])
-        hi = lo + t
-        if hi > series_length:
-            raise EvalError(f"window at {lo} overruns series of length {series_length}")
-        sums[lo:hi] += step_scores[w]
-        counts[lo:hi] += 1
+    np.add.at(sums, steps, step_scores)  # window by window, as a loop would
+    counts = np.bincount(steps.ravel(), minlength=series_length)
     covered = counts > 0
     if not covered.any():
         raise EvalError("no timestep is covered by any window")
     scores = np.zeros(series_length)
     scores[covered] = sums[covered] / counts[covered]
-    # nearest-covered fill for leading/trailing gaps
-    idx = np.where(covered)[0]
-    scores[:idx[0]] = scores[idx[0]]
-    scores[idx[-1] + 1:] = scores[idx[-1]]
-    holes = np.where(~covered)[0]
-    for h in holes:
-        if idx[0] < h < idx[-1]:
-            nearest = idx[np.argmin(np.abs(idx - h))]
-            scores[h] = scores[nearest]
+    # an uncovered step copies the nearest covered one, the left on a tie
+    idx = np.flatnonzero(covered)
+    holes = np.flatnonzero(~covered)
+    pos = np.searchsorted(idx, holes)
+    left = idx[np.maximum(pos - 1, 0)]
+    right = idx[np.minimum(pos, idx.size - 1)]
+    scores[holes] = scores[np.where(holes - left <= right - holes, left, right)]
     return AnomalyScoreSeries(scores, counts)
 
 

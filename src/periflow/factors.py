@@ -84,25 +84,17 @@ def init_miner(d_in: int, hidden: int, n_factors: int,
     )
 
 
-def _lift(x) -> tuple[Tensor, bool]:
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if t.ndim == 2:
-        return ad.reshape(t, (1,) + t.shape), True
-    if t.ndim != 3:
-        raise ValueError(f"expected (T, D) or (B, T, D), got {t.shape}")
-    return t, False
-
-
 def embed(x, params: MinerParams) -> Tensor:
-    """Per-timestep linear map (…, T, D) -> (…, T, D_h)."""
-    h, squeezed = _lift(x)
+    """Per-timestep linear map (B, T, D) -> (B, T, D_h)."""
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    if h.ndim != 3:
+        raise ValueError(f"embed expects (B, T, D) windows, got shape {h.shape}")
     b, t, d = h.shape
     if d != params.embed_w.shape[0]:
         raise ValueError(f"embed: input dim {d} does not match weights "
                          f"{params.embed_w.shape}")
     out = ad.affine(ad.reshape(h, (b * t, d)), params.embed_w, params.embed_b)
-    out = ad.reshape(out, (b, t, params.hidden))
-    return ad.reshape(out, (t, params.hidden)) if squeezed else out
+    return ad.reshape(out, (b, t, params.hidden))
 
 
 def grid_shape(window_length: int, period: int) -> tuple[int, int]:
@@ -141,8 +133,9 @@ def extract_pyramid(h, params: MinerParams, periods: PeriodSet) -> CausalPyramid
     transformed grid is mean-pooled and projected onto N factor slots;
     blocks are (B, N, D_h).
     """
-    ht, _ = _lift(h)
-    b, t, c = ht.shape
+    if h.ndim != 3:
+        raise ValueError(f"extract_pyramid expects (B, T, D_h), got shape {h.shape}")
+    b, t, c = h.shape
     if c != params.hidden:
         raise ValueError(f"extract_pyramid: channel dim {c} != hidden {params.hidden}")
     n = params.n_factors
@@ -150,8 +143,8 @@ def extract_pyramid(h, params: MinerParams, periods: PeriodSet) -> CausalPyramid
     for p in periods.periods:
         rows, cols = grid_shape(t, p)
         pad = rows * cols - t
-        padded = ht if pad == 0 else ad.concat(
-            [ht, Tensor(np.zeros((b, pad, c)))], axis=1)
+        padded = h if pad == 0 else ad.concat(
+            [h, Tensor(np.zeros((b, pad, c)))], axis=1)
         grid = ad.reshape(padded, (b, rows, cols, c))
         col_mean = ad.broadcast_to(ad.tmean(grid, axis=1, keepdims=True),
                                    (b, rows, cols, c))
@@ -165,5 +158,5 @@ def extract_pyramid(h, params: MinerParams, periods: PeriodSet) -> CausalPyramid
         slots = ad.affine(pooled, params.slot_w, params.slot_b)
         blocks.append(ad.reshape(slots, (b, n, params.hidden)))
 
-    weights = bin_amplitudes(ht, periods.frequencies)
+    weights = bin_amplitudes(h, periods.frequencies)
     return CausalPyramid(blocks, weights, periods)

@@ -110,9 +110,9 @@ def init_flow(d_in: int, hidden: int, n_factors: int, period: int,
 def condition(c_ind, model: FlowModel) -> Tensor:
     """Flatten the conditioning representation and map it to one hidden
     vector per window: (B, N, D_h) -> (B, D_h)."""
-    c = c_ind if isinstance(c_ind, Tensor) else Tensor(np.asarray(c_ind))
-    if c.ndim == 2:
-        c = ad.reshape(c, (1,) + c.shape)
+    c = c_ind if isinstance(c_ind, Tensor) else Tensor(c_ind)
+    if c.ndim != 3:
+        raise FlowError(f"condition expects (B, N, D_h) factors, got shape {c.shape}")
     b, n, dh = c.shape
     if n * dh != model.cond_w.shape[0]:
         raise FlowError(f"condition: got {n}x{dh} factors, conditioner expects "
@@ -130,17 +130,10 @@ def _layer_masks(model: FlowModel, t: int) -> list[np.ndarray]:
     return [pair[li % 2] for li in range(len(model.layers))]
 
 
-def _lift_x(x) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    return ad.reshape(t, (1,) + t.shape) if t.ndim == 2 else t
-
-
 def _cond_per_step(h_c, b: int, t: int, model: FlowModel) -> Tensor:
     """Conditioning vectors (B, D_h), repeated over the T timesteps once for
     all layers."""
-    hc = h_c if isinstance(h_c, Tensor) else Tensor(np.asarray(h_c))
-    if hc.ndim == 1:
-        hc = ad.reshape(hc, (1,) + hc.shape)
+    hc = h_c if isinstance(h_c, Tensor) else Tensor(h_c)
     if hc.shape != (b, model.hidden):
         raise FlowError(f"conditioning shape {hc.shape} != ({b}, {model.hidden})")
     return ad.broadcast_to(ad.reshape(hc, (b, 1, model.hidden)),
@@ -162,17 +155,20 @@ def _scale_shift(layer: CouplingLayer, kept: Tensor, hc_wide: Tensor,
 def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
     """Map windows to latent space.
 
-    x: (B, T, D) or (T, D); h_c: (B, D_h) conditioning vectors.
+    x: (B, T, D) windows, B >= 1; h_c: (B, D_h) conditioning vectors.
     Returns (z, logdet) Tensors, plus a (B, T) per-timestep log-det array
     when requested (used for score decomposition, not differentiated).
     """
-    xt = _lift_x(x)
-    b, t, d = xt.shape
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    if h.ndim != 3:
+        raise FlowError(f"forward expects (B, T, D) windows, got shape {h.shape}")
+    b, t, d = h.shape
+    if b == 0:
+        raise FlowError("empty batch")
     if d != model.d_in:
         raise FlowError(f"forward: input dim {d} != model dim {model.d_in}")
     hc_wide = _cond_per_step(h_c, b, t, model)
 
-    h = xt
     logdet = Tensor(np.zeros(b))
     logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
     for li, (layer, mask_np) in enumerate(zip(model.layers, _layer_masks(model, t))):
@@ -192,13 +188,12 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
 
 
 def inverse(z, h_c, model: FlowModel) -> np.ndarray:
-    """Exact inverse of `forward`, as a numpy array (no gradients)."""
-    zt = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
-    squeeze = zt.ndim == 2
-    if squeeze:
-        zt = zt[None]
-    b, t, d = zt.shape
-    h = zt
+    """Exact inverse of `forward` for (B, T, D) latents, as a numpy array
+    (no gradients)."""
+    h = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
+    if h.ndim != 3:
+        raise FlowError(f"inverse expects (B, T, D) latents, got shape {h.shape}")
+    b, t, d = h.shape
     with ad.no_grad():
         hc_wide = _cond_per_step(h_c, b, t, model)
         for layer, mask_np in zip(reversed(model.layers),
@@ -208,15 +203,14 @@ def inverse(z, h_c, model: FlowModel) -> np.ndarray:
             h = h * keep + (h * np.exp(s.data) + t_out.data) * (1.0 - keep)
             if not np.all(np.isfinite(h)):
                 raise NumericOverflow("non-finite values while inverting")
-    return h[0] if squeeze else h
+    return h
 
 
 def log_prob(x, h_c, model: FlowModel) -> Tensor:
     """Exact conditional log-density per window: standard-normal base plus
     the accumulated log-determinant. Returns a (B,) tensor."""
-    xt = _lift_x(x)
-    b, t, d = xt.shape
-    z, logdet = forward(xt, h_c, model)
+    z, logdet = forward(x, h_c, model)
+    b, t, d = z.shape
     quad = ad.tsum(z * z, axis=(1, 2)) * 0.5
     const = Tensor(np.full(b, 0.5 * t * d * LOG_2PI))
     return logdet - quad - const
@@ -224,18 +218,14 @@ def log_prob(x, h_c, model: FlowModel) -> Tensor:
 
 def nll_loss(x, h_c, model: FlowModel) -> Tensor:
     """Mean negative log-likelihood over the batch."""
-    xt = _lift_x(x)
-    if xt.shape[0] == 0:
-        raise FlowError("empty batch")
-    return ad.tmean(ad.neg(log_prob(xt, h_c, model)))
+    return ad.tmean(ad.neg(log_prob(x, h_c, model)))
 
 
 def anomaly_score(x, h_c, model: FlowModel) -> tuple[np.ndarray, np.ndarray]:
     """Negative log-likelihood per window plus its exact additive
     decomposition over timesteps; higher means more anomalous."""
-    xt = _lift_x(x)
-    b, t, d = xt.shape
-    z, logdet, logdet_t = forward(xt, h_c, model, want_timestep_logdet=True)
+    z, logdet, logdet_t = forward(x, h_c, model, want_timestep_logdet=True)
+    d = z.shape[2]
     z_np = z.data
     tau_t = 0.5 * np.sum(z_np * z_np, axis=2) + 0.5 * d * LOG_2PI - logdet_t
     tau = tau_t.sum(axis=1)

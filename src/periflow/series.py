@@ -115,7 +115,8 @@ def _parse_number(text: str, line_no: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise SeriesError(f"line {line_no}: cannot parse value {text!r}") from None
+        raise SeriesError(f"line {line_no}, column {column}: cannot parse value "
+                          f"{text!r}") from None
     if not math.isfinite(value):
         raise SeriesError(f"line {line_no}, column {column}: non-finite value {text!r}")
     return value

@@ -38,36 +38,31 @@ class PeriodSet:
         return len(self.frequencies)
 
 
-def top_k_periods(x: np.ndarray, k: int) -> PeriodSet:
-    """k largest-amplitude bins (channel-averaged, DC excluded) of (T, C).
+def top_k_periods(x: np.ndarray, k: int) -> list[PeriodSet]:
+    """k largest-amplitude bins (channel-averaged, DC excluded) of each
+    window of a (B, T, C) batch; one PeriodSet per window.
 
     Candidate bins are the non-redundant half 1..T//2; ties resolve to the
-    lower bin. If fewer bins carry energy than requested, only those are
-    returned.
+    lower bin. If fewer bins of a window carry energy than requested, only
+    those are returned (always at least the strongest).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    t = x.shape[0]
+    if x.ndim != 3:
+        raise SpectralError(f"top_k_periods expects (B, T, C), got shape {x.shape}")
+    t = x.shape[1]
     if not 1 <= k < t / 2:
         raise SpectralError(f"k must satisfy 1 <= k < T/2, got k={k}, T={t}")
-    amp = np.abs(np.fft.fft(x, axis=0)).mean(axis=1)
-    half = t // 2
-    band = amp[1:half + 1]
-    order = np.argsort(-band, kind="stable")
-    chosen = []
-    for idx in order:
-        f = int(idx) + 1
-        period = int(np.ceil(t / f))
-        if period < 2:
-            continue
-        if band[idx] <= 1e-12 and chosen:
-            break
-        chosen.append((f, period, float(amp[f])))
-        if len(chosen) == k:
-            break
-    freqs, periods, weights = zip(*chosen)
-    return PeriodSet(freqs, periods, np.asarray(weights))
+    amp = np.abs(np.fft.fft(x, axis=1)).mean(axis=2)
+    band = amp[:, 1:t // 2 + 1]
+    picks = np.argsort(-band, axis=1, kind="stable")[:, :k]
+    top = np.take_along_axis(band, picks, axis=1)
+    counts = 1 + np.count_nonzero(top[:, 1:] > 1e-12, axis=1)
+    freqs = picks + 1
+    # f <= T//2, so every period ceil(T/f) is at least 2
+    periods = -(-t // freqs)
+    weights = np.take_along_axis(amp, freqs, axis=1)
+    return [PeriodSet(tuple(f[:n].tolist()), tuple(p[:n].tolist()), w[:n])
+            for f, p, w, n in zip(freqs, periods, weights, counts)]
 
 
 def discover_global_period(series: MultivariateSeries) -> int:
@@ -78,18 +73,21 @@ def discover_global_period(series: MultivariateSeries) -> int:
         raise SpectralError("need at least 4 samples to discover a period")
     if np.allclose(values, values[0], atol=1e-12):
         raise SpectralError("constant series has no dominant frequency")
-    return top_k_periods(values, 1).periods[0]
+    return top_k_periods(values[None], 1)[0].periods[0]
 
 
 def intervene(x: np.ndarray, k_h_frac: float = 0.25, sigma: float = 0.1,
               noise: str = "gaussian",
               rng: np.random.Generator | None = None) -> np.ndarray:
-    """Perturb the high frequency band of a (T, D) window and transform back.
+    """Perturb the high frequency band of each (T, D) window of a (B, T, D)
+    batch and transform back.
 
     The spectrum splits at bin k_h = round(k_h_frac * T). Noise with
     per-component scale sigma lands on bins k_h..T//2; conjugate symmetry
     is maintained so the output stays real, which leaves the low band and
-    its mirror images clean.
+    its mirror images clean. The draws come window by window and, within a
+    window, bin by bin: the real part, then the imaginary part, which a
+    self-conjugate bin does not get.
     """
     if sigma < 0:
         raise SpectralError("sigma must be non-negative")
@@ -99,28 +97,26 @@ def intervene(x: np.ndarray, k_h_frac: float = 0.25, sigma: float = 0.1,
         raise SpectralError(f"unknown noise type {noise!r}")
     rng = rng or np.random.default_rng()
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    t, d = x.shape
-    k_h = int(round(k_h_frac * t))
-    k_h = min(max(k_h, 1), t // 2)
-
-    spec = np.fft.fft(x, axis=0)
+    if x.ndim != 3:
+        raise SpectralError(f"intervene expects (B, T, D), got shape {x.shape}")
+    b, t, d = x.shape
     half = t // 2
+    k_h = min(max(int(round(k_h_frac * t)), 1), half)
     bins = np.arange(k_h, half + 1)
-    draw = rng.standard_normal if noise == "gaussian" else (
-        lambda size: rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=size))
-    for b in bins:
-        self_conjugate = b == 0 or (t % 2 == 0 and b == half)
-        re = sigma * draw((d,))
-        im = 0.0 if self_conjugate else sigma * draw((d,))
-        eta = re + 1j * im
-        spec[b] += eta
-        if not self_conjugate:
-            spec[t - b] += np.conj(eta)
-    out = np.fft.ifft(spec, axis=0).real
-    return out[:, 0] if squeeze else out
+    # only the last bin can be its own mirror: Nyquist for even T, DC for T=1
+    n_im = len(bins) - int((t - half) % t == half)
+    size = (b, len(bins) + n_im, d)
+    raw = (rng.standard_normal(size) if noise == "gaussian"
+           else rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=size))
+    re = sigma * raw[:, 0::2]
+    im = np.zeros_like(re)
+    im[:, :n_im] = sigma * raw[:, 1::2]
+    eta = re + 1j * im
+
+    spec = np.fft.fft(x, axis=1)
+    spec[:, bins] += eta
+    spec[:, t - bins[:n_im]] += np.conj(eta[:, :n_im])
+    return np.fft.ifft(spec, axis=1).real
 
 
 def periodicity_strength(x: np.ndarray, seasonal_period: int) -> float:

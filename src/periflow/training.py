@@ -6,14 +6,15 @@ consistency and orthogonality treatment losses:
 
     total = nll + alpha * similarity + beta * independence
 
-Windows inside a batch are grouped by their selected period set so the
-grid folding can run batched; results are scattered back to batch order,
-which keeps the math identical to a window-at-a-time composition of the
-module-level operations.
+A batch is embedded once; its windows are then grouped by their
+selected period set so the grid folding can run batched, and the group
+results are gathered back into batch order, which keeps the math identical
+to a window-at-a-time composition of the module-level operations.
 """
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .fusion import FusionParams, fuse, init_fusion
 from .optim import ParamStore
 from .series import MultivariateSeries, SplitSpec, Standardization, WindowBatch, \
     make_windows, standardize
-from .spectral import discover_global_period, intervene, top_k_periods
+from .spectral import PeriodSet, discover_global_period, intervene, top_k_periods
 
 CHECKPOINT_VERSION = 1
 
@@ -64,10 +65,25 @@ class TrainConfig:
     apply_standardization: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("lr, epochs and batch_size must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss weights must be non-negative")
+        for key, valid, rule in (
+                ("lr", self.lr > 0, "> 0"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("alpha", self.alpha >= 0, ">= 0"),
+                ("beta", self.beta >= 0, ">= 0"),
+                ("window_length", self.window_length >= 1, ">= 1"),
+                ("k_periods", 1 <= self.k_periods < self.window_length / 2,
+                 "in [1, window_length / 2)"),
+                ("hidden", self.hidden >= 1, ">= 1"),
+                ("n_factors", self.n_factors >= 1, ">= 1"),
+                ("num_layers", self.num_layers >= 1, ">= 1"),
+                ("num_blocks", self.num_blocks >= 0, ">= 0"),
+                ("train_stride", self.train_stride >= 1, ">= 1"),
+                ("sigma", self.sigma >= 0, ">= 0"),
+                ("k_h_frac", 0 < self.k_h_frac < 1, "in (0, 1)"),
+                ("context_radius", self.context_radius >= -1, ">= -1")):
+            if not valid:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         if self.noise not in ("gaussian", "laplace"):
             raise ValueError(f"unknown noise type {self.noise!r}")
 
@@ -118,36 +134,30 @@ def make_store(bundle: ModelBundle) -> ParamStore:
 def encode_batch(windows: np.ndarray, bundle: ModelBundle):
     """Clean-path representation (B, N, D_h) for a stack of windows.
 
-    Windows are grouped by their selected period set, processed per group,
-    and scattered back to batch order. Returns the representation tensor
-    and one diagnostics dict per window (periods, softmaxed amplitude
-    weights, attention scores).
+    The batch is embedded once and its windows are grouped by their
+    selected period set; each group's rows are folded and fused together,
+    and the results are gathered back into batch order. Returns the
+    representation tensor and one diagnostics dict per window (periods,
+    softmaxed amplitude weights, attention scores).
     """
     cfg = bundle.config
     b = windows.shape[0]
-    h_np = windows @ bundle.miner.embed_w.data + bundle.miner.embed_b.data
-    groups: dict[tuple, list[int]] = {}
-    period_sets = {}
-    for i in range(b):
-        ps = top_k_periods(h_np[i], cfg.k_periods)
-        key = ps.frequencies
-        groups.setdefault(key, []).append(i)
-        period_sets.setdefault(key, ps)
+    h = embed(windows, bundle.miner)
+    groups: dict[tuple, tuple[PeriodSet, list[int]]] = {}
+    for i, ps in enumerate(top_k_periods(h.data, cfg.k_periods)):
+        groups.setdefault(ps.frequencies, (ps, []))[1].append(i)
 
     parts = []
     order: list[int] = []
     diags: list[dict | None] = [None] * b
     n, dh = cfg.n_factors, cfg.hidden
-    for key, idx in groups.items():
-        ps = period_sets[key]
-        h_group = embed(windows[idx], bundle.miner)
-        pyramid = extract_pyramid(h_group, bundle.miner, ps)
+    for ps, idx in groups.values():
+        pyramid = extract_pyramid(ad.take(h, idx), bundle.miner, ps)
         rep = fuse(pyramid, bundle.fusion)
         parts.append(ad.reshape(rep.values, (len(idx), n * dh)))
         for row, i in enumerate(idx):
             diags[i] = {
                 "periods": ps.periods,
-                "frequencies": ps.frequencies,
                 "amp_weights": tuple(rep.amp_softmax.data[row]),
                 "attention": tuple(rep.attention.data[row]),
             }
@@ -155,10 +165,7 @@ def encode_batch(windows: np.ndarray, bundle: ModelBundle):
 
     stacked = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
     if order != list(range(b)):
-        perm = np.zeros((b, b))
-        for j, orig in enumerate(order):
-            perm[orig, j] = 1.0
-        stacked = ad.matmul(Tensor(perm), stacked)
+        stacked = ad.take(stacked, np.argsort(order))
     return ad.reshape(stacked, (b, n, dh)), diags
 
 
@@ -171,9 +178,8 @@ def total_loss(windows: np.ndarray, bundle: ModelBundle,
     if cfg.sigma == 0.0:
         aug_rep = clean_rep
     else:
-        augmented = np.stack([
-            intervene(w, k_h_frac=cfg.k_h_frac, sigma=cfg.sigma,
-                      noise=cfg.noise, rng=rng) for w in windows])
+        augmented = intervene(windows, k_h_frac=cfg.k_h_frac, sigma=cfg.sigma,
+                              noise=cfg.noise, rng=rng)
         aug_rep, _ = encode_batch(augmented, bundle)
     conditioning = (clean_rep + aug_rep) * 0.5
     l_sim = similarity_loss(clean_rep, aug_rep)
@@ -189,21 +195,6 @@ def total_loss(windows: np.ndarray, bundle: ModelBundle,
     components = {"nll": l_nf.item(), "similarity": l_sim.item(),
                   "independence": l_ind.item()}
     return total, components, diags
-
-
-def _clean_nll(windows: np.ndarray, bundle: ModelBundle,
-               batch_size: int = 256) -> float:
-    """Deterministic NLL with clean-path conditioning (the scoring path),
-    computed without recording a graph."""
-    total, count = 0.0, 0
-    with ad.no_grad():
-        for lo in range(0, windows.shape[0], batch_size):
-            chunk = windows[lo:lo + batch_size]
-            rep, _ = encode_batch(chunk, bundle)
-            h_c = condition(rep, bundle.flow)
-            total += nll_loss(chunk, h_c, bundle.flow).item() * chunk.shape[0]
-            count += chunk.shape[0]
-    return total / count
 
 
 def evaluate_objective(windows: np.ndarray, bundle: ModelBundle,
@@ -242,7 +233,7 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
 
     history: list[dict] = []
     row0 = evaluate_objective(train.windows, bundle, eval_rng)
-    row0.update(epoch=0, val_nll=_clean_nll(val.windows, bundle))
+    row0.update(epoch=0, val_nll=float(np.mean(score_windows(bundle, val.windows)[0])))
     history.append(row0)
 
     best_val = row0["val_nll"]
@@ -274,7 +265,8 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
                 sums[key] += comps[key] * len(idx)
             seen += len(idx)
         row = {key: sums[key] / seen for key in sums}
-        row.update(epoch=epoch, val_nll=_clean_nll(val.windows, bundle))
+        row.update(epoch=epoch,
+                   val_nll=float(np.mean(score_windows(bundle, val.windows)[0])))
         history.append(row)
 
         if row["val_nll"] < best_val:
@@ -369,7 +361,11 @@ def load_checkpoint(path) -> ModelBundle:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
+    if not zipfile.is_zipfile(path):
+        raise ValueError(f"{path}: not a periflow checkpoint (not an npz archive)")
     with np.load(path, allow_pickle=False) as data:
+        if "meta" not in data.files:
+            raise ValueError(f"{path}: not a periflow checkpoint (no 'meta' entry)")
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["format_version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['format_version']}")

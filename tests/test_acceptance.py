@@ -64,10 +64,10 @@ def test_c02_jacobian_exactness():
         t, d = shapes[case % len(shapes)]
         model = _random_flow(rng, d=d, t=t, period=max(1, t // 3), out_scale=0.4)
         x = rng.normal(size=(t, d))
-        hc = rng.normal(size=model.hidden)
+        hc = rng.normal(size=(1, model.hidden))
 
         def run(flat):
-            z, _ = forward(flat.reshape(t, d), hc, model)
+            z, _ = forward(flat.reshape(1, t, d), hc, model)
             return z.data.reshape(-1)
 
         flat0 = x.reshape(-1)
@@ -79,7 +79,7 @@ def test_c02_jacobian_exactness():
             hi[i] += eps
             lo[i] -= eps
             jac[:, i] = (run(hi) - run(lo)) / (2 * eps)
-        _, logdet = forward(x, hc, model)
+        _, logdet = forward(x[None], hc, model)
         fd = abs(np.linalg.det(jac))
         worst = max(worst, abs(np.exp(logdet.data[0]) - fd) / fd)
     elapsed = time.time() - start
@@ -208,7 +208,7 @@ def test_c06_intervention_band_preservation():
         d = int(rng.integers(1, 4))
         x = rng.normal(size=(t, d))
         k_h_frac = 0.25
-        out = intervene(x, k_h_frac=k_h_frac, sigma=1.0, rng=rng)
+        out = intervene(x[None], k_h_frac=k_h_frac, sigma=1.0, rng=rng)[0]
         k_h = min(max(int(round(k_h_frac * t)), 1), t // 2)
         diff = np.abs(np.fft.fft(out, axis=0) - np.fft.fft(x, axis=0))
         worst = max(worst, float(diff[:k_h].max()))
@@ -234,7 +234,7 @@ def test_c07_loss_identities():
 
     # orthonormal factor rows -> zero independence loss
     rows = np.linalg.qr(np.random.default_rng(110).normal(size=(6, 3)))[0].T
-    assert independence_loss(rows).item() < 1e-24
+    assert independence_loss(rows[None]).item() < 1e-24
 
     # alpha = beta = 0 -> total equals the flow NLL exactly
     cfg0 = TrainConfig(window_length=12, hidden=6, n_factors=2, k_periods=2,

@@ -231,3 +231,12 @@ def test_no_grad_is_per_thread():
         worker.start()
         worker.join(timeout=10)
     assert not worker.is_alive() and seen == [True]
+
+
+def test_take_gradient_with_repeated_rows():
+    rng = np.random.default_rng(30)
+    a = _param(rng, 4, 3)
+    w = Tensor(rng.normal(size=(6, 3)))
+    rows = [2, 0, 2, 3, 2, 1]
+    np.testing.assert_array_equal(ad.take(a, rows).data, a.data[rows])
+    check_gradients(lambda: ad.tsum(ad.tanh(ad.take(a, rows)) * w), [a])

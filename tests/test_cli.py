@@ -178,3 +178,39 @@ def test_non_finite_csv_value_is_rejected_at_load(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err == f"error: line 11, column {header[2]}: non-finite value '{bad}'\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("nan", "non-finite value 'nan'"),
+    ("inf", "non-finite value 'inf'"),
+    ("", "cannot parse value ''"),
+])
+def test_eval_rejects_bad_score(tmp_path, capsys, bad, message):
+    csv = tmp_path / "series.csv"
+    csv.write_text("t,x0,label\n" + "".join(f"{i},0.5,{i % 2}\n" for i in range(6)))
+    scores = [f"{i},{0.1 * i},{-0.1 * i}" for i in range(6)]
+    scores[2] = f"2,{bad},0.0"  # line 4 of the file
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("index,score,log_likelihood\n" + "\n".join(scores) + "\n")
+    code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: line 4, column score: {message}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "window_length=0", "k_periods=0", "k_periods=12", "hidden=0", "n_factors=0",
+    "num_layers=0", "num_blocks=-1", "train_stride=0", "sigma=-0.1",
+    "k_h_frac=0", "k_h_frac=1", "context_radius=-2"])
+def test_bad_train_config_names_the_key(tmp_path, capsys, setting):
+    csv = tmp_path / "series.csv"
+    csv.write_text("t,x0\n" + "".join(f"{i},{np.sin(i / 3):.6f}\n" for i in range(200)))
+    code = main(["train", "--data", str(csv), "--out", str(tmp_path / "run"),
+                 *FAST, "--set", setting])
+    assert code == 1
+    err = capsys.readouterr().err
+    key = setting.split("=")[0]
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+

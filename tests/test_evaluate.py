@@ -103,6 +103,36 @@ def test_alignment_trailing_fill():
     np.testing.assert_array_equal(out.coverage, [1, 1, 0, 0, 0])
 
 
+def alignment_loop(step, starts, length):
+    """Window-at-a-time sums and hole-at-a-time nearest fill: the reference."""
+    sums, counts = np.zeros(length), np.zeros(length, dtype=np.int64)
+    for w, lo in enumerate(starts):
+        sums[lo:lo + step.shape[1]] += step[w]
+        counts[lo:lo + step.shape[1]] += 1
+    idx = np.where(counts > 0)[0]
+    scores = np.zeros(length)
+    scores[idx] = sums[idx] / counts[idx]
+    for h in np.where(counts == 0)[0]:
+        scores[h] = scores[idx[np.argmin(np.abs(idx - h))]]  # ties go left
+    return scores, counts
+
+
+def test_alignment_matches_loop_with_gaps():
+    # leading, interior (odd and even widths, so some holes tie) and
+    # trailing gaps, overlapping and repeated windows
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        t = int(rng.integers(1, 6))
+        starts = np.sort(rng.choice(np.arange(2, 40), size=int(rng.integers(1, 9))))
+        starts = np.concatenate([starts, starts[:1]])
+        step = rng.normal(size=(len(starts), t))
+        length = int(starts.max()) + t + int(rng.integers(0, 4))
+        out = window_scores_to_points(step, starts, length)
+        scores, counts = alignment_loop(step, starts, length)
+        np.testing.assert_array_equal(out.scores, scores)
+        np.testing.assert_array_equal(out.coverage, counts)
+
+
 def test_alignment_rejects_empty_coverage():
     with pytest.raises(EvalError):
         window_scores_to_points(np.zeros((0, 4)), np.zeros(0, dtype=int), 10)

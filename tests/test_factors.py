@@ -26,26 +26,26 @@ def test_embed_identity_map():
     params.embed_w.data = np.eye(4)
     params.embed_b.data = np.zeros(4)
     x = _window(t=10, d=4)
-    np.testing.assert_allclose(embed(x, params).data, x)
+    np.testing.assert_allclose(embed(x[None], params).data[0], x)
 
 
 def test_embed_zero_input_broadcasts_bias():
     params = _miner()
     params.embed_b.data = np.arange(8.0)
-    h = embed(np.zeros((6, 3)), params)
-    np.testing.assert_allclose(h.data, np.tile(np.arange(8.0), (6, 1)))
+    h = embed(np.zeros((1, 6, 3)), params)
+    np.testing.assert_allclose(h.data[0], np.tile(np.arange(8.0), (6, 1)))
 
 
 def test_embed_matches_matmul_oracle():
     params = _miner()
     x = _window()
     expected = x @ params.embed_w.data + params.embed_b.data
-    np.testing.assert_allclose(embed(x, params).data, expected, atol=1e-10)
+    np.testing.assert_allclose(embed(x[None], params).data[0], expected, atol=1e-10)
 
 
 def test_embed_shape_mismatch():
     with pytest.raises(ValueError, match="input dim"):
-        embed(np.zeros((5, 7)), _miner(d_in=3))
+        embed(np.zeros((1, 5, 7)), _miner(d_in=3))
 
 
 def test_grid_padding_arithmetic():
@@ -56,9 +56,9 @@ def test_grid_padding_arithmetic():
 
 def test_pyramid_shapes_fixed_regardless_of_periods():
     params = _miner()
-    h = embed(_window(), params)
+    h = embed(_window()[None], params)
     for k in (1, 2, 3):
-        pyr = extract_pyramid(h, params, top_k_periods(h.data, k))
+        pyr = extract_pyramid(h, params, top_k_periods(h.data, k)[0])
         assert len(pyr.factors) == pyr.periods.k <= k
         for block in pyr.factors:
             assert block.shape == (1, 2, 8)
@@ -75,10 +75,10 @@ def test_pyramid_identity_path():
     params.slot_b.data[:] = 0.0
     t = 24
     x = np.column_stack([np.sin(2 * np.pi * np.arange(t) / 8.0)] * 2)
-    h = embed(x, params)
+    h = embed(x[None], params)
     periods = PeriodSet((3,), (8,), np.array([1.0]))  # 24 = 3 cycles of 8
     pyr = extract_pyramid(h, params, periods)
-    pooled = h.data.mean(axis=0)
+    pooled = h.data[0].mean(axis=0)
     for row in range(3):
         np.testing.assert_allclose(pyr.factors[0].data[0, row], pooled, atol=1e-12)
 
@@ -89,11 +89,11 @@ def test_padded_cells_contribute_zero():
     params = _miner(d_in=2, hidden=4, n=1)
     t, p = 10, 4  # pads to 12, grid 3x4
     x = _window(t=t, d=2, seed=3)
-    h = embed(x, params)
+    h = embed(x[None], params)
     periods = PeriodSet((3,), (p,), np.array([1.0]))
     pyr = extract_pyramid(h, params, periods)
 
-    grid = np.concatenate([h.data, np.zeros((2, 4))]).reshape(3, 4, 4)
+    grid = np.concatenate([h.data[0], np.zeros((2, 4))]).reshape(3, 4, 4)
     col_mean = np.broadcast_to(grid.mean(axis=0, keepdims=True), grid.shape)
     row_mean = np.broadcast_to(grid.mean(axis=1, keepdims=True), grid.shape)
     cells = np.concatenate([grid, col_mean, row_mean], axis=2).reshape(12, 12)
@@ -106,8 +106,8 @@ def test_padded_cells_contribute_zero():
 
 def test_pyramid_deterministic():
     params = _miner()
-    x = _window()
-    periods = top_k_periods(embed(x, params).data, 2)
+    x = _window()[None]
+    periods = top_k_periods(embed(x, params).data, 2)[0]
     a = extract_pyramid(embed(x, params), params, periods)
     b = extract_pyramid(embed(x, params), params, periods)
     for fa, fb in zip(a.factors, b.factors):
@@ -134,8 +134,8 @@ def test_bin_amplitudes_unit_sinusoid():
 def test_pyramid_weights_match_selection():
     params = _miner()
     x = _window(t=32)
-    h = embed(x, params)
-    oracle = top_k_periods(h.data, 2)
+    h = embed(x[None], params)
+    oracle = top_k_periods(h.data, 2)[0]
     pyr = extract_pyramid(h, params, oracle)
     assert pyr.periods.frequencies == oracle.frequencies
     np.testing.assert_allclose(pyr.weights.data[0], oracle.weights * (2.0 / 32),
@@ -144,7 +144,7 @@ def test_pyramid_weights_match_selection():
 
 def test_pyramid_gradient_wrt_embedding():
     params = _miner(d_in=2, hidden=6, n=2, seed=5)
-    x = np.asarray(_window(t=16, d=2, seed=6))
+    x = _window(t=16, d=2, seed=6)[None]
     periods = PeriodSet((2, 5), (8, 4), np.array([1.0, 1.0]))
 
     def scalar():
@@ -162,3 +162,13 @@ def test_pyramid_gradient_wrt_embedding():
     for tensor in (params.embed_w, params.embed_b, params.grid_w, params.slot_w):
         fd = numeric_gradient(lambda: scalar().data, tensor)
         assert relative_error(tensor.grad, fd) < 1e-4
+
+
+def test_miner_rejects_unbatched_input():
+    params = _miner()
+    with pytest.raises(ValueError, match=r"\(B, T, D\)"):
+        embed(_window(), params)
+    h = embed(_window()[None], params)
+    with pytest.raises(ValueError, match=r"\(B, T, D_h\)"):
+        extract_pyramid(ad.reshape(h, h.shape[1:]), params,
+                        PeriodSet((3,), (8,), np.array([1.0])))

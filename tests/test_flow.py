@@ -53,14 +53,14 @@ def test_single_entry_closed_form():
             w.data[:] = 0.0
             b.data[:] = 0.0
         net.layers[-1][0].data[:] = 0.0
-    x = np.array([[1.4], [-0.8]])
+    x = np.array([[[1.4], [-0.8]]])
     z, logdet = forward(x, Tensor(np.zeros((1, 4))), model)
     np.testing.assert_allclose(z.data[0, 0, 0], (1.4 - t_eff) * np.exp(-s_eff),
                                rtol=1e-12)
     np.testing.assert_allclose(z.data[0, 1, 0], -0.8)
     np.testing.assert_allclose(logdet.data[0], -s_eff, rtol=1e-12)
     # algebraic inversion: x = z * exp(s) + t reproduces the input
-    back = inverse(z.data[0], np.zeros(4), model)
+    back = inverse(z.data, np.zeros((1, 4)), model)
     np.testing.assert_allclose(back, x, atol=1e-12)
 
 
@@ -79,8 +79,8 @@ def test_roundtrip_random_models():
 
 def test_identity_flow_inverse_is_identity():
     model = _model()
-    z = np.random.default_rng(5).normal(size=(8, 2))
-    np.testing.assert_array_equal(inverse(z, np.zeros(6), model), z)
+    z = np.random.default_rng(5).normal(size=(1, 8, 2))
+    np.testing.assert_array_equal(inverse(z, np.zeros((1, 6)), model), z)
 
 
 def test_jacobian_matches_finite_differences():
@@ -88,11 +88,11 @@ def test_jacobian_matches_finite_differences():
     # 12x12 Jacobian determinant
     model = _model(d=3, t=4, period=1, seed=6, out_scale=0.4)
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(4, 3))
-    hc = _hc(model, 1, seed=8).data[0]
+    x = rng.normal(size=(1, 4, 3))
+    hc = _hc(model, 1, seed=8)
 
     def run(flat):
-        z, _ = forward(flat.reshape(4, 3), hc, model)
+        z, _ = forward(flat.reshape(1, 4, 3), hc, model)
         return z.data.reshape(-1)
 
     flat0 = x.reshape(-1)
@@ -113,11 +113,11 @@ def test_log_prob_standard_normal_values():
     # identity flow: log p is the standard normal density of x itself
     # (the model was built for longer windows; a T=1 window still scores)
     model = _model(d=1, t=2, period=1, layers=2)
-    lp = log_prob(np.zeros((1, 1)), Tensor(np.zeros((1, 6))), model)
+    lp = log_prob(np.zeros((1, 1, 1)), Tensor(np.zeros((1, 6))), model)
     np.testing.assert_allclose(lp.data[0], -0.5 * LOG_2PI, rtol=1e-12)
 
     model2 = _model(d=3, t=2, period=1, layers=2, hidden=6)
-    lp2 = log_prob(np.zeros((2, 3)), Tensor(np.zeros((1, 6))), model2)
+    lp2 = log_prob(np.zeros((1, 2, 3)), Tensor(np.zeros((1, 6))), model2)
     np.testing.assert_allclose(lp2.data[0], -3.0 * LOG_2PI, rtol=1e-12)
 
 
@@ -143,11 +143,11 @@ def test_density_integrates_to_one():
 def test_nll_identity_values():
     model = _model(d=3, t=2, period=1)
     hc = Tensor(np.zeros((1, 6)))
-    nll = nll_loss(np.zeros((2, 3)), hc, model)
+    nll = nll_loss(np.zeros((1, 2, 3)), hc, model)
     np.testing.assert_allclose(nll.item(), 3.0 * LOG_2PI, rtol=1e-12)
     # mean reduction: two identical windows give the same loss as one
     x = np.random.default_rng(11).normal(size=(2, 3))
-    single = nll_loss(x, hc, model).item()
+    single = nll_loss(x[None], hc, model).item()
     double = nll_loss(np.stack([x, x]), Tensor(np.zeros((2, 6))), model).item()
     np.testing.assert_allclose(single, double, rtol=1e-12)
 
@@ -174,7 +174,7 @@ def test_nll_gradient_wrt_scale_weight():
 
 def test_conditioning_changes_density():
     model = _model(seed=15, out_scale=0.4)
-    x = np.random.default_rng(16).normal(size=(8, 2))
+    x = np.random.default_rng(16).normal(size=(1, 8, 2))
     lp1 = log_prob(x, Tensor(np.full((1, 6), 0.5)), model).item()
     lp2 = log_prob(x, Tensor(np.full((1, 6), -0.5)), model).item()
     assert lp1 != lp2
@@ -182,20 +182,20 @@ def test_conditioning_changes_density():
 
 def test_condition_contract():
     model = _model()
-    c = np.zeros((2, 6))
+    c = np.zeros((1, 2, 6))
     model.cond_b.data[:] = 0.0
     np.testing.assert_array_equal(condition(c, model).data, np.zeros((1, 6)))
     rng = np.random.default_rng(17)
-    c2 = rng.normal(size=(2, 6))
+    c2 = rng.normal(size=(1, 2, 6))
     h1, h2 = condition(c2, model), condition(c2, model)
     np.testing.assert_array_equal(h1.data, h2.data)
     with pytest.raises(Exception, match="conditioner expects"):
-        condition(np.zeros((3, 7)), model)
+        condition(np.zeros((1, 3, 7)), model)
 
 
 def test_condition_gradient():
     model = _model(seed=18)
-    c = Tensor(np.random.default_rng(19).normal(size=(2, 6)), requires_grad=True)
+    c = Tensor(np.random.default_rng(19).normal(size=(1, 2, 6)), requires_grad=True)
 
     def scalar():
         return ad.tsum(ad.tanh(condition(c, model)))
@@ -242,7 +242,7 @@ def test_anomaly_score_spike_dominates_identity_flow():
 def test_forward_rejects_wrong_dim():
     model = _model(d=2)
     with pytest.raises(Exception, match="input dim"):
-        forward(np.zeros((4, 3)), Tensor(np.zeros((1, 6))), model)
+        forward(np.zeros((1, 4, 3)), Tensor(np.zeros((1, 6))), model)
 
 
 def test_layer_masks_follow_build_mask():
@@ -292,3 +292,18 @@ def test_anomaly_score_same_with_and_without_tape():
         tau, tau_t = anomaly_score(x, hc, model)
     np.testing.assert_array_equal(tau, taped_tau)
     np.testing.assert_array_equal(tau_t, taped_tau_t)
+
+
+def test_flow_rejects_unbatched_input():
+    model = _model(d=2)
+    hc = Tensor(np.zeros((1, 6)))
+    with pytest.raises(Exception, match=r"forward expects \(B, T, D\)"):
+        forward(np.zeros((8, 2)), hc, model)
+    with pytest.raises(Exception, match=r"inverse expects \(B, T, D\)"):
+        inverse(np.zeros((8, 2)), hc, model)
+    with pytest.raises(Exception, match=r"condition expects \(B, N, D_h\)"):
+        condition(np.zeros((2, 6)), model)
+    with pytest.raises(Exception, match="conditioning shape"):
+        forward(np.zeros((1, 8, 2)), np.zeros(6), model)
+    with pytest.raises(Exception, match="empty batch"):
+        nll_loss(np.zeros((0, 8, 2)), np.zeros((0, 6)), model)

@@ -1,10 +1,10 @@
 """Period selection and band-noise augmentation against a naive O(n^2)
-DFT oracle."""
+DFT oracle, and the batched paths against window-at-a-time oracles."""
 import numpy as np
 import pytest
 
 from periflow.series import MultivariateSeries
-from periflow.spectral import (SpectralError, discover_global_period,
+from periflow.spectral import (PeriodSet, SpectralError, discover_global_period,
                                intervene, periodicity_strength, top_k_periods)
 
 
@@ -17,9 +17,45 @@ def naive_dft(x):
     return basis @ x
 
 
+def top_k_oracle(x, k):
+    """One (T, C) window at a time, bin by bin: the reference picker."""
+    t = x.shape[0]
+    amp = np.abs(np.fft.fft(x, axis=0)).mean(axis=1)
+    band = amp[1:t // 2 + 1]
+    chosen = []
+    for idx in np.argsort(-band, kind="stable"):
+        if band[idx] <= 1e-12 and chosen:
+            break
+        f = int(idx) + 1
+        chosen.append((f, int(np.ceil(t / f)), float(amp[f])))
+        if len(chosen) == k:
+            break
+    freqs, periods, weights = zip(*chosen)
+    return PeriodSet(freqs, periods, np.asarray(weights))
+
+
+def intervene_oracle(x, k_h_frac, sigma, noise, rng):
+    """One (T, D) window at a time, bin by bin, drawing in that order: the
+    reference augmentation."""
+    t, d = x.shape
+    k_h = min(max(int(round(k_h_frac * t)), 1), t // 2)
+    spec = np.fft.fft(x, axis=0)
+    draw = rng.standard_normal if noise == "gaussian" else (
+        lambda size: rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=size))
+    for b in range(k_h, t // 2 + 1):
+        self_conjugate = b == 0 or (t % 2 == 0 and b == t // 2)
+        re = sigma * draw((d,))
+        im = 0.0 if self_conjugate else sigma * draw((d,))
+        eta = re + 1j * im
+        spec[b] += eta
+        if not self_conjugate:
+            spec[t - b] += np.conj(eta)
+    return np.fft.ifft(spec, axis=0).real
+
+
 def test_constant_signal_dc_only():
     # a constant's energy sits in the excluded DC bin: one pick, no amplitude
-    ps = top_k_periods(np.full(8, 4.0), 3)
+    ps = top_k_periods(np.full((1, 8, 1), 4.0), 3)[0]
     assert ps.k == 1
     np.testing.assert_allclose(ps.weights, 0.0, atol=1e-12)
 
@@ -27,7 +63,7 @@ def test_constant_signal_dc_only():
 def test_cosine_peak_bin():
     n = 64
     x = np.cos(2 * np.pi * np.arange(n) / 8.0)
-    ps = top_k_periods(x, 1)
+    ps = top_k_periods(x[None, :, None], 1)[0]
     assert ps.frequencies == (8,) and ps.periods == (8,)
     # closed form: a pure cosine of integer frequency concentrates n/2 per line
     np.testing.assert_allclose(ps.weights[0], n / 2, rtol=1e-9)
@@ -37,15 +73,15 @@ def test_fft_matches_naive_dft():
     # odd length, one channel: the picked amplitudes are unnormalized DFT lines
     rng = np.random.default_rng(3)
     x = rng.normal(size=37)
-    ps = top_k_periods(x, 5)
+    ps = top_k_periods(x[None, :, None], 5)[0]
     amp = np.abs(naive_dft(x))
     np.testing.assert_allclose(ps.weights, amp[list(ps.frequencies)], atol=1e-9)
     assert min(ps.weights) >= max(np.delete(amp[1:19], np.array(ps.frequencies) - 1))
 
 
 def test_roundtrip_identity():
-    # one-channel input takes the squeeze path and comes back unchanged
-    x = np.random.default_rng(4).normal(size=100)
+    # a one-channel window comes back unchanged
+    x = np.random.default_rng(4).normal(size=(1, 100, 1))
     back = intervene(x, sigma=0.0, rng=np.random.default_rng(0))
     assert back.shape == x.shape
     assert np.max(np.abs(back - x)) < 1e-9
@@ -55,7 +91,7 @@ def test_fft_linearity():
     # the transform is linear, so the augmentation adds the same noise
     # whatever the window holds
     rng = np.random.default_rng(5)
-    x, y = rng.normal(size=(2, 50, 2))
+    x, y = rng.normal(size=(2, 1, 50, 2))
     dx = intervene(x, sigma=0.3, rng=np.random.default_rng(9)) - x
     dy = intervene(2.5 * y, sigma=0.3, rng=np.random.default_rng(9)) - 2.5 * y
     np.testing.assert_allclose(dx, dy, atol=1e-9)
@@ -66,7 +102,7 @@ def test_parseval():
     # line of amplitude n*A/2, so energy = 2 * weight^2 / n
     n, amp = 128, 1.7
     x = amp * np.sin(2 * np.pi * 5 * np.arange(n) / n)
-    ps = top_k_periods(x, 1)
+    ps = top_k_periods(x[None, :, None], 1)[0]
     np.testing.assert_allclose(np.sum(x ** 2), 2 * ps.weights[0] ** 2 / n, rtol=1e-9)
 
 
@@ -118,7 +154,7 @@ def test_global_period_rejects_constant():
 def test_top_k_two_lines():
     t = np.arange(120)
     x = 2.0 * np.sin(2 * np.pi * t / 30) + 1.0 * np.sin(2 * np.pi * t / 8)
-    ps = top_k_periods(x, 2)
+    ps = top_k_periods(x[None, :, None], 2)[0]
     assert set(ps.frequencies) == {4, 15}
     assert ps.periods[0] == 30  # strongest line first
     assert ps.k == 2
@@ -126,14 +162,14 @@ def test_top_k_two_lines():
 
 def test_top_k_consistent_with_global_period():
     s = _sine_series(t_l=120)
-    ps = top_k_periods(s.values, 1)
+    ps = top_k_periods(s.values[None], 1)[0]
     assert ps.periods[0] == discover_global_period(s)
 
 
 def test_top_k_matches_sorted_spectrum_oracle():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(100, 2))
-    ps = top_k_periods(x, 3)
+    ps = top_k_periods(x[None], 3)[0]
     amp = np.mean([np.abs(naive_dft(x[:, c])) for c in range(2)], axis=0)
     oracle = np.argsort(-amp[1:51], kind="stable")[:3] + 1
     assert list(ps.frequencies) == list(oracle)
@@ -143,51 +179,95 @@ def test_top_k_matches_sorted_spectrum_oracle():
 def test_top_k_short_count_on_pure_tone():
     t = np.arange(60)
     x = np.sin(2 * np.pi * t / 20)
-    ps = top_k_periods(x, 3)
+    ps = top_k_periods(x[None, :, None], 3)[0]
     assert ps.k == 1 and ps.periods == (20,)
 
 
 def test_intervene_zero_sigma_is_roundtrip():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(60, 3))
+    x = rng.normal(size=(2, 60, 3))
     out = intervene(x, sigma=0.0, rng=rng)
     assert np.max(np.abs(out - x)) < 1e-9
 
 
 def test_intervene_preserves_low_band():
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(60, 2))
+    x = rng.normal(size=(3, 60, 2))
     out = intervene(x, k_h_frac=0.25, sigma=0.5, rng=rng)
     k_h = round(0.25 * 60)
-    diff = np.abs(np.fft.fft(out, axis=0) - np.fft.fft(x, axis=0))
-    assert np.max(diff[:k_h]) < 1e-8
+    diff = np.abs(np.fft.fft(out, axis=1) - np.fft.fft(x, axis=1))
+    assert np.max(diff[:, :k_h]) < 1e-8
 
 
 def test_intervene_noise_scale():
     rng = np.random.default_rng(11)
-    x = np.zeros((64, 1))
+    x = np.zeros((1000, 64, 1))
     sigma = 0.1
     k_h = round(0.25 * 64)
-    reals, imags = [], []
-    for _ in range(1000):
-        out = intervene(x, sigma=sigma, rng=rng)
-        spec = np.fft.fft(out, axis=0)
-        reals.append(spec[k_h:32, 0].real)
-        imags.append(spec[k_h:32, 0].imag)
+    spec = np.fft.fft(intervene(x, sigma=sigma, rng=rng), axis=1)
+    reals, imags = spec[:, k_h:32, 0].real, spec[:, k_h:32, 0].imag
     assert abs(np.std(reals) - sigma) < 0.15 * sigma
     assert abs(np.std(imags) - sigma) < 0.15 * sigma
 
 
 def test_intervene_output_is_real_valued():
     rng = np.random.default_rng(12)
-    x = rng.normal(size=(59, 2))  # odd length exercises the mirroring
+    x = rng.normal(size=(2, 59, 2))  # odd length exercises the mirroring
     out = intervene(x, sigma=1.0, rng=rng)
     assert out.dtype == np.float64 and out.shape == x.shape
 
 
 def test_intervene_rejects_negative_sigma():
     with pytest.raises(SpectralError):
-        intervene(np.zeros((10, 1)), sigma=-1.0)
+        intervene(np.zeros((1, 10, 1)), sigma=-1.0)
+
+
+def _mixed_batch(t, c, seed):
+    """Random windows with a constant one (DC only), a pure tone (one
+    line) and a two-tone one among them, so picks come up short."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(9, t, c))
+    steps = np.arange(t)[:, None]
+    x[2] = 3.0
+    x[5] = np.sin(2 * np.pi * 3 * steps / t)
+    x[7] = np.cos(2 * np.pi * 2 * steps / t) + 0.5 * np.sin(2 * np.pi * 5 * steps / t)
+    return x
+
+
+@pytest.mark.parametrize("t", [11, 12, 60, 61])
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_top_k_batch_matches_per_window_oracle(t, c, k):
+    x = _mixed_batch(t, c, seed=t * 10 + c)
+    picks = top_k_periods(x, k)
+    assert len(picks) == len(x)
+    for window, ps in zip(x, picks):
+        ref = top_k_oracle(window, k)
+        assert ps.frequencies == ref.frequencies
+        assert ps.periods == ref.periods
+        assert all(type(p) is int for p in ps.periods)
+        np.testing.assert_array_equal(ps.weights, ref.weights)
+    assert picks[2].k == 1  # the constant window
+    assert picks[5].k == 1 and picks[5].frequencies == (3,)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 59, 60, 61])
+@pytest.mark.parametrize("noise", ["gaussian", "laplace"])
+def test_intervene_batch_matches_per_bin_oracle(t, noise):
+    x = np.random.default_rng(t).normal(size=(5, t, 3))
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    out = intervene(x, k_h_frac=0.25, sigma=0.7, noise=noise, rng=rng)
+    ref = np.stack([intervene_oracle(w, 0.25, 0.7, noise, ref_rng) for w in x])
+    np.testing.assert_array_equal(out, ref)
+    # the batch drew exactly as many numbers as the loop
+    np.testing.assert_array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+
+
+def test_spectral_rejects_unbatched_input():
+    with pytest.raises(SpectralError, match=r"\(B, T, C\)"):
+        top_k_periods(np.zeros((20, 2)), 1)
+    with pytest.raises(SpectralError, match=r"\(B, T, D\)"):
+        intervene(np.zeros((20, 2)))
 
 
 def test_periodicity_strength_pure_sine():

@@ -62,10 +62,10 @@ def test_total_loss_matches_module_composition():
     rng = np.random.default_rng(seed)
     reps_clean, reps_aug = [], []
     for w in windows:
-        w_aug = intervene(w, k_h_frac=config.k_h_frac, sigma=config.sigma,
+        w_aug = intervene(w[None], k_h_frac=config.k_h_frac, sigma=config.sigma,
                           noise=config.noise, rng=rng)
         reps_clean.append(encode_batch(w[None], bundle)[0].data[0])
-        reps_aug.append(encode_batch(w_aug[None], bundle)[0].data[0])
+        reps_aug.append(encode_batch(w_aug, bundle)[0].data[0])
     c_o = np.stack(reps_clean)
     c_aug = np.stack(reps_aug)
     l_sim = similarity_loss(Tensor(c_o), Tensor(c_aug)).item()
@@ -86,8 +86,8 @@ def test_encode_batch_matches_per_window():
     windows = data["train"].windows[:5]
     rep, diags = encode_batch(windows, bundle)
     for i, w in enumerate(windows):
-        h = embed(w, bundle.miner)
-        periods = top_k_periods(h.data, config.k_periods)
+        h = embed(w[None], bundle.miner)
+        periods = top_k_periods(h.data, config.k_periods)[0]
         one = fuse(extract_pyramid(h, bundle.miner, periods), bundle.fusion)
         np.testing.assert_allclose(rep.data[i], one.values.data[0], atol=1e-9)
         assert diags[i]["periods"] == periods.periods
@@ -172,8 +172,9 @@ def test_fit_alpha_beta_zero_matches_manual_nll_path():
     store = make_store(bundle)
     rng = np.random.default_rng(8)
     clean_rep, _ = encode_batch(windows, bundle)
-    augmented = np.stack([intervene(w, k_h_frac=cfg.k_h_frac, sigma=cfg.sigma,
-                                    noise=cfg.noise, rng=rng) for w in windows])
+    augmented = np.concatenate([intervene(w[None], k_h_frac=cfg.k_h_frac,
+                                          sigma=cfg.sigma, noise=cfg.noise, rng=rng)
+                                for w in windows])
     aug_rep, _ = encode_batch(augmented, bundle)
     conditioning = (clean_rep + aug_rep) * 0.5
     nll_only = nll_loss(windows, condition(conditioning, bundle.flow), bundle.flow)
@@ -369,3 +370,45 @@ def test_evaluate_objective_matches_taped_loss():
     loss, taped, _ = total_loss(windows, bundle, np.random.default_rng(8))
     assert loss._backward is not None
     assert comps == pytest.approx(taped, rel=1e-12)
+
+
+def test_constant_window_beside_ordinary_ones():
+    # a constant window has energy only at DC, so it gets one pick where
+    # the others get k_periods: the batch splits into groups of both sizes
+    config, data = _prepared()
+    bundle = build_models(config, 2, data["global_period"],
+                          np.random.default_rng(14))
+    windows = data["train"].windows[:6].copy()
+    windows[3] = 0.7
+    rep, diags = encode_batch(windows, bundle)
+    assert len(diags[3]["periods"]) == 1
+    assert all(len(d["periods"]) == config.k_periods
+               for i, d in enumerate(diags) if i != 3)
+    for i, w in enumerate(windows):
+        np.testing.assert_allclose(rep.data[i], encode_batch(w[None], bundle)[0].data[0],
+                                   atol=1e-12)
+
+    store = make_store(bundle)
+    loss, _, _ = total_loss(windows, bundle, np.random.default_rng(15))
+    store.zero_grad()
+    loss.backward()
+    store.adam_step(config.lr)
+    assert all(np.all(np.isfinite(t.data)) for t in bundle.named_params().values())
+
+    tau, tau_t, scored = score_windows(bundle, windows)
+    assert tau.shape == (6,) and np.all(np.isfinite(tau_t))
+    assert len(scored[3]["periods"]) == 1
+
+
+@pytest.mark.parametrize("kind", ["csv", "npy", "npz"])
+def test_load_checkpoint_rejects_other_files(tmp_path, kind):
+    path = tmp_path / "model.npz"
+    if kind == "csv":
+        path.write_text("t,x0\n0,1.0\n")
+    else:
+        with open(path, "wb") as fh:
+            (np.save if kind == "npy" else np.savez)(fh, np.zeros(3))
+    with pytest.raises(ValueError, match="not a periflow checkpoint") as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(str(path))
+    assert "pickle" not in str(info.value)

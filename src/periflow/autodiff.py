@@ -131,9 +131,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, p):
-        return powi(self, p)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -204,19 +201,9 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
-def powi(a: Tensor, p: float) -> Tensor:
-    if not isinstance(p, (int, float)):
-        raise TypeError("exponent must be a Python scalar")
-    return _node(a.data ** p, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
-
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
     return _node(out_data, (a,), lambda g: (g * out_data,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -284,7 +271,10 @@ def take(a: Tensor, rows) -> Tensor:
 
     def backward(g: Array):
         out = np.zeros_like(a.data)
-        np.add.at(out, rows, g)
+        if np.unique(rows).size == rows.size:
+            out[rows] = g
+        else:  # np.add.at is several times slower, so only for repeats
+            np.add.at(out, rows, g)
         return (out,)
 
     return _node(a.data[rows], (a,), backward)

@@ -225,8 +225,11 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"{args.scores}: no 'score' column")
         col = header.index("score")
         for line_no, line in enumerate(fh, start=2):
-            scores.append(_parse_number(line.split(",")[col].strip(), line_no,
-                                        "score"))
+            fields = line.split(",")
+            if col >= len(fields):
+                raise SeriesError(f"line {line_no}, column score: row has "
+                                  f"{len(fields)} of {len(header)} columns")
+            scores.append(_parse_number(fields[col].strip(), line_no, "score"))
     series = load_csv(args.data)
     if series.labels is None:
         raise SeriesError(f"{args.data}: no label column to evaluate against")

@@ -4,8 +4,9 @@ A window is embedded per timestep and folded into a cycle-by-phase grid
 for each of its k strongest periods. A shared residual transform lets
 every grid cell see its phase-column and cycle-row means, the grid is
 mean-pooled, and the result is projected onto N latent factor slots.
-Amplitudes of the selected bins are carried along (differentiably) as
-period weights.
+A batch's pyramid is one (B, k, N, D_h) tensor: every (window, slot)
+pair that picked the same period is folded in one pass. Amplitudes of
+the selected bins are carried along (differentiably) as period weights.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericOverflow, Tensor
-from .spectral import PeriodSet
 
 
 @dataclass
@@ -44,24 +44,16 @@ class MinerParams:
 
 @dataclass
 class CausalPyramid:
-    """k per-period factor blocks (B, N, D_h) plus their amplitude weights."""
+    """Per-period factor blocks (B, k, N, D_h) and amplitude weights (B, k)."""
 
-    factors: list[Tensor]
+    factors: Tensor
     weights: Tensor
-    periods: PeriodSet
 
     def __post_init__(self):
-        if len(self.factors) != self.periods.k:
-            raise ValueError("factor count must match the period set")
-        for f in self.factors:
-            if not np.all(np.isfinite(f.data)):
-                raise NumericOverflow("non-finite factor block")
+        if not np.all(np.isfinite(self.factors.data)):
+            raise NumericOverflow("non-finite factor block")
         if not np.all(np.isfinite(self.weights.data)):
             raise NumericOverflow("non-finite period weights")
-
-    @property
-    def k(self) -> int:
-        return self.periods.k
 
 
 def init_miner(d_in: int, hidden: int, n_factors: int,
@@ -102,61 +94,71 @@ def grid_shape(window_length: int, period: int) -> tuple[int, int]:
     return rows, period
 
 
-def bin_amplitudes(h: Tensor, frequencies: tuple[int, ...]) -> Tensor:
+def bin_amplitudes(h: Tensor, frequencies: np.ndarray) -> Tensor:
     """Channel-averaged sinusoid amplitude at chosen bins, differentiably.
 
-    h is (B, T, C); returns (B, k). Uses an explicit cosine/sine projection
-    so gradients flow into the embedding. Scaled by 2/T so a unit-amplitude
-    sinusoid sitting exactly on a bin scores ~1; raw transform magnitudes
-    grow with T and would saturate the downstream softmax.
+    h is (B, T, C) and frequencies (B, k); returns (B, k). Uses an explicit
+    cosine/sine projection so gradients flow into the embedding. Scaled by
+    2/T so a unit-amplitude sinusoid sitting exactly on a bin scores ~1;
+    raw transform magnitudes grow with T and would saturate the downstream
+    softmax.
     """
-    b, t, c = h.shape
-    grid = 2.0 * np.pi * np.outer(np.asarray(frequencies), np.arange(t)) / t
-    cos_m = Tensor(np.cos(grid))
-    sin_m = Tensor(-np.sin(grid))
-    flat = ad.reshape(ad.transpose(h, (1, 0, 2)), (t, b * c))
-    re = ad.reshape(ad.matmul(cos_m, flat), (len(frequencies), b, c))
-    im = ad.reshape(ad.matmul(sin_m, flat), (len(frequencies), b, c))
-    amp = ad.sqrt(re * re + im * im) * (2.0 / t)
-    return ad.transpose(ad.tmean(amp, axis=2), (1, 0))
+    t = h.shape[1]
+    grid = 2.0 * np.pi * np.asarray(frequencies)[..., None] * np.arange(t) / t
+    re = ad.bmm(Tensor(np.cos(grid)), h)
+    im = ad.bmm(Tensor(-np.sin(grid)), h)
+    return ad.tmean(ad.sqrt(re * re + im * im) * (2.0 / t), axis=2)
 
 
-def extract_pyramid(h, params: MinerParams, periods: PeriodSet) -> CausalPyramid:
+def extract_pyramid(h, params: MinerParams, frequencies) -> CausalPyramid:
     """Fold embedded windows into per-period grids and project to slots.
 
-    Every window of the batch shares `periods` (`training.encode_batch`
-    groups windows by their picks). For each period p the window is
-    zero-padded to ceil(T/p)*p and reshaped to a cycles-by-phase grid. The
-    shared residual transform feeds every cell its own value together with
-    its phase-column mean and cycle-row mean (the per-period seasonal
-    profile), so grids folded at different periods genuinely differ. The
-    transformed grid is mean-pooled and projected onto N factor slots;
-    blocks are (B, N, D_h).
+    `frequencies` holds each window's k picked bins, shape (B, k). For
+    each distinct period p = ceil(T/f) the (window, slot) pairs that picked
+    it are folded together: the window is zero-padded to ceil(T/p)*p and
+    reshaped to a cycles-by-phase grid. The shared residual transform feeds
+    every cell its own value together with its phase-column mean and
+    cycle-row mean (the per-period seasonal profile), so grids folded at
+    different periods genuinely differ; the two means are projected before
+    they are broadcast over the grid. The transformed grid is mean-pooled
+    and projected onto N factor slots; factors are (B, k, N, D_h).
     """
     if h.ndim != 3:
         raise ValueError(f"extract_pyramid expects (B, T, D_h), got shape {h.shape}")
     b, t, c = h.shape
     if c != params.hidden:
         raise ValueError(f"extract_pyramid: channel dim {c} != hidden {params.hidden}")
-    n = params.n_factors
-    blocks: list[Tensor] = []
-    for p in periods.periods:
+    frequencies = np.asarray(frequencies)
+    if frequencies.ndim != 2 or frequencies.shape[0] != b:
+        raise ValueError(f"extract_pyramid expects ({b}, k) frequencies, "
+                         f"got shape {frequencies.shape}")
+    k = frequencies.shape[1]
+    periods = -(-t // frequencies)
+    # grid_w's rows: cell value, phase-column mean, cycle-row mean
+    w_cell, w_col, w_row = (ad.take(params.grid_w, np.arange(j * c, (j + 1) * c))
+                            for j in range(3))
+    pooled: list[Tensor] = []
+    order: list[np.ndarray] = []
+    for p in np.unique(periods):
+        win, slot = np.nonzero(periods == p)
+        m = win.size
         rows, cols = grid_shape(t, p)
+        x = ad.take(h, win)
         pad = rows * cols - t
-        padded = h if pad == 0 else ad.concat(
-            [h, Tensor(np.zeros((b, pad, c)))], axis=1)
-        grid = ad.reshape(padded, (b, rows, cols, c))
-        col_mean = ad.broadcast_to(ad.tmean(grid, axis=1, keepdims=True),
-                                   (b, rows, cols, c))
-        row_mean = ad.broadcast_to(ad.tmean(grid, axis=2, keepdims=True),
-                                   (b, rows, cols, c))
-        cells = ad.reshape(ad.concat([grid, col_mean, row_mean], axis=3),
-                           (b * rows * cols, 3 * c))
-        bump = ad.tanh(ad.affine(cells, params.grid_w, params.grid_b))
-        transformed = ad.reshape(padded, (b * rows * cols, c)) + bump
-        pooled = ad.tmean(ad.reshape(transformed, (b, rows * cols, c)), axis=1)
-        slots = ad.affine(pooled, params.slot_w, params.slot_b)
-        blocks.append(ad.reshape(slots, (b, n, params.hidden)))
+        if pad:
+            x = ad.concat([x, Tensor(np.zeros((m, pad, c)))], axis=1)
+        grid = ad.reshape(x, (m, rows, cols, c))
+        col = ad.matmul(ad.reshape(ad.tmean(grid, axis=1), (m * cols, c)), w_col)
+        row = ad.matmul(ad.reshape(ad.tmean(grid, axis=2), (m * rows, c)), w_row)
+        cell = ad.affine(ad.reshape(x, (m * rows * cols, c)), w_cell, params.grid_b)
+        pre = (ad.reshape(cell, (m, rows, cols, c))
+               + ad.broadcast_to(ad.reshape(col, (m, 1, cols, c)), (m, rows, cols, c))
+               + ad.broadcast_to(ad.reshape(row, (m, rows, 1, c)), (m, rows, cols, c)))
+        pooled.append(ad.tmean(grid + ad.tanh(pre), axis=(1, 2)))
+        order.append(win * k + slot)
 
-    weights = bin_amplitudes(h, periods.frequencies)
-    return CausalPyramid(blocks, weights, periods)
+    flat = pooled[0] if len(pooled) == 1 else ad.concat(pooled, axis=0)
+    flat = ad.take(flat, np.argsort(np.concatenate(order)))
+    slots = ad.affine(flat, params.slot_w, params.slot_b)
+    factors = ad.reshape(slots, (b, k, params.n_factors, params.hidden))
+    return CausalPyramid(factors, bin_amplitudes(h, frequencies))

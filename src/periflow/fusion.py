@@ -35,9 +35,6 @@ class FusedRepresentation:
     amp_softmax: Tensor
 
     def __post_init__(self):
-        a, w = self.attention.data, self.amp_softmax.data
-        if np.any(a < -1e-12) or np.any(w < -1e-12):
-            raise ValueError("mixing weights must be non-negative")
         if not np.all(np.isfinite(self.values.data)):
             raise NumericOverflow("non-finite fused representation")
 
@@ -51,14 +48,8 @@ def init_fusion(hidden: int, rng: np.random.Generator) -> FusionParams:
 
 
 def fuse(pyramid: CausalPyramid, params: FusionParams) -> FusedRepresentation:
-    if pyramid.k < 1:
-        raise ValueError("cannot fuse an empty pyramid")
-    k = pyramid.k
-    b, n, dh = pyramid.factors[0].shape
-
-    tokens = ad.concat([ad.reshape(ad.tmean(f, axis=1), (b, 1, dh))
-                        for f in pyramid.factors], axis=1)
-    flat = ad.reshape(tokens, (b * k, dh))
+    b, k, n, dh = pyramid.factors.shape
+    flat = ad.reshape(ad.tmean(pyramid.factors, axis=2), (b * k, dh))
     q = ad.reshape(ad.matmul(flat, params.query_w), (b, k, dh))
     key = ad.reshape(ad.matmul(flat, params.key_w), (b, k, dh))
     logits = ad.bmm(q, ad.transpose(key, (0, 2, 1))) * (1.0 / np.sqrt(dh))
@@ -74,7 +65,7 @@ def fuse(pyramid: CausalPyramid, params: FusionParams) -> FusedRepresentation:
     total = ad.broadcast_to(ad.tsum(combined, axis=1, keepdims=True), (b, k))
     u = combined / total
 
-    stacked = ad.concat([ad.reshape(f, (b, 1, n * dh)) for f in pyramid.factors], axis=1)
+    stacked = ad.reshape(pyramid.factors, (b, k, n * dh))
     u_wide = ad.broadcast_to(ad.reshape(u, (b, k, 1)), (b, k, n * dh))
     fused = ad.reshape(ad.tsum(stacked * u_wide, axis=1), (b, n, dh))
     return FusedRepresentation(fused, a_p, w_hat)

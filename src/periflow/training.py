@@ -6,10 +6,11 @@ consistency and orthogonality treatment losses:
 
     total = nll + alpha * similarity + beta * independence
 
-A batch is embedded once; its windows are then grouped by their
-selected period set so the grid folding can run batched, and the group
-results are gathered back into batch order, which keeps the math identical
-to a window-at-a-time composition of the module-level operations.
+A batch is embedded once and folded as one (B, k, N, D_h) pyramid; only
+windows with fewer than k energetic bins (constant windows, say) form a
+group of their own. Group results are gathered back into batch order,
+which keeps the math equal to a window-at-a-time composition of the
+module-level operations.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .fusion import FusionParams, fuse, init_fusion
 from .optim import ParamStore
 from .series import MultivariateSeries, SplitSpec, Standardization, WindowBatch, \
     make_windows, standardize
-from .spectral import PeriodSet, discover_global_period, intervene, top_k_periods
+from .spectral import discover_global_period, intervene, top_k_periods
 
 CHECKPOINT_VERSION = 1
 
@@ -134,30 +135,33 @@ def make_store(bundle: ModelBundle) -> ParamStore:
 def encode_batch(windows: np.ndarray, bundle: ModelBundle):
     """Clean-path representation (B, N, D_h) for a stack of windows.
 
-    The batch is embedded once and its windows are grouped by their
-    selected period set; each group's rows are folded and fused together,
-    and the results are gathered back into batch order. Returns the
+    The batch is embedded once and its windows are grouped by how many
+    periods they picked, which is k_periods unless a window has fewer
+    energetic bins; each group is folded into one pyramid and fused, and
+    the results are gathered back into batch order. Returns the
     representation tensor and one diagnostics dict per window (periods,
     softmaxed amplitude weights, attention scores).
     """
     cfg = bundle.config
     b = windows.shape[0]
     h = embed(windows, bundle.miner)
-    groups: dict[tuple, tuple[PeriodSet, list[int]]] = {}
-    for i, ps in enumerate(top_k_periods(h.data, cfg.k_periods)):
-        groups.setdefault(ps.frequencies, (ps, []))[1].append(i)
+    picks = top_k_periods(h.data, cfg.k_periods)
+    groups: dict[int, list[int]] = {}
+    for i, ps in enumerate(picks):
+        groups.setdefault(ps.k, []).append(i)
 
     parts = []
     order: list[int] = []
     diags: list[dict | None] = [None] * b
     n, dh = cfg.n_factors, cfg.hidden
-    for ps, idx in groups.values():
-        pyramid = extract_pyramid(ad.take(h, idx), bundle.miner, ps)
+    for idx in groups.values():
+        frequencies = np.array([picks[i].frequencies for i in idx])
+        pyramid = extract_pyramid(ad.take(h, idx), bundle.miner, frequencies)
         rep = fuse(pyramid, bundle.fusion)
         parts.append(ad.reshape(rep.values, (len(idx), n * dh)))
         for row, i in enumerate(idx):
             diags[i] = {
-                "periods": ps.periods,
+                "periods": picks[i].periods,
                 "amp_weights": tuple(rep.amp_softmax.data[row]),
                 "attention": tuple(rep.attention.data[row]),
             }

@@ -199,6 +199,18 @@ def test_eval_rejects_bad_score(tmp_path, capsys, bad, message):
     assert not (tmp_path / "eval").exists()
 
 
+def test_eval_rejects_short_row(tmp_path, capsys):
+    csv = tmp_path / "series.csv"
+    csv.write_text("t,x0,label\n" + "".join(f"{i},0.5,{i % 2}\n" for i in range(3)))
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("index,score,log_likelihood\n0,0.1,-0.1\n1\n2,0.3,-0.3\n")
+    code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 3, column score: row has 1 of 3 columns\n"
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("setting", [
     "window_length=0", "k_periods=0", "k_periods=12", "hidden=0", "n_factors=0",
     "num_layers=0", "num_blocks=-1", "train_stride=0", "sigma=-0.1",

@@ -7,7 +7,7 @@ from periflow import autodiff as ad
 from periflow.autodiff import Tensor
 from periflow.factors import (bin_amplitudes, embed, extract_pyramid,
                               grid_shape, init_miner)
-from periflow.spectral import PeriodSet, top_k_periods
+from periflow.spectral import top_k_periods
 
 
 def _miner(d_in=3, hidden=8, n=2, seed=0):
@@ -58,11 +58,10 @@ def test_pyramid_shapes_fixed_regardless_of_periods():
     params = _miner()
     h = embed(_window()[None], params)
     for k in (1, 2, 3):
-        pyr = extract_pyramid(h, params, top_k_periods(h.data, k)[0])
-        assert len(pyr.factors) == pyr.periods.k <= k
-        for block in pyr.factors:
-            assert block.shape == (1, 2, 8)
-        assert pyr.weights.shape == (1, pyr.periods.k)
+        picked = top_k_periods(h.data, k)[0]
+        pyr = extract_pyramid(h, params, [picked.frequencies])
+        assert pyr.factors.shape == (1, picked.k, 2, 8) and picked.k <= k
+        assert pyr.weights.shape == (1, picked.k)
 
 
 def test_pyramid_identity_path():
@@ -76,11 +75,10 @@ def test_pyramid_identity_path():
     t = 24
     x = np.column_stack([np.sin(2 * np.pi * np.arange(t) / 8.0)] * 2)
     h = embed(x[None], params)
-    periods = PeriodSet((3,), (8,), np.array([1.0]))  # 24 = 3 cycles of 8
-    pyr = extract_pyramid(h, params, periods)
+    pyr = extract_pyramid(h, params, [[3]])  # period 8: 24 = 3 cycles of 8
     pooled = h.data[0].mean(axis=0)
     for row in range(3):
-        np.testing.assert_allclose(pyr.factors[0].data[0, row], pooled, atol=1e-12)
+        np.testing.assert_allclose(pyr.factors.data[0, 0, row], pooled, atol=1e-12)
 
 
 def test_padded_cells_contribute_zero():
@@ -90,8 +88,7 @@ def test_padded_cells_contribute_zero():
     t, p = 10, 4  # pads to 12, grid 3x4
     x = _window(t=t, d=2, seed=3)
     h = embed(x[None], params)
-    periods = PeriodSet((3,), (p,), np.array([1.0]))
-    pyr = extract_pyramid(h, params, periods)
+    pyr = extract_pyramid(h, params, [[3]])  # ceil(10 / 3) = p
 
     grid = np.concatenate([h.data[0], np.zeros((2, 4))]).reshape(3, 4, 4)
     col_mean = np.broadcast_to(grid.mean(axis=0, keepdims=True), grid.shape)
@@ -101,33 +98,80 @@ def test_padded_cells_contribute_zero():
         cells @ params.grid_w.data + params.grid_b.data)
     pooled = transformed.mean(axis=0)
     expected = pooled @ params.slot_w.data + params.slot_b.data
-    np.testing.assert_allclose(pyr.factors[0].data[0, 0], expected[:4], atol=1e-12)
+    np.testing.assert_allclose(pyr.factors.data[0, 0, 0], expected[:4], atol=1e-12)
+
+
+def _fold_oracle(h, params, frequencies):
+    """Window by window and slot by slot, with the 3C-wide cell input:
+    tanh([cell, col mean, row mean] @ grid_w + b), pooled, projected."""
+    b, t, c = h.shape
+    k = len(frequencies[0])
+    slots = []
+    for i in range(b):
+        for f in frequencies[i]:
+            p = -(-t // f)
+            rows = -(-t // p)
+            x = ad.reshape(ad.take(h, [i]), (t, c))
+            if rows * p > t:
+                x = ad.concat([x, Tensor(np.zeros((rows * p - t, c)))], axis=0)
+            grid = ad.reshape(x, (rows, p, c))
+            col = ad.broadcast_to(ad.tmean(grid, axis=0, keepdims=True), (rows, p, c))
+            row = ad.broadcast_to(ad.tmean(grid, axis=1, keepdims=True), (rows, p, c))
+            cells = ad.reshape(ad.concat([grid, col, row], axis=2), (rows * p, 3 * c))
+            bump = ad.tanh(ad.affine(cells, params.grid_w, params.grid_b))
+            pooled = ad.tmean(x + bump, axis=0, keepdims=True)
+            slots.append(ad.affine(pooled, params.slot_w, params.slot_b))
+    return ad.reshape(ad.concat(slots, axis=0), (b, k, params.n_factors, c))
+
+
+def test_pyramid_matches_fold_oracle():
+    # f=9 gives the padded period 7 at T=60; f=25 and f=29 both give
+    # period 3, so two slots of one window share a fold
+    params = _miner(d_in=3, hidden=6, n=2, seed=7)
+    rng = np.random.default_rng(8)
+    h = Tensor(rng.normal(size=(3, 60, 6)), requires_grad=True)
+    freqs = [[25, 29, 3], [9, 3, 1], [2, 9, 25]]
+    probe = rng.normal(size=(3, 3, 2, 6))
+    leaves = (h, params.grid_w, params.grid_b, params.slot_w, params.slot_b)
+
+    def run(build):
+        factors = build()
+        for leaf in leaves:
+            leaf.grad = None
+        ad.tsum(ad.tanh(factors) * Tensor(probe)).backward()
+        return factors.data, [leaf.grad.copy() for leaf in leaves]
+
+    got, got_grads = run(lambda: extract_pyramid(h, params, freqs).factors)
+    want, want_grads = run(lambda: _fold_oracle(h, params, freqs))
+    assert relative_error(got, want, floor=np.max(np.abs(want))) < 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert relative_error(g, w, floor=np.max(np.abs(w))) < 1e-12
 
 
 def test_pyramid_deterministic():
     params = _miner()
     x = _window()[None]
-    periods = top_k_periods(embed(x, params).data, 2)[0]
-    a = extract_pyramid(embed(x, params), params, periods)
-    b = extract_pyramid(embed(x, params), params, periods)
-    for fa, fb in zip(a.factors, b.factors):
-        np.testing.assert_array_equal(fa.data, fb.data)
+    freqs = [top_k_periods(embed(x, params).data, 2)[0].frequencies]
+    a = extract_pyramid(embed(x, params), params, freqs)
+    b = extract_pyramid(embed(x, params), params, freqs)
+    np.testing.assert_array_equal(a.factors.data, b.factors.data)
     np.testing.assert_array_equal(a.weights.data, b.weights.data)
 
 
 def test_bin_amplitudes_match_fft():
     rng = np.random.default_rng(4)
-    h = rng.normal(size=(1, 20, 3))
-    freqs = (1, 4, 7)
+    h = rng.normal(size=(2, 20, 3))
+    freqs = [[1, 4, 7], [9, 2, 4]]  # each window its own bins
     amp = bin_amplitudes(Tensor(h), freqs).data
-    spec = np.abs(np.fft.fft(h[0], axis=0)).mean(axis=1) * (2.0 / 20)
-    np.testing.assert_allclose(amp[0], spec[list(freqs)], atol=1e-10)
+    for i in range(2):
+        spec = np.abs(np.fft.fft(h[i], axis=0)).mean(axis=1) * (2.0 / 20)
+        np.testing.assert_allclose(amp[i], spec[freqs[i]], atol=1e-10)
 
 
 def test_bin_amplitudes_unit_sinusoid():
     t = 24
     x = np.sin(2 * np.pi * 3 * np.arange(t) / t)[None, :, None]
-    amp = bin_amplitudes(Tensor(x), (3,)).data
+    amp = bin_amplitudes(Tensor(x), [[3]]).data
     np.testing.assert_allclose(amp, [[1.0]], atol=1e-12)
 
 
@@ -136,8 +180,7 @@ def test_pyramid_weights_match_selection():
     x = _window(t=32)
     h = embed(x[None], params)
     oracle = top_k_periods(h.data, 2)[0]
-    pyr = extract_pyramid(h, params, oracle)
-    assert pyr.periods.frequencies == oracle.frequencies
+    pyr = extract_pyramid(h, params, [oracle.frequencies])
     np.testing.assert_allclose(pyr.weights.data[0], oracle.weights * (2.0 / 32),
                                atol=1e-9)
 
@@ -145,15 +188,11 @@ def test_pyramid_weights_match_selection():
 def test_pyramid_gradient_wrt_embedding():
     params = _miner(d_in=2, hidden=6, n=2, seed=5)
     x = _window(t=16, d=2, seed=6)[None]
-    periods = PeriodSet((2, 5), (8, 4), np.array([1.0, 1.0]))
 
     def scalar():
         h = embed(x, params)
-        pyr = extract_pyramid(h, params, periods)
-        total = ad.tsum(pyr.weights)
-        for block in pyr.factors:
-            total = total + ad.tsum(ad.tanh(block))
-        return total
+        pyr = extract_pyramid(h, params, [[2, 5]])  # periods 8 and 4
+        return ad.tsum(pyr.weights) + ad.tsum(ad.tanh(pyr.factors))
 
     for tensor in (params.embed_w, params.embed_b, params.grid_w, params.slot_w):
         tensor.grad = None
@@ -170,5 +209,6 @@ def test_miner_rejects_unbatched_input():
         embed(_window(), params)
     h = embed(_window()[None], params)
     with pytest.raises(ValueError, match=r"\(B, T, D_h\)"):
-        extract_pyramid(ad.reshape(h, h.shape[1:]), params,
-                        PeriodSet((3,), (8,), np.array([1.0])))
+        extract_pyramid(ad.reshape(h, h.shape[1:]), params, [[3]])
+    with pytest.raises(ValueError, match=r"\(1, k\) frequencies"):
+        extract_pyramid(h, params, [3])

@@ -6,31 +6,28 @@ from periflow import autodiff as ad
 from periflow.autodiff import Tensor
 from periflow.factors import CausalPyramid
 from periflow.fusion import init_fusion, fuse
-from periflow.spectral import PeriodSet
 
 
 def _pyramid(k, n=2, dh=4, seed=0, b=1):
     rng = np.random.default_rng(seed)
-    blocks = [Tensor(rng.normal(size=(b, n, dh)), requires_grad=True) for _ in range(k)]
+    factors = Tensor(rng.normal(size=(b, k, n, dh)), requires_grad=True)
     weights = Tensor(rng.normal(size=(b, k)), requires_grad=True)
-    ps = PeriodSet(tuple(range(1, k + 1)), tuple(10 // f for f in range(1, k + 1)),
-                   np.ones(k))
-    return CausalPyramid(blocks, weights, ps)
+    return CausalPyramid(factors, weights)
 
 
 def test_single_period_passthrough():
     pyr = _pyramid(1)
     out = fuse(pyr, init_fusion(4, np.random.default_rng(1)))
-    np.testing.assert_array_equal(out.values.data, pyr.factors[0].data)
+    np.testing.assert_array_equal(out.values.data, pyr.factors.data[:, 0])
     np.testing.assert_allclose(out.attention.data, [[1.0]])
 
 
 def test_identical_blocks_recovered():
     pyr = _pyramid(3, seed=2)
-    same = pyr.factors[0]
-    pyr = CausalPyramid([same, same, same], pyr.weights, pyr.periods)
+    same = pyr.factors.data[:, :1]
+    pyr = CausalPyramid(Tensor(np.repeat(same, 3, axis=1)), pyr.weights)
     out = fuse(pyr, init_fusion(4, np.random.default_rng(3)))
-    np.testing.assert_allclose(out.values.data, same.data, rtol=1e-12)
+    np.testing.assert_allclose(out.values.data, same[:, 0], rtol=1e-12)
 
 
 def test_matches_convex_combination_oracle():
@@ -41,7 +38,7 @@ def test_matches_convex_combination_oracle():
     w_hat = out.amp_softmax.data[0]
     u = w_hat * a_p
     u = u / u.sum()
-    oracle = sum(u[i] * pyr.factors[i].data[0] for i in range(3))
+    oracle = sum(u[i] * pyr.factors.data[0, i] for i in range(3))
     np.testing.assert_allclose(out.values.data[0], oracle, atol=1e-10)
 
 
@@ -53,8 +50,8 @@ def test_mixing_weights_are_probabilities():
         assert np.all(a >= 0) and abs(a.sum() - 1) < 1e-12
         assert np.all(w >= 0) and abs(w.sum() - 1) < 1e-12
         u = a * w / np.sum(a * w)
-        lo = np.min([f.data for f in pyr.factors], axis=0)
-        hi = np.max([f.data for f in pyr.factors], axis=0)
+        lo = np.min(pyr.factors.data, axis=1)
+        hi = np.max(pyr.factors.data, axis=1)
         assert np.all(out.values.data >= lo - 1e-9)
         assert np.all(out.values.data <= hi + 1e-9)
 
@@ -64,13 +61,8 @@ def test_permutation_equivariance():
     params = init_fusion(4, np.random.default_rng(7))
     out = fuse(pyr, params)
     perm = [2, 0, 1]
-    permuted = CausalPyramid(
-        [pyr.factors[i] for i in perm],
-        Tensor(pyr.weights.data[:, perm]),
-        PeriodSet(tuple(pyr.periods.frequencies[i] for i in perm),
-                  tuple(pyr.periods.periods[i] for i in perm),
-                  pyr.periods.weights[perm]),
-    )
+    permuted = CausalPyramid(Tensor(pyr.factors.data[:, perm]),
+                             Tensor(pyr.weights.data[:, perm]))
     out_p = fuse(permuted, params)
     np.testing.assert_allclose(out_p.attention.data[0], out.attention.data[0][perm],
                                atol=1e-12)
@@ -98,5 +90,5 @@ def test_fusion_gradients():
         out = fuse(pyr, params)
         return ad.tsum(ad.tanh(out.values)) + ad.tsum(out.attention * out.amp_softmax)
 
-    tensors = [params.query_w, params.key_w, pyr.weights] + pyr.factors
+    tensors = [params.query_w, params.key_w, pyr.weights, pyr.factors]
     check_gradients(loss, tensors)

@@ -88,7 +88,8 @@ def test_encode_batch_matches_per_window():
     for i, w in enumerate(windows):
         h = embed(w[None], bundle.miner)
         periods = top_k_periods(h.data, config.k_periods)[0]
-        one = fuse(extract_pyramid(h, bundle.miner, periods), bundle.fusion)
+        one = fuse(extract_pyramid(h, bundle.miner, [periods.frequencies]),
+                   bundle.fusion)
         np.testing.assert_allclose(rep.data[i], one.values.data[0], atol=1e-9)
         assert diags[i]["periods"] == periods.periods
 

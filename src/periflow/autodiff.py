@@ -66,9 +66,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf."""
         if self.data.size != 1:
@@ -264,20 +261,21 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def take(a: Tensor, rows) -> Tensor:
-    """Rows of `a` along axis 0 in the given order; a repeated row
-    receives the sum of its gradients."""
+def take(a: Tensor, rows, axis: int = 0) -> Tensor:
+    """Entries of `a` at the given indices along `axis`, in that order; a
+    repeated index receives the sum of its gradients."""
     rows = np.asarray(rows, dtype=np.intp)
+    index = (slice(None),) * axis + (rows,)
 
     def backward(g: Array):
         out = np.zeros_like(a.data)
         if np.unique(rows).size == rows.size:
-            out[rows] = g
+            out[index] = g
         else:  # np.add.at is several times slower, so only for repeats
-            np.add.at(out, rows, g)
+            np.add.at(out, index, g)
         return (out,)
 
-    return _node(a.data[rows], (a,), backward)
+    return _node(a.data[index], (a,), backward)
 
 
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
@@ -352,31 +350,35 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
-def time_context(x: Tensor, radius: int, cond: Tensor | None = None) -> Tensor:
-    """Sliding temporal window view of a (B, T, C) tensor.
+def time_context(x: Tensor, radius: int, rows, cond: Tensor) -> Tensor:
+    """Temporal context of a (B, T, C) tensor at the time indices `rows`.
 
-    Output (B, T, (2*radius+1)*C) concatenates x[:, t-radius ... t+radius, :]
-    per timestep, zero-padded at the boundaries; radius=0 copies x.
-    A (B, T, H) `cond` is appended as H more columns, so a coupling net's
-    whole input is written in one buffer.
+    Output (B, len(rows), (2*radius+1)*C + H): per row t the steps
+    x[:, t-radius ... t+radius, :], then the (B, H) `cond` of its window.
+    Steps outside [0, T) and the steps in `rows` themselves read as zero,
+    so a coupling net sees only the steps its layer keeps.
     """
     if x.ndim != 3:
         raise ValueError(f"time_context expects (B,T,C), got {x.shape}")
     b, t, c = x.shape
-    if cond is not None and (cond.ndim != 3 or cond.shape[:2] != (b, t)):
+    if cond.ndim != 2 or cond.shape[0] != b:
         raise ValueError(f"time_context: cond {cond.shape} does not match x {x.shape}")
-    parents = (x,) if cond is None else (x, cond)
-    width = (2 * radius + 1) * c
+    rows = np.asarray(rows, dtype=np.intp)
+    m, span = rows.size, 2 * radius + 1
+    width = span * c
     padded = np.zeros((b, t + 2 * radius, c))
     padded[:, radius:radius + t, :] = x.data
-    out_data = np.concatenate([padded[:, j:j + t, :] for j in range(2 * radius + 1)]
-                              + [p.data for p in parents[1:]], axis=2)
+    padded[:, rows + radius, :] = 0.0
+    out_data = np.empty((b, m, width + cond.shape[1]))
+    out_data[:, :, :width] = padded[:, rows[:, None] + np.arange(span)].reshape(b, m, width)
+    out_data[:, :, width:] = cond.data[:, None, :]
 
     def backward(g: Array):
         acc = np.zeros((b, t + 2 * radius, c))
-        for j in range(2 * radius + 1):
-            acc[:, j:j + t, :] += g[:, :, j * c:(j + 1) * c]
-        gx = np.ascontiguousarray(acc[:, radius:radius + t, :])
-        return (gx, g[:, :, width:])[:len(parents)]
+        for j in range(span):
+            acc[:, rows + j, :] += g[:, :, j * c:(j + 1) * c]
+        gx = acc[:, radius:radius + t, :]
+        gx[:, rows, :] = 0.0
+        return np.ascontiguousarray(gx), g[:, :, width:].sum(axis=1)
 
-    return _node(out_data, parents, backward)
+    return _node(out_data, (x, cond), backward)

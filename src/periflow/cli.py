@@ -190,6 +190,9 @@ def cmd_score(args) -> int:
     train_cfg, gen_cfg = load_config(args.config, args.set, args.seed)
     bundle = load_checkpoint(args.checkpoint)
     series = load_csv(args.data)
+    if series.dims != bundle.d_in:
+        raise ValueError(f"{args.data}: {series.dims} data columns, but the checkpoint "
+                         f"was trained on {bundle.d_in}")
     values = series.values
     if bundle.stats is not None:
         values = bundle.stats.apply(values)

@@ -1,14 +1,14 @@
 """Conditional coupling flow with checkerboard-in-time partitioning.
 
-Each layer keeps the timesteps selected by the periodic mask unchanged and
-applies an affine map z = (x - t) * exp(-s) to the rest. The scale and
-translation networks see the masked values inside a temporal context
-window around each timestep, concatenated with the per-window conditioning
-vector, so the Jacobian stays block-triangular and the log-determinant is
-exactly -sum(s) over transformed entries. Masks alternate with their
-complement across layers, covering every entry. `forward` and `inverse`
-compute each layer's (s, t) with the same helper; `inverse` records no
-graph.
+Each layer keeps the timesteps of one value of the periodic mask unchanged
+and applies an affine map z = (x - t) * exp(-s) to the others, its moved
+rows. The scale and translation networks run on the moved rows only: each
+sees the kept values inside a temporal context window around its timestep,
+concatenated with the per-window conditioning vector, so the Jacobian
+stays block-triangular and the log-determinant is exactly -sum(s).
+Consecutive layers move the two mask values in turn, covering every entry.
+`forward` and `inverse` compute each layer's (s, t) with the same helper;
+`inverse` records no graph.
 
 Zero-initialised output layers make the whole flow start as the identity.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericOverflow, Tensor
-from .masks import PeriodicMask, build_mask, complement
+from .masks import PeriodicMask, build_mask
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 SCALE_CLAMP = 5.0
@@ -61,7 +61,6 @@ class FlowModel:
     mask: PeriodicMask
     d_in: int
     hidden: int
-    n_factors: int
     context_radius: int
 
     def named(self, prefix: str = "flow") -> dict[str, Tensor]:
@@ -103,8 +102,7 @@ def init_flow(d_in: int, hidden: int, n_factors: int, period: int,
     cond_w = Tensor(rng.normal(0.0, scale, size=(n_factors * hidden, hidden)),
                     requires_grad=True)
     cond_b = Tensor(np.zeros(hidden), requires_grad=True)
-    return FlowModel(layers, cond_w, cond_b, mask, d_in, hidden, n_factors,
-                     radius)
+    return FlowModel(layers, cond_w, cond_b, mask, d_in, hidden, radius)
 
 
 def condition(c_ind, model: FlowModel) -> Tensor:
@@ -120,36 +118,36 @@ def condition(c_ind, model: FlowModel) -> Tensor:
     return ad.affine(ad.reshape(c, (b, n * dh)), model.cond_w, model.cond_b)
 
 
-def _layer_masks(model: FlowModel, t: int) -> list[np.ndarray]:
-    """(1, T, 1) keep-masks per layer, alternating with their complement;
-    callers broadcast them over batch and channels. A one-step window is
-    cut from a two-step mask so it can still be scored (the flow is the
-    identity there anyway when nets are zero)."""
-    even = build_mask(model.mask.period, max(t, 2))
-    pair = [m.time_pattern[None, :t, None] for m in (even, complement(even))]
+def _moved_rows(model: FlowModel, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, the time indices it moves and a merge index over
+    concat([h, moved], axis=1) that puts them back in place. Even layers
+    move the steps where the `build_mask` pattern is 0, odd layers the
+    others. A one-step window is cut from a two-step mask so it can still
+    be scored (the flow is the identity there anyway when nets are zero)."""
+    pattern = build_mask(model.mask.period, max(t, 2)).time_pattern[:t]
+    pair = [(np.flatnonzero(moved), np.where(moved, t - 1 + np.cumsum(moved), np.arange(t)))
+            for moved in (pattern == 0.0, pattern == 1.0)]
     return [pair[li % 2] for li in range(len(model.layers))]
 
 
-def _cond_per_step(h_c, b: int, t: int, model: FlowModel) -> Tensor:
-    """Conditioning vectors (B, D_h), repeated over the T timesteps once for
-    all layers."""
+def _conditioning(h_c, b: int, model: FlowModel) -> Tensor:
     hc = h_c if isinstance(h_c, Tensor) else Tensor(h_c)
     if hc.shape != (b, model.hidden):
         raise FlowError(f"conditioning shape {hc.shape} != ({b}, {model.hidden})")
-    return ad.broadcast_to(ad.reshape(hc, (b, 1, model.hidden)),
-                           (b, t, model.hidden))
+    return hc
 
 
-def _scale_shift(layer: CouplingLayer, kept: Tensor, hc_wide: Tensor,
+def _scale_shift(layer: CouplingLayer, h: Tensor, rows: np.ndarray, hc: Tensor,
                  model: FlowModel) -> tuple[Tensor, Tensor]:
-    """(s, t) of one coupling layer from the kept entries (B, T, D) and the
-    per-step conditioning (B, T, D_h); s is soft-clamped to
-    (-SCALE_CLAMP, SCALE_CLAMP)."""
-    b, t, d = kept.shape
-    inp = ad.reshape(ad.time_context(kept, model.context_radius, hc_wide), (b * t, -1))
-    s_raw = ad.reshape(layer.s_net(inp), (b, t, d))
+    """(s, t) of one coupling layer at its moved rows, each (B, M, D), from
+    the kept steps of h (B, T, D) and the conditioning (B, D_h); s is
+    soft-clamped to (-SCALE_CLAMP, SCALE_CLAMP)."""
+    b, _, d = h.shape
+    ctx = ad.time_context(h, model.context_radius, rows, hc)
+    inp = ad.reshape(ctx, (-1, ctx.shape[2]))
+    s_raw = ad.reshape(layer.s_net(inp), (b, rows.size, d))
     s = ad.tanh(s_raw * (1.0 / SCALE_CLAMP)) * SCALE_CLAMP
-    return s, ad.reshape(layer.t_net(inp), (b, t, d))
+    return s, ad.reshape(layer.t_net(inp), (b, rows.size, d))
 
 
 def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
@@ -167,21 +165,19 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
         raise FlowError("empty batch")
     if d != model.d_in:
         raise FlowError(f"forward: input dim {d} != model dim {model.d_in}")
-    hc_wide = _cond_per_step(h_c, b, t, model)
+    hc = _conditioning(h_c, b, model)
 
     logdet = Tensor(np.zeros(b))
     logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
-    for li, (layer, mask_np) in enumerate(zip(model.layers, _layer_masks(model, t))):
-        keep = Tensor(np.broadcast_to(mask_np, (b, t, d)).copy())
-        move = Tensor(np.broadcast_to(1.0 - mask_np, (b, t, d)).copy())
-        s, t_out = _scale_shift(layer, h * keep, hc_wide, model)
-        h = h * keep + ((h - t_out) * ad.exp(ad.neg(s))) * move
+    for li, (layer, (rows, merge)) in enumerate(zip(model.layers, _moved_rows(model, t))):
+        s, t_out = _scale_shift(layer, h, rows, hc, model)
+        moved = (ad.take(h, rows, axis=1) - t_out) * ad.exp(ad.neg(s))
+        h = ad.take(ad.concat([h, moved], axis=1), merge, axis=1)
         if not np.all(np.isfinite(h.data)):
             raise NumericOverflow(f"non-finite values after coupling layer {li}")
-        s_used = s * move
-        logdet = logdet - ad.tsum(s_used, axis=(1, 2))
+        logdet = logdet - ad.tsum(s, axis=(1, 2))
         if logdet_t is not None:
-            logdet_t -= s_used.data.sum(axis=2)
+            logdet_t[:, rows] -= s.data.sum(axis=2)
     if want_timestep_logdet:
         return h, logdet, logdet_t
     return h, logdet
@@ -190,17 +186,15 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
 def inverse(z, h_c, model: FlowModel) -> np.ndarray:
     """Exact inverse of `forward` for (B, T, D) latents, as a numpy array
     (no gradients)."""
-    h = np.asarray(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
+    h = np.array(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
     if h.ndim != 3:
         raise FlowError(f"inverse expects (B, T, D) latents, got shape {h.shape}")
-    b, t, d = h.shape
     with ad.no_grad():
-        hc_wide = _cond_per_step(h_c, b, t, model)
-        for layer, mask_np in zip(reversed(model.layers),
-                                  reversed(_layer_masks(model, t))):
-            keep = np.broadcast_to(mask_np, (b, t, d))
-            s, t_out = _scale_shift(layer, Tensor(h * keep), hc_wide, model)
-            h = h * keep + (h * np.exp(s.data) + t_out.data) * (1.0 - keep)
+        hc = _conditioning(h_c, h.shape[0], model)
+        for layer, (rows, _) in zip(reversed(model.layers),
+                                    reversed(_moved_rows(model, h.shape[1]))):
+            s, t_out = _scale_shift(layer, Tensor(h), rows, hc, model)
+            h[:, rows] = h[:, rows] * np.exp(s.data) + t_out.data
             if not np.all(np.isfinite(h)):
                 raise NumericOverflow("non-finite values while inverting")
     return h

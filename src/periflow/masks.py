@@ -33,7 +33,3 @@ def build_mask(period: int, window_length: int) -> PeriodicMask:
     p = period if period < window_length else int(np.ceil(window_length / 2))
     pattern = (np.arange(window_length) // p) % 2
     return PeriodicMask(pattern.astype(np.float64), p)
-
-
-def complement(mask: PeriodicMask) -> PeriodicMask:
-    return PeriodicMask(1.0 - mask.time_pattern, mask.period)

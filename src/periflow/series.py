@@ -106,10 +106,6 @@ class WindowBatch:
     def count(self) -> int:
         return self.windows.shape[0]
 
-    @property
-    def window_length(self) -> int:
-        return self.windows.shape[1]
-
 
 def _parse_number(text: str, line_no: int, column: str) -> float:
     try:

@@ -251,19 +251,21 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
         seen = 0
         for bi, lo in enumerate(range(0, train.count, config.batch_size)):
             idx = order[lo:lo + config.batch_size]
-            try:
-                loss, comps, _ = total_loss(train.windows[idx], bundle, noise_rng)
-                finite = np.isfinite(loss.item())
-            except ad.NumericOverflow:
-                finite = False
-            if not finite:
-                store.restore(best_snap)  # keep the last good parameters
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, bundle)
-                raise TrainingDiverged(epoch, bi)
-            store.zero_grad()
-            loss.backward()
-            store.adam_step(config.lr)
+            # overflow is caught by the finiteness check, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    loss, comps, _ = total_loss(train.windows[idx], bundle, noise_rng)
+                    finite = np.isfinite(loss.item())
+                except ad.NumericOverflow:
+                    finite = False
+                if not finite:
+                    store.restore(best_snap)  # keep the last good parameters
+                    if checkpoint_path is not None:
+                        save_checkpoint(checkpoint_path, bundle)
+                    raise TrainingDiverged(epoch, bi)
+                store.zero_grad()
+                loss.backward()
+                store.adam_step(config.lr)
             del loss  # free this step's tape before the next one is built
             for key in sums:
                 sums[key] += comps[key] * len(idx)

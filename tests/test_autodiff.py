@@ -123,56 +123,65 @@ def test_gradients_div_mul():
 
 @pytest.mark.parametrize("radius", [0, 1, 3])
 def test_time_context_semantics(radius):
-    b, t, c = 2, 6, 2
+    b, t, c, hdim = 2, 6, 2, 3
     rng = np.random.default_rng(11)
     x = rng.normal(size=(b, t, c))
-    out = ad.time_context(Tensor(x), radius).data
-    assert out.shape == (b, t, (2 * radius + 1) * c)
-    for ti in range(t):
+    cond = rng.normal(size=(b, hdim))
+    rows = np.array([4, 0, 1])
+    out = ad.time_context(Tensor(x), radius, rows, Tensor(cond)).data
+    width = (2 * radius + 1) * c
+    assert out.shape == (b, rows.size, width + hdim)
+    for i, ti in enumerate(rows):
         for j, shift in enumerate(range(-radius, radius + 1)):
             src = ti + shift
-            block = out[:, ti, j * c:(j + 1) * c]
-            if 0 <= src < t:
+            block = out[:, i, j * c:(j + 1) * c]
+            if 0 <= src < t and src not in rows:
                 np.testing.assert_array_equal(block, x[:, src, :])
-            else:
+            else:  # padding and the rows themselves read as zero
                 np.testing.assert_array_equal(block, 0.0)
+        np.testing.assert_array_equal(out[:, i, width:], cond)
 
 
 def test_time_context_gradient():
     rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
+    cond = Tensor(rng.normal(size=(2, 4)))
+    w = Tensor(rng.normal(size=(13, 2)), requires_grad=True)
+    rows = [3, 1, 4]
 
     def loss():
-        ctx = ad.time_context(x, 1)
-        flat = ad.reshape(ctx, (10, 9))
+        ctx = ad.time_context(x, 1, rows, cond)
+        flat = ad.reshape(ctx, (6, 13))
         return ad.tsum(ad.tanh(ad.matmul(flat, w)))
 
     check_gradients(loss, [x, w])
+    loss().backward()
+    np.testing.assert_array_equal(x.grad[:, rows], 0.0)
 
 
 def test_time_context_cond_columns():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(2, 5, 3))
-    cond = rng.normal(size=(2, 5, 4))
-    out = ad.time_context(Tensor(x), 1, Tensor(cond)).data
-    np.testing.assert_array_equal(out[:, :, :9], ad.time_context(Tensor(x), 1).data)
-    np.testing.assert_array_equal(out[:, :, 9:], cond)
-    with pytest.raises(ValueError, match="does not match"):
-        ad.time_context(Tensor(x), 1, Tensor(cond[:, :4]))
+    cond = rng.normal(size=(2, 4))
+    out = ad.time_context(Tensor(x), 1, [0, 2], Tensor(cond)).data
+    np.testing.assert_array_equal(out[:, :, 9:], np.stack([cond, cond], axis=1))
+    empty = ad.time_context(Tensor(x), 1, np.zeros(0, dtype=int), Tensor(cond))
+    assert empty.shape == (2, 0, 13)
+    for bad in (cond[:1], cond[:, None, :]):
+        with pytest.raises(ValueError, match="does not match"):
+            ad.time_context(Tensor(x), 1, [0, 2], Tensor(bad))
 
 
 @pytest.mark.parametrize("radius", [0, 2])
 def test_time_context_cond_gradient(radius):
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-    hc = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
+    hc = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     width = (2 * radius + 1) * 3 + 4
     w = Tensor(rng.normal(size=(width, 2)), requires_grad=True)
 
     def loss():
-        cond = ad.broadcast_to(hc, (2, 5, 4))
-        flat = ad.reshape(ad.time_context(x, radius, cond), (10, width))
+        flat = ad.reshape(ad.time_context(x, radius, [0, 2, 3], hc), (6, width))
         return ad.tsum(ad.tanh(ad.matmul(flat, w)))
 
     check_gradients(loss, [x, hc, w])
@@ -190,7 +199,7 @@ def test_no_grad_records_nothing():
     assert taped.requires_grad and taped._parents and taped._backward is not None
     with ad.no_grad():
         plain = _composite(a, b)
-        ctx = ad.time_context(ad.reshape(a, (1, 4, 3)), 1)
+        ctx = ad.time_context(ad.reshape(a, (1, 4, 3)), 1, [1, 2], ad.reshape(b, (1, 6)))
     for out in (plain, ctx):
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
@@ -254,3 +263,12 @@ def test_take_gradient_with_unique_rows_matches_add_at():
     expected = np.zeros_like(a.data)
     np.add.at(expected, rows, g)
     np.testing.assert_array_equal(a.grad, expected)
+
+
+def test_take_along_axis():
+    rng = np.random.default_rng(32)
+    a = _param(rng, 2, 5, 3)
+    w = Tensor(rng.normal(size=(2, 4, 3)))
+    for rows in ([4, 0, 2, 1], [3, 1, 3, 3]):
+        np.testing.assert_array_equal(ad.take(a, rows, axis=1).data, a.data[:, rows])
+        check_gradients(lambda: ad.tsum(ad.tanh(ad.take(a, rows, axis=1)) * w), [a])

@@ -110,6 +110,42 @@ def test_missing_checkpoint_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _write_series(path, channels, length):
+    cols = ",".join(f"x{c}" for c in range(channels))
+    rows = "".join(f"{i}," + ",".join(f"{np.sin(i / (3 + c)):.6f}" for c in range(channels))
+                   + "\n" for i in range(length))
+    path.write_text(f"t,{cols}\n{rows}")
+
+
+def test_diverging_train_is_one_line_error(tmp_path, capsys):
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 400)
+    run = tmp_path / "run"
+    code = main(["train", "--data", str(csv), "--out", str(run), *FAST,
+                 "--set", "lr=1e200"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at epoch 1") and err.count("\n") == 1
+    assert (run / "model.npz").exists()
+
+
+@pytest.mark.parametrize("standardize", ["true", "false"])
+def test_score_channel_mismatch_names_both_counts(tmp_path, capsys, standardize):
+    train_csv, score_csv = tmp_path / "train.csv", tmp_path / "score.csv"
+    _write_series(train_csv, 3, 300)
+    _write_series(score_csv, 2, 400)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(train_csv), "--out", str(run), *FAST,
+                 "--set", "epochs=1", "--set", f"apply_standardization={standardize}"]) == 0
+    capsys.readouterr()
+    code = main(["score", "--checkpoint", str(run / "model.npz"), "--data", str(score_csv),
+                 "--out", str(tmp_path / "scored")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {score_csv}: 2 data columns, but the checkpoint was trained on 3\n")
+    assert not (tmp_path / "scored").exists()
+
+
 def test_bad_config_key_is_one_line_error(tmp_path, capsys):
     code = main(["gen", "--out", str(tmp_path), "--set", "mystery=1"])
     assert code == 1

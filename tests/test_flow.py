@@ -5,8 +5,9 @@ import pytest
 from conftest import numeric_gradient, relative_error
 from periflow import autodiff as ad
 from periflow.autodiff import Tensor
-from periflow.flow import (SCALE_CLAMP, anomaly_score, condition, forward,
-                           init_flow, inverse, log_prob, nll_loss)
+from periflow.flow import (SCALE_CLAMP, _moved_rows, anomaly_score, condition,
+                           forward, init_flow, inverse, log_prob, nll_loss)
+from periflow.masks import build_mask
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -207,11 +208,13 @@ def test_condition_gradient():
 
 
 def test_mask_alternation_covers_everything():
-    model = _model(d=2, t=9, period=3, layers=2)
-    from periflow.flow import _layer_masks
-    masks = _layer_masks(model, 9)
-    moved = sum((1.0 - m[0]) for m in masks)
-    assert np.all(moved >= 1.0)
+    # consecutive layers move disjoint rows that together are range(T)
+    model = _model(d=2, t=9, period=3, layers=3)
+    for t in (1, 2, 5, 9, 14):
+        layers = _moved_rows(model, t)
+        for (rows_a, _), (rows_b, _) in zip(layers, layers[1:]):
+            np.testing.assert_array_equal(np.sort(np.concatenate([rows_a, rows_b])),
+                                          np.arange(t))
 
 
 def test_anomaly_score_decomposition():
@@ -245,19 +248,19 @@ def test_forward_rejects_wrong_dim():
         forward(np.zeros((1, 4, 3)), Tensor(np.zeros((1, 6))), model)
 
 
-def test_layer_masks_follow_build_mask():
-    from periflow.flow import _layer_masks
-    from periflow.masks import build_mask
+def test_moved_rows_follow_build_mask():
     model = _model(d=2, t=9, period=3, layers=3)
-    masks = _layer_masks(model, 9)
     pattern = build_mask(3, 9).time_pattern
-    for li, m in enumerate(masks):
-        assert m.shape == (1, 9, 1)
-        np.testing.assert_array_equal(m[0, :, 0],
-                                      pattern if li % 2 == 0 else 1.0 - pattern)
-    one_step = _layer_masks(model, 1)
-    assert [m.shape for m in one_step] == [(1, 1, 1)] * 3
-    assert [m[0, 0, 0] for m in one_step] == [0.0, 1.0, 0.0]
+    for li, (rows, merge) in enumerate(_moved_rows(model, 9)):
+        np.testing.assert_array_equal(rows, np.flatnonzero(pattern == li % 2))
+        # merge picks h's own row where it is kept, the moved copy elsewhere
+        merged = np.concatenate([np.arange(9), 100 + np.arange(rows.size)])[merge]
+        expected = np.arange(9)
+        expected[rows] = 100 + np.arange(rows.size)
+        np.testing.assert_array_equal(merged, expected)
+    one_step = _moved_rows(model, 1)
+    assert [rows.tolist() for rows, _ in one_step] == [[0], [], [0]]
+    assert [merge.tolist() for _, merge in one_step] == [[1], [0], [1]]
 
 
 def test_single_step_window_roundtrip():
@@ -307,3 +310,90 @@ def test_flow_rejects_unbatched_input():
         forward(np.zeros((1, 8, 2)), np.zeros(6), model)
     with pytest.raises(Exception, match="empty batch"):
         nll_loss(np.zeros((0, 8, 2)), np.zeros((0, 6)), model)
+
+
+def _dense_keep_masks(model, t):
+    """(1, T, 1) keep-masks per layer as the dense coupling used them: the
+    `build_mask` pattern on even layers, its complement on odd ones."""
+    pattern = build_mask(model.mask.period, max(t, 2)).time_pattern[None, :t, None]
+    return [pattern if li % 2 == 0 else 1.0 - pattern for li in range(len(model.layers))]
+
+
+def _dense_scale_shift(layer, kept, hc, model):
+    """(s, t) at every timestep from a zero-padded context of the kept
+    entries, built from slices, with the conditioning repeated per step."""
+    b, t, d = kept.shape
+    r = model.context_radius
+    pad = Tensor(np.zeros((b, r, d)))
+    padded = ad.concat([pad, kept, pad], axis=1)
+    cols = [ad.take(padded, np.arange(j, j + t), axis=1) for j in range(2 * r + 1)]
+    cols.append(ad.broadcast_to(ad.reshape(hc, (b, 1, model.hidden)), (b, t, model.hidden)))
+    inp = ad.reshape(ad.concat(cols, axis=2), (b * t, -1))
+    s_raw = ad.reshape(layer.s_net(inp), (b, t, d))
+    s = ad.tanh(s_raw * (1.0 / SCALE_CLAMP)) * SCALE_CLAMP
+    return s, ad.reshape(layer.t_net(inp), (b, t, d))
+
+
+def _dense_forward(x, hc, model):
+    """Oracle: the coupling computed at every timestep and masked with
+    dense keep/move tensors."""
+    h = x
+    b, t, d = x.shape
+    logdet = Tensor(np.zeros(b))
+    logdet_t = np.zeros((b, t))
+    for layer, mask in zip(model.layers, _dense_keep_masks(model, t)):
+        keep = Tensor(np.broadcast_to(mask, (b, t, d)).copy())
+        move = Tensor(np.broadcast_to(1.0 - mask, (b, t, d)).copy())
+        s, t_out = _dense_scale_shift(layer, h * keep, hc, model)
+        h = h * keep + ((h - t_out) * ad.exp(ad.neg(s))) * move
+        s_used = s * move
+        logdet = logdet - ad.tsum(s_used, axis=(1, 2))
+        logdet_t -= s_used.data.sum(axis=2)
+    return h, logdet, logdet_t
+
+
+def _dense_inverse(z, hc, model):
+    h = z.copy()
+    b, t, d = h.shape
+    with ad.no_grad():
+        for layer, mask in zip(reversed(model.layers),
+                               reversed(_dense_keep_masks(model, t))):
+            keep = np.broadcast_to(mask, (b, t, d))
+            s, t_out = _dense_scale_shift(layer, Tensor(h * keep), hc, model)
+            h = h * keep + (h * np.exp(s.data) + t_out.data) * (1.0 - keep)
+    return h
+
+
+def _assert_close(actual, expected, rtol=1e-12):
+    scale = max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
+    assert actual.shape == expected.shape
+    assert float(np.max(np.abs(actual - expected), initial=0.0)) <= rtol * scale
+
+
+@pytest.mark.parametrize("t_model, t, period, radius, layers", [
+    (8, 1, 3, None, 2), (8, 1, 3, 0, 3), (2, 2, 1, None, 1), (9, 9, 3, 0, 3),
+    (9, 9, 2, 12, 2), (60, 60, 7, None, 2), (60, 61, 20, 0, 1), (61, 61, 9, 70, 3),
+])
+def test_moved_rows_match_dense_oracle(t_model, t, period, radius, layers):
+    # values, log-dets, inverse and every gradient equal the dense coupling
+    model = _model(d=2, hidden=5, n=2, period=period, t=t_model, layers=layers,
+                   seed=50 + t, radius=radius, out_scale=0.4)
+    rng = np.random.default_rng(51 + t)
+    x = Tensor(rng.normal(size=(3, t, 2)), requires_grad=True)
+    hc = Tensor(rng.normal(size=(3, model.hidden)), requires_grad=True)
+    # every coupling-net parameter (the conditioner is not part of forward)
+    tensors = [p for name, p in model.named().items() if ".layer" in name] + [x, hc]
+
+    def run(coupling):
+        for p in tensors:
+            p.grad = None
+        z, logdet, logdet_t = coupling()
+        (ad.tsum(z * z) * 0.5 - ad.tsum(logdet)).backward()
+        return [z.data, logdet.data, logdet_t] + [p.grad.copy() for p in tensors]
+
+    moved = run(lambda: forward(x, hc, model, want_timestep_logdet=True))
+    dense = run(lambda: _dense_forward(x, hc, model))
+    for actual, expected in zip(moved, dense):
+        _assert_close(actual, expected)
+    z = moved[0]
+    _assert_close(inverse(z, hc, model), _dense_inverse(z, hc, model))

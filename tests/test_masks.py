@@ -4,7 +4,7 @@ import pytest
 
 from periflow.autodiff import Tensor
 from periflow.flow import forward, init_flow
-from periflow.masks import MaskError, build_mask, complement
+from periflow.masks import MaskError, build_mask
 
 
 def test_basic_pattern():
@@ -30,17 +30,6 @@ def test_rejects_nonpositive_period():
         build_mask(0, 10)
     with pytest.raises(MaskError):
         build_mask(3, 1)
-
-
-def test_complement_involution_and_partition():
-    m = build_mask(3, 12)
-    c = complement(m)
-    np.testing.assert_array_equal(c.time_pattern[:4], [1, 1, 1, 0])
-    np.testing.assert_array_equal(complement(c).time_pattern, m.time_pattern)
-    assert m.time_pattern.sum() + c.time_pattern.sum() == 12
-    np.testing.assert_array_equal(m.time_pattern * c.time_pattern, 0.0)
-    np.testing.assert_array_equal(m.time_pattern + c.time_pattern, 1.0)
-    assert c.period == m.period
 
 
 def test_half_ones_when_length_divides():

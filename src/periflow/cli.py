@@ -203,10 +203,9 @@ def cmd_score(args) -> int:
     tau, tau_t, diags = score_windows(bundle, windows.windows)
     points = window_scores_to_points(tau_t, windows.window_starts, prepared.length)
     out = Path(args.out)
-    diagnostics = [{"window_start": int(s), **d}
-                   for s, d in zip(windows.window_starts, diags)]
     summary = emit_reports(out, points.scores, series.labels,
-                           diagnostics=diagnostics,
+                           diagnostics={"window_start": windows.window_starts,
+                                        **diags},
                            metadata={"checkpoint": str(args.checkpoint),
                                      "data": str(args.data),
                                      "windows": int(windows.count),
@@ -255,8 +254,8 @@ def cmd_inspect(args) -> int:
     train_cfg, _ = load_config(args.config, args.set, args.seed)
     series = load_csv(args.data)
     period = discover_global_period(series)
-    ps = top_k_periods(series.values[None], min(train_cfg.k_periods,
-                                                 max(1, series.length // 2 - 1)))[0]
+    freqs, periods, amps = top_k_periods(
+        series.values[None], min(train_cfg.k_periods, max(1, series.length // 2 - 1)))
     strength = {}
     for d, name in enumerate(series.dim_names):
         try:
@@ -264,9 +263,9 @@ def cmd_inspect(args) -> int:
         except SpectralError:  # too short for two cycles of the period
             strength[name] = None
     report = {"global_period": period,
-              "top_periods": list(ps.periods),
-              "top_frequencies": list(ps.frequencies),
-              "amplitudes": [float(w) for w in ps.weights],
+              "top_periods": periods[0].tolist(),
+              "top_frequencies": freqs[0].tolist(),
+              "amplitudes": amps[0].tolist(),
               "periodicity_strength": strength}
     if args.out:
         out = Path(args.out)

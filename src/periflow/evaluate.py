@@ -96,10 +96,14 @@ def auroc_summary(scores: np.ndarray, labels: np.ndarray) -> dict:
 
 
 def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
-                 diagnostics: list[dict] | None = None,
+                 diagnostics: dict | None = None,
                  metadata: dict | None = None) -> dict:
     """Write the score histogram, per-step trace, per-window period-weight
     table, and a summary JSON. Returns the summary dict.
+
+    `diagnostics` holds the (B,) `window_start`s and the (B, k) `periods`,
+    `amp_weights` and `attention` of `score_windows`; the period-weight
+    table gets k rows per window.
 
     The summary is computed first, so a failure there writes no file."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -132,13 +136,14 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
             fh.write(f"{i},{float(s)!r},{float(-s)!r}\n")
 
     if diagnostics is not None:
+        k = diagnostics["periods"].shape[1]
+        rows = zip(np.repeat(diagnostics["window_start"], k).tolist(),
+                   *(diagnostics[key].ravel().tolist()
+                     for key in ("periods", "amp_weights", "attention")))
         with open(out / "period_weights.csv", "w", encoding="utf-8") as fh:
             fh.write("window_start,period,amplitude_weight,attention_score\n")
-            for row in diagnostics:
-                for p, w, a in zip(row["periods"], row["amp_weights"],
-                                   row["attention"]):
-                    fh.write(f"{row['window_start']},{p},"
-                             f"{float(w)!r},{float(a)!r}\n")
+            for start, p, w, a in rows:
+                fh.write(f"{start},{p},{w!r},{a!r}\n")
 
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

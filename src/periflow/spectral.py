@@ -1,14 +1,13 @@
 """Frequency-domain utilities: period selection, band-noise augmentation,
 and a seasonal-strength diagnostic.
 
-`top_k_periods` is the one period picker: the strongest bins of the
-channel-averaged amplitude spectrum (unnormalized numpy FFT). The global
-period of a series is its top-1 pick. The DC bin never participates in
-period selection because it encodes the mean, not a rhythm.
+`top_k_periods` is the one period picker: the k strongest bins of the
+channel-averaged amplitude spectrum (unnormalized numpy FFT), exactly k
+per window, as (B, k) arrays. The global period of a series is its top-1
+pick. The DC bin never participates in period selection because it
+encodes the mean, not a rhythm.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,32 +18,15 @@ class SpectralError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PeriodSet:
-    """Top-k frequency bins with their period lengths and raw amplitudes."""
-
-    frequencies: tuple[int, ...]
-    periods: tuple[int, ...]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if len(self.frequencies) < 1:
-            raise SpectralError("a period set needs at least one frequency")
-        if len(set(self.frequencies)) != len(self.frequencies):
-            raise SpectralError("frequencies must be distinct")
-
-    @property
-    def k(self) -> int:
-        return len(self.frequencies)
-
-
-def top_k_periods(x: np.ndarray, k: int) -> list[PeriodSet]:
+def top_k_periods(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k largest-amplitude bins (channel-averaged, DC excluded) of each
-    window of a (B, T, C) batch; one PeriodSet per window.
+    window of a (B, T, C) batch.
 
-    Candidate bins are the non-redundant half 1..T//2; ties resolve to the
-    lower bin. If fewer bins of a window carry energy than requested, only
-    those are returned (always at least the strongest).
+    Returns (frequencies, periods, amplitudes), each (B, k), strongest pick
+    first. Candidate bins are the non-redundant half 1..T//2; amplitudes of
+    at most 1e-12 read as zero and ties resolve to the lower bin, so a
+    window with fewer than k energetic bins fills its remaining picks with
+    its lowest unpicked bins (a constant window picks 1..k).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -54,15 +36,10 @@ def top_k_periods(x: np.ndarray, k: int) -> list[PeriodSet]:
         raise SpectralError(f"k must satisfy 1 <= k < T/2, got k={k}, T={t}")
     amp = np.abs(np.fft.fft(x, axis=1)).mean(axis=2)
     band = amp[:, 1:t // 2 + 1]
-    picks = np.argsort(-band, axis=1, kind="stable")[:, :k]
-    top = np.take_along_axis(band, picks, axis=1)
-    counts = 1 + np.count_nonzero(top[:, 1:] > 1e-12, axis=1)
-    freqs = picks + 1
+    band = np.where(band > 1e-12, band, 0.0)
+    freqs = np.argsort(-band, axis=1, kind="stable")[:, :k] + 1
     # f <= T//2, so every period ceil(T/f) is at least 2
-    periods = -(-t // freqs)
-    weights = np.take_along_axis(amp, freqs, axis=1)
-    return [PeriodSet(tuple(f[:n].tolist()), tuple(p[:n].tolist()), w[:n])
-            for f, p, w, n in zip(freqs, periods, weights, counts)]
+    return freqs, -(-t // freqs), np.take_along_axis(amp, freqs, axis=1)
 
 
 def discover_global_period(series: MultivariateSeries) -> int:
@@ -73,7 +50,7 @@ def discover_global_period(series: MultivariateSeries) -> int:
         raise SpectralError("need at least 4 samples to discover a period")
     if np.allclose(values, values[0], atol=1e-12):
         raise SpectralError("constant series has no dominant frequency")
-    return top_k_periods(values[None], 1)[0].periods[0]
+    return int(top_k_periods(values[None], 1)[1][0, 0])
 
 
 def intervene(x: np.ndarray, k_h_frac: float = 0.25, sigma: float = 0.1,

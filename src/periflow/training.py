@@ -6,17 +6,16 @@ consistency and orthogonality treatment losses:
 
     total = nll + alpha * similarity + beta * independence
 
-A batch is embedded once and folded as one (B, k, N, D_h) pyramid; only
-windows with fewer than k energetic bins (constant windows, say) form a
-group of their own. Group results are gathered back into batch order,
-which keeps the math equal to a window-at-a-time composition of the
-module-level operations.
+A batch is embedded once, every window picks exactly k periods, and the
+batch is folded as one (B, k, N, D_h) pyramid and fused once, which keeps
+the math equal to a window-at-a-time composition of the module-level
+operations.
 """
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,8 @@ from .factors import MinerParams, embed, extract_pyramid, init_miner
 from .flow import FlowModel, condition, anomaly_score, init_flow, nll_loss
 from .fusion import FusionParams, fuse, init_fusion
 from .optim import ParamStore
-from .series import MultivariateSeries, SplitSpec, Standardization, WindowBatch, \
-    make_windows, standardize
+from .series import MultivariateSeries, SeriesError, SplitSpec, Standardization, \
+    WindowBatch, make_windows, standardize
 from .spectral import discover_global_period, intervene, top_k_periods
 
 CHECKPOINT_VERSION = 1
@@ -135,42 +134,17 @@ def make_store(bundle: ModelBundle) -> ParamStore:
 def encode_batch(windows: np.ndarray, bundle: ModelBundle):
     """Clean-path representation (B, N, D_h) for a stack of windows.
 
-    The batch is embedded once and its windows are grouped by how many
-    periods they picked, which is k_periods unless a window has fewer
-    energetic bins; each group is folded into one pyramid and fused, and
-    the results are gathered back into batch order. Returns the
-    representation tensor and one diagnostics dict per window (periods,
-    softmaxed amplitude weights, attention scores).
+    The batch is embedded once, each window picks its k_periods strongest
+    bins, and the whole batch is folded into one pyramid and fused once.
+    Returns the representation tensor and a dict of (B, k) diagnostics:
+    the picked periods, the softmaxed amplitude weights and the attention
+    scores.
     """
-    cfg = bundle.config
-    b = windows.shape[0]
     h = embed(windows, bundle.miner)
-    picks = top_k_periods(h.data, cfg.k_periods)
-    groups: dict[int, list[int]] = {}
-    for i, ps in enumerate(picks):
-        groups.setdefault(ps.k, []).append(i)
-
-    parts = []
-    order: list[int] = []
-    diags: list[dict | None] = [None] * b
-    n, dh = cfg.n_factors, cfg.hidden
-    for idx in groups.values():
-        frequencies = np.array([picks[i].frequencies for i in idx])
-        pyramid = extract_pyramid(ad.take(h, idx), bundle.miner, frequencies)
-        rep = fuse(pyramid, bundle.fusion)
-        parts.append(ad.reshape(rep.values, (len(idx), n * dh)))
-        for row, i in enumerate(idx):
-            diags[i] = {
-                "periods": picks[i].periods,
-                "amp_weights": tuple(rep.amp_softmax.data[row]),
-                "attention": tuple(rep.attention.data[row]),
-            }
-        order.extend(idx)
-
-    stacked = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-    if order != list(range(b)):
-        stacked = ad.take(stacked, np.argsort(order))
-    return ad.reshape(stacked, (b, n, dh)), diags
+    frequencies, periods, _ = top_k_periods(h.data, bundle.config.k_periods)
+    rep = fuse(extract_pyramid(h, bundle.miner, frequencies), bundle.fusion)
+    return rep.values, {"periods": periods, "amp_weights": rep.amp_softmax.data,
+                        "attention": rep.attention.data}
 
 
 def total_loss(windows: np.ndarray, bundle: ModelBundle,
@@ -178,7 +152,7 @@ def total_loss(windows: np.ndarray, bundle: ModelBundle,
     """Joint objective on one batch; returns the scalar tensor and the
     component values (nll, similarity, independence) as floats."""
     cfg = bundle.config
-    clean_rep, diags = encode_batch(windows, bundle)
+    clean_rep, _ = encode_batch(windows, bundle)
     if cfg.sigma == 0.0:
         aug_rep = clean_rep
     else:
@@ -198,7 +172,7 @@ def total_loss(windows: np.ndarray, bundle: ModelBundle,
         total = total + l_ind * cfg.beta
     components = {"nll": l_nf.item(), "similarity": l_sim.item(),
                   "independence": l_ind.item()}
-    return total, components, diags
+    return total, components
 
 
 def evaluate_objective(windows: np.ndarray, bundle: ModelBundle,
@@ -210,7 +184,7 @@ def evaluate_objective(windows: np.ndarray, bundle: ModelBundle,
     for lo in range(0, windows.shape[0], batch_size):
         chunk = windows[lo:lo + batch_size]
         with ad.no_grad():
-            _, comps, _ = total_loss(chunk, bundle, rng)
+            _, comps = total_loss(chunk, bundle, rng)
         for key in sums:
             sums[key] += comps[key] * chunk.shape[0]
         count += chunk.shape[0]
@@ -254,7 +228,7 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
             # overflow is caught by the finiteness check, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    loss, comps, _ = total_loss(train.windows[idx], bundle, noise_rng)
+                    loss, comps = total_loss(train.windows[idx], bundle, noise_rng)
                     finite = np.isfinite(loss.item())
                 except ad.NumericOverflow:
                     finite = False
@@ -298,7 +272,8 @@ def score_windows(bundle: ModelBundle, windows: np.ndarray,
     """Anomaly scores for standardized windows.
 
     Conditioning uses the clean path only, so scoring is deterministic;
-    no graph is recorded. Returns (tau (B,), tau_t (B, T), diagnostics list).
+    no graph is recorded. Returns tau (B,), tau_t (B, T) and the
+    diagnostics of `encode_batch`, each a (B, k) array.
     """
     taus, tau_ts, diags = [], [], []
     with ad.no_grad():
@@ -309,8 +284,9 @@ def score_windows(bundle: ModelBundle, windows: np.ndarray,
             tau, tau_t = anomaly_score(chunk, h_c, bundle.flow)
             taus.append(tau)
             tau_ts.append(tau_t)
-            diags.extend(d)
-    return np.concatenate(taus), np.concatenate(tau_ts), diags
+            diags.append(d)
+    return (np.concatenate(taus), np.concatenate(tau_ts),
+            {key: np.concatenate([d[key] for d in diags]) for key in diags[0]})
 
 
 def prepare_series(series: MultivariateSeries, config: TrainConfig,
@@ -322,6 +298,10 @@ def prepare_series(series: MultivariateSeries, config: TrainConfig,
     else:
         prepared, stats = series, None
     train_s, val_s, test_s = prepared.split(split)
+    for name, part in (("train", train_s), ("validation", val_s), ("test", test_s)):
+        if part.length < config.window_length:
+            raise SeriesError(f"{name} split has {part.length} of {series.length} "
+                              f"steps, fewer than window_length {config.window_length}")
     global_period = discover_global_period(train_s)
     train_w = make_windows(train_s, config.window_length, config.train_stride)
     val_w = make_windows(val_s, config.window_length, config.train_stride)
@@ -363,18 +343,33 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Rebuild the bundle; any shape mismatch fails loudly."""
+    """Rebuild the bundle; a missing or malformed entry or any shape
+    mismatch fails loudly."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
+
+    def malformed(why: str) -> ValueError:
+        return ValueError(f"{path}: not a periflow checkpoint ({why})")
+
     if not zipfile.is_zipfile(path):
-        raise ValueError(f"{path}: not a periflow checkpoint (not an npz archive)")
+        raise malformed("not an npz archive")
     with np.load(path, allow_pickle=False) as data:
         if "meta" not in data.files:
-            raise ValueError(f"{path}: not a periflow checkpoint (no 'meta' entry)")
-        meta = json.loads(bytes(data["meta"]).decode())
+            raise malformed("no 'meta' entry")
+        try:
+            meta = json.loads(bytes(data["meta"]).decode())
+        except ValueError:
+            raise malformed("'meta' is not JSON") from None
+        for key in ("format_version", "config", "d_in", "global_period"):
+            if key not in meta:
+                raise malformed(f"meta has no {key!r}")
         if meta["format_version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
+            raise ValueError(f"{path}: unsupported checkpoint version "
+                             f"{meta['format_version']} (expected {CHECKPOINT_VERSION})")
+        unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise malformed(f"unknown config key {unknown[0]!r} in meta")
         config = TrainConfig(**meta["config"])
         rng = np.random.default_rng(0)
         bundle = build_models(config, meta["d_in"], meta["global_period"], rng)
@@ -388,7 +383,14 @@ def load_checkpoint(path) -> ModelBundle:
                     f"checkpoint shape mismatch for {name}: "
                     f"{arr.shape} vs expected {tensor.data.shape}")
             tensor.data = arr.astype(np.float64)
-        if "stats/mean" in data:
-            bundle.stats = Standardization(data["stats/mean"].copy(),
-                                           data["stats/std"].copy())
+        if "stats/mean" in data.files or "stats/std" in data.files:
+            stats = []
+            for key in ("stats/mean", "stats/std"):
+                if key not in data.files:
+                    raise malformed(f"no {key!r} entry")
+                stats.append(data[key])
+                if stats[-1].shape != (bundle.d_in,):
+                    raise malformed(f"{key} has shape {stats[-1].shape}, "
+                                    f"expected ({bundle.d_in},)")
+            bundle.stats = Standardization(*stats)
     return bundle

@@ -161,7 +161,7 @@ def test_c04_gradient_suite():
             bias.data = move_rng.normal(0.0, 0.2, size=bias.shape)
 
     def objective():
-        loss, _, _ = total_loss(windows, bundle, np.random.default_rng(107))
+        loss, _ = total_loss(windows, bundle, np.random.default_rng(107))
         return loss
 
     params = bundle.named_params()
@@ -229,7 +229,7 @@ def test_c07_loss_identities():
                         seed=107)
     windows = make_windows(generate(synth), 12, stride=7).windows
     bundle = build_models(cfg, 2, 6, np.random.default_rng(108))
-    total, comps, _ = total_loss(windows, bundle, np.random.default_rng(109))
+    total, comps = total_loss(windows, bundle, np.random.default_rng(109))
     assert abs(comps["similarity"]) < 1e-12
 
     # orthonormal factor rows -> zero independence loss
@@ -241,7 +241,7 @@ def test_c07_loss_identities():
                        num_layers=2, num_blocks=1, alpha=0.0, beta=0.0,
                        seed=107, epochs=1)
     bundle0 = build_models(cfg0, 2, 6, np.random.default_rng(111))
-    total0, comps0, _ = total_loss(windows, bundle0, np.random.default_rng(112))
+    total0, comps0 = total_loss(windows, bundle0, np.random.default_rng(112))
     assert total0.item() == comps0["nll"]
     elapsed = time.time() - start
     assert elapsed < 5.0

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from periflow.cli import ConfigError, load_config, main
+from periflow.series import Standardization
+from periflow.training import TrainConfig, build_models, save_checkpoint
 
 FAST = [
     "--set", "epochs=2", "--set", "window_length=24", "--set", "hidden=8",
@@ -262,3 +264,56 @@ def test_bad_train_config_names_the_key(tmp_path, capsys, setting):
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
+
+
+def test_split_shorter_than_window_names_the_split(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["gen", "--out", str(data_dir), "--set", "gen_length=200"]) == 0
+    capsys.readouterr()
+    run = tmp_path / "run"
+    code = main(["train", "--data", str(data_dir / "synthetic.csv"), "--out", str(run)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: validation split has 40 of 200 steps, fewer than window_length 60\n")
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("case, why", [
+    ("no_format_version", "not a periflow checkpoint (meta has no 'format_version')"),
+    ("no_stats_std", "not a periflow checkpoint (no 'stats/std' entry)"),
+    ("unknown_config_key", "not a periflow checkpoint (unknown config key 'mystery' in meta)"),
+    ("short_stats_mean", "not a periflow checkpoint (stats/mean has shape (2,), expected (3,))"),
+    ("meta_not_json", "not a periflow checkpoint ('meta' is not JSON)"),
+    ("other_version", "unsupported checkpoint version 2 (expected 1)"),
+])
+def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
+    config = TrainConfig(window_length=24, hidden=8, n_factors=2, k_periods=2,
+                         num_blocks=1)
+    bundle = build_models(config, 3, 6, np.random.default_rng(0))
+    bundle.stats = Standardization(np.zeros(3), np.ones(3))
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(ckpt, bundle)
+    with np.load(ckpt, allow_pickle=False) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    if case == "no_format_version":
+        del meta["format_version"]
+    elif case == "no_stats_std":
+        del arrays["stats/std"]
+    elif case == "unknown_config_key":
+        meta["config"]["mystery"] = 1
+    elif case == "short_stats_mean":
+        arrays["stats/mean"] = arrays["stats/mean"][:2]
+    elif case == "other_version":
+        meta["format_version"] = 2
+    arrays["meta"] = np.frombuffer(b"{meta: 1}" if case == "meta_not_json"
+                                   else json.dumps(meta).encode(), dtype=np.uint8)
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **arrays)
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 100)
+    code = main(["score", "--checkpoint", str(ckpt), "--data", str(csv),
+                 "--out", str(tmp_path / "scored")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {ckpt}: {why}\n"
+    assert not (tmp_path / "scored").exists()

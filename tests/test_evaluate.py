@@ -143,8 +143,10 @@ def test_emit_reports_with_labels(tmp_path):
     scores = rng.normal(size=200)
     labels = (rng.random(200) < 0.1).astype(int)
     labels[:2] = [0, 1]
-    diag = [{"window_start": 0, "periods": (20, 5), "amp_weights": (0.7, 0.3),
-             "attention": (0.6, 0.4)}]
+    diag = {"window_start": np.array([0, 1]),
+            "periods": np.array([[20, 5], [20, 7]]),
+            "amp_weights": np.array([[0.7, 0.3], [0.6, 0.4]]),
+            "attention": np.array([[0.6, 0.4], [0.5, 0.5]])}
     summary = emit_reports(tmp_path, scores, labels, diagnostics=diag,
                            metadata={"run": "test"})
     loaded = json.loads((tmp_path / "summary.json").read_text())
@@ -153,7 +155,9 @@ def test_emit_reports_with_labels(tmp_path):
     hist = (tmp_path / "score_histogram.csv").read_text().strip().splitlines()
     counts = np.array([[int(v) for v in line.split(",")[2:]] for line in hist[1:]])
     assert counts.sum() == 200
-    assert (tmp_path / "period_weights.csv").read_text().count("\n") == 3
+    assert (tmp_path / "period_weights.csv").read_text().splitlines() == [
+        "window_start,period,amplitude_weight,attention_score",
+        "0,20,0.7,0.6", "0,5,0.3,0.4", "1,20,0.6,0.5", "1,7,0.4,0.5"]
 
 
 def test_emit_reports_without_labels(tmp_path):

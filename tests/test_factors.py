@@ -58,10 +58,10 @@ def test_pyramid_shapes_fixed_regardless_of_periods():
     params = _miner()
     h = embed(_window()[None], params)
     for k in (1, 2, 3):
-        picked = top_k_periods(h.data, k)[0]
-        pyr = extract_pyramid(h, params, [picked.frequencies])
-        assert pyr.factors.shape == (1, picked.k, 2, 8) and picked.k <= k
-        assert pyr.weights.shape == (1, picked.k)
+        freqs, _, _ = top_k_periods(h.data, k)
+        pyr = extract_pyramid(h, params, freqs)
+        assert pyr.factors.shape == (1, k, 2, 8)
+        assert pyr.weights.shape == (1, k)
 
 
 def test_pyramid_identity_path():
@@ -151,7 +151,7 @@ def test_pyramid_matches_fold_oracle():
 def test_pyramid_deterministic():
     params = _miner()
     x = _window()[None]
-    freqs = [top_k_periods(embed(x, params).data, 2)[0].frequencies]
+    freqs, _, _ = top_k_periods(embed(x, params).data, 2)
     a = extract_pyramid(embed(x, params), params, freqs)
     b = extract_pyramid(embed(x, params), params, freqs)
     np.testing.assert_array_equal(a.factors.data, b.factors.data)
@@ -179,10 +179,9 @@ def test_pyramid_weights_match_selection():
     params = _miner()
     x = _window(t=32)
     h = embed(x[None], params)
-    oracle = top_k_periods(h.data, 2)[0]
-    pyr = extract_pyramid(h, params, [oracle.frequencies])
-    np.testing.assert_allclose(pyr.weights.data[0], oracle.weights * (2.0 / 32),
-                               atol=1e-9)
+    freqs, _, amplitudes = top_k_periods(h.data, 2)
+    pyr = extract_pyramid(h, params, freqs)
+    np.testing.assert_allclose(pyr.weights.data, amplitudes * (2.0 / 32), atol=1e-9)
 
 
 def test_pyramid_gradient_wrt_embedding():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from periflow.series import MultivariateSeries
-from periflow.spectral import (PeriodSet, SpectralError, discover_global_period,
-                               intervene, periodicity_strength, top_k_periods)
+from periflow.spectral import (SpectralError, discover_global_period, intervene,
+                               periodicity_strength, top_k_periods)
 
 
 def naive_dft(x):
@@ -18,20 +18,19 @@ def naive_dft(x):
 
 
 def top_k_oracle(x, k):
-    """One (T, C) window at a time, bin by bin: the reference picker."""
+    """One (T, C) window at a time, bin by bin: the reference picker.
+
+    The energetic bins (amplitude above 1e-12) come first, strongest first;
+    the remaining picks are the lowest other bins."""
     t = x.shape[0]
     amp = np.abs(np.fft.fft(x, axis=0)).mean(axis=1)
     band = amp[1:t // 2 + 1]
-    chosen = []
-    for idx in np.argsort(-band, kind="stable"):
-        if band[idx] <= 1e-12 and chosen:
-            break
-        f = int(idx) + 1
-        chosen.append((f, int(np.ceil(t / f)), float(amp[f])))
-        if len(chosen) == k:
-            break
-    freqs, periods, weights = zip(*chosen)
-    return PeriodSet(freqs, periods, np.asarray(weights))
+    energetic = [int(i) + 1 for i in np.argsort(-band, kind="stable")
+                 if band[i] > 1e-12]
+    rest = [f for f in range(1, t // 2 + 1) if f not in energetic]
+    freqs = (energetic + rest)[:k]
+    return (freqs, [int(np.ceil(t / f)) for f in freqs],
+            np.array([amp[f] for f in freqs]))
 
 
 def intervene_oracle(x, k_h_frac, sigma, noise, rng):
@@ -54,29 +53,30 @@ def intervene_oracle(x, k_h_frac, sigma, noise, rng):
 
 
 def test_constant_signal_dc_only():
-    # a constant's energy sits in the excluded DC bin: one pick, no amplitude
-    ps = top_k_periods(np.full((1, 8, 1), 4.0), 3)[0]
-    assert ps.k == 1
-    np.testing.assert_allclose(ps.weights, 0.0, atol=1e-12)
+    # a constant's energy sits in the excluded DC bin: no band bin carries
+    # energy, so the k picks are the lowest bins, with no amplitude
+    freqs, periods, weights = top_k_periods(np.full((1, 8, 1), 4.0), 3)
+    assert freqs.tolist() == [[1, 2, 3]] and periods.tolist() == [[8, 4, 3]]
+    np.testing.assert_allclose(weights, 0.0, atol=1e-12)
 
 
 def test_cosine_peak_bin():
     n = 64
     x = np.cos(2 * np.pi * np.arange(n) / 8.0)
-    ps = top_k_periods(x[None, :, None], 1)[0]
-    assert ps.frequencies == (8,) and ps.periods == (8,)
+    freqs, periods, weights = top_k_periods(x[None, :, None], 1)
+    assert freqs.tolist() == [[8]] and periods.tolist() == [[8]]
     # closed form: a pure cosine of integer frequency concentrates n/2 per line
-    np.testing.assert_allclose(ps.weights[0], n / 2, rtol=1e-9)
+    np.testing.assert_allclose(weights[0, 0], n / 2, rtol=1e-9)
 
 
 def test_fft_matches_naive_dft():
     # odd length, one channel: the picked amplitudes are unnormalized DFT lines
     rng = np.random.default_rng(3)
     x = rng.normal(size=37)
-    ps = top_k_periods(x[None, :, None], 5)[0]
+    freqs, _, weights = top_k_periods(x[None, :, None], 5)
     amp = np.abs(naive_dft(x))
-    np.testing.assert_allclose(ps.weights, amp[list(ps.frequencies)], atol=1e-9)
-    assert min(ps.weights) >= max(np.delete(amp[1:19], np.array(ps.frequencies) - 1))
+    np.testing.assert_allclose(weights[0], amp[freqs[0]], atol=1e-9)
+    assert min(weights[0]) >= max(np.delete(amp[1:19], freqs[0] - 1))
 
 
 def test_roundtrip_identity():
@@ -102,8 +102,8 @@ def test_parseval():
     # line of amplitude n*A/2, so energy = 2 * weight^2 / n
     n, amp = 128, 1.7
     x = amp * np.sin(2 * np.pi * 5 * np.arange(n) / n)
-    ps = top_k_periods(x[None, :, None], 1)[0]
-    np.testing.assert_allclose(np.sum(x ** 2), 2 * ps.weights[0] ** 2 / n, rtol=1e-9)
+    _, _, weights = top_k_periods(x[None, :, None], 1)
+    np.testing.assert_allclose(np.sum(x ** 2), 2 * weights[0, 0] ** 2 / n, rtol=1e-9)
 
 
 def _sine_series(t_l=200, period=20, amp=1.0, dims=1, extra=None):
@@ -154,33 +154,34 @@ def test_global_period_rejects_constant():
 def test_top_k_two_lines():
     t = np.arange(120)
     x = 2.0 * np.sin(2 * np.pi * t / 30) + 1.0 * np.sin(2 * np.pi * t / 8)
-    ps = top_k_periods(x[None, :, None], 2)[0]
-    assert set(ps.frequencies) == {4, 15}
-    assert ps.periods[0] == 30  # strongest line first
-    assert ps.k == 2
+    freqs, periods, _ = top_k_periods(x[None, :, None], 2)
+    assert set(freqs[0].tolist()) == {4, 15}
+    assert periods[0, 0] == 30  # strongest line first
+    assert freqs.shape == periods.shape == (1, 2)
 
 
 def test_top_k_consistent_with_global_period():
     s = _sine_series(t_l=120)
-    ps = top_k_periods(s.values[None], 1)[0]
-    assert ps.periods[0] == discover_global_period(s)
+    _, periods, _ = top_k_periods(s.values[None], 1)
+    assert periods[0, 0] == discover_global_period(s)
 
 
 def test_top_k_matches_sorted_spectrum_oracle():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(100, 2))
-    ps = top_k_periods(x[None], 3)[0]
+    freqs, _, weights = top_k_periods(x[None], 3)
     amp = np.mean([np.abs(naive_dft(x[:, c])) for c in range(2)], axis=0)
     oracle = np.argsort(-amp[1:51], kind="stable")[:3] + 1
-    assert list(ps.frequencies) == list(oracle)
-    np.testing.assert_allclose(ps.weights, amp[list(oracle)], atol=1e-9)
+    assert freqs[0].tolist() == oracle.tolist()
+    np.testing.assert_allclose(weights[0], amp[oracle], atol=1e-9)
 
 
-def test_top_k_short_count_on_pure_tone():
+def test_top_k_pure_tone_fills_lowest_bins():
+    # one line on bin 3; the other two picks are the lowest other bins
     t = np.arange(60)
     x = np.sin(2 * np.pi * t / 20)
-    ps = top_k_periods(x[None, :, None], 3)[0]
-    assert ps.k == 1 and ps.periods == (20,)
+    freqs, periods, _ = top_k_periods(x[None, :, None], 3)
+    assert freqs.tolist() == [[3, 1, 2]] and periods.tolist() == [[20, 60, 30]]
 
 
 def test_intervene_zero_sigma_is_roundtrip():
@@ -224,7 +225,8 @@ def test_intervene_rejects_negative_sigma():
 
 def _mixed_batch(t, c, seed):
     """Random windows with a constant one (DC only), a pure tone (one
-    line) and a two-tone one among them, so picks come up short."""
+    line) and a two-tone one among them, so some windows have fewer
+    energetic bins than picks."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(9, t, c))
     steps = np.arange(t)[:, None]
@@ -239,16 +241,15 @@ def _mixed_batch(t, c, seed):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_top_k_batch_matches_per_window_oracle(t, c, k):
     x = _mixed_batch(t, c, seed=t * 10 + c)
-    picks = top_k_periods(x, k)
-    assert len(picks) == len(x)
-    for window, ps in zip(x, picks):
-        ref = top_k_oracle(window, k)
-        assert ps.frequencies == ref.frequencies
-        assert ps.periods == ref.periods
-        assert all(type(p) is int for p in ps.periods)
-        np.testing.assert_array_equal(ps.weights, ref.weights)
-    assert picks[2].k == 1  # the constant window
-    assert picks[5].k == 1 and picks[5].frequencies == (3,)
+    freqs, periods, weights = top_k_periods(x, k)
+    assert freqs.shape == periods.shape == weights.shape == (len(x), k)
+    for i, window in enumerate(x):
+        ref_freqs, ref_periods, ref_weights = top_k_oracle(window, k)
+        assert freqs[i].tolist() == ref_freqs
+        assert periods[i].tolist() == ref_periods
+        np.testing.assert_array_equal(weights[i], ref_weights)
+    assert freqs[2].tolist() == [1, 2, 3][:k]  # the constant window
+    assert freqs[5].tolist() == [3, 1, 2][:k]  # the pure tone
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 59, 60, 61])

@@ -57,15 +57,31 @@ def test_period_break_lowers_periodicity_strength():
 
 
 def test_csv_roundtrip(tmp_path):
-    cfg = SynthConfig(length=50, dims=2, seed=6,
-                      anomalies=[Anomaly("spike", 10, 2, 4.0)])
-    s = generate(cfg)
-    path = tmp_path / "synth.csv"
-    write_csv(s, path)
-    back = load_csv(path)
-    np.testing.assert_allclose(back.values, s.values, atol=0)
-    np.testing.assert_array_equal(back.labels, s.labels)
-    assert back.dim_names == s.dim_names
+    # generate -> write_csv -> load_csv is bitwise, over 1-4 dims, with and
+    # without anomalies
+    rng = np.random.default_rng(21)
+    for case in range(8):
+        dims = case % 4 + 1
+        length = int(rng.integers(40, 120))
+        anomalies = []
+        if case % 2:
+            start = int(rng.integers(0, length - 10))
+            anomalies = [Anomaly("spike", start, 2, float(rng.normal(0.0, 5.0))),
+                         Anomaly("period_break", start + 3, 6, 7.0)]
+        periods = {int(p): float(a) for p, a in zip(rng.integers(2, 30, size=2),
+                                                    rng.uniform(0.5, 4.0, size=2))}
+        s = generate(SynthConfig(length=length, dims=dims, periods=periods,
+                                 noise_std=float(rng.uniform(0.0, 1.0)),
+                                 anomalies=anomalies, seed=case))
+        path = tmp_path / f"series{case}.csv"
+        write_csv(s, path)
+        back = load_csv(path)
+        np.testing.assert_array_equal(back.values.view(np.int64), s.values.view(np.int64))
+        np.testing.assert_array_equal(back.timestamps.view(np.int64),
+                                      s.timestamps.view(np.int64))
+        np.testing.assert_array_equal(back.labels, s.labels)
+        assert back.labels.any() == bool(anomalies)
+        assert back.dim_names == s.dim_names == [f"ch{i}" for i in range(dims)]
 
 
 def test_rejects_out_of_range_anomaly():

@@ -36,7 +36,7 @@ def test_total_loss_weight_degeneracy():
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(0))
     windows = data["train"].windows[:8]
-    total, comps, _ = total_loss(windows, bundle, np.random.default_rng(1))
+    total, comps = total_loss(windows, bundle, np.random.default_rng(1))
     assert total.item() == comps["nll"]
 
 
@@ -44,20 +44,20 @@ def test_total_loss_zero_sigma_sim_vanishes():
     config, data = _prepared(TrainConfig(**{**CFG, "sigma": 0.0}))
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(0))
-    total, comps, _ = total_loss(data["train"].windows[:8], bundle,
-                                 np.random.default_rng(1))
+    total, comps = total_loss(data["train"].windows[:8], bundle,
+                              np.random.default_rng(1))
     assert abs(comps["similarity"]) < 1e-12
 
 
 def test_total_loss_matches_module_composition():
-    # the grouped batched path must agree with encoding window by window,
+    # the batched path must agree with encoding window by window,
     # drawing the band noise in the same order
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(3))
     windows = data["train"].windows[:6]
     seed = 99
-    total, comps, _ = total_loss(windows, bundle, np.random.default_rng(seed))
+    total, comps = total_loss(windows, bundle, np.random.default_rng(seed))
 
     rng = np.random.default_rng(seed)
     reps_clean, reps_aug = [], []
@@ -85,13 +85,37 @@ def test_encode_batch_matches_per_window():
                           np.random.default_rng(4))
     windows = data["train"].windows[:5]
     rep, diags = encode_batch(windows, bundle)
+    for key in ("periods", "amp_weights", "attention"):
+        assert diags[key].shape == (5, config.k_periods)
     for i, w in enumerate(windows):
         h = embed(w[None], bundle.miner)
-        periods = top_k_periods(h.data, config.k_periods)[0]
-        one = fuse(extract_pyramid(h, bundle.miner, [periods.frequencies]),
-                   bundle.fusion)
+        freqs, periods, _ = top_k_periods(h.data, config.k_periods)
+        one = fuse(extract_pyramid(h, bundle.miner, freqs), bundle.fusion)
         np.testing.assert_allclose(rep.data[i], one.values.data[0], atol=1e-9)
-        assert diags[i]["periods"] == periods.periods
+        np.testing.assert_array_equal(diags["periods"][i], periods[0])
+        np.testing.assert_allclose(diags["attention"][i], one.attention.data[0],
+                                   atol=1e-12)
+
+
+def test_encode_batch_folds_and_fuses_once(monkeypatch):
+    import periflow.training as training
+    config, data = _prepared()
+    bundle = build_models(config, 2, data["global_period"],
+                          np.random.default_rng(4))
+    windows = data["train"].windows[:7].copy()
+    windows[2] = 0.7  # a constant window rides in the same pyramid
+    calls = {"extract_pyramid": 0, "fuse": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(training, name, counted(name, getattr(training, name)))
+    encode_batch(windows, bundle)
+    assert calls == {"extract_pyramid": 1, "fuse": 1}
 
 
 def test_identity_start_nll_is_standard_normal():
@@ -157,7 +181,7 @@ def test_fit_alpha_beta_zero_matches_manual_nll_path():
         bundle = build_models(cfg, 2, data["global_period"],
                               np.random.default_rng(7))
         store = make_store(bundle)
-        loss, _, _ = total_loss(windows, bundle, np.random.default_rng(8))
+        loss, _ = total_loss(windows, bundle, np.random.default_rng(8))
         store.zero_grad()
         loss.backward()
         store.adam_step(cfg.lr)
@@ -203,7 +227,7 @@ def test_gradient_reaches_every_parameter_group():
     before = store.snapshot()
     rng = np.random.default_rng(10)
     for _ in range(2):
-        loss, _, _ = total_loss(data["train"].windows[:16], bundle, rng)
+        loss, _ = total_loss(data["train"].windows[:16], bundle, rng)
         store.zero_grad()
         loss.backward()
         store.adam_step(config.lr)
@@ -246,8 +270,8 @@ def test_backward_frees_intermediate_grads_only():
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(12))
     params = bundle.named_params()
-    loss, _, _ = total_loss(data["train"].windows[:8], bundle,
-                            np.random.default_rng(13))
+    loss, _ = total_loss(data["train"].windows[:8], bundle,
+                         np.random.default_rng(13))
     inner = [n for n in _graph_order(loss) if n._backward is not None]
     assert len(inner) > 100
 
@@ -326,7 +350,11 @@ def test_score_windows_deterministic():
     tau2, tau_t2, _ = score_windows(bundle, windows)
     np.testing.assert_array_equal(tau1, tau2)
     np.testing.assert_array_equal(tau_t1, tau_t2)
-    assert len(diag1) == 10 and "attention" in diag1[0]
+    assert sorted(diag1) == ["amp_weights", "attention", "periods"]
+    _, _, chunked = score_windows(bundle, windows, batch_size=4)
+    for key in diag1:  # chunks are concatenated in window order
+        assert diag1[key].shape == (10, config.k_periods)
+        np.testing.assert_allclose(chunked[key], diag1[key], rtol=1e-12, atol=1e-15)
 
 
 def test_scoring_without_tape_matches_taped_path():
@@ -368,29 +396,30 @@ def test_evaluate_objective_matches_taped_loss():
     bundle = build_models(config, 2, data["global_period"], np.random.default_rng(7))
     windows = data["val"].windows
     comps = evaluate_objective(windows, bundle, np.random.default_rng(8))
-    loss, taped, _ = total_loss(windows, bundle, np.random.default_rng(8))
+    loss, taped = total_loss(windows, bundle, np.random.default_rng(8))
     assert loss._backward is not None
     assert comps == pytest.approx(taped, rel=1e-12)
 
 
 def test_constant_window_beside_ordinary_ones():
-    # a constant window has energy only at DC, so it gets one pick where
-    # the others get k_periods: the batch splits into groups of both sizes
+    # a constant window has energy only at DC, yet it picks k_periods bins
+    # (the lowest ones) like every other window, in the same pyramid
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(14))
     windows = data["train"].windows[:6].copy()
     windows[3] = 0.7
     rep, diags = encode_batch(windows, bundle)
-    assert len(diags[3]["periods"]) == 1
-    assert all(len(d["periods"]) == config.k_periods
-               for i, d in enumerate(diags) if i != 3)
+    assert diags["periods"].shape == (6, config.k_periods)
+    t = config.window_length
+    assert diags["periods"][3].tolist() == [-(-t // f)
+                                            for f in range(1, config.k_periods + 1)]
     for i, w in enumerate(windows):
         np.testing.assert_allclose(rep.data[i], encode_batch(w[None], bundle)[0].data[0],
                                    atol=1e-12)
 
     store = make_store(bundle)
-    loss, _, _ = total_loss(windows, bundle, np.random.default_rng(15))
+    loss, _ = total_loss(windows, bundle, np.random.default_rng(15))
     store.zero_grad()
     loss.backward()
     store.adam_step(config.lr)
@@ -398,7 +427,7 @@ def test_constant_window_beside_ordinary_ones():
 
     tau, tau_t, scored = score_windows(bundle, windows)
     assert tau.shape == (6,) and np.all(np.isfinite(tau_t))
-    assert len(scored[3]["periods"]) == 1
+    assert scored["periods"].shape == (6, config.k_periods)
 
 
 @pytest.mark.parametrize("kind", ["csv", "npy", "npz"])

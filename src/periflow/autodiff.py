@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation on float64 numpy buffers.
 
-Every operation allocates a fresh output buffer and, when an input
-requires gradients, records its parents and a backward closure on the
-output node, so a loss scalar can be differentiated with respect to any
+Every operation returns a new tensor and, when an input requires
+gradients, records its parents and a backward closure on the output
+node, so a loss scalar can be differentiated with respect to any
 participating tensor by a single reverse sweep over the dynamically
 built graph. Inside `no_grad()` nothing is recorded, so intermediates
 are freed as soon as the pass drops them; values and checks are the same.
@@ -11,6 +11,11 @@ Broadcasting is deliberately restricted: elementwise ops accept operands
 of identical shape or a true scalar, and `affine` handles the bias-add
 case. Any other shape expansion must go through the explicit
 `broadcast_to` op, which keeps shape bugs loud.
+
+`reshape`, `transpose` and `broadcast_to` may return views of their
+input's buffer (`broadcast_to`'s is numpy's read-only broadcast view, which
+copies nothing); every other op writes only into buffers it allocates,
+never into an input's `data`.
 """
 from __future__ import annotations
 
@@ -37,9 +42,11 @@ class NumericOverflow(ArithmeticError):
 class Tensor:
     """Node of the recorded computation graph.
 
-    `data` is always a contiguous float64 ndarray. `grad` is allocated
-    lazily during the backward sweep and has the same shape as `data`;
-    after the sweep only leaves (tensors with no backward closure) keep it.
+    `data` is a float64 ndarray, contiguous except for the views that
+    `transpose` and `broadcast_to` (read-only) return. `grad` is
+    allocated lazily during the backward sweep and has the same shape as
+    `data`; after the sweep only leaves (tensors with no backward
+    closure) keep it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -209,8 +216,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sqrt(a: Tensor) -> Tensor:
+    """Square root; where the output is 0 the gradient reads 0, not inf,
+    so the amplitude of an all-zero window passes no gradient."""
     out_data = np.sqrt(a.data)
-    return _node(out_data, (a,), lambda g: (g * 0.5 / out_data,))
+    return _node(out_data, (a,), lambda g: (np.divide(
+        g * 0.5, out_data, out=np.zeros_like(out_data), where=out_data != 0.0),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -244,10 +254,11 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Explicit broadcast; gradient sums over the expanded axes."""
+    """Explicit broadcast as a read-only view; gradient sums over the
+    expanded axes."""
     src = a.shape
     try:
-        out_data = np.broadcast_to(a.data, shape).copy()
+        out_data = np.broadcast_to(a.data, shape)
     except ValueError as e:
         raise ValueError(f"broadcast_to: cannot expand {src} to {shape}") from e
 
@@ -308,7 +319,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         shape = list(src)
         for ax in axes:
             shape[ax] = 1
-        return (np.broadcast_to(g.reshape(shape), src).copy(),)
+        return (np.broadcast_to(g.reshape(shape), src),)
 
     return _node(np.sum(a.data, axis=axes, keepdims=keepdims), (a,), backward)
 
@@ -322,7 +333,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         shape = list(src)
         for ax in axes:
             shape[ax] = 1
-        return (np.broadcast_to(g.reshape(shape), src).copy() / count,)
+        return (np.broadcast_to(g.reshape(shape) / count, src),)
 
     return _node(np.mean(a.data, axis=axes, keepdims=keepdims), (a,), backward)
 
@@ -346,7 +357,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"affine expects 2-D input, got {x.shape}")
     if b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise ValueError(f"affine: bias shape {b.shape} does not match weight {w.shape}")
-    return _node(x.data @ w.data + b.data, (x, w, b),
+    out_data = x.data @ w.data
+    out_data += b.data
+    return _node(out_data, (x, w, b),
                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
@@ -370,13 +383,17 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor) -> Tensor:
     padded[:, radius:radius + t, :] = x.data
     padded[:, rows + radius, :] = 0.0
     out_data = np.empty((b, m, width + cond.shape[1]))
-    out_data[:, :, :width] = padded[:, rows[:, None] + np.arange(span)].reshape(b, m, width)
+    # row t's context is one contiguous span*C slice of a window view
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (span, c), axis=(1, 2))
+    out_data[:, :, :width] = windows.reshape(b, t, width)[:, rows]
     out_data[:, :, width:] = cond.data[:, None, :]
 
     def backward(g: Array):
         acc = np.zeros((b, t + 2 * radius, c))
-        for j in range(span):
-            acc[:, rows + j, :] += g[:, :, j * c:(j + 1) * c]
+        # largest row first, so each step sums its terms in offset order
+        for i in np.argsort(rows)[::-1]:
+            r = rows[i]
+            acc[:, r:r + span] += g[:, i, :width].reshape(b, span, c)
         gx = acc[:, radius:radius + t, :]
         gx[:, rows, :] = 0.0
         return np.ascontiguousarray(gx), g[:, :, width:].sum(axis=1)

@@ -16,7 +16,11 @@ from .autodiff import Tensor
 
 def similarity_loss(a, b) -> Tensor:
     """1 - cosine similarity between flattened representations, averaged
-    over a (B, N, D_h) batch. Zero iff the two are positive scalar multiples."""
+    over a (B, N, D_h) batch. Zero iff the two are positive scalar multiples.
+
+    A window whose clean or augmented representation has norm below 1e-12
+    (an all-zero window at the identity start) has no direction to compare
+    and is left out of the mean; a batch of only such windows gives 0."""
     at, bt = (x if isinstance(x, Tensor) else Tensor(x) for x in (a, b))
     if at.ndim != 3 or at.shape != bt.shape:
         raise ValueError(f"similarity_loss expects two (B, N, D_h) batches of "
@@ -26,13 +30,17 @@ def similarity_loss(a, b) -> Tensor:
     flat_b = ad.reshape(bt, (bsz, bt.shape[1] * bt.shape[2]))
     norm_a = np.sqrt(np.sum(flat_a.data ** 2, axis=1))
     norm_b = np.sqrt(np.sum(flat_b.data ** 2, axis=1))
-    if np.any(norm_a < 1e-12) or np.any(norm_b < 1e-12):
-        raise ValueError("similarity_loss: representation norm below 1e-12")
+    # negated so a NaN norm stays in and a diverged batch still reads NaN
+    keep = np.flatnonzero(~((norm_a < 1e-12) | (norm_b < 1e-12)))
+    if keep.size == 0:
+        return Tensor(0.0)
+    if keep.size < bsz:
+        flat_a, flat_b = ad.take(flat_a, keep), ad.take(flat_b, keep)
     dot = ad.tsum(flat_a * flat_b, axis=1)
     na = ad.sqrt(ad.tsum(flat_a * flat_a, axis=1))
     nb = ad.sqrt(ad.tsum(flat_b * flat_b, axis=1))
     cos = dot / (na * nb)
-    return ad.tmean(Tensor(np.ones(bsz)) - cos)
+    return ad.tmean(Tensor(np.ones(keep.size)) - cos)
 
 
 def independence_loss(c) -> Tensor:

@@ -3,8 +3,10 @@
 Configuration is a flat `key = value` text file; any key can be overridden
 with repeated `--set key=value` flags and the seed with `--seed`. Every
 command writes its fully resolved configuration beside its outputs so a
-run can be reproduced from its output directory alone. Commands exit 0 on
-success and print a single `error: ...` line on failure.
+run can be reproduced from its output directory alone: `--config
+<out>/resolved_config.txt` reads it back, and the run's own facts
+(command, inputs, discovered period) are `#` comments in it. Commands
+exit 0 on success and print a single `error: ...` line on failure.
 """
 from __future__ import annotations
 
@@ -102,10 +104,15 @@ def load_config(path=None, overrides=(), seed=None) -> tuple[TrainConfig, GenCon
 
 def write_resolved_config(out_dir: Path, train_cfg: TrainConfig,
                           gen_cfg: GenConfig, extra: dict) -> None:
+    """Every config key as `key = value`, then the run's `extra` facts
+    (command, inputs, discovered period) as `# key = value` comments, so
+    `--config` reads the file back to the same configuration."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.txt", "w", encoding="utf-8") as fh:
-        for key, value in {**asdict(train_cfg), **asdict(gen_cfg), **extra}.items():
+        for key, value in {**asdict(train_cfg), **asdict(gen_cfg)}.items():
             fh.write(f"{key} = {value}\n")
+        for key, value in extra.items():
+            fh.write(f"# {key} = {value}\n")
 
 
 def _parse_entries(key: str, spec: str, sep: str, form: str,

@@ -26,6 +26,12 @@ def test_tanh_derivative_at_zero():
     np.testing.assert_allclose(x.grad, [1.0])
 
 
+def test_sqrt_gradient_at_zero_is_zero():
+    x = Tensor(np.array([0.0, 4.0]), requires_grad=True)
+    ad.tsum(ad.sqrt(x)).backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 0.25])
+
+
 def test_shape_mismatch_reports_both_shapes():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((3, 2)))
@@ -185,6 +191,56 @@ def test_time_context_cond_gradient(radius):
         return ad.tsum(ad.tanh(ad.matmul(flat, w)))
 
     check_gradients(loss, [x, hc, w])
+
+
+def _gather_oracle(x, radius, rows, cond, g):
+    # fancy-index gather and one scatter per context offset
+    b, t, c = x.shape
+    span = 2 * radius + 1
+    width = span * c
+    padded = np.zeros((b, t + 2 * radius, c))
+    padded[:, radius:radius + t] = x
+    padded[:, rows + radius] = 0.0
+    out = np.concatenate(
+        [padded[:, rows[:, None] + np.arange(span)].reshape(b, rows.size, width),
+         np.broadcast_to(cond[:, None, :], (b, rows.size, cond.shape[1]))], axis=2)
+    acc = np.zeros((b, t + 2 * radius, c))
+    for j in range(span):
+        acc[:, rows + j] += g[:, :, j * c:(j + 1) * c]
+    gx = acc[:, radius:radius + t].copy()
+    gx[:, rows] = 0.0
+    return out, gx, g[:, :, width:].sum(axis=1)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("t", [1, 2, 9, 60])
+def test_time_context_matches_gather_oracle(b, t):
+    rng = np.random.default_rng(15 + t + b)
+    c, hdim = 3, 4
+    picked = rng.choice(t, size=max(1, t // 2), replace=False)
+    row_sets = [np.sort(picked), picked, rng.permutation(t), np.zeros(0, dtype=np.intp)]
+    for radius in sorted({0, 1, t - 1, t + 2}):
+        for rows in row_sets:
+            x = Tensor(rng.normal(size=(b, t, c)), requires_grad=True)
+            cond = Tensor(rng.normal(size=(b, hdim)), requires_grad=True)
+            g = rng.normal(size=(b, rows.size, (2 * radius + 1) * c + hdim))
+            ad.tsum(ad.time_context(x, radius, rows, cond) * Tensor(g)).backward()
+            out, gx, gcond = _gather_oracle(x.data, radius, rows, cond.data, g)
+            np.testing.assert_array_equal(ad.time_context(x, radius, rows, cond).data, out)
+            np.testing.assert_array_equal(x.grad, gx)
+            np.testing.assert_array_equal(cond.grad, gcond)
+
+
+def test_broadcast_to_is_a_read_only_view():
+    rng = np.random.default_rng(16)
+    a = _param(rng, 3, 1)
+    wide = ad.broadcast_to(a, (2, 3, 4))
+    assert np.shares_memory(wide.data, a.data)
+    with pytest.raises(ValueError, match="read-only"):
+        wide.data[0, 0, 0] = 1.0
+    g = rng.normal(size=(2, 3, 4))
+    ad.tsum(wide * Tensor(g)).backward()
+    np.testing.assert_array_equal(a.grad, g.sum(axis=(0, 2)).reshape(3, 1))
 
 
 def _composite(a, b):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from periflow.autodiff import Tensor
 from periflow.causal import independence_loss, similarity_loss
 
 
@@ -24,9 +25,19 @@ def test_similarity_scale_invariant():
     assert abs(similarity_loss(0.2 * c, c).item()) < 1e-12
 
 
-def test_similarity_rejects_zero_norm():
-    with pytest.raises(ValueError, match="norm"):
-        similarity_loss(np.zeros((1, 2, 2)), np.ones((1, 2, 2)))
+def test_similarity_leaves_out_zero_norm_windows():
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+    a.data[1] = 0.0
+    loss = similarity_loss(a, b)
+    kept = [0, 2]
+    assert loss.item() == similarity_loss(a.data[kept], b.data[kept]).item()
+    loss.backward()
+    assert np.all(np.isfinite(a.grad)) and np.all(np.isfinite(b.grad))
+    np.testing.assert_array_equal(a.grad[1], 0.0)
+    np.testing.assert_array_equal(b.grad[1], 0.0)
+    assert similarity_loss(np.zeros((2, 2, 2)), np.ones((2, 2, 2))).item() == 0.0
 
 
 def test_independence_orthonormal_rows():

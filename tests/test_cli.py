@@ -1,10 +1,11 @@
 """End-to-end command-line pipeline."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from periflow.cli import ConfigError, load_config, main
+from periflow.cli import ConfigError, GenConfig, load_config, main, write_resolved_config
 from periflow.series import Standardization
 from periflow.training import TrainConfig, build_models, save_checkpoint
 
@@ -35,6 +36,49 @@ def test_load_config_rejects_unknown_key(tmp_path):
 def test_load_config_reports_bad_value():
     with pytest.raises(ConfigError, match="epochs"):
         load_config(None, overrides=["epochs=soon"])
+
+
+def _random_value(rng, name, default):
+    if isinstance(default, bool):
+        return bool(rng.integers(2))
+    if isinstance(default, int):
+        return int(rng.integers(-1, 64))
+    if isinstance(default, float):
+        return float(rng.uniform(0.0, 1.0)) * 10.0 ** int(rng.integers(-9, 1))
+    if name == "noise":
+        return str(rng.choice(["gaussian", "laplace"]))
+    if name == "gen_periods":
+        return ",".join(f"{rng.integers(2, 99)}:{rng.uniform(0, 5)}"
+                        for _ in range(rng.integers(1, 4)))
+    assert name == "gen_anomalies"
+    return ";".join(f"{kind}:{rng.integers(0, 999)}:{rng.integers(1, 40)}:{rng.normal()}"
+                    for kind in rng.choice(["spike", "level_shift"], rng.integers(0, 3)))
+
+
+def test_resolved_config_round_trips(tmp_path):
+    rng = np.random.default_rng(17)
+    trials = 0
+    while trials < 40:
+        try:
+            train_cfg = TrainConfig(**{f.name: _random_value(rng, f.name, f.default)
+                                       for f in fields(TrainConfig)})
+        except ValueError:  # out of a range TrainConfig checks
+            continue
+        gen_cfg = GenConfig(**{f.name: _random_value(rng, f.name, f.default)
+                               for f in fields(GenConfig)})
+        write_resolved_config(tmp_path, train_cfg, gen_cfg,
+                              {"command": "train", "data": "a b.csv", "global_period": 7})
+        assert load_config(tmp_path / "resolved_config.txt") == (train_cfg, gen_cfg)
+        trials += 1
+
+
+def test_gen_reruns_from_its_resolved_config(tmp_path, capsys):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["gen", "--out", str(out1), "--seed", "5", *FAST]) == 0
+    assert main(["gen", "--out", str(out2), "--config",
+                 str(out1 / "resolved_config.txt")]) == 0
+    for name in ("synthetic.csv", "resolved_config.txt"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_gen_is_idempotent(tmp_path, capsys):

@@ -430,6 +430,20 @@ def test_constant_window_beside_ordinary_ones():
     assert scored["periods"].shape == (6, config.k_periods)
 
 
+def test_fit_on_series_with_a_zero_stretch():
+    # at the identity start an all-zero window has a zero representation
+    # and zero picked amplitudes; training leaves it out of the similarity
+    series = _data(2000)
+    series.values[500:600] = 0.0
+    config = TrainConfig(**{**CFG, "epochs": 1, "apply_standardization": False})
+    data = prepare_series(series, config)
+    assert np.any(np.all(data["train"].windows == 0.0, axis=(1, 2)))
+    _, history, _ = fit(data["train"], data["val"], config, data["global_period"])
+    assert len(history) == 2
+    assert all(np.isfinite(row[key]) for row in history
+               for key in ("nll", "similarity", "independence", "val_nll"))
+
+
 @pytest.mark.parametrize("kind", ["csv", "npy", "npz"])
 def test_load_checkpoint_rejects_other_files(tmp_path, kind):
     path = tmp_path / "model.npz"

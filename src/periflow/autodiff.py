@@ -12,6 +12,11 @@ of identical shape or a true scalar, and `affine` handles the bias-add
 case. Any other shape expansion must go through the explicit
 `broadcast_to` op, which keeps shape bugs loud.
 
+Two fused ops serve the model's hot paths with hand-written backward
+passes: `time_context` builds a coupling net's temporal context, and
+`period_pool` folds, transforms and pools the period grids of the factor
+miner in one node (it keeps its per-period buffers only while recording).
+
 `reshape`, `transpose` and `broadcast_to` may return views of their
 input's buffer (`broadcast_to`'s is numpy's read-only broadcast view, which
 copies nothing); every other op writes only into buffers it allocates,
@@ -399,3 +404,103 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor) -> Tensor:
         return np.ascontiguousarray(gx), g[:, :, width:].sum(axis=1)
 
     return _node(out_data, (x, cond), backward)
+
+
+# (window, slot) pairs per pass of `period_pool`: a pass's buffers then stay
+# in the core's cache (at T=60, C=32 each pair's grid is 16 KB)
+_POOL_BLOCK = 32
+
+
+def _period_blocks(periods: Array, distinct: Array):
+    """(period, windows, slots) of the pairs that picked each period, in
+    blocks of at most _POOL_BLOCK pairs."""
+    for p in distinct:
+        win, slot = np.nonzero(periods == p)
+        for lo in range(0, win.size, _POOL_BLOCK):
+            yield p, win[lo:lo + _POOL_BLOCK], slot[lo:lo + _POOL_BLOCK]
+
+
+def period_pool(h: Tensor, grid_w: Tensor, grid_b: Tensor, periods) -> Tensor:
+    """Fold each window of a (B, T, C) tensor at each of its k periods,
+    transform every grid cell and mean-pool: output (B*k, C), row i*k + j
+    for window i's slot j.
+
+    Period p zero-pads a window to R = ceil(T/p) cycles of p steps. Each
+    cell gets tanh(cell @ W_cell + b + colmean @ W_col + rowmean @ W_row),
+    with W_cell, W_col, W_row the three C-row blocks of `grid_w`, `b` the
+    `grid_b`, and colmean and rowmean the cell's phase-column and
+    cycle-row means; the pooled value is mean(grid) + mean(tanh(...)) over
+    the R*p cells. The cell projection runs once per window step (a pad
+    cell's is b), and the (window, slot) pairs that picked the same period
+    are gathered and transformed together, in blocks small enough to stay
+    in cache.
+    """
+    if h.ndim != 3:
+        raise ValueError(f"period_pool expects (B,T,C), got {h.shape}")
+    b, t, c = h.shape
+    if grid_w.shape != (3 * c, c) or grid_b.shape != (c,):
+        raise ValueError(f"period_pool: grid weights {grid_w.shape} and bias "
+                         f"{grid_b.shape} do not match {c} channels")
+    periods = np.asarray(periods, dtype=np.intp)
+    if periods.ndim != 2 or periods.shape[0] != b:
+        raise ValueError(f"period_pool expects ({b}, k) periods, got {periods.shape}")
+    k = periods.shape[1]
+    w_cell, w_col, w_row = grid_w.data[:c], grid_w.data[c:2 * c], grid_w.data[2 * c:]
+    record = _mode.recording and any(p.requires_grad for p in (h, grid_w, grid_b))
+    distinct = np.unique(periods)
+    # every window padded to the longest fold; pad steps are zero and
+    # their cell projections are b
+    span = int(np.max(-(-t // distinct) * distinct))
+    padded = np.zeros((b, span, c))
+    padded[:, :t] = h.data
+    cell = np.empty((b, span, c))
+    cell[:, :t] = (h.data.reshape(b * t, c) @ w_cell).reshape(b, t, c)
+    cell[:, :t] += grid_b.data
+    cell[:, t:] = grid_b.data
+    out_data = np.empty((b * k, c))
+    blocks = []
+    for p, win, slot in _period_blocks(periods, distinct):
+        m, rows = win.size, -(-t // p)
+        grid = padded[win, :rows * p].reshape(m, rows, p, c)
+        col, row = grid.mean(axis=1), grid.mean(axis=2)
+        y = cell[win, :rows * p].reshape(m, rows, p, c)
+        y += (col.reshape(m * p, c) @ w_col).reshape(m, 1, p, c)
+        y += (row.reshape(m * rows, c) @ w_row).reshape(m, rows, 1, c)
+        np.tanh(y, out=y)
+        pos = win * k + slot
+        out_data[pos] = col.mean(axis=1) + y.reshape(m, rows * p, c).mean(axis=1)
+        if record:  # under no_grad each block's buffers go at once
+            blocks.append((win, pos, col, row, y))
+
+    def backward(g: Array):
+        gh = np.zeros((b, span, c))     # through the grid values and means
+        gcell = np.zeros((b, span, c))  # through the cell projection
+        gw = np.empty_like(grid_w.data)
+        gw[c:] = 0.0
+        for win, pos, col, row, y in blocks:
+            m, rows, p = y.shape[:3]
+            n = rows * p
+            gp = g[pos] / n
+            dy = np.multiply(y, y)
+            np.subtract(1.0, dy, out=dy)
+            dy *= gp[:, None, None, :]
+            dcol, drow = dy.sum(axis=1), dy.sum(axis=2)
+            gw[c:2 * c] += col.reshape(m * p, c).T @ dcol.reshape(m * p, c)
+            gw[2 * c:] += row.reshape(m * rows, c).T @ drow.reshape(m * rows, c)
+            # a cell value reaches the output directly (gp) and through
+            # its column mean (1/R) and its row mean (1/p)
+            col_part = (dcol.reshape(m * p, c) @ w_col.T).reshape(m, 1, p, c) / rows
+            row_part = (drow.reshape(m * rows, c) @ w_row.T).reshape(m, rows, 1, c) / p
+            row_part += gp[:, None, None, :]
+            # pair by pair: a window repeats in a block across slots
+            for j, w in enumerate(win.tolist()):
+                gcell[w, :n] += dy[j].reshape(n, c)
+                grid = gh[w, :n].reshape(rows, p, c)
+                grid += col_part[j]
+                grid += row_part[j]
+        cell_t = gcell[:, :t].reshape(b * t, c)
+        gw[:c] = h.data.reshape(b * t, c).T @ cell_t
+        gh = gh[:, :t] + (cell_t @ w_cell.T).reshape(b, t, c)
+        return gh, gw, gcell.sum(axis=(0, 1))
+
+    return _node(out_data, (h, grid_w, grid_b), backward)

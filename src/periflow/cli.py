@@ -1,12 +1,14 @@
 """Command-line pipeline: gen, train, score, eval, inspect.
 
 Configuration is a flat `key = value` text file; any key can be overridden
-with repeated `--set key=value` flags and the seed with `--seed`. Every
-command writes its fully resolved configuration beside its outputs so a
-run can be reproduced from its output directory alone: `--config
-<out>/resolved_config.txt` reads it back, and the run's own facts
-(command, inputs, discovered period) are `#` comments in it. Commands
-exit 0 on success and print a single `error: ...` line on failure.
+with repeated `--set key=value` flags and the seed with `--seed`. `score`
+runs a trained model, so it refuses a training key (the seed too) whose
+value differs from the checkpoint's. Every command writes its fully
+resolved configuration beside its outputs so a run can be reproduced from
+its output directory alone: `--config <out>/resolved_config.txt` reads it
+back, and the run's own facts (command, inputs, discovered period) are `#`
+comments in it. Commands exit 0 on success and print a single
+`error: ...` line on failure.
 """
 from __future__ import annotations
 
@@ -68,8 +70,9 @@ def _coerce(key: str, raw: str, target: type):
                           f"{target.__name__}") from None
 
 
-def load_config(path=None, overrides=(), seed=None) -> tuple[TrainConfig, GenConfig]:
-    """Flat key=value config with unknown keys rejected."""
+def _given_values(path=None, overrides=(), seed=None) -> dict[str, object]:
+    """The keys a config file, `--set` overrides and `--seed` give, coerced
+    to their types; unknown keys are rejected."""
     table = _coercers()
     values: dict[str, object] = {}
 
@@ -96,10 +99,19 @@ def load_config(path=None, overrides=(), seed=None) -> tuple[TrainConfig, GenCon
         absorb(key, raw)
     if seed is not None:
         values["seed"] = int(seed)
+    return values
 
+
+def _configs(values: dict[str, object]) -> tuple[TrainConfig, GenConfig]:
+    table = _coercers()
     train_kwargs = {k: v for k, v in values.items() if table[k][0] == "train"}
     gen_kwargs = {k: v for k, v in values.items() if table[k][0] == "gen"}
     return TrainConfig(**train_kwargs), GenConfig(**gen_kwargs)
+
+
+def load_config(path=None, overrides=(), seed=None) -> tuple[TrainConfig, GenConfig]:
+    """Flat key=value config with unknown keys rejected."""
+    return _configs(_given_values(path, overrides, seed))
 
 
 def write_resolved_config(out_dir: Path, train_cfg: TrainConfig,
@@ -194,18 +206,29 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    train_cfg, gen_cfg = load_config(args.config, args.set, args.seed)
+    given = _given_values(args.config, args.set, args.seed)
+    _, gen_cfg = _configs(given)
     bundle = load_checkpoint(args.checkpoint)
+    trained = asdict(bundle.config)
+    for key, value in given.items():
+        # a trained model's settings are fixed; equal values (as in the
+        # train run's resolved config) pass
+        if key in trained and value != trained[key]:
+            raise ConfigError(f"{key} = {value} given, but {args.checkpoint} "
+                              f"was trained with {key} = {trained[key]}")
     series = load_csv(args.data)
     if series.dims != bundle.d_in:
         raise ValueError(f"{args.data}: {series.dims} data columns, but the checkpoint "
                          f"was trained on {bundle.d_in}")
+    window_length = bundle.config.window_length
+    if series.length < window_length:
+        raise SeriesError(f"{args.data}: {series.length} steps, fewer than the "
+                          f"checkpoint's window_length {window_length}")
     values = series.values
     if bundle.stats is not None:
         values = bundle.stats.apply(values)
     prepared = MultivariateSeries(values, series.timestamps, series.labels,
                                   list(series.dim_names))
-    window_length = bundle.config.window_length
     windows = make_windows(prepared, window_length, stride=1)
     tau, tau_t, diags = score_windows(bundle, windows.windows)
     points = window_scores_to_points(tau_t, windows.window_starts, prepared.length)

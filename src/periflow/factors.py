@@ -4,9 +4,10 @@ A window is embedded per timestep and folded into a cycle-by-phase grid
 for each of its k strongest periods. A shared residual transform lets
 every grid cell see its phase-column and cycle-row means, the grid is
 mean-pooled, and the result is projected onto N latent factor slots.
-A batch's pyramid is one (B, k, N, D_h) tensor: every (window, slot)
-pair that picked the same period is folded in one pass. Amplitudes of
-the selected bins are carried along (differentiably) as period weights.
+Fold, transform and pool are one autodiff node (`ad.period_pool`), and a
+batch's pyramid is one (B, k, N, D_h) tensor: every (window, slot) pair
+that picked the same period is folded in one pass. Amplitudes of the
+selected bins are carried along (differentiably) as period weights.
 """
 from __future__ import annotations
 
@@ -89,11 +90,6 @@ def embed(x, params: MinerParams) -> Tensor:
     return ad.reshape(out, (b, t, params.hidden))
 
 
-def grid_shape(window_length: int, period: int) -> tuple[int, int]:
-    rows = int(np.ceil(window_length / period))
-    return rows, period
-
-
 def bin_amplitudes(h: Tensor, frequencies: np.ndarray) -> Tensor:
     """Channel-averaged sinusoid amplitude at chosen bins, differentiably.
 
@@ -113,15 +109,15 @@ def bin_amplitudes(h: Tensor, frequencies: np.ndarray) -> Tensor:
 def extract_pyramid(h, params: MinerParams, frequencies) -> CausalPyramid:
     """Fold embedded windows into per-period grids and project to slots.
 
-    `frequencies` holds each window's k picked bins, shape (B, k). For
-    each distinct period p = ceil(T/f) the (window, slot) pairs that picked
-    it are folded together: the window is zero-padded to ceil(T/p)*p and
-    reshaped to a cycles-by-phase grid. The shared residual transform feeds
-    every cell its own value together with its phase-column mean and
-    cycle-row mean (the per-period seasonal profile), so grids folded at
-    different periods genuinely differ; the two means are projected before
-    they are broadcast over the grid. The transformed grid is mean-pooled
-    and projected onto N factor slots; factors are (B, k, N, D_h).
+    `frequencies` holds each window's k picked bins, shape (B, k), and
+    each pick folds its window at period p = ceil(T/f): zero-padded to
+    ceil(T/p)*p steps and reshaped to a cycles-by-phase grid. The shared
+    residual transform feeds every cell its own value together with its
+    phase-column mean and cycle-row mean (the per-period seasonal
+    profile), so grids folded at different periods genuinely differ. Fold,
+    transform and mean-pool are one autodiff node, `ad.period_pool`, which
+    handles every (window, slot) pair of a period in one pass. The pooled
+    grids are projected onto N factor slots; factors are (B, k, N, D_h).
     """
     if h.ndim != 3:
         raise ValueError(f"extract_pyramid expects (B, T, D_h), got shape {h.shape}")
@@ -133,32 +129,7 @@ def extract_pyramid(h, params: MinerParams, frequencies) -> CausalPyramid:
         raise ValueError(f"extract_pyramid expects ({b}, k) frequencies, "
                          f"got shape {frequencies.shape}")
     k = frequencies.shape[1]
-    periods = -(-t // frequencies)
-    # grid_w's rows: cell value, phase-column mean, cycle-row mean
-    w_cell, w_col, w_row = (ad.take(params.grid_w, np.arange(j * c, (j + 1) * c))
-                            for j in range(3))
-    pooled: list[Tensor] = []
-    order: list[np.ndarray] = []
-    for p in np.unique(periods):
-        win, slot = np.nonzero(periods == p)
-        m = win.size
-        rows, cols = grid_shape(t, p)
-        x = ad.take(h, win)
-        pad = rows * cols - t
-        if pad:
-            x = ad.concat([x, Tensor(np.zeros((m, pad, c)))], axis=1)
-        grid = ad.reshape(x, (m, rows, cols, c))
-        col = ad.matmul(ad.reshape(ad.tmean(grid, axis=1), (m * cols, c)), w_col)
-        row = ad.matmul(ad.reshape(ad.tmean(grid, axis=2), (m * rows, c)), w_row)
-        cell = ad.affine(ad.reshape(x, (m * rows * cols, c)), w_cell, params.grid_b)
-        pre = (ad.reshape(cell, (m, rows, cols, c))
-               + ad.broadcast_to(ad.reshape(col, (m, 1, cols, c)), (m, rows, cols, c))
-               + ad.broadcast_to(ad.reshape(row, (m, rows, 1, c)), (m, rows, cols, c)))
-        pooled.append(ad.tmean(grid + ad.tanh(pre), axis=(1, 2)))
-        order.append(win * k + slot)
-
-    flat = pooled[0] if len(pooled) == 1 else ad.concat(pooled, axis=0)
-    flat = ad.take(flat, np.argsort(np.concatenate(order)))
-    slots = ad.affine(flat, params.slot_w, params.slot_b)
+    pooled = ad.period_pool(h, params.grid_w, params.grid_b, -(-t // frequencies))
+    slots = ad.affine(pooled, params.slot_w, params.slot_b)
     factors = ad.reshape(slots, (b, k, params.n_factors, params.hidden))
     return CausalPyramid(factors, bin_amplitudes(h, frequencies))

@@ -2,10 +2,10 @@
 and a seasonal-strength diagnostic.
 
 `top_k_periods` is the one period picker: the k strongest bins of the
-channel-averaged amplitude spectrum (unnormalized numpy FFT), exactly k
-per window, as (B, k) arrays. The global period of a series is its top-1
-pick. The DC bin never participates in period selection because it
-encodes the mean, not a rhythm.
+channel-averaged amplitude spectrum (unnormalized numpy real FFT, bins
+0..T//2), exactly k per window, as (B, k) arrays. The global period of a
+series is its top-1 pick. The DC bin never participates in period
+selection because it encodes the mean, not a rhythm.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ def top_k_periods(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     t = x.shape[1]
     if not 1 <= k < t / 2:
         raise SpectralError(f"k must satisfy 1 <= k < T/2, got k={k}, T={t}")
-    amp = np.abs(np.fft.fft(x, axis=1)).mean(axis=2)
+    amp = np.abs(np.fft.rfft(x, axis=1)).mean(axis=2)
     band = amp[:, 1:t // 2 + 1]
     band = np.where(band > 1e-12, band, 0.0)
     freqs = np.argsort(-band, axis=1, kind="stable")[:, :k] + 1

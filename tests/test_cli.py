@@ -322,6 +322,68 @@ def test_split_shorter_than_window_names_the_split(tmp_path, capsys):
     assert not run.exists()
 
 
+def _saved_checkpoint(tmp_path):
+    """An untrained 3-channel, window-24 checkpoint (seed 4) and its config."""
+    config = TrainConfig(window_length=24, hidden=8, n_factors=2, k_periods=2,
+                         num_blocks=1, seed=4)
+    bundle = build_models(config, 3, 6, np.random.default_rng(0))
+    bundle.stats = Standardization(np.zeros(3), np.ones(3))
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(ckpt, bundle)
+    return ckpt, config
+
+
+@pytest.mark.parametrize("given, key, value, trained", [
+    (["--set", "window_length=12"], "window_length", "12", "24"),
+    (["--seed", "99"], "seed", "99", "4"),
+    (["--set", "hidden=8", "--set", "sigma=0.2"], "sigma", "0.2", "0.1"),
+    (["--config", "CONFIG"], "hidden", "4", "8"),
+], ids=["set", "seed", "second_set", "config"])
+def test_score_refuses_a_changed_training_key(tmp_path, capsys, given, key,
+                                              value, trained):
+    ckpt, _ = _saved_checkpoint(tmp_path)
+    (tmp_path / "CONFIG").write_text("window_length = 24\nhidden = 4\n")
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 100)
+    given = [str(tmp_path / g) if g == "CONFIG" else g for g in given]
+    code = main(["score", "--checkpoint", str(ckpt), "--data", str(csv),
+                 "--out", str(tmp_path / "scored"), *given])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {key} = {value} given, but {ckpt} was trained with "
+        f"{key} = {trained}\n")
+    assert not (tmp_path / "scored").exists()
+
+
+def test_score_accepts_the_checkpoints_own_training_keys(tmp_path, capsys):
+    # a train run's resolved config, its seed and equal overrides all pass
+    ckpt, config = _saved_checkpoint(tmp_path)
+    write_resolved_config(tmp_path / "run", config, GenConfig(),
+                          {"command": "train"})
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 100)
+    out = tmp_path / "scored"
+    assert main(["score", "--checkpoint", str(ckpt), "--data", str(csv),
+                 "--out", str(out),
+                 "--config", str(tmp_path / "run" / "resolved_config.txt"),
+                 "--seed", "4", "--set", "window_length=24",
+                 "--set", "gen_length=50"]) == 0
+    assert (out / "scores.csv").exists()
+    assert load_config(out / "resolved_config.txt")[0] == config
+
+
+def test_score_short_series_names_the_file_and_window_length(tmp_path, capsys):
+    ckpt, _ = _saved_checkpoint(tmp_path)
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 20)
+    code = main(["score", "--checkpoint", str(ckpt), "--data", str(csv),
+                 "--out", str(tmp_path / "scored")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: 20 steps, fewer than the checkpoint's window_length 24\n")
+    assert not (tmp_path / "scored").exists()
+
+
 @pytest.mark.parametrize("case, why", [
     ("no_format_version", "not a periflow checkpoint (meta has no 'format_version')"),
     ("no_stats_std", "not a periflow checkpoint (no 'stats/std' entry)"),
@@ -331,12 +393,7 @@ def test_split_shorter_than_window_names_the_split(tmp_path, capsys):
     ("other_version", "unsupported checkpoint version 2 (expected 1)"),
 ])
 def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
-    config = TrainConfig(window_length=24, hidden=8, n_factors=2, k_periods=2,
-                         num_blocks=1)
-    bundle = build_models(config, 3, 6, np.random.default_rng(0))
-    bundle.stats = Standardization(np.zeros(3), np.ones(3))
-    ckpt = tmp_path / "model.npz"
-    save_checkpoint(ckpt, bundle)
+    ckpt, _ = _saved_checkpoint(tmp_path)
     with np.load(ckpt, allow_pickle=False) as blob:
         arrays = {key: blob[key] for key in blob.files}
     meta = json.loads(bytes(arrays["meta"]).decode())

@@ -5,8 +5,7 @@ import pytest
 from conftest import numeric_gradient, relative_error
 from periflow import autodiff as ad
 from periflow.autodiff import Tensor
-from periflow.factors import (bin_amplitudes, embed, extract_pyramid,
-                              grid_shape, init_miner)
+from periflow.factors import bin_amplitudes, embed, extract_pyramid, init_miner
 from periflow.spectral import top_k_periods
 
 
@@ -46,12 +45,6 @@ def test_embed_matches_matmul_oracle():
 def test_embed_shape_mismatch():
     with pytest.raises(ValueError, match="input dim"):
         embed(np.zeros((1, 5, 7)), _miner(d_in=3))
-
-
-def test_grid_padding_arithmetic():
-    assert grid_shape(12, 5) == (3, 5)  # padded length 15
-    assert grid_shape(60, 20) == (3, 20)
-    assert grid_shape(7, 7) == (1, 7)
 
 
 def test_pyramid_shapes_fixed_regardless_of_periods():
@@ -125,13 +118,27 @@ def _fold_oracle(h, params, frequencies):
 
 
 def test_pyramid_matches_fold_oracle():
-    # f=9 gives the padded period 7 at T=60; f=25 and f=29 both give
-    # period 3, so two slots of one window share a fold
+    for t, freqs in [
+        # f=9 gives the padded period 7 at T=60; f=25 and f=29 both give
+        # period 3, so two slots of one window share a fold
+        (60, [[25, 29, 3], [9, 3, 1], [2, 9, 25]]),
+        # B=1, the stream shape: period T (f=1, one grid row), period 2
+        # (f=30) and a shared period 3 (f=20 and f=25)
+        (60, [[1, 30, 20, 25]]),
+        # odd T: period 2 pads one step, period T=7 is one row
+        (7, [[3, 1], [1, 2], [2, 3]]),
+        # 40 pairs per period: each period is pooled in two blocks
+        (24, [[2, 3]] * 20 + [[3, 2]] * 20),
+    ]:
+        _check_against_fold_oracle(t, freqs)
+
+
+def _check_against_fold_oracle(t, freqs):
+    b, k = len(freqs), len(freqs[0])
     params = _miner(d_in=3, hidden=6, n=2, seed=7)
     rng = np.random.default_rng(8)
-    h = Tensor(rng.normal(size=(3, 60, 6)), requires_grad=True)
-    freqs = [[25, 29, 3], [9, 3, 1], [2, 9, 25]]
-    probe = rng.normal(size=(3, 3, 2, 6))
+    h = Tensor(rng.normal(size=(b, t, 6)), requires_grad=True)
+    probe = rng.normal(size=(b, k, 2, 6))
     leaves = (h, params.grid_w, params.grid_b, params.slot_w, params.slot_b)
 
     def run(build):
@@ -146,6 +153,19 @@ def test_pyramid_matches_fold_oracle():
     assert relative_error(got, want, floor=np.max(np.abs(want))) < 1e-12
     for g, w in zip(got_grads, want_grads):
         assert relative_error(g, w, floor=np.max(np.abs(w))) < 1e-12
+
+
+def test_period_pool_records_nothing_under_no_grad():
+    params = _miner(hidden=6)
+    h = Tensor(np.random.default_rng(2).normal(size=(2, 24, 6)), requires_grad=True)
+    periods = [[8, 3], [3, 3]]
+    taped = ad.period_pool(h, params.grid_w, params.grid_b, periods)
+    assert taped.requires_grad and taped._backward is not None
+    with ad.no_grad():
+        out = ad.period_pool(h, params.grid_w, params.grid_b, periods)
+    assert not out.requires_grad
+    assert out._backward is None and out._parents == ()
+    np.testing.assert_array_equal(out.data, taped.data)
 
 
 def test_pyramid_deterministic():

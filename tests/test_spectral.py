@@ -23,7 +23,7 @@ def top_k_oracle(x, k):
     The energetic bins (amplitude above 1e-12) come first, strongest first;
     the remaining picks are the lowest other bins."""
     t = x.shape[0]
-    amp = np.abs(np.fft.fft(x, axis=0)).mean(axis=1)
+    amp = np.abs(np.fft.rfft(x, axis=0)).mean(axis=1)
     band = amp[1:t // 2 + 1]
     energetic = [int(i) + 1 for i in np.argsort(-band, kind="stable")
                  if band[i] > 1e-12]
@@ -250,6 +250,39 @@ def test_top_k_batch_matches_per_window_oracle(t, c, k):
         np.testing.assert_array_equal(weights[i], ref_weights)
     assert freqs[2].tolist() == [1, 2, 3][:k]  # the constant window
     assert freqs[5].tolist() == [3, 1, 2][:k]  # the pure tone
+
+
+def _c09_windows(n, seed):
+    """T=60, D=3 windows of sines of period 20 (amplitude 3) and 60
+    (amplitude 1) with per-channel phases and 0.3 noise."""
+    rng = np.random.default_rng(seed)
+    steps = np.arange(60)[None, :, None] + rng.integers(0, 4000, size=(n, 1, 1))
+    phase = rng.uniform(0, 2 * np.pi, size=(1, 1, 3))
+    return (3.0 * np.sin(2 * np.pi * steps / 20 + phase)
+            + np.sin(2 * np.pi * steps / 60 + 2 * phase)
+            + 0.3 * rng.normal(size=(n, 60, 3)))
+
+
+@pytest.mark.parametrize("x", [
+    _c09_windows(256, seed=1),
+    np.random.default_rng(2).normal(size=(64, 60, 32)),
+    np.random.default_rng(3).normal(size=(64, 61, 3)),
+    _mixed_batch(60, 3, seed=4),
+    _mixed_batch(11, 1, seed=5),
+], ids=["c09", "embedded", "odd_t", "mixed", "short"])
+def test_rfft_picks_match_full_fft_picks(x):
+    t, k = x.shape[1], 3
+    amp = np.abs(np.fft.fft(x, axis=1)).mean(axis=2)
+    band = amp[:, 1:t // 2 + 1]
+    band = np.where(band > 1e-12, band, 0.0)
+    want = np.argsort(-band, axis=1, kind="stable")[:, :k] + 1
+    freqs, periods, amplitudes = top_k_periods(x, k)
+    np.testing.assert_array_equal(freqs, want)
+    np.testing.assert_array_equal(periods, -(-t // want))
+    full = np.take_along_axis(amp, want, axis=1)
+    energetic = full > 1e-12
+    assert np.all(np.abs(amplitudes - full)[energetic]
+                  <= 1e-12 * full[energetic])
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 59, 60, 61])

@@ -118,6 +118,29 @@ def test_encode_batch_folds_and_fuses_once(monkeypatch):
     assert calls == {"extract_pyramid": 1, "fuse": 1}
 
 
+def test_encode_batch_tape_size_is_fixed(monkeypatch):
+    # the fold is one node however many distinct periods a batch picks,
+    # so a recorded 32-window encode creates a fixed number of tensors
+    config = TrainConfig(**{**CFG, "window_length": 60, "k_periods": 3})
+    bundle = build_models(config, 2, 12, np.random.default_rng(7))
+    init = Tensor.__init__
+    created = [0]
+
+    def counted(self, *args, **kwargs):
+        created[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    counts = []
+    for seed in (0, 1):
+        windows = np.random.default_rng(seed).normal(size=(32, 60, 2))
+        created[0] = 0
+        rep, diags = encode_batch(windows, bundle)
+        assert rep.requires_grad and np.unique(diags["periods"]).size > 10
+        counts.append(created[0])
+    assert counts[0] == counts[1] <= 44
+
+
 def test_identity_start_nll_is_standard_normal():
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation on float64 numpy buffers.
+"""Reverse-mode automatic differentiation on float32 or float64 numpy buffers.
 
 Every operation returns a new tensor and, when an input requires
 gradients, records its parents and a backward closure on the output
@@ -21,6 +21,11 @@ miner in one node (it keeps its per-period buffers only while recording).
 input's buffer (`broadcast_to`'s is numpy's read-only broadcast view, which
 copies nothing); every other op writes only into buffers it allocates,
 never into an input's `data`.
+
+Every op computes in its inputs' dtype: float32 in gives float32 out, and
+a Python or numpy scalar in operator sugar takes the tensor's dtype.
+Training runs in float64; `periflow score` runs a float32 copy of the
+model.
 """
 from __future__ import annotations
 
@@ -44,20 +49,27 @@ class NumericOverflow(ArithmeticError):
     """Non-finite values appeared inside a computation."""
 
 
+_FLOATS = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+
+
 class Tensor:
     """Node of the recorded computation graph.
 
-    `data` is a float64 ndarray, contiguous except for the views that
-    `transpose` and `broadcast_to` (read-only) return. `grad` is
-    allocated lazily during the backward sweep and has the same shape as
-    `data`; after the sweep only leaves (tensors with no backward
-    closure) keep it.
+    `data` is a float32 or float64 ndarray (anything else is cast to
+    float64), contiguous except for the views that `transpose` and
+    `broadcast_to` (read-only) return. `grad` has the same shape as `data`
+    and is set during the backward sweep; it may be a view that other
+    tensors share, so it is read, never written in place. After the sweep
+    only leaves (tensors with no backward closure) keep it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype not in _FLOATS:
+            data = data.astype(np.float64)
+        self.data = data
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -106,36 +118,33 @@ class Tensor:
             for parent, g in zip(node._parents, node._backward(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    # copy: backward closures may hand out shared views
-                    parent.grad = np.array(g)
-                else:
-                    parent.grad += g
+                # g may be a view shared with other tensors: never add into it
+                parent.grad = g if parent.grad is None else parent.grad + g
             # every consumer of this node ran before it, so its gradient is
             # complete and spent; only leaves keep theirs
             node.grad = None
 
     # Operator sugar; scalars are promoted to constant tensors.
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(_wrap(other, self), self)
 
     def __truediv__(self, other):
-        return div(self, _wrap(other))
+        return div(self, _wrap(other, self))
 
     def __neg__(self):
         return neg(self)
@@ -145,8 +154,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _wrap(x, like: Tensor) -> Tensor:
+    # in `like`'s dtype: a 0-d float64 array would turn float32 into float64
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 @contextlib.contextmanager
@@ -278,17 +288,17 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def take(a: Tensor, rows, axis: int = 0) -> Tensor:
-    """Entries of `a` at the given indices along `axis`, in that order; a
-    repeated index receives the sum of its gradients."""
+    """Entries of `a` at the given distinct indices along `axis`, in that
+    order."""
     rows = np.asarray(rows, dtype=np.intp)
+    if len(set(rows.tolist())) != rows.size:
+        values, counts = np.unique(rows, return_counts=True)
+        raise ValueError(f"take: index {values[counts > 1][0]} repeats; rows must be distinct")
     index = (slice(None),) * axis + (rows,)
 
     def backward(g: Array):
         out = np.zeros_like(a.data)
-        if np.unique(rows).size == rows.size:
-            out[index] = g
-        else:  # np.add.at is several times slower, so only for repeats
-            np.add.at(out, index, g)
+        out[index] = g
         return (out,)
 
     return _node(a.data[index], (a,), backward)
@@ -357,12 +367,20 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with b broadcast along rows; x is 2-D (rows, features)."""
+    """x @ w + b with b broadcast along rows; x is 2-D (rows, features).
+
+    Each output row is bitwise the same whatever the row count: one row
+    goes through the same matrix product as many, with a zero second row
+    (numpy hands a one-row product to BLAS gemv, which sums in another
+    order than gemm)."""
     if x.ndim != 2:
         raise ValueError(f"affine expects 2-D input, got {x.shape}")
     if b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise ValueError(f"affine: bias shape {b.shape} does not match weight {w.shape}")
-    out_data = x.data @ w.data
+    if x.shape[0] == 1:
+        out_data = (np.concatenate([x.data, np.zeros_like(x.data)]) @ w.data)[:1]
+    else:
+        out_data = x.data @ w.data
     out_data += b.data
     return _node(out_data, (x, w, b),
                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
@@ -384,17 +402,17 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor) -> Tensor:
     rows = np.asarray(rows, dtype=np.intp)
     m, span = rows.size, 2 * radius + 1
     width = span * c
-    padded = np.zeros((b, t + 2 * radius, c))
+    padded = np.zeros((b, t + 2 * radius, c), dtype=x.data.dtype)
     padded[:, radius:radius + t, :] = x.data
     padded[:, rows + radius, :] = 0.0
-    out_data = np.empty((b, m, width + cond.shape[1]))
+    out_data = np.empty((b, m, width + cond.shape[1]), dtype=x.data.dtype)
     # row t's context is one contiguous span*C slice of a window view
     windows = np.lib.stride_tricks.sliding_window_view(padded, (span, c), axis=(1, 2))
     out_data[:, :, :width] = windows.reshape(b, t, width)[:, rows]
     out_data[:, :, width:] = cond.data[:, None, :]
 
     def backward(g: Array):
-        acc = np.zeros((b, t + 2 * radius, c))
+        acc = np.zeros((b, t + 2 * radius, c), dtype=g.dtype)
         # largest row first, so each step sums its terms in offset order
         for i in np.argsort(rows)[::-1]:
             r = rows[i]
@@ -451,13 +469,14 @@ def period_pool(h: Tensor, grid_w: Tensor, grid_b: Tensor, periods) -> Tensor:
     # every window padded to the longest fold; pad steps are zero and
     # their cell projections are b
     span = int(np.max(-(-t // distinct) * distinct))
-    padded = np.zeros((b, span, c))
+    dtype = h.data.dtype
+    padded = np.zeros((b, span, c), dtype=dtype)
     padded[:, :t] = h.data
-    cell = np.empty((b, span, c))
+    cell = np.empty((b, span, c), dtype=dtype)
     cell[:, :t] = (h.data.reshape(b * t, c) @ w_cell).reshape(b, t, c)
     cell[:, :t] += grid_b.data
     cell[:, t:] = grid_b.data
-    out_data = np.empty((b * k, c))
+    out_data = np.empty((b * k, c), dtype=dtype)
     blocks = []
     for p, win, slot in _period_blocks(periods, distinct):
         m, rows = win.size, -(-t // p)
@@ -473,15 +492,18 @@ def period_pool(h: Tensor, grid_w: Tensor, grid_b: Tensor, periods) -> Tensor:
             blocks.append((win, pos, col, row, y))
 
     def backward(g: Array):
-        gh = np.zeros((b, span, c))     # through the grid values and means
-        gcell = np.zeros((b, span, c))  # through the cell projection
+        gh = np.zeros((b, span, c), dtype=g.dtype)     # through the grid values and means
+        gcell = np.zeros((b, span, c), dtype=g.dtype)  # through the cell projection
         gw = np.empty_like(grid_w.data)
         gw[c:] = 0.0
+        # one scratch buffer for every block's dy: a fresh one per block
+        # costs more to first touch than to fill
+        scratch = np.empty(max(blk[4].size for blk in blocks), dtype=g.dtype)
         for win, pos, col, row, y in blocks:
             m, rows, p = y.shape[:3]
             n = rows * p
             gp = g[pos] / n
-            dy = np.multiply(y, y)
+            dy = np.multiply(y, y, out=scratch[:y.size].reshape(y.shape))
             np.subtract(1.0, dy, out=dy)
             dy *= gp[:, None, None, :]
             dcol, drow = dy.sum(axis=1), dy.sum(axis=2)

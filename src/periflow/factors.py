@@ -101,8 +101,8 @@ def bin_amplitudes(h: Tensor, frequencies: np.ndarray) -> Tensor:
     """
     t = h.shape[1]
     grid = 2.0 * np.pi * np.asarray(frequencies)[..., None] * np.arange(t) / t
-    re = ad.bmm(Tensor(np.cos(grid)), h)
-    im = ad.bmm(Tensor(-np.sin(grid)), h)
+    re = ad.bmm(Tensor(np.cos(grid).astype(h.data.dtype, copy=False)), h)
+    im = ad.bmm(Tensor((-np.sin(grid)).astype(h.data.dtype, copy=False)), h)
     return ad.tmean(ad.sqrt(re * re + im * im) * (2.0 / t), axis=2)
 
 

@@ -154,8 +154,9 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
     """Map windows to latent space.
 
     x: (B, T, D) windows, B >= 1; h_c: (B, D_h) conditioning vectors.
-    Returns (z, logdet) Tensors, plus a (B, T) per-timestep log-det array
-    when requested (used for score decomposition, not differentiated).
+    Returns (z, logdet) Tensors in the dtype of x, plus a (B, T) float64
+    per-timestep log-det array when requested (used for score
+    decomposition, not differentiated).
     """
     h = x if isinstance(x, Tensor) else Tensor(x)
     if h.ndim != 3:
@@ -167,7 +168,7 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
         raise FlowError(f"forward: input dim {d} != model dim {model.d_in}")
     hc = _conditioning(h_c, b, model)
 
-    logdet = Tensor(np.zeros(b))
+    logdet = Tensor(np.zeros(b, dtype=h.data.dtype))
     logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
     for li, (layer, (rows, merge)) in enumerate(zip(model.layers, _moved_rows(model, t))):
         s, t_out = _scale_shift(layer, h, rows, hc, model)
@@ -177,7 +178,7 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
             raise NumericOverflow(f"non-finite values after coupling layer {li}")
         logdet = logdet - ad.tsum(s, axis=(1, 2))
         if logdet_t is not None:
-            logdet_t[:, rows] -= s.data.sum(axis=2)
+            logdet_t[:, rows] -= s.data.sum(axis=2, dtype=np.float64)
     if want_timestep_logdet:
         return h, logdet, logdet_t
     return h, logdet
@@ -206,7 +207,7 @@ def log_prob(x, h_c, model: FlowModel) -> Tensor:
     z, logdet = forward(x, h_c, model)
     b, t, d = z.shape
     quad = ad.tsum(z * z, axis=(1, 2)) * 0.5
-    const = Tensor(np.full(b, 0.5 * t * d * LOG_2PI))
+    const = Tensor(np.full(b, 0.5 * t * d * LOG_2PI, dtype=z.data.dtype))
     return logdet - quad - const
 
 
@@ -217,10 +218,11 @@ def nll_loss(x, h_c, model: FlowModel) -> Tensor:
 
 def anomaly_score(x, h_c, model: FlowModel) -> tuple[np.ndarray, np.ndarray]:
     """Negative log-likelihood per window plus its exact additive
-    decomposition over timesteps; higher means more anomalous."""
+    decomposition over timesteps; higher means more anomalous. Both are
+    float64, summed from z and s in whatever dtype the flow ran."""
     z, logdet, logdet_t = forward(x, h_c, model, want_timestep_logdet=True)
     d = z.shape[2]
-    z_np = z.data
+    z_np = z.data.astype(np.float64, copy=False)
     tau_t = 0.5 * np.sum(z_np * z_np, axis=2) + 0.5 * d * LOG_2PI - logdet_t
     tau = tau_t.sum(axis=1)
     return tau, tau_t

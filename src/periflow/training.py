@@ -13,6 +13,7 @@ operations.
 """
 from __future__ import annotations
 
+import copy
 import json
 import zipfile
 from dataclasses import asdict, dataclass, fields
@@ -106,6 +107,14 @@ class ModelBundle:
         out.update(self.fusion.named())
         out.update(self.flow.named())
         return out
+
+    def astype(self, dtype) -> "ModelBundle":
+        """A copy whose parameters are cast to `dtype`; its scores compute
+        in that dtype."""
+        twin = copy.deepcopy(self)
+        for tensor in twin.named_params().values():
+            tensor.data = tensor.data.astype(dtype)
+        return twin
 
 
 def build_models(config: TrainConfig, d_in: int, global_period: int,
@@ -272,13 +281,16 @@ def score_windows(bundle: ModelBundle, windows: np.ndarray,
     """Anomaly scores for standardized windows.
 
     Conditioning uses the clean path only, so scoring is deterministic;
-    no graph is recorded. Returns tau (B,), tau_t (B, T) and the
-    diagnostics of `encode_batch`, each a (B, k) array.
+    no graph is recorded. The windows are cast to the dtype of the
+    bundle's parameters, which the whole pass then runs in. Returns float64
+    tau (B,) and tau_t (B, T) and the diagnostics of `encode_batch`, each
+    a (B, k) array.
     """
+    dtype = bundle.miner.embed_w.data.dtype
     taus, tau_ts, diags = [], [], []
     with ad.no_grad():
         for lo in range(0, windows.shape[0], batch_size):
-            chunk = windows[lo:lo + batch_size]
+            chunk = windows[lo:lo + batch_size].astype(dtype, copy=False)
             rep, d = encode_batch(chunk, bundle)
             h_c = condition(rep, bundle.flow)
             tau, tau_t = anomaly_score(chunk, h_c, bundle.flow)

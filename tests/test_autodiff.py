@@ -300,13 +300,11 @@ def test_no_grad_is_per_thread():
     assert not worker.is_alive() and seen == [True]
 
 
-def test_take_gradient_with_repeated_rows():
-    rng = np.random.default_rng(30)
-    a = _param(rng, 4, 3)
-    w = Tensor(rng.normal(size=(6, 3)))
-    rows = [2, 0, 2, 3, 2, 1]
-    np.testing.assert_array_equal(ad.take(a, rows).data, a.data[rows])
-    check_gradients(lambda: ad.tsum(ad.tanh(ad.take(a, rows)) * w), [a])
+def test_take_rejects_repeated_rows():
+    a = Tensor(np.ones((4, 3)), requires_grad=True)
+    for rows, axis in (([2, 0, 2, 3], 0), ([1, 1], 1)):
+        with pytest.raises(ValueError, match=r"^take: index \d repeats; rows must be distinct$"):
+            ad.take(a, rows, axis=axis)
 
 
 def test_take_gradient_with_unique_rows_matches_add_at():
@@ -325,6 +323,106 @@ def test_take_along_axis():
     rng = np.random.default_rng(32)
     a = _param(rng, 2, 5, 3)
     w = Tensor(rng.normal(size=(2, 4, 3)))
-    for rows in ([4, 0, 2, 1], [3, 1, 3, 3]):
+    for rows in ([4, 0, 2, 1], [3, 1, 0, 4]):
         np.testing.assert_array_equal(ad.take(a, rows, axis=1).data, a.data[:, rows])
         check_gradients(lambda: ad.tsum(ad.tanh(ad.take(a, rows, axis=1)) * w), [a])
+
+
+# The op contract: every op, scalar operator sugar included, keeps its
+# inputs' dtype in its output and gradients, records nothing under
+# no_grad, never writes into an input, and matches central differences.
+# Each case is (input shapes, op); inputs are drawn from [0.5, 2] so that
+# sqrt and div stay smooth.
+OP_CASES = {
+    "add": ([(3, 4), (3, 4)], ad.add),
+    "sub": ([(3, 4), (3, 4)], ad.sub),
+    "mul": ([(3, 4), (3, 4)], ad.mul),
+    "div": ([(3, 4), (3, 4)], ad.div),
+    "neg": ([(3, 4)], ad.neg),
+    "exp": ([(3, 4)], ad.exp),
+    "tanh": ([(3, 4)], ad.tanh),
+    "sqrt": ([(3, 4)], ad.sqrt),
+    "matmul": ([(3, 4), (4, 2)], ad.matmul),
+    "bmm": ([(2, 3, 4), (2, 4, 2)], ad.bmm),
+    "transpose": ([(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
+    "reshape": ([(3, 4)], lambda a: ad.reshape(a, (2, 6))),
+    "broadcast_to": ([(3, 1)], lambda a: ad.broadcast_to(a, (2, 3, 4))),
+    "take": ([(5, 3)], lambda a: ad.take(a, [4, 0, 2])),
+    "take_axis1": ([(2, 5, 3)], lambda a: ad.take(a, [4, 0, 2], axis=1)),
+    "concat": ([(2, 3), (4, 3)], lambda a, b: ad.concat([a, b], axis=0)),
+    "tsum": ([(2, 3, 4)], lambda a: ad.tsum(a, axis=(0, 2))),
+    "tmean": ([(2, 3, 4)], lambda a: ad.tmean(a, axis=1, keepdims=True)),
+    "softmax": ([(3, 4)], ad.softmax),
+    "affine": ([(3, 4), (4, 2), (2,)], ad.affine),
+    "affine_one_row": ([(1, 4), (4, 2), (2,)], ad.affine),
+    "time_context": ([(2, 5, 3), (2, 4)],
+                     lambda x, cond: ad.time_context(x, 1, [3, 0, 2], cond)),
+    "period_pool": ([(2, 7, 3), (9, 3), (3,)],
+                    lambda h, w, b: ad.period_pool(h, w, b, [[2, 7], [3, 2]])),
+    "scalar_add": ([(3, 4)], lambda a: a + 2.0),
+    "scalar_radd": ([(3, 4)], lambda a: 2 + a),
+    "scalar_sub": ([(3, 4)], lambda a: a - np.float64(2.0)),
+    "scalar_rsub": ([(3, 4)], lambda a: 2.0 - a),
+    "scalar_mul": ([(3, 4)], lambda a: a * (1.0 / np.sqrt(4))),  # a numpy float64
+    "scalar_rmul": ([(3, 4)], lambda a: 0.5 * a),
+    "scalar_div": ([(3, 4)], lambda a: a / 3.0),
+    "neg_sugar": ([(3, 4)], lambda a: -a),
+}
+
+
+def _case_inputs(name: str, dtype) -> list[Tensor]:
+    rng = np.random.default_rng(40)
+    return [Tensor(rng.uniform(0.5, 2.0, size=shape).astype(dtype), requires_grad=True)
+            for shape in OP_CASES[name][0]]
+
+
+def _case_loss(op, inputs, weight: np.ndarray) -> Tensor:
+    return ad.tsum(op(*inputs) * Tensor(weight))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_keeps_dtype_and_leaves_inputs_unwritten(name, dtype):
+    op = OP_CASES[name][1]
+    inputs = _case_inputs(name, dtype)
+    kept = [x.data.copy() for x in inputs]
+    for x in inputs:
+        x.data.flags.writeable = False  # a write into an input raises
+    out = op(*inputs)
+    assert out.data.dtype == dtype
+    weight = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
+    weight.flags.writeable = False
+    _case_loss(op, inputs, weight).backward()
+    for x, before in zip(inputs, kept):
+        assert x.grad.dtype == dtype and x.grad.shape == x.shape
+        np.testing.assert_array_equal(x.data, before)
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_records_nothing_under_no_grad(name):
+    inputs = _case_inputs(name, np.float64)
+    with ad.no_grad():
+        out = OP_CASES[name][1](*inputs)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_gradients_match_central_differences(name):
+    op = OP_CASES[name][1]
+    inputs = _case_inputs(name, np.float64)
+    weight = np.random.default_rng(2).normal(size=op(*inputs).shape)
+    check_gradients(lambda: _case_loss(op, inputs, weight), inputs)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affine_row_is_the_same_alone_and_in_a_batch(dtype):
+    # a one-row product must not take a different BLAS path than many rows
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.normal(size=(64, 128)).astype(dtype))
+    w = Tensor(rng.normal(size=(128, 32)).astype(dtype))
+    b = Tensor(rng.normal(size=32).astype(dtype))
+    batched = ad.affine(x, w, b).data
+    for i in (0, 1, 63):
+        np.testing.assert_array_equal(ad.affine(Tensor(x.data[i:i + 1]), w, b).data,
+                                      batched[i:i + 1])

@@ -8,7 +8,8 @@ from periflow.factors import embed, extract_pyramid
 from periflow.flow import LOG_2PI, condition, nll_loss
 from periflow.fusion import fuse
 from periflow.spectral import intervene, top_k_periods
-from periflow.synthetic import SynthConfig, generate
+from periflow.series import make_windows
+from periflow.synthetic import Anomaly, SynthConfig, generate
 from periflow.training import (TrainConfig, TrainingDiverged,
                                build_models, encode_batch, evaluate_objective,
                                fit, history_to_csv, load_checkpoint,
@@ -412,6 +413,64 @@ def test_scoring_without_tape_matches_taped_path():
         taped_tau_t.append(part_t)
     np.testing.assert_array_equal(tau, np.concatenate(taped_tau))
     np.testing.assert_array_equal(tau_t, np.concatenate(taped_tau_t))
+
+
+def _c09_bundle(length=1000):
+    """A c09-sized model (T=60, H=32, N=4, k=3, 2 layers of 2 blocks) with
+    its flow heads moved off zero, and its c09-style series prepared."""
+    series = generate(SynthConfig(length=length, dims=3, periods={20: 3.0, 60: 1.0},
+                                  noise_std=0.3, seed=4,
+                                  anomalies=[Anomaly("spike", 650, 2, 8.0),
+                                             Anomaly("level_shift", 700, 20, 4.0)]))
+    config = TrainConfig(window_length=60, seed=4)
+    data = prepare_series(series, config)
+    bundle = build_models(config, 3, data["global_period"], np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for layer in bundle.flow.layers:
+        for net in (layer.s_net, layer.t_net):
+            w, b = net.layers[-1]
+            w.data = rng.normal(0.0, 0.3, size=w.shape)
+            b.data = rng.normal(0.0, 0.3, size=b.shape)
+    return bundle, data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_window_scores_alike_alone_and_in_a_chunk(dtype):
+    # a window scored alone against the same window inside a 256-window
+    # chunk: bitwise in float32; float64 period_pool blocks differ in
+    # their last bits with the block size
+    bundle, data = _c09_bundle()
+    windows = make_windows(data["train_series"], 60, 1).windows[:256]
+    assert windows.shape[0] == 256
+    twin = bundle.astype(dtype)
+    tau, tau_t, diags = score_windows(twin, windows)
+    assert 60 in diags["periods"]  # a one-cycle fold, whose row mean is one row
+    for i in (0, 1, 255):
+        one, one_t, _ = score_windows(twin, windows[i:i + 1])
+        if dtype == np.float32:
+            np.testing.assert_array_equal(one, tau[i:i + 1])
+            np.testing.assert_array_equal(one_t, tau_t[i:i + 1])
+        else:
+            np.testing.assert_allclose(one, tau[i:i + 1], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(one_t, tau_t[i:i + 1], rtol=1e-12, atol=1e-12)
+
+
+def test_float32_twin_scores_close_to_float64():
+    bundle, data = _c09_bundle()
+    params = {name: t.data for name, t in bundle.named_params().items()}
+    twin = bundle.astype(np.float32)
+    assert all(t.data.dtype == np.float32 for t in twin.named_params().values())
+    for name, t in bundle.named_params().items():  # the original is untouched
+        assert t.data is params[name] and t.data.dtype == np.float64
+    windows = data["test"].windows
+    tau, tau_t, diags = score_windows(bundle, windows)
+    tau32, tau32_t, diags32 = score_windows(twin, windows)
+    assert tau32.dtype == tau32_t.dtype == np.float64
+    np.testing.assert_array_equal(diags32["periods"], diags["periods"])
+    # float32 rounds at 6e-8 relative; a window's NLL sums a few hundred
+    # rounded terms, so 1e-5 leaves room without hiding a real change
+    np.testing.assert_allclose(tau32, tau, rtol=1e-5)
+    np.testing.assert_allclose(tau32_t, tau_t, rtol=1e-5, atol=1e-5)
 
 
 def test_evaluate_objective_matches_taped_loss():

@@ -386,13 +386,24 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
-def time_context(x: Tensor, radius: int, rows, cond: Tensor) -> Tensor:
+def row_runs(rows) -> tuple[tuple[int, int, int], ...]:
+    """The runs of consecutive indices in `rows`: (position, first index,
+    length) with rows[position:position + length] == first + 0, 1, ..."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        return ()
+    edges = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
+    return tuple((lo, int(rows[lo]), hi - lo) for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def time_context(x: Tensor, radius: int, rows, cond: Tensor, runs=None) -> Tensor:
     """Temporal context of a (B, T, C) tensor at the time indices `rows`.
 
     Output (B, len(rows), (2*radius+1)*C + H): per row t the steps
     x[:, t-radius ... t+radius, :], then the (B, H) `cond` of its window.
     Steps outside [0, T) and the steps in `rows` themselves read as zero,
-    so a coupling net sees only the steps its layer keeps.
+    so a coupling net sees only the steps its layer keeps. `runs` is
+    `row_runs(rows)`, which a caller that reuses `rows` computes once.
     """
     if x.ndim != 3:
         raise ValueError(f"time_context expects (B,T,C), got {x.shape}")
@@ -406,9 +417,12 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor) -> Tensor:
     padded[:, radius:radius + t, :] = x.data
     padded[:, rows + radius, :] = 0.0
     out_data = np.empty((b, m, width + cond.shape[1]), dtype=x.data.dtype)
-    # row t's context is one contiguous span*C slice of a window view
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (span, c), axis=(1, 2))
-    out_data[:, :, :width] = windows.reshape(b, t, width)[:, rows]
+    # row t's context is one contiguous span*C slice of a window view, so a
+    # run of consecutive rows is one basic slice, copied with no temporary
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (span, c), axis=(1, 2)).reshape(b, t, width)
+    for at, first, n in row_runs(rows) if runs is None else runs:
+        out_data[:, at:at + n, :width] = windows[:, first:first + n]
     out_data[:, :, width:] = cond.data[:, None, :]
 
     def backward(g: Array):

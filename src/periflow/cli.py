@@ -26,8 +26,8 @@ from .series import (MultivariateSeries, SeriesError, SplitSpec, _parse_number,
 from .spectral import (SpectralError, discover_global_period,
                        periodicity_strength, top_k_periods)
 from .synthetic import Anomaly, SynthConfig, generate, write_csv
-from .training import (TrainConfig, fit, history_to_csv, load_checkpoint,
-                       prepare_series, score_windows)
+from .training import (SCORE_CHUNK, TrainConfig, fit, history_to_csv,
+                       load_checkpoint, prepare_series, score_windows)
 
 
 class ConfigError(ValueError):
@@ -232,8 +232,19 @@ def cmd_score(args) -> int:
     windows = make_windows(prepared, window_length, stride=1)
     # score in float32, at about half the arithmetic and memory of float64;
     # the picker still sees float64 amplitudes and tau is summed in float64
-    tau, tau_t, diags = score_windows(bundle.astype(np.float32), windows.windows)
-    points = window_scores_to_points(tau_t, windows.window_starts, prepared.length)
+    twin = bundle.astype(np.float32)
+    chunk_diags = []
+
+    def chunk_scores():
+        # one chunk's tau_t at a time, folded onto the timeline as it comes
+        for lo in range(0, windows.count, SCORE_CHUNK):
+            _, tau_t, diags = score_windows(twin, windows.windows[lo:lo + SCORE_CHUNK])
+            chunk_diags.append(diags)
+            yield tau_t
+
+    points = window_scores_to_points(chunk_scores(), windows.window_starts,
+                                     prepared.length)
+    diags = {key: np.concatenate([d[key] for d in chunk_diags]) for key in chunk_diags[0]}
     out = Path(args.out)
     summary = emit_reports(out, points.scores, series.labels,
                            diagnostics={"window_start": windows.window_starts,

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 HIST_BINS = 50  # bins of score_histogram.csv
+REPORT_BLOCK = 1024  # windows per block of period_weights.csv rows
 
 
 class EvalError(ValueError):
@@ -16,37 +18,47 @@ class EvalError(ValueError):
 
 @dataclass
 class AnomalyScoreSeries:
-    """Per-timestep scores with the number of windows covering each step."""
+    """Per-timestep scores on the source timeline."""
 
     scores: np.ndarray
-    coverage: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.scores)):
             raise EvalError("non-finite scores")
 
 
-def window_scores_to_points(step_scores: np.ndarray, window_starts: np.ndarray,
+def window_scores_to_points(step_scores, window_starts: np.ndarray,
                             series_length: int) -> AnomalyScoreSeries:
     """Spread per-window per-timestep scores back onto the source timeline.
 
-    Each covered timestep receives the mean over all windows that include
-    it; timesteps outside every window copy the nearest covered score and
-    keep coverage 0.
+    `step_scores` is one (B, T) array, or an iterator of (b, T) chunks that
+    follow one another in the order of `window_starts`; a chunk is folded
+    into the per-step sums as it comes, so the windows' scores need never
+    be held at once. Each covered timestep receives the mean over all
+    windows that include it, summed window by window in window order;
+    timesteps outside every window copy the nearest covered score.
     """
-    step_scores = np.atleast_2d(np.asarray(step_scores, dtype=np.float64))
     window_starts = np.asarray(window_starts, dtype=np.int64)
-    b, t = step_scores.shape
-    if b != window_starts.shape[0]:
-        raise EvalError("one start index per window required")
-    over = window_starts + t > series_length
-    if over.any():
-        raise EvalError(f"window at {window_starts[over][0]} overruns series of "
-                        f"length {series_length}")
-    steps = window_starts[:, None] + np.arange(t)
+    chunks = step_scores if isinstance(step_scores, Iterator) else [step_scores]
     sums = np.zeros(series_length)
-    np.add.at(sums, steps, step_scores)  # window by window, as a loop would
-    counts = np.bincount(steps.ravel(), minlength=series_length)
+    counts = np.zeros(series_length, dtype=np.int64)
+    done = 0
+    for chunk in chunks:
+        chunk = np.atleast_2d(np.asarray(chunk, dtype=np.float64))
+        b, t = chunk.shape
+        starts = window_starts[done:done + b]
+        if starts.size != b:
+            raise EvalError("one start index per window required")
+        over = starts + t > series_length
+        if over.any():
+            raise EvalError(f"window at {starts[over][0]} overruns series of "
+                            f"length {series_length}")
+        steps = starts[:, None] + np.arange(t)
+        np.add.at(sums, steps, chunk)  # window by window, as a loop would
+        np.add.at(counts, steps, 1)
+        done += b
+    if done != window_starts.size:
+        raise EvalError("one start index per window required")
     covered = counts > 0
     if not covered.any():
         raise EvalError("no timestep is covered by any window")
@@ -59,7 +71,7 @@ def window_scores_to_points(step_scores: np.ndarray, window_starts: np.ndarray,
     left = idx[np.maximum(pos - 1, 0)]
     right = idx[np.minimum(pos, idx.size - 1)]
     scores[holes] = scores[np.where(holes - left <= right - holes, left, right)]
-    return AnomalyScoreSeries(scores, counts)
+    return AnomalyScoreSeries(scores)
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -136,14 +148,17 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
             fh.write(f"{i},{float(s)!r},{float(-s)!r}\n")
 
     if diagnostics is not None:
-        k = diagnostics["periods"].shape[1]
-        rows = zip(np.repeat(diagnostics["window_start"], k).tolist(),
-                   *(diagnostics[key].ravel().tolist()
-                     for key in ("periods", "amp_weights", "attention")))
+        columns = [diagnostics[key] for key in ("periods", "amp_weights", "attention")]
+        k = columns[0].shape[1]
         with open(out / "period_weights.csv", "w", encoding="utf-8") as fh:
             fh.write("window_start,period,amplitude_weight,attention_score\n")
-            for start, p, w, a in rows:
-                fh.write(f"{start},{p},{w!r},{a!r}\n")
+            # a block of windows at a time, so no list of every value is built
+            for lo in range(0, columns[0].shape[0], REPORT_BLOCK):
+                rows = zip(np.repeat(diagnostics["window_start"][lo:lo + REPORT_BLOCK],
+                                     k).tolist(),
+                           *(col[lo:lo + REPORT_BLOCK].ravel().tolist() for col in columns))
+                for start, p, w, a in rows:
+                    fh.write(f"{start},{p},{w!r},{a!r}\n")
 
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

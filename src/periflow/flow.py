@@ -14,6 +14,7 @@ Zero-initialised output layers make the whole flow start as the identity.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,15 +119,29 @@ def condition(c_ind, model: FlowModel) -> Tensor:
     return ad.affine(ad.reshape(c, (b, n * dh)), model.cond_w, model.cond_b)
 
 
-def _moved_rows(model: FlowModel, t: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per layer, the time indices it moves and a merge index over
-    concat([h, moved], axis=1) that puts them back in place. Even layers
-    move the steps where the `build_mask` pattern is 0, odd layers the
-    others. A one-step window is cut from a two-step mask so it can still
-    be scored (the flow is the identity there anyway when nets are zero)."""
-    pattern = build_mask(model.mask.period, max(t, 2)).time_pattern[:t]
-    pair = [(np.flatnonzero(moved), np.where(moved, t - 1 + np.cumsum(moved), np.arange(t)))
-            for moved in (pattern == 0.0, pattern == 1.0)]
+@functools.lru_cache(maxsize=16)
+def _mask_rows(period: int, t: int) -> tuple[tuple, tuple]:
+    """For the steps where the `build_mask` pattern is 0, then for the
+    others: the moved time indices, a merge index over
+    concat([h, moved], axis=1) that puts them back in place, and the
+    indices' `ad.row_runs`. Cached per mask, so the arrays are read-only.
+    A one-step window is cut from a two-step mask so it can still be scored
+    (the flow is the identity there anyway when nets are zero)."""
+    pattern = build_mask(period, max(t, 2)).time_pattern[:t]
+    out = []
+    for moved in (pattern == 0.0, pattern == 1.0):
+        rows = np.flatnonzero(moved)
+        merge = np.where(moved, t - 1 + np.cumsum(moved), np.arange(t))
+        rows.flags.writeable = merge.flags.writeable = False
+        out.append((rows, merge, ad.row_runs(rows)))
+    return tuple(out)
+
+
+def _moved_rows(model: FlowModel, t: int) -> list[tuple[np.ndarray, np.ndarray, tuple]]:
+    """Per layer, the rows, merge index and row runs of `_mask_rows`: even
+    layers move the steps where the mask pattern is 0, odd layers the
+    others."""
+    pair = _mask_rows(model.mask.period, t)
     return [pair[li % 2] for li in range(len(model.layers))]
 
 
@@ -137,13 +152,13 @@ def _conditioning(h_c, b: int, model: FlowModel) -> Tensor:
     return hc
 
 
-def _scale_shift(layer: CouplingLayer, h: Tensor, rows: np.ndarray, hc: Tensor,
-                 model: FlowModel) -> tuple[Tensor, Tensor]:
+def _scale_shift(layer: CouplingLayer, h: Tensor, rows: np.ndarray, runs: tuple,
+                 hc: Tensor, model: FlowModel) -> tuple[Tensor, Tensor]:
     """(s, t) of one coupling layer at its moved rows, each (B, M, D), from
     the kept steps of h (B, T, D) and the conditioning (B, D_h); s is
     soft-clamped to (-SCALE_CLAMP, SCALE_CLAMP)."""
     b, _, d = h.shape
-    ctx = ad.time_context(h, model.context_radius, rows, hc)
+    ctx = ad.time_context(h, model.context_radius, rows, hc, runs)
     inp = ad.reshape(ctx, (-1, ctx.shape[2]))
     s_raw = ad.reshape(layer.s_net(inp), (b, rows.size, d))
     s = ad.tanh(s_raw * (1.0 / SCALE_CLAMP)) * SCALE_CLAMP
@@ -170,8 +185,9 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
 
     logdet = Tensor(np.zeros(b, dtype=h.data.dtype))
     logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
-    for li, (layer, (rows, merge)) in enumerate(zip(model.layers, _moved_rows(model, t))):
-        s, t_out = _scale_shift(layer, h, rows, hc, model)
+    for li, (layer, (rows, merge, runs)) in enumerate(zip(model.layers,
+                                                         _moved_rows(model, t))):
+        s, t_out = _scale_shift(layer, h, rows, runs, hc, model)
         moved = (ad.take(h, rows, axis=1) - t_out) * ad.exp(ad.neg(s))
         h = ad.take(ad.concat([h, moved], axis=1), merge, axis=1)
         if not np.all(np.isfinite(h.data)):
@@ -192,9 +208,9 @@ def inverse(z, h_c, model: FlowModel) -> np.ndarray:
         raise FlowError(f"inverse expects (B, T, D) latents, got shape {h.shape}")
     with ad.no_grad():
         hc = _conditioning(h_c, h.shape[0], model)
-        for layer, (rows, _) in zip(reversed(model.layers),
-                                    reversed(_moved_rows(model, h.shape[1]))):
-            s, t_out = _scale_shift(layer, Tensor(h), rows, hc, model)
+        for layer, (rows, _, runs) in zip(reversed(model.layers),
+                                          reversed(_moved_rows(model, h.shape[1]))):
+            s, t_out = _scale_shift(layer, Tensor(h), rows, runs, hc, model)
             h[:, rows] = h[:, rows] * np.exp(s.data) + t_out.data
             if not np.all(np.isfinite(h)):
                 raise NumericOverflow("non-finite values while inverting")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -90,7 +91,7 @@ class MultivariateSeries:
 
 @dataclass
 class WindowBatch:
-    """Contiguous windows stacked as (B, T, D) with their source offsets."""
+    """Windows as a (B, T, D) array with their source offsets."""
 
     windows: np.ndarray
     window_starts: np.ndarray
@@ -149,13 +150,14 @@ def load_csv(path) -> MultivariateSeries:
         if not data_idx:
             raise SeriesError(f"{path}: no numeric data columns in header {header}")
 
-        rows, stamps, labels = [], [], []
+        # flat float64 buffers: 8 bytes a value, not a Python float in a list
+        values, stamps, labels = array("d"), array("d"), []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise SeriesError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            rows.append([_parse_number(row[i], line_no, header[i]) for i in data_idx])
+            values.extend([_parse_number(row[i], line_no, header[i]) for i in data_idx])
             if has_ts:
                 stamps.append(_parse_timestamp(row[0], line_no, header[0]))
             if label_idx is not None:
@@ -165,10 +167,11 @@ def load_csv(path) -> MultivariateSeries:
                     raise SeriesError(f"line {line_no}: bad label {row[label_idx]!r}") from None
                 labels.append(lab)
 
-    if not rows:
+    if not values:
         raise SeriesError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
-    timestamps = np.asarray(stamps) if has_ts else np.arange(len(rows), dtype=np.float64)
+    values = np.frombuffer(values, dtype=np.float64).reshape(-1, len(data_idx))
+    timestamps = (np.frombuffer(stamps, dtype=np.float64) if has_ts
+                  else np.arange(len(values), dtype=np.float64))
     names = [header[i] for i in data_idx]
     return MultivariateSeries(values, timestamps,
                               np.asarray(labels) if label_idx is not None else None, names)
@@ -213,12 +216,14 @@ def standardize(series: MultivariateSeries, spec: SplitSpec = SplitSpec(),
 
 
 def make_windows(series: MultivariateSeries, window_length: int, stride: int = 1) -> WindowBatch:
-    """Slice contiguous windows covering [0, T_l - T] at the given stride."""
+    """Contiguous windows covering [0, T_l - T] at the given stride, as a
+    read-only strided view of the series' values: nothing is copied, and
+    indexing a batch of windows copies only that batch."""
     if stride < 1:
         raise SeriesError("stride must be >= 1")
     if window_length > series.length:
         raise SeriesError(
             f"window length {window_length} exceeds series length {series.length}")
     starts = np.arange(0, series.length - window_length + 1, stride)
-    windows = np.stack([series.values[s:s + window_length] for s in starts])
-    return WindowBatch(windows, starts, stride)
+    view = np.lib.stride_tricks.sliding_window_view(series.values, window_length, axis=0)
+    return WindowBatch(np.swapaxes(view, 1, 2)[::stride], starts, stride)

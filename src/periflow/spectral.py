@@ -14,6 +14,11 @@ import numpy as np
 from .series import MultivariateSeries
 
 
+# windows per rfft in `top_k_periods`: at T=60, C=32 a block's float64
+# copy and spectrum take about 1.2 MB
+_RFFT_BLOCK = 32
+
+
 class SpectralError(ValueError):
     pass
 
@@ -28,13 +33,18 @@ def top_k_periods(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     window with fewer than k energetic bins fills its remaining picks with
     its lowest unpicked bins (a constant window picks 1..k).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 3:
         raise SpectralError(f"top_k_periods expects (B, T, C), got shape {x.shape}")
-    t = x.shape[1]
+    b, t = x.shape[:2]
     if not 1 <= k < t / 2:
         raise SpectralError(f"k must satisfy 1 <= k < T/2, got k={k}, T={t}")
-    amp = np.abs(np.fft.rfft(x, axis=1)).mean(axis=2)
+    amp = np.empty((b, t // 2 + 1))
+    # a block of windows at a time: its float64 copy and spectrum stay in
+    # cache, and no float64 copy of the whole batch is made
+    for lo in range(0, b, _RFFT_BLOCK):
+        block = np.asarray(x[lo:lo + _RFFT_BLOCK], dtype=np.float64)
+        amp[lo:lo + _RFFT_BLOCK] = np.abs(np.fft.rfft(block, axis=1)).mean(axis=2)
     band = amp[:, 1:t // 2 + 1]
     band = np.where(band > 1e-12, band, 0.0)
     freqs = np.argsort(-band, axis=1, kind="stable")[:, :k] + 1

@@ -33,6 +33,7 @@ from .series import MultivariateSeries, SeriesError, SplitSpec, Standardization,
 from .spectral import discover_global_period, intervene, top_k_periods
 
 CHECKPOINT_VERSION = 1
+SCORE_CHUNK = 256  # windows per scoring pass
 
 
 class TrainingDiverged(RuntimeError):
@@ -191,7 +192,7 @@ def evaluate_objective(windows: np.ndarray, bundle: ModelBundle,
     sums = {"nll": 0.0, "similarity": 0.0, "independence": 0.0}
     count = 0
     for lo in range(0, windows.shape[0], batch_size):
-        chunk = windows[lo:lo + batch_size]
+        chunk = np.ascontiguousarray(windows[lo:lo + batch_size])
         with ad.no_grad():
             _, comps = total_loss(chunk, bundle, rng)
         for key in sums:
@@ -277,20 +278,21 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
 
 
 def score_windows(bundle: ModelBundle, windows: np.ndarray,
-                  batch_size: int = 256):
+                  batch_size: int = SCORE_CHUNK):
     """Anomaly scores for standardized windows.
 
     Conditioning uses the clean path only, so scoring is deterministic;
-    no graph is recorded. The windows are cast to the dtype of the
-    bundle's parameters, which the whole pass then runs in. Returns float64
-    tau (B,) and tau_t (B, T) and the diagnostics of `encode_batch`, each
-    a (B, k) array.
+    no graph is recorded. Each chunk of `batch_size` windows is copied
+    into a contiguous array of the dtype of the bundle's parameters, which
+    the whole pass then runs in, so `windows` may be a strided view.
+    Returns float64 tau (B,) and tau_t (B, T) and the diagnostics of
+    `encode_batch`, each a (B, k) array.
     """
     dtype = bundle.miner.embed_w.data.dtype
     taus, tau_ts, diags = [], [], []
     with ad.no_grad():
         for lo in range(0, windows.shape[0], batch_size):
-            chunk = windows[lo:lo + batch_size].astype(dtype, copy=False)
+            chunk = np.ascontiguousarray(windows[lo:lo + batch_size], dtype=dtype)
             rep, d = encode_batch(chunk, bundle)
             h_c = condition(rep, bundle.flow)
             tau, tau_t = anomaly_score(chunk, h_c, bundle.flow)

@@ -8,6 +8,7 @@ import pytest
 from conftest import check_gradients
 from periflow import autodiff as ad
 from periflow.autodiff import Tensor
+from periflow.masks import build_mask
 
 
 def _param(rng, *shape):
@@ -229,6 +230,48 @@ def test_time_context_matches_gather_oracle(b, t):
             np.testing.assert_array_equal(ad.time_context(x, radius, rows, cond).data, out)
             np.testing.assert_array_equal(x.grad, gx)
             np.testing.assert_array_equal(cond.grad, gcond)
+
+
+def _fancy_gather(x, radius, rows, cond):
+    # the gather time_context made before it copied runs of rows: one
+    # fancy index over the (B, T, span*C) window view
+    b, t, c = x.shape
+    span = 2 * radius + 1
+    width = span * c
+    padded = np.zeros((b, t + 2 * radius, c), dtype=x.dtype)
+    padded[:, radius:radius + t, :] = x
+    padded[:, rows + radius, :] = 0.0
+    out = np.empty((b, rows.size, width + cond.shape[1]), dtype=x.dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (span, c), axis=(1, 2))
+    out[:, :, :width] = windows.reshape(b, t, width)[:, rows]
+    out[:, :, width:] = cond[:, None, :]
+    return out
+
+
+def test_row_runs():
+    assert ad.row_runs([4, 0, 1]) == ((0, 4, 1), (1, 0, 2))
+    assert ad.row_runs(np.arange(20, 40)) == ((0, 20, 20),)
+    assert ad.row_runs([3, 2]) == ((0, 3, 1), (1, 2, 1))
+    assert ad.row_runs(np.zeros(0, dtype=np.intp)) == ()
+
+
+# (mask period, T, radius, mask value moved): the c09 mask's two runs of
+# 20 rows, alternating single rows, a one-step window, and the layer of a
+# one-step window that moves no rows
+@pytest.mark.parametrize("period, t, radius, value", [
+    (20, 60, 20, 0.0), (1, 60, 1, 1.0), (3, 1, 3, 0.0), (3, 1, 3, 1.0)],
+    ids=["c09_runs", "period_1", "one_step", "no_rows"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_time_context_run_copy_matches_fancy_gather(period, t, radius, value, dtype):
+    rng = np.random.default_rng(period + t)
+    rows = np.flatnonzero(build_mask(period, max(t, 2)).time_pattern[:t] == value)
+    x = rng.normal(size=(5, t, 3)).astype(dtype)
+    cond = rng.normal(size=(5, 4)).astype(dtype)
+    expected = _fancy_gather(x, radius, rows, cond)
+    for runs in (None, ad.row_runs(rows)):
+        out = ad.time_context(Tensor(x), radius, rows, Tensor(cond), runs).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, expected)
 
 
 def test_broadcast_to_is_a_read_only_view():

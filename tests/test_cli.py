@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline."""
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -190,6 +191,29 @@ def test_score_channel_mismatch_names_both_counts(tmp_path, capsys, standardize)
     assert capsys.readouterr().err == (
         f"error: {score_csv}: 2 data columns, but the checkpoint was trained on 3\n")
     assert not (tmp_path / "scored").exists()
+
+
+def test_score_memory_grows_by_less_than_512_bytes_per_step(tmp_path, capsys):
+    # windows, scores and reports are held per chunk or per step, never per
+    # (window, step): a series 4x longer adds only O(length) to the peak
+    train_csv = tmp_path / "train.csv"
+    _write_series(train_csv, 3, 400)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(train_csv), "--out", str(run), *FAST,
+                 "--set", "epochs=1", "--set", "window_length=60"]) == 0
+    peaks = {}
+    for length in (5_000, 20_000):
+        csv = tmp_path / f"series{length}.csv"
+        _write_series(csv, 3, length)
+        tracemalloc.start()
+        try:
+            assert main(["score", "--checkpoint", str(run / "model.npz"),
+                         "--data", str(csv), "--out", str(tmp_path / f"scored{length}")]) == 0
+            peaks[length] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_step = (peaks[20_000] - peaks[5_000]) / 15_000
+    assert per_step < 512, f"peak grows {per_step:.0f} bytes per step"
 
 
 def test_bad_config_key_is_one_line_error(tmp_path, capsys):

@@ -73,14 +73,16 @@ def test_alignment_disjoint_windows():
     step = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = window_scores_to_points(step, np.array([0, 2]), 4)
     np.testing.assert_array_equal(out.scores, [1, 2, 3, 4])
-    np.testing.assert_array_equal(out.coverage, [1, 1, 1, 1])
+    # every step is covered once, so it keeps its one window's value
+    np.testing.assert_array_equal(out.scores, step.ravel())
 
 
 def test_alignment_overlap_mean():
     step = np.array([[1.0, 1.0], [3.0, 3.0]])
     out = window_scores_to_points(step, np.array([0, 1]), 3)
     assert out.scores[1] == 2.0
-    assert out.coverage[1] == 2
+    # the ends are covered once and keep their window's value
+    np.testing.assert_array_equal(out.scores, [1.0, 2.0, 3.0])
 
 
 def test_alignment_conservation_identity():
@@ -89,18 +91,19 @@ def test_alignment_conservation_identity():
     starts = np.arange(0, length - t + 1, stride)
     step = rng.normal(size=(len(starts), t))
     out = window_scores_to_points(step, starts, length)
-    lhs = np.sum(out.scores * out.coverage)
+    coverage = np.bincount((starts[:, None] + np.arange(t)).ravel(), minlength=length)
+    lhs = np.sum(out.scores * coverage)
     rhs = step.sum()
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-    covered = out.coverage > 0
-    assert np.all(out.coverage[covered] >= 1)
 
 
 def test_alignment_trailing_fill():
     step = np.array([[5.0, 5.0]])
     out = window_scores_to_points(step, np.array([0]), 5)
     np.testing.assert_array_equal(out.scores, 5.0)
-    np.testing.assert_array_equal(out.coverage, [1, 1, 0, 0, 0])
+    # the uncovered steps 2..4 copy step 1, the nearest covered one
+    out = window_scores_to_points(np.array([[5.0, 7.0]]), np.array([0]), 5)
+    np.testing.assert_array_equal(out.scores, [5.0, 7.0, 7.0, 7.0, 7.0])
 
 
 def alignment_loop(step, starts, length):
@@ -128,9 +131,21 @@ def test_alignment_matches_loop_with_gaps():
         step = rng.normal(size=(len(starts), t))
         length = int(starts.max()) + t + int(rng.integers(0, 4))
         out = window_scores_to_points(step, starts, length)
-        scores, counts = alignment_loop(step, starts, length)
+        scores, _ = alignment_loop(step, starts, length)
         np.testing.assert_array_equal(out.scores, scores)
-        np.testing.assert_array_equal(out.coverage, counts)
+        # the same windows folded in chunks of any size sum in the same order
+        sizes = rng.integers(1, 4, size=len(starts)).cumsum()
+        chunks = iter(np.split(step, sizes[sizes < len(starts)]))
+        chunked = window_scores_to_points(chunks, starts, length)
+        np.testing.assert_array_equal(chunked.scores, scores)
+
+
+def test_alignment_rejects_chunks_that_miss_their_starts():
+    chunks = [np.ones((2, 3)), np.ones((2, 3))]
+    with pytest.raises(EvalError, match="one start index per window"):
+        window_scores_to_points(iter(chunks), np.array([0, 1, 2]), 10)
+    with pytest.raises(EvalError, match="one start index per window"):
+        window_scores_to_points(iter(chunks), np.arange(5), 10)
 
 
 def test_alignment_rejects_empty_coverage():

@@ -212,7 +212,7 @@ def test_mask_alternation_covers_everything():
     model = _model(d=2, t=9, period=3, layers=3)
     for t in (1, 2, 5, 9, 14):
         layers = _moved_rows(model, t)
-        for (rows_a, _), (rows_b, _) in zip(layers, layers[1:]):
+        for (rows_a, *_), (rows_b, *_) in zip(layers, layers[1:]):
             np.testing.assert_array_equal(np.sort(np.concatenate([rows_a, rows_b])),
                                           np.arange(t))
 
@@ -251,16 +251,18 @@ def test_forward_rejects_wrong_dim():
 def test_moved_rows_follow_build_mask():
     model = _model(d=2, t=9, period=3, layers=3)
     pattern = build_mask(3, 9).time_pattern
-    for li, (rows, merge) in enumerate(_moved_rows(model, 9)):
+    for li, (rows, merge, runs) in enumerate(_moved_rows(model, 9)):
         np.testing.assert_array_equal(rows, np.flatnonzero(pattern == li % 2))
+        assert runs == (((0, 0, 3), (3, 6, 3)), ((0, 3, 3),))[li % 2]
         # merge picks h's own row where it is kept, the moved copy elsewhere
         merged = np.concatenate([np.arange(9), 100 + np.arange(rows.size)])[merge]
         expected = np.arange(9)
         expected[rows] = 100 + np.arange(rows.size)
         np.testing.assert_array_equal(merged, expected)
     one_step = _moved_rows(model, 1)
-    assert [rows.tolist() for rows, _ in one_step] == [[0], [], [0]]
-    assert [merge.tolist() for _, merge in one_step] == [[1], [0], [1]]
+    assert [rows.tolist() for rows, _, _ in one_step] == [[0], [], [0]]
+    assert [merge.tolist() for _, merge, _ in one_step] == [[1], [0], [1]]
+    assert [runs for _, _, runs in one_step] == [((0, 0, 1),), (), ((0, 0, 1),)]
 
 
 def test_single_step_window_roundtrip():

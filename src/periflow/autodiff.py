@@ -12,10 +12,24 @@ of identical shape or a true scalar, and `affine` handles the bias-add
 case. Any other shape expansion must go through the explicit
 `broadcast_to` op, which keeps shape bugs loud.
 
-Two fused ops serve the model's hot paths with hand-written backward
-passes: `time_context` builds a coupling net's temporal context, and
-`period_pool` folds, transforms and pools the period grids of the factor
-miner in one node (it keeps its per-period buffers only while recording).
+Fused nodes serve the model's hot paths with hand-written backward
+passes; each keeps what its backward needs only while recording:
+- `time_context` builds a coupling net's temporal context;
+- `period_pool` folds, transforms and pools the period grids of the
+  factor miner;
+- `fusion.fuse` is the attention fusion, with three outputs (the fused
+  values, the attention scores and the amplitude softmax);
+- `flow._couple` is one coupling layer (scale and shift nets, soft clamp,
+  affine coupling, merge and log-det), with two outputs (h and log-det).
+The last two run the numpy operations of the generic ops they replace, in
+the same order, so their values and gradients are bitwise those of the
+generic chain.
+
+Multi-output rule: `multi_node` makes one tensor per output. While
+recording they share one hidden core node (no data) that holds the op's
+parents and backward; the core's gradient is its outputs' gradients
+packed end to end, and an output nothing differentiated contributes
+zeros. Under no_grad the outputs are plain tensors and no core is made.
 
 `reshape`, `transpose` and `broadcast_to` may return views of their
 input's buffer (`broadcast_to`'s is numpy's read-only broadcast view, which
@@ -57,10 +71,12 @@ class Tensor:
 
     `data` is a float32 or float64 ndarray (anything else is cast to
     float64), contiguous except for the views that `transpose` and
-    `broadcast_to` (read-only) return. `grad` has the same shape as `data`
-    and is set during the backward sweep; it may be a view that other
-    tensors share, so it is read, never written in place. After the sweep
-    only leaves (tensors with no backward closure) keep it.
+    `broadcast_to` (read-only) return and the time-major h of a coupling
+    layer. `grad` has the same shape as `data` (except on a `multi_node`
+    core, whose grad packs its outputs') and is set during the backward
+    sweep; it may be a view that other tensors share, so it is read, never
+    written in place. After the sweep only leaves (tensors with no backward
+    closure) keep it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -170,12 +186,87 @@ def no_grad() -> Iterator[None]:
         _mode.recording = saved
 
 
+def records(parents: Iterable[Tensor]) -> bool:
+    """Whether an op on these inputs records a node: outside no_grad, and
+    when one of them requires gradients."""
+    return _mode.recording and any(p.requires_grad for p in parents)
+
+
 def _node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], tuple]) -> Tensor:
     out = Tensor(data)
-    if _mode.recording and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+    return out
+
+
+def multi_node(outputs: Sequence[Array], parents: Sequence[Tensor],
+               backward: Callable[..., tuple]) -> tuple[Tensor, ...]:
+    """One tensor per output array of a single op. `backward` takes one
+    gradient per output, in order, and returns one per parent.
+
+    While recording, the op is a hidden core node that holds the parents
+    and `backward`, and each output is a node whose one parent is the core.
+    The core's gradient packs its outputs' gradients end to end in one flat
+    array: an output's backward hands the core a zero-filled packed array
+    with its own slot set, so an output nothing differentiated adds zeros.
+    Every output runs before the core in the sweep, so the core sees its
+    gradient complete. The core holds no data. Under no_grad the outputs
+    are plain tensors."""
+    outs = tuple(Tensor(a) for a in outputs)
+    if not records(parents):
+        return outs
+    ends = [0]
+    for out in outs:
+        ends.append(ends[-1] + out.size)
+    # shapes, not tensors, in the closures: no reference cycle keeps a
+    # spent tape alive
+    slots = [(lo, hi, out.shape) for lo, hi, out in zip(ends, ends[1:], outs)]
+    core = Tensor(np.empty(0, dtype=outs[0].data.dtype))
+    core.requires_grad = True
+    core._parents = tuple(parents)
+    core._backward = lambda packed: backward(
+        *(packed[lo:hi].reshape(shape) for lo, hi, shape in slots))
+
+    def slot_backward(lo: int, hi: int, shape: tuple[int, ...]):
+        def hand_on(g: Array):
+            packed = np.zeros(ends[-1], dtype=g.dtype)
+            packed[lo:hi].reshape(shape)[...] = g
+            return (packed,)
+        return hand_on
+
+    for out, slot in zip(outs, slots):
+        out.requires_grad = True
+        out._parents = (core,)
+        out._backward = slot_backward(*slot)
+    return outs
+
+
+def array_mean(a: Array, axis, keepdims: bool = False):
+    """np.mean(a, axis, keepdims=keepdims) bitwise, without its wrapper
+    layers; `axis` is an int or a tuple of ints. Like np.mean it divides by
+    a numpy intp, so a float32 sum is divided in float64 and rounded back
+    (a Python int divisor would divide in float32)."""
+    s = np.add.reduce(a, axis=axis, keepdims=keepdims)
+    count = 1
+    for ax in (axis,) if isinstance(axis, int) else axis:
+        count *= a.shape[ax]
+    if isinstance(s, np.ndarray):
+        return np.true_divide(s, np.intp(count), out=s, casting="unsafe")
+    return s.dtype.type(s / np.intp(count))
+
+
+def dense(x: Array, w: Array, b: Array) -> Array:
+    """x @ w + b on arrays, for 2-D x. Each output row is bitwise the same
+    whatever the row count: one row goes through the same matrix product
+    as many, with a zero second row (numpy hands a one-row product to BLAS
+    gemv, which sums in another order than gemm)."""
+    if x.shape[0] == 1:
+        out = (np.concatenate([x, np.zeros_like(x)]) @ w)[:1]
+    else:
+        out = x @ w
+    out += b
     return out
 
 
@@ -350,39 +441,34 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             shape[ax] = 1
         return (np.broadcast_to(g.reshape(shape) / count, src),)
 
-    return _node(np.mean(a.data, axis=axes, keepdims=keepdims), (a,), backward)
+    return _node(array_mean(a.data, axes, keepdims), (a,), backward)
+
+
+def array_softmax(x: Array) -> Array:
+    """Softmax of an array over its last axis, numerically stabilised."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def softmax_grad(g: Array, out: Array) -> Array:
+    """Gradient at the input of a softmax whose output is `out`."""
+    return out * (g - np.sum(g * out, axis=-1, keepdims=True))
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, numerically stabilised."""
-    shifted = a.data - np.max(a.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / np.sum(e, axis=-1, keepdims=True)
-
-    def backward(g: Array):
-        dot = np.sum(g * out_data, axis=-1, keepdims=True)
-        return (out_data * (g - dot),)
-
-    return _node(out_data, (a,), backward)
+    out_data = array_softmax(a.data)
+    return _node(out_data, (a,), lambda g: (softmax_grad(g, out_data),))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with b broadcast along rows; x is 2-D (rows, features).
-
-    Each output row is bitwise the same whatever the row count: one row
-    goes through the same matrix product as many, with a zero second row
-    (numpy hands a one-row product to BLAS gemv, which sums in another
-    order than gemm)."""
+    Each output row is bitwise the same whatever the row count (`dense`)."""
     if x.ndim != 2:
         raise ValueError(f"affine expects 2-D input, got {x.shape}")
     if b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise ValueError(f"affine: bias shape {b.shape} does not match weight {w.shape}")
-    if x.shape[0] == 1:
-        out_data = (np.concatenate([x.data, np.zeros_like(x.data)]) @ w.data)[:1]
-    else:
-        out_data = x.data @ w.data
-    out_data += b.data
-    return _node(out_data, (x, w, b),
+    return _node(dense(x.data, w.data, b.data), (x, w, b),
                  lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
@@ -417,10 +503,11 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor, runs=None) -> Tenso
     padded[:, radius:radius + t, :] = x.data
     padded[:, rows + radius, :] = 0.0
     out_data = np.empty((b, m, width + cond.shape[1]), dtype=x.data.dtype)
-    # row t's context is one contiguous span*C slice of a window view, so a
-    # run of consecutive rows is one basic slice, copied with no temporary
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (span, c), axis=(1, 2)).reshape(b, t, width)
+    # row t's context is the contiguous span*C values from padded[:, t], so
+    # a strided view reads every row's context and a run of consecutive
+    # rows is one basic slice of it, copied with no temporary
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (b, t, width), padded.strides, writeable=False)
     for at, first, n in row_runs(rows) if runs is None else runs:
         out_data[:, at:at + n, :width] = windows[:, first:first + n]
     out_data[:, :, width:] = cond.data[:, None, :]
@@ -462,10 +549,10 @@ def period_pool(h: Tensor, grid_w: Tensor, grid_b: Tensor, periods) -> Tensor:
     with W_cell, W_col, W_row the three C-row blocks of `grid_w`, `b` the
     `grid_b`, and colmean and rowmean the cell's phase-column and
     cycle-row means; the pooled value is mean(grid) + mean(tanh(...)) over
-    the R*p cells. The cell projection runs once per window step (a pad
-    cell's is b), and the (window, slot) pairs that picked the same period
-    are gathered and transformed together, in blocks small enough to stay
-    in cache.
+    the R*p cells. The cell projection is one product over every step of
+    the padded windows (a pad step's is b), and the (window, slot) pairs
+    that picked the same period are gathered and transformed together, in
+    blocks small enough to stay in cache.
     """
     if h.ndim != 3:
         raise ValueError(f"period_pool expects (B,T,C), got {h.shape}")
@@ -478,7 +565,7 @@ def period_pool(h: Tensor, grid_w: Tensor, grid_b: Tensor, periods) -> Tensor:
         raise ValueError(f"period_pool expects ({b}, k) periods, got {periods.shape}")
     k = periods.shape[1]
     w_cell, w_col, w_row = grid_w.data[:c], grid_w.data[c:2 * c], grid_w.data[2 * c:]
-    record = _mode.recording and any(p.requires_grad for p in (h, grid_w, grid_b))
+    record = records((h, grid_w, grid_b))
     distinct = np.unique(periods)
     # every window padded to the longest fold; pad steps are zero and
     # their cell projections are b
@@ -487,21 +574,20 @@ def period_pool(h: Tensor, grid_w: Tensor, grid_b: Tensor, periods) -> Tensor:
     padded = np.zeros((b, span, c), dtype=dtype)
     padded[:, :t] = h.data
     cell = np.empty((b, span, c), dtype=dtype)
-    cell[:, :t] = (h.data.reshape(b * t, c) @ w_cell).reshape(b, t, c)
-    cell[:, :t] += grid_b.data
-    cell[:, t:] = grid_b.data
+    np.matmul(padded.reshape(b * span, c), w_cell, out=cell.reshape(b * span, c))
+    cell += grid_b.data
     out_data = np.empty((b * k, c), dtype=dtype)
     blocks = []
     for p, win, slot in _period_blocks(periods, distinct):
         m, rows = win.size, -(-t // p)
         grid = padded[win, :rows * p].reshape(m, rows, p, c)
-        col, row = grid.mean(axis=1), grid.mean(axis=2)
+        col, row = array_mean(grid, 1), array_mean(grid, 2)
         y = cell[win, :rows * p].reshape(m, rows, p, c)
         y += (col.reshape(m * p, c) @ w_col).reshape(m, 1, p, c)
         y += (row.reshape(m * rows, c) @ w_row).reshape(m, rows, 1, c)
         np.tanh(y, out=y)
         pos = win * k + slot
-        out_data[pos] = col.mean(axis=1) + y.reshape(m, rows * p, c).mean(axis=1)
+        out_data[pos] = array_mean(col, 1) + array_mean(y.reshape(m, rows * p, c), 1)
         if record:  # under no_grad each block's buffers go at once
             blocks.append((win, pos, col, row, y))
 

@@ -122,25 +122,22 @@ def condition(c_ind, model: FlowModel) -> Tensor:
 @functools.lru_cache(maxsize=16)
 def _mask_rows(period: int, t: int) -> tuple[tuple, tuple]:
     """For the steps where the `build_mask` pattern is 0, then for the
-    others: the moved time indices, a merge index over
-    concat([h, moved], axis=1) that puts them back in place, and the
-    indices' `ad.row_runs`. Cached per mask, so the arrays are read-only.
-    A one-step window is cut from a two-step mask so it can still be scored
-    (the flow is the identity there anyway when nets are zero)."""
+    others: the moved time indices and their `ad.row_runs`. Cached per
+    mask, so the index arrays are read-only. A one-step window is cut from
+    a two-step mask so it can still be scored (the flow is the identity
+    there anyway when nets are zero)."""
     pattern = build_mask(period, max(t, 2)).time_pattern[:t]
     out = []
-    for moved in (pattern == 0.0, pattern == 1.0):
-        rows = np.flatnonzero(moved)
-        merge = np.where(moved, t - 1 + np.cumsum(moved), np.arange(t))
-        rows.flags.writeable = merge.flags.writeable = False
-        out.append((rows, merge, ad.row_runs(rows)))
+    for value in (0.0, 1.0):
+        rows = np.flatnonzero(pattern == value)
+        rows.flags.writeable = False
+        out.append((rows, ad.row_runs(rows)))
     return tuple(out)
 
 
-def _moved_rows(model: FlowModel, t: int) -> list[tuple[np.ndarray, np.ndarray, tuple]]:
-    """Per layer, the rows, merge index and row runs of `_mask_rows`: even
-    layers move the steps where the mask pattern is 0, odd layers the
-    others."""
+def _moved_rows(model: FlowModel, t: int) -> list[tuple[np.ndarray, tuple]]:
+    """Per layer, the rows and row runs of `_mask_rows`: even layers move
+    the steps where the mask pattern is 0, odd layers the others."""
     pair = _mask_rows(model.mask.period, t)
     return [pair[li % 2] for li in range(len(model.layers))]
 
@@ -152,17 +149,92 @@ def _conditioning(h_c, b: int, model: FlowModel) -> Tensor:
     return hc
 
 
-def _scale_shift(layer: CouplingLayer, h: Tensor, rows: np.ndarray, runs: tuple,
-                 hc: Tensor, model: FlowModel) -> tuple[Tensor, Tensor]:
+def _run_net(net: Mlp, x: np.ndarray, inputs: list | None) -> np.ndarray:
+    """`net` on an array, by the numpy operations of `Mlp.__call__`; each
+    layer's input is appended to `inputs` when it is a list."""
+    last = len(net.layers) - 1
+    for i, (w, b) in enumerate(net.layers):
+        if inputs is not None:
+            inputs.append(x)
+        x = ad.dense(x, w.data, b.data)
+        if i < last:
+            np.tanh(x, out=x)
+    return x
+
+
+def _net_grads(net: Mlp, inputs: list, g: np.ndarray) -> tuple[np.ndarray, list]:
+    """The gradients of `_run_net` at its input and at each (w, b), given
+    the output's gradient `g` and the layer inputs it kept."""
+    grads = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        x = inputs[i]
+        grads += [g.sum(axis=0), x.T @ g]
+        g = g @ net.layers[i][0].data.T
+        if i > 0:  # x is the previous layer's tanh output
+            g = g * (1.0 - x * x)
+    return g, grads[::-1]
+
+
+def _scale_shift(layer: CouplingLayer, ctx: np.ndarray, saved: list | None = None):
     """(s, t) of one coupling layer at its moved rows, each (B, M, D), from
-    the kept steps of h (B, T, D) and the conditioning (B, D_h); s is
-    soft-clamped to (-SCALE_CLAMP, SCALE_CLAMP)."""
-    b, _, d = h.shape
-    ctx = ad.time_context(h, model.context_radius, rows, hc, runs)
-    inp = ad.reshape(ctx, (-1, ctx.shape[2]))
-    s_raw = ad.reshape(layer.s_net(inp), (b, rows.size, d))
-    s = ad.tanh(s_raw * (1.0 / SCALE_CLAMP)) * SCALE_CLAMP
-    return s, ad.reshape(layer.t_net(inp), (b, rows.size, d))
+    the (B, M, W) `time_context` of those rows; s is soft-clamped to
+    (-SCALE_CLAMP, SCALE_CLAMP). With a `saved` list, appends to it what
+    the backward of `_couple` needs: the layer inputs of the s net and of
+    the t net, and the clamp's tanh."""
+    b, m, width = ctx.shape
+    flat = ctx.reshape(b * m, width)
+    s_in, t_in = ([], []) if saved is not None else (None, None)
+    s_raw = _run_net(layer.s_net, flat, s_in)
+    th = np.tanh(s_raw.reshape(b, m, s_raw.shape[1])
+                 * np.asarray(1.0 / SCALE_CLAMP, dtype=ctx.dtype))
+    s = th * np.asarray(SCALE_CLAMP, dtype=ctx.dtype)
+    t_out = _run_net(layer.t_net, flat, t_in).reshape(s.shape)
+    if saved is not None:
+        saved += [s_in, t_in, th]
+    return s, t_out
+
+
+def _couple(layer: CouplingLayer, h: Tensor, ctx: Tensor, logdet: Tensor,
+            rows: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
+    """One coupling layer as one autodiff node: the moved `rows` of h
+    become (h - t) * exp(-s), with (s, t) from the layer's `time_context`
+    `ctx`, and s is summed out of `logdet`. Returns the new h and logdet
+    tensors and s as an array.
+
+    Forward and backward run, array for array, the numpy operations that
+    the generic ops would run for the same layer (`Mlp.__call__`, the
+    clamp, then take, sub, neg, exp, mul, concat, take, tsum and sub), so
+    values and gradients are bitwise theirs. Under no_grad nothing is kept
+    for the backward."""
+    params = [p for net in (layer.s_net, layer.t_net) for pair in net.layers for p in pair]
+    saved = [] if ad.records((h, ctx, logdet, *params)) else None
+    s, t_out = _scale_shift(layer, ctx.data, saved)
+    diff = h.data[:, rows] - t_out
+    e = np.exp(-s)
+    b, t, d = h.shape
+    # time-major, as a fancy index along axis 1 lays out its result, so
+    # that sums over z round as they do through the generic ops
+    h_out = np.empty((t, b, d), dtype=h.data.dtype).transpose(1, 0, 2)
+    h_out[...] = h.data
+    h_out[:, rows] = diff * e
+    logdet_out = logdet.data - np.sum(s, axis=(1, 2))
+
+    def backward(g_h, g_logdet):
+        s_in, t_in, th = saved
+        m = rows.size
+        g_moved = g_h[:, rows]
+        g_diff = g_moved * e
+        g_hin = g_h.copy()
+        g_hin[:, rows] = g_diff
+        g_s = -((g_moved * diff) * e) + np.broadcast_to((-g_logdet).reshape(b, 1, 1), s.shape)
+        g_raw = (g_s * np.asarray(SCALE_CLAMP, dtype=s.dtype)) * (1.0 - th * th)
+        g_raw = (g_raw * np.asarray(1.0 / SCALE_CLAMP, dtype=s.dtype)).reshape(b * m, d)
+        g_ctx, s_grads = _net_grads(layer.s_net, s_in, g_raw)
+        g_ctx_t, t_grads = _net_grads(layer.t_net, t_in, (-g_diff).reshape(b * m, d))
+        return g_hin, (g_ctx + g_ctx_t).reshape(ctx.shape), g_logdet, *s_grads, *t_grads
+
+    h_new, logdet_new = ad.multi_node((h_out, logdet_out), (h, ctx, logdet, *params), backward)
+    return h_new, logdet_new, s
 
 
 def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
@@ -171,7 +243,8 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
     x: (B, T, D) windows, B >= 1; h_c: (B, D_h) conditioning vectors.
     Returns (z, logdet) Tensors in the dtype of x, plus a (B, T) float64
     per-timestep log-det array when requested (used for score
-    decomposition, not differentiated).
+    decomposition, not differentiated). Each coupling layer is one
+    `time_context` node and one `_couple` node.
     """
     h = x if isinstance(x, Tensor) else Tensor(x)
     if h.ndim != 3:
@@ -185,16 +258,15 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
 
     logdet = Tensor(np.zeros(b, dtype=h.data.dtype))
     logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
-    for li, (layer, (rows, merge, runs)) in enumerate(zip(model.layers,
-                                                         _moved_rows(model, t))):
-        s, t_out = _scale_shift(layer, h, rows, runs, hc, model)
-        moved = (ad.take(h, rows, axis=1) - t_out) * ad.exp(ad.neg(s))
-        h = ad.take(ad.concat([h, moved], axis=1), merge, axis=1)
+    for li, (layer, (rows, runs)) in enumerate(zip(model.layers, _moved_rows(model, t))):
+        # the context goes with `_couple`'s frame; held here, it would
+        # still be alive when the next layer builds its own
+        h, logdet, s = _couple(
+            layer, h, ad.time_context(h, model.context_radius, rows, hc, runs), logdet, rows)
         if not np.all(np.isfinite(h.data)):
             raise NumericOverflow(f"non-finite values after coupling layer {li}")
-        logdet = logdet - ad.tsum(s, axis=(1, 2))
         if logdet_t is not None:
-            logdet_t[:, rows] -= s.data.sum(axis=2, dtype=np.float64)
+            logdet_t[:, rows] -= s.sum(axis=2, dtype=np.float64)
     if want_timestep_logdet:
         return h, logdet, logdet_t
     return h, logdet
@@ -208,10 +280,11 @@ def inverse(z, h_c, model: FlowModel) -> np.ndarray:
         raise FlowError(f"inverse expects (B, T, D) latents, got shape {h.shape}")
     with ad.no_grad():
         hc = _conditioning(h_c, h.shape[0], model)
-        for layer, (rows, _, runs) in zip(reversed(model.layers),
-                                          reversed(_moved_rows(model, h.shape[1]))):
-            s, t_out = _scale_shift(layer, Tensor(h), rows, runs, hc, model)
-            h[:, rows] = h[:, rows] * np.exp(s.data) + t_out.data
+        for layer, (rows, runs) in zip(reversed(model.layers),
+                                       reversed(_moved_rows(model, h.shape[1]))):
+            s, t_out = _scale_shift(
+                layer, ad.time_context(Tensor(h), model.context_radius, rows, hc, runs).data)
+            h[:, rows] = h[:, rows] * np.exp(s) + t_out
             if not np.all(np.isfinite(h)):
                 raise NumericOverflow("non-finite values while inverting")
     return h

@@ -48,24 +48,58 @@ def init_fusion(hidden: int, rng: np.random.Generator) -> FusionParams:
 
 
 def fuse(pyramid: CausalPyramid, params: FusionParams) -> FusedRepresentation:
-    b, k, n, dh = pyramid.factors.shape
-    flat = ad.reshape(ad.tmean(pyramid.factors, axis=2), (b * k, dh))
-    q = ad.reshape(ad.matmul(flat, params.query_w), (b, k, dh))
-    key = ad.reshape(ad.matmul(flat, params.key_w), (b, k, dh))
-    logits = ad.bmm(q, ad.transpose(key, (0, 2, 1))) * (1.0 / np.sqrt(dh))
-    attn = ad.softmax(logits)
+    """Fuse a (B, k, N, D_h) pyramid into (B, N, D_h), as one autodiff node
+    with three outputs: the values, the attention scores and the softmaxed
+    amplitude weights, each differentiable.
 
+    Forward and backward run, array for array, the numpy operations of the
+    equivalent chain of generic ops (the oracle in tests/test_fusion.py),
+    so values and gradients are bitwise those of the chain."""
+    factors, weights = pyramid.factors, pyramid.weights
+    wq, wk = params.query_w.data, params.key_w.data
+    f = factors.data
+    b, k, n, dh = f.shape
+    dtype = f.dtype
+    flat = ad.array_mean(f, 2).reshape(b * k, dh)
+    q = (flat @ wq).reshape(b, k, dh)
+    key_t = np.transpose((flat @ wk).reshape(b, k, dh), (0, 2, 1))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
+    attn = ad.array_softmax(q @ key_t * scale)
     # one scalar per period: column means of the attention matrix
-    col_mean = ad.tmean(attn, axis=1)
-    norm = ad.broadcast_to(ad.tsum(col_mean, axis=1, keepdims=True), (b, k))
+    col_mean = ad.array_mean(attn, 1)
+    norm = np.sum(col_mean, axis=1, keepdims=True)
     a_p = col_mean / norm
-
-    w_hat = ad.softmax(pyramid.weights)
+    w_hat = ad.array_softmax(weights.data)
     combined = w_hat * a_p
-    total = ad.broadcast_to(ad.tsum(combined, axis=1, keepdims=True), (b, k))
+    total = np.sum(combined, axis=1, keepdims=True)
     u = combined / total
+    stacked = f.reshape(b, k, n * dh)
+    fused = np.sum(stacked * u[:, :, None], axis=1).reshape(b, n, dh)
 
-    stacked = ad.reshape(pyramid.factors, (b, k, n * dh))
-    u_wide = ad.broadcast_to(ad.reshape(u, (b, k, 1)), (b, k, n * dh))
-    fused = ad.reshape(ad.tsum(stacked * u_wide, axis=1), (b, n, dh))
-    return FusedRepresentation(fused, a_p, w_hat)
+    def backward(g_fused, g_attention, g_amp):
+        g_prod = np.broadcast_to(g_fused.reshape(b, 1, n * dh), stacked.shape)
+        g_comb = _div_grad(np.sum(g_prod * stacked, axis=2), combined, total)
+        g_col = _div_grad(g_attention + g_comb * w_hat, col_mean, norm)
+        g_attn = np.broadcast_to(g_col.reshape(b, 1, k) / k, attn.shape)
+        g_logits = ad.softmax_grad(g_attn, attn) * scale
+        g_q = (g_logits @ np.swapaxes(key_t, 1, 2)).reshape(b * k, dh)
+        g_key = np.ascontiguousarray(np.transpose(
+            np.swapaxes(q, 1, 2) @ g_logits, (0, 2, 1))).reshape(b * k, dh)
+        g_flat = (g_q @ wq.T + g_key @ wk.T).reshape(b, k, 1, dh)
+        gf = (g_prod * u[:, :, None]).reshape(f.shape) + np.broadcast_to(g_flat / n, f.shape)
+        g_weights = ad.softmax_grad(g_amp + g_comb * a_p, w_hat)
+        return g_weights, gf, flat.T @ g_q, flat.T @ g_key
+
+    # weights before factors: the sweep then reaches the amplitude branch
+    # first, as it did through the chain, and the embedding sums its
+    # three gradients in the same order
+    values, attention, amp = ad.multi_node(
+        (fused, a_p, w_hat), (weights, factors, params.query_w, params.key_w), backward)
+    return FusedRepresentation(values, attention, amp)
+
+
+def _div_grad(g: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Gradient of num / den at num, for a (B, k) `num` and its (B, 1) row
+    sums `den`: through the numerator and through the sum."""
+    g_den = np.sum(-g * num / (den * den), axis=1, keepdims=True)
+    return g / den + g_den

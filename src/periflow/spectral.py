@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import array_mean
 from .series import MultivariateSeries
 
 
@@ -44,7 +45,7 @@ def top_k_periods(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     # cache, and no float64 copy of the whole batch is made
     for lo in range(0, b, _RFFT_BLOCK):
         block = np.asarray(x[lo:lo + _RFFT_BLOCK], dtype=np.float64)
-        amp[lo:lo + _RFFT_BLOCK] = np.abs(np.fft.rfft(block, axis=1)).mean(axis=2)
+        amp[lo:lo + _RFFT_BLOCK] = array_mean(np.abs(np.fft.rfft(block, axis=1)), 2)
     band = amp[:, 1:t // 2 + 1]
     band = np.where(band > 1e-12, band, 0.0)
     freqs = np.argsort(-band, axis=1, kind="stable")[:, :k] + 1

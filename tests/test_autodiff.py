@@ -8,6 +8,9 @@ import pytest
 from conftest import check_gradients
 from periflow import autodiff as ad
 from periflow.autodiff import Tensor
+from periflow.factors import CausalPyramid
+from periflow.flow import CouplingLayer, Mlp, _couple
+from periflow.fusion import FusionParams, fuse
 from periflow.masks import build_mask
 
 
@@ -371,11 +374,34 @@ def test_take_along_axis():
         check_gradients(lambda: ad.tsum(ad.tanh(ad.take(a, rows, axis=1)) * w), [a])
 
 
+def _fuse(factors, weights, query_w, key_w):
+    out = fuse(CausalPyramid(factors, weights), FusionParams(query_w, key_w))
+    return out.values, out.attention, out.amp_softmax
+
+
+def _coupling(h, ctx, logdet, *params):
+    # nets of one hidden block: ctx width 4 -> 3 -> the 2 channels of h;
+    # context and weights centred on zero, so the tanh layers do not
+    # saturate and central differences stay accurate (and read-only, like
+    # the contract's own inputs)
+    ctx, *params = [p - 1.25 for p in (ctx, *params)]
+    for p in (ctx, *params):
+        p.data.flags.writeable = False
+    layer = CouplingLayer(Mlp([params[0:2], params[2:4]]), Mlp([params[4:6], params[6:8]]))
+    return _couple(layer, h, ctx, logdet, np.array([3, 0, 2]))[:2]
+
+
+_COUPLING_SHAPES = [(2, 5, 2), (2, 3, 4), (2,), (4, 3), (3,), (3, 2), (2,),
+                    (4, 3), (3,), (3, 2), (2,)]
+
+
 # The op contract: every op, scalar operator sugar included, keeps its
 # inputs' dtype in its output and gradients, records nothing under
 # no_grad, never writes into an input, and matches central differences.
 # Each case is (input shapes, op); inputs are drawn from [0.5, 2] so that
-# sqrt and div stay smooth.
+# sqrt and div stay smooth. A multi-output op returns a tuple; every
+# output enters the loss, except in the cases that take one output only,
+# where the others get no gradient.
 OP_CASES = {
     "add": ([(3, 4), (3, 4)], ad.add),
     "sub": ([(3, 4), (3, 4)], ad.sub),
@@ -402,6 +428,12 @@ OP_CASES = {
                      lambda x, cond: ad.time_context(x, 1, [3, 0, 2], cond)),
     "period_pool": ([(2, 7, 3), (9, 3), (3,)],
                     lambda h, w, b: ad.period_pool(h, w, b, [[2, 7], [3, 2]])),
+    "fuse": ([(2, 3, 2, 4), (2, 3), (4, 4), (4, 4)], _fuse),
+    "fuse_one_window": ([(1, 3, 2, 4), (1, 3), (4, 4), (4, 4)], _fuse),
+    "fuse_attention_only": ([(2, 3, 2, 4), (2, 3), (4, 4), (4, 4)],
+                            lambda *inputs: _fuse(*inputs)[1]),
+    "coupling": (_COUPLING_SHAPES, _coupling),
+    "coupling_logdet_only": (_COUPLING_SHAPES, lambda *inputs: _coupling(*inputs)[1]),
     "scalar_add": ([(3, 4)], lambda a: a + 2.0),
     "scalar_radd": ([(3, 4)], lambda a: 2 + a),
     "scalar_sub": ([(3, 4)], lambda a: a - np.float64(2.0)),
@@ -419,8 +451,22 @@ def _case_inputs(name: str, dtype) -> list[Tensor]:
             for shape in OP_CASES[name][0]]
 
 
-def _case_loss(op, inputs, weight: np.ndarray) -> Tensor:
-    return ad.tsum(op(*inputs) * Tensor(weight))
+def _outputs(op, inputs) -> tuple:
+    out = op(*inputs)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _case_weights(op, inputs, seed: int, dtype) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    weights = [rng.normal(size=out.shape).astype(dtype) for out in _outputs(op, inputs)]
+    for w in weights:
+        w.flags.writeable = False
+    return weights
+
+
+def _case_loss(op, inputs, weights) -> Tensor:
+    terms = [ad.tsum(out * Tensor(w)) for out, w in zip(_outputs(op, inputs), weights)]
+    return sum(terms[1:], terms[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -431,11 +477,8 @@ def test_op_keeps_dtype_and_leaves_inputs_unwritten(name, dtype):
     kept = [x.data.copy() for x in inputs]
     for x in inputs:
         x.data.flags.writeable = False  # a write into an input raises
-    out = op(*inputs)
-    assert out.data.dtype == dtype
-    weight = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
-    weight.flags.writeable = False
-    _case_loss(op, inputs, weight).backward()
+    assert all(out.data.dtype == dtype for out in _outputs(op, inputs))
+    _case_loss(op, inputs, _case_weights(op, inputs, 1, dtype)).backward()
     for x, before in zip(inputs, kept):
         assert x.grad.dtype == dtype and x.grad.shape == x.shape
         np.testing.assert_array_equal(x.data, before)
@@ -445,17 +488,62 @@ def test_op_keeps_dtype_and_leaves_inputs_unwritten(name, dtype):
 def test_op_records_nothing_under_no_grad(name):
     inputs = _case_inputs(name, np.float64)
     with ad.no_grad():
-        out = OP_CASES[name][1](*inputs)
-    assert not out.requires_grad
-    assert out._parents == () and out._backward is None
+        outs = _outputs(OP_CASES[name][1], inputs)
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradients_match_central_differences(name):
     op = OP_CASES[name][1]
     inputs = _case_inputs(name, np.float64)
-    weight = np.random.default_rng(2).normal(size=op(*inputs).shape)
-    check_gradients(lambda: _case_loss(op, inputs, weight), inputs)
+    weights = _case_weights(op, inputs, 2, np.float64)
+    check_gradients(lambda: _case_loss(op, inputs, weights), inputs)
+
+
+def test_multi_node_hands_each_output_its_gradient():
+    rng = np.random.default_rng(34)
+    a = _param(rng, 3, 2)
+    seen = []
+
+    def backward(g_first, g_second):
+        seen.append((g_first.copy(), g_second.copy()))
+        return (g_first * 2.0 + g_second[:, None],)
+
+    def op():
+        return ad.multi_node((a.data * 2.0, a.data.sum(axis=1)), (a,), backward)
+
+    first, second = op()
+    assert first._parents == second._parents and len(first._parents) == 1
+    w = rng.normal(size=(3, 2))
+    ad.tsum(first * Tensor(w)).backward()
+    # an output nothing differentiated hands its slot zeros
+    np.testing.assert_array_equal(seen[-1][0], w)
+    np.testing.assert_array_equal(seen[-1][1], np.zeros(3))
+    np.testing.assert_array_equal(a.grad, 2.0 * w)
+    # two consumers of one output sum into its slot
+    a.grad = None
+    first, second = op()
+    ad.tsum(second * second + second).backward()
+    np.testing.assert_array_equal(seen[-1][1], 2.0 * second.data + 1.0)
+    np.testing.assert_array_equal(a.grad, np.repeat(seen[-1][1][:, None], 2, axis=1))
+    with ad.no_grad():
+        assert all(out._parents == () for out in op())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, axis", [
+    ((5, 3, 4, 32), 2), ((5, 3, 4, 32), (2,)), ((7, 3, 3), 1), ((7, 3), (1,)),
+    ((32, 3, 20, 32), 1), ((32, 3, 20, 32), 2), ((32, 60, 32), 1),
+    ((32, 31, 32), 2), ((4, 1, 6), 1), ((2, 3, 4), (0, 2)), ((9,), (0,))])
+def test_array_mean_is_np_mean_bitwise(shape, axis, dtype):
+    x = np.random.default_rng(35).normal(size=shape).astype(dtype)
+    for keepdims in (False, True):
+        out = ad.array_mean(x, axis, keepdims)
+        expected = np.mean(x, axis=axis, keepdims=keepdims)
+        assert np.asarray(out).dtype == dtype
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

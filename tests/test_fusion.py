@@ -1,5 +1,6 @@
 """Attention fusion of period blocks."""
 import numpy as np
+import pytest
 
 from conftest import check_gradients
 from periflow import autodiff as ad
@@ -92,3 +93,86 @@ def test_fusion_gradients():
 
     tensors = [params.query_w, params.key_w, pyr.weights, pyr.factors]
     check_gradients(loss, tensors)
+
+
+def _chain_fuse(pyramid, params):
+    """Oracle: `fuse` as a chain of generic autodiff ops, one node per op."""
+    b, k, n, dh = pyramid.factors.shape
+    flat = ad.reshape(ad.tmean(pyramid.factors, axis=2), (b * k, dh))
+    q = ad.reshape(ad.matmul(flat, params.query_w), (b, k, dh))
+    key = ad.reshape(ad.matmul(flat, params.key_w), (b, k, dh))
+    logits = ad.bmm(q, ad.transpose(key, (0, 2, 1))) * (1.0 / np.sqrt(dh))
+    attn = ad.softmax(logits)
+
+    col_mean = ad.tmean(attn, axis=1)
+    norm = ad.broadcast_to(ad.tsum(col_mean, axis=1, keepdims=True), (b, k))
+    a_p = col_mean / norm
+
+    w_hat = ad.softmax(pyramid.weights)
+    combined = w_hat * a_p
+    total = ad.broadcast_to(ad.tsum(combined, axis=1, keepdims=True), (b, k))
+    u = combined / total
+
+    stacked = ad.reshape(pyramid.factors, (b, k, n * dh))
+    u_wide = ad.broadcast_to(ad.reshape(u, (b, k, 1)), (b, k, n * dh))
+    fused = ad.reshape(ad.tsum(stacked * u_wide, axis=1), (b, n, dh))
+    return fused, a_p, w_hat
+
+
+def _assert_close(actual, expected, rtol=1e-12):
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
+@pytest.mark.parametrize("b, k, n, dh", [(1, 1, 2, 4), (2, 3, 2, 4), (5, 4, 3, 6), (1, 3, 4, 32)])
+@pytest.mark.parametrize("outputs", ["all", "values"])
+def test_fuse_matches_generic_chain(b, k, n, dh, outputs):
+    # values, attention, amplitude weights and the four gradients equal
+    # the chain of generic ops the fused node replaced
+    rng = np.random.default_rng(20 + b + k)
+    pyr = _pyramid(k, n=n, dh=dh, seed=21, b=b)
+    params = init_fusion(dh, np.random.default_rng(22))
+    tensors = [params.query_w, params.key_w, pyr.weights, pyr.factors]
+    w_values = Tensor(rng.normal(size=(b, n, dh)))
+    w_mix = Tensor(rng.normal(size=(b, k)))
+
+    def run(fn):
+        for t in tensors:
+            t.grad = None
+        values, attention, amp = fn()
+        loss = ad.tsum(ad.tanh(values) * w_values)
+        if outputs == "all":
+            loss = loss + ad.tsum(attention * amp * w_mix)
+        loss.backward()
+        return [values.data, attention.data, amp.data] + [t.grad.copy() for t in tensors]
+
+    def fused_node():
+        out = fuse(pyr, params)
+        return out.values, out.attention, out.amp_softmax
+
+    fused = run(fused_node)
+    chain = run(lambda: _chain_fuse(pyr, params))
+    for actual, expected in zip(fused, chain):
+        _assert_close(actual, expected)
+
+
+def test_fuse_reaches_its_inputs_in_the_chain_order():
+    # factors and weights both derive from one leaf, which then sums three
+    # gradients; the fused node hands them out in the chain's sweep order,
+    # so the sum is bitwise the chain's (the embedding of a real batch is
+    # such a leaf: the period fold and the two amplitude projections)
+    rng = np.random.default_rng(23)
+    leaf = Tensor(rng.normal(size=(4, 3, 2, 4)), requires_grad=True)
+    params = init_fusion(4, np.random.default_rng(24))
+    w_values = Tensor(rng.normal(size=(4, 2, 4)))
+
+    def grad(fn):
+        leaf.grad = None
+        weights = ad.tsum(leaf, axis=(2, 3)) + ad.tmean(ad.tanh(leaf), axis=(2, 3))
+        values = fn(CausalPyramid(leaf * 1.5, weights), params)[0]
+        ad.tsum(ad.tanh(values) * w_values).backward()
+        return leaf.grad
+
+    fused = grad(lambda pyr, p: (fuse(pyr, p).values,))
+    assert fused.tobytes() == grad(_chain_fuse).tobytes()

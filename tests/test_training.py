@@ -297,7 +297,9 @@ def test_backward_frees_intermediate_grads_only():
     loss, _ = total_loss(data["train"].windows[:8], bundle,
                          np.random.default_rng(13))
     inner = [n for n in _graph_order(loss) if n._backward is not None]
-    assert len(inner) > 100
+    # the fused fusion and coupling nodes keep the graph near 70 nodes;
+    # their hidden multi-output cores (no data) must be freed too
+    assert len(inner) > 60 and sum(n.size == 0 for n in inner) == 4
 
     loss.backward()
     assert all(n.grad is None for n in inner)

@@ -15,15 +15,20 @@ case. Any other shape expansion must go through the explicit
 Fused nodes serve the model's hot paths with hand-written backward
 passes; each keeps what its backward needs only while recording:
 - `time_context` builds a coupling net's temporal context;
-- `period_pool` folds, transforms and pools the period grids of the
-  factor miner;
+- `period_pool` embeds, folds, transforms and pools the period grids of
+  the factor miner, taking every mean of the input channels;
+- `factors.bin_amplitudes` is the miner's amplitude weights, from the
+  input's spectrum at the picked bins;
 - `fusion.fuse` is the attention fusion, with three outputs (the fused
   values, the attention scores and the amplitude softmax);
 - `flow._couple` is one coupling layer (scale and shift nets, soft clamp,
   affine coupling, merge and log-det), with two outputs (h and log-det).
 The last two run the numpy operations of the generic ops they replace, in
 the same order, so their values and gradients are bitwise those of the
-generic chain.
+generic chain. A fused node makes its output with `node`, or with
+`multi_node` when it has several. A product inside one that can have a
+single row goes through `dense`, so a window scores bitwise alike alone
+and in a batch.
 
 Multi-output rule: `multi_node` makes one tensor per output. While
 recording they share one hidden core node (no data) that holds the op's
@@ -192,7 +197,10 @@ def records(parents: Iterable[Tensor]) -> bool:
     return _mode.recording and any(p.requires_grad for p in parents)
 
 
-def _node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], tuple]) -> Tensor:
+def node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], tuple]) -> Tensor:
+    """The output tensor of one op; while recording (`records`) it holds the
+    op's parents and `backward`, which takes the output's gradient and
+    returns one per parent."""
     out = Tensor(data)
     if records(parents):
         out.requires_grad = True
@@ -257,16 +265,17 @@ def array_mean(a: Array, axis, keepdims: bool = False):
     return s.dtype.type(s / np.intp(count))
 
 
-def dense(x: Array, w: Array, b: Array) -> Array:
-    """x @ w + b on arrays, for 2-D x. Each output row is bitwise the same
-    whatever the row count: one row goes through the same matrix product
-    as many, with a zero second row (numpy hands a one-row product to BLAS
-    gemv, which sums in another order than gemm)."""
+def dense(x: Array, w: Array, b: Array | None = None) -> Array:
+    """x @ w + b (or x @ w) on arrays, for 2-D x. Each output row is
+    bitwise the same whatever the row count: one row goes through the same
+    matrix product as many, with a zero second row (numpy hands a one-row
+    product to BLAS gemv, which sums in another order than gemm)."""
     if x.shape[0] == 1:
         out = (np.concatenate([x, np.zeros_like(x)]) @ w)[:1]
     else:
         out = x @ w
-    out += b
+    if b is not None:
+        out += b
     return out
 
 
@@ -284,48 +293,48 @@ def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "add")
-    return _node(a.data + b.data, (a, b),
-                 lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
+    return node(a.data + b.data, (a, b),
+                lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "sub")
-    return _node(a.data - b.data, (a, b),
-                 lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)))
+    return node(a.data - b.data, (a, b),
+                lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "mul")
-    return _node(a.data * b.data, (a, b),
-                 lambda g: (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)))
+    return node(a.data * b.data, (a, b),
+                lambda g: (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise(a, b, "div")
-    return _node(a.data / b.data, (a, b),
-                 lambda g: (_reduce_to(g / b.data, a.shape),
-                            _reduce_to(-g * a.data / (b.data * b.data), b.shape)))
+    return node(a.data / b.data, (a, b),
+                lambda g: (_reduce_to(g / b.data, a.shape),
+                           _reduce_to(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,))
+    return node(-a.data, (a,), lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-    return _node(out_data, (a,), lambda g: (g * out_data,))
+    return node(out_data, (a,), lambda g: (g * out_data,))
 
 
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
-    return _node(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
+    return node(out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),))
 
 
 def sqrt(a: Tensor) -> Tensor:
     """Square root; where the output is 0 the gradient reads 0, not inf,
     so the amplitude of an all-zero window passes no gradient."""
     out_data = np.sqrt(a.data)
-    return _node(out_data, (a,), lambda g: (np.divide(
+    return node(out_data, (a,), lambda g: (np.divide(
         g * 0.5, out_data, out=np.zeros_like(out_data), where=out_data != 0.0),))
 
 
@@ -334,8 +343,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims disagree, {a.shape} vs {b.shape}")
-    return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+    return node(a.data @ b.data, (a, b),
+                lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -344,19 +353,19 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"bmm expects 3-D operands, got {a.shape} and {b.shape}")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ValueError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
-    return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ np.swapaxes(b.data, 1, 2), np.swapaxes(a.data, 1, 2) @ g))
+    return node(a.data @ b.data, (a, b),
+                lambda g: (g @ np.swapaxes(b.data, 1, 2), np.swapaxes(a.data, 1, 2) @ g))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = tuple(int(i) for i in np.argsort(axes))
-    return _node(np.transpose(a.data, axes), (a,),
-                 lambda g: (np.ascontiguousarray(np.transpose(g, inv)),))
+    return node(np.transpose(a.data, axes), (a,),
+                lambda g: (np.ascontiguousarray(np.transpose(g, inv)),))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     src = a.shape
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(src),))
+    return node(a.data.reshape(shape), (a,), lambda g: (g.reshape(src),))
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -375,7 +384,7 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         )
         return (np.sum(g, axis=red).reshape(src),)
 
-    return _node(out_data, (a,), backward)
+    return node(out_data, (a,), backward)
 
 
 def take(a: Tensor, rows, axis: int = 0) -> Tensor:
@@ -392,7 +401,7 @@ def take(a: Tensor, rows, axis: int = 0) -> Tensor:
         out[index] = g
         return (out,)
 
-    return _node(a.data[index], (a,), backward)
+    return node(a.data[index], (a,), backward)
 
 
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
@@ -406,7 +415,7 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
             for i in range(len(parts))
         )
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
+    return node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
 
 
 def _axis_tuple(axis, ndim: int) -> tuple[int, ...]:
@@ -427,7 +436,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             shape[ax] = 1
         return (np.broadcast_to(g.reshape(shape), src),)
 
-    return _node(np.sum(a.data, axis=axes, keepdims=keepdims), (a,), backward)
+    return node(np.sum(a.data, axis=axes, keepdims=keepdims), (a,), backward)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -441,7 +450,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             shape[ax] = 1
         return (np.broadcast_to(g.reshape(shape) / count, src),)
 
-    return _node(array_mean(a.data, axes, keepdims), (a,), backward)
+    return node(array_mean(a.data, axes, keepdims), (a,), backward)
 
 
 def array_softmax(x: Array) -> Array:
@@ -458,7 +467,7 @@ def softmax_grad(g: Array, out: Array) -> Array:
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, numerically stabilised."""
     out_data = array_softmax(a.data)
-    return _node(out_data, (a,), lambda g: (softmax_grad(g, out_data),))
+    return node(out_data, (a,), lambda g: (softmax_grad(g, out_data),))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -468,8 +477,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"affine expects 2-D input, got {x.shape}")
     if b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise ValueError(f"affine: bias shape {b.shape} does not match weight {w.shape}")
-    return _node(dense(x.data, w.data, b.data), (x, w, b),
-                 lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+    return node(dense(x.data, w.data, b.data), (x, w, b),
+                lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def row_runs(rows) -> tuple[tuple[int, int, int], ...]:
@@ -522,7 +531,7 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor, runs=None) -> Tenso
         gx[:, rows, :] = 0.0
         return np.ascontiguousarray(gx), g[:, :, width:].sum(axis=1)
 
-    return _node(out_data, (x, cond), backward)
+    return node(out_data, (x, cond), backward)
 
 
 # (window, slot) pairs per pass of `period_pool`: a pass's buffers then stay
@@ -530,33 +539,49 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor, runs=None) -> Tenso
 _POOL_BLOCK = 32
 
 
-def _period_blocks(periods: Array, distinct: Array):
-    """(period, windows, slots) of the pairs that picked each period, in
-    blocks of at most _POOL_BLOCK pairs."""
-    for p in distinct:
-        win, slot = np.nonzero(periods == p)
-        for lo in range(0, win.size, _POOL_BLOCK):
-            yield p, win[lo:lo + _POOL_BLOCK], slot[lo:lo + _POOL_BLOCK]
+def _period_blocks(periods: Array) -> list:
+    """(period, pairs) for the (window, slot) pairs that picked each period,
+    pair i*k + j for window i's slot j, in blocks of at most _POOL_BLOCK
+    pairs; within a period the pairs keep their order."""
+    flat = periods.ravel()
+    order = flat.argsort(kind="stable")
+    ranked = flat[order]
+    edges = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), flat.size]
+    return [(int(ranked[lo]), order[at:min(at + _POOL_BLOCK, hi)])
+            for lo, hi in zip(edges[:-1], edges[1:])
+            for at in range(lo, hi, _POOL_BLOCK)]
 
 
-def period_pool(h: Tensor, grid_w: Tensor, grid_b: Tensor, periods) -> Tensor:
-    """Fold each window of a (B, T, C) tensor at each of its k periods,
-    transform every grid cell and mean-pool: output (B*k, C), row i*k + j
-    for window i's slot j.
+def period_pool(x, embed_w: Tensor, embed_b: Tensor, grid_w: Tensor,
+                grid_b: Tensor, periods) -> Tensor:
+    """Embed each window of a (B, T, D) array, fold it at each of its k
+    periods, transform every grid cell and mean-pool: output (B*k, C), row
+    i*k + j for window i's slot j.
 
-    Period p zero-pads a window to R = ceil(T/p) cycles of p steps. Each
-    cell gets tanh(cell @ W_cell + b + colmean @ W_col + rowmean @ W_row),
-    with W_cell, W_col, W_row the three C-row blocks of `grid_w`, `b` the
+    A step embeds to h = x @ embed_w + embed_b. Period p zero-pads a
+    window's h to R = ceil(T/p) cycles of p steps. Each cell gets
+    tanh(cell @ W_cell + b + colmean @ W_col + rowmean @ W_row), with
+    W_cell, W_col, W_row the three C-row blocks of `grid_w`, `b` the
     `grid_b`, and colmean and rowmean the cell's phase-column and
     cycle-row means; the pooled value is mean(grid) + mean(tanh(...)) over
-    the R*p cells. The cell projection is one product over every step of
-    the padded windows (a pad step's is b), and the (window, slot) pairs
-    that picked the same period are gathered and transformed together, in
-    blocks small enough to stay in cache.
+    the R*p cells.
+
+    The embedding is linear, so every mean is taken of the input and then
+    mapped: a real step is [x, 1] and a pad step 0 in D+1 channels, whose
+    means times E = [embed_w; embed_b] are the means of h, and whose cell
+    projection is [x, 1] @ (E @ W_cell). Only the tanh and its mean run on
+    the C channels. The (window, slot) pairs that picked the same period
+    are gathered and transformed together, step-major, in blocks small
+    enough to stay in cache. `x` is a constant: no gradient reaches it.
     """
-    if h.ndim != 3:
-        raise ValueError(f"period_pool expects (B,T,C), got {h.shape}")
-    b, t, c = h.shape
+    x = np.asarray(x)
+    if x.ndim != 3:
+        raise ValueError(f"period_pool expects (B,T,D) windows, got {x.shape}")
+    b, t, d = x.shape
+    c = embed_w.shape[1]
+    if embed_w.shape != (d, c) or embed_b.shape != (c,):
+        raise ValueError(f"period_pool: embedding {embed_w.shape} and bias "
+                         f"{embed_b.shape} do not match {d} input channels")
     if grid_w.shape != (3 * c, c) or grid_b.shape != (c,):
         raise ValueError(f"period_pool: grid weights {grid_w.shape} and bias "
                          f"{grid_b.shape} do not match {c} channels")
@@ -564,65 +589,67 @@ def period_pool(h: Tensor, grid_w: Tensor, grid_b: Tensor, periods) -> Tensor:
     if periods.ndim != 2 or periods.shape[0] != b:
         raise ValueError(f"period_pool expects ({b}, k) periods, got {periods.shape}")
     k = periods.shape[1]
-    w_cell, w_col, w_row = grid_w.data[:c], grid_w.data[c:2 * c], grid_w.data[2 * c:]
-    record = records((h, grid_w, grid_b))
-    distinct = np.unique(periods)
-    # every window padded to the longest fold; pad steps are zero and
-    # their cell projections are b
-    span = int(np.max(-(-t // distinct) * distinct))
-    dtype = h.data.dtype
-    padded = np.zeros((b, span, c), dtype=dtype)
-    padded[:, :t] = h.data
-    cell = np.empty((b, span, c), dtype=dtype)
-    np.matmul(padded.reshape(b * span, c), w_cell, out=cell.reshape(b * span, c))
-    cell += grid_b.data
-    out_data = np.empty((b * k, c), dtype=dtype)
-    blocks = []
-    for p, win, slot in _period_blocks(periods, distinct):
-        m, rows = win.size, -(-t // p)
-        grid = padded[win, :rows * p].reshape(m, rows, p, c)
-        col, row = array_mean(grid, 1), array_mean(grid, 2)
-        y = cell[win, :rows * p].reshape(m, rows, p, c)
-        y += (col.reshape(m * p, c) @ w_col).reshape(m, 1, p, c)
-        y += (row.reshape(m * rows, c) @ w_row).reshape(m, rows, 1, c)
+    dtype = embed_w.data.dtype
+    record = records((embed_w, embed_b, grid_w, grid_b))
+    e = np.concatenate([embed_w.data, embed_b.data[None]])
+    w_cell, w_col, w_row = grid_w.data.reshape(3, c, c)
+    a_col, a_row = e @ w_col, e @ w_row
+    # a real cell's b rides on its 1 channel; pad cells add it apart
+    a_cell = e @ w_cell
+    a_cell[d] += grid_b.data
+    blocks = _period_blocks(periods)
+    # step-major, every window zero-padded to the longest fold: a block
+    # is a take along axis 1, and its means and pools reduce over leading
+    # axes, in an order that does not depend on the block's size
+    span = max(-(-t // p) * p for p, _ in blocks)
+    xs = np.zeros((span, b, d + 1), dtype=dtype)
+    xs[:t, :, :d] = x.transpose(1, 0, 2)
+    xs[:t, :, d] = 1.0
+    # the grid mean of a pair is its window's step sum over its R*p cells
+    fold_cells = (-(-t // periods) * periods).reshape(b * k, 1)
+    grid_means = np.repeat(np.add.reduce(xs, 0), k, axis=0) / fold_cells.astype(dtype)
+    out_data = dense(grid_means, e)
+    kept = []
+    for p, pos in blocks:
+        m, rows = pos.size, -(-t // p)
+        n = rows * p
+        xb = xs[:n].take(pos // k, axis=1)
+        grid = xb.reshape(rows, p, m, d + 1)
+        col = np.multiply(np.add.reduce(grid, 0), 1.0 / rows).reshape(p * m, d + 1)
+        row = np.multiply(np.add.reduce(grid, 1), 1.0 / p).reshape(rows * m, d + 1)
+        y = (xb.reshape(n * m, d + 1) @ a_cell).reshape(rows, p, m, c)
+        if n > t:
+            y.reshape(n, m, c)[t:] += grid_b.data
+        y += (col @ a_col).reshape(p, m, c)
+        # a one-cycle fold of one window has one row: `dense` keeps it
+        # off gemv
+        y += dense(row, a_row).reshape(rows, 1, m, c)
         np.tanh(y, out=y)
-        pos = win * k + slot
-        out_data[pos] = array_mean(col, 1) + array_mean(y.reshape(m, rows * p, c), 1)
+        y = y.reshape(n, m, c)
+        out_data[pos] += np.multiply(np.add.reduce(y, 0), 1.0 / n)
         if record:  # under no_grad each block's buffers go at once
-            blocks.append((win, pos, col, row, y))
+            kept.append((p, pos, xb, col, row, y))
 
     def backward(g: Array):
-        gh = np.zeros((b, span, c), dtype=g.dtype)     # through the grid values and means
-        gcell = np.zeros((b, span, c), dtype=g.dtype)  # through the cell projection
-        gw = np.empty_like(grid_w.data)
-        gw[c:] = 0.0
+        g_cell, g_col, g_row = np.zeros((3, d + 1, c), dtype=g.dtype)
+        g_b = np.zeros(c, dtype=g.dtype)
         # one scratch buffer for every block's dy: a fresh one per block
         # costs more to first touch than to fill
-        scratch = np.empty(max(blk[4].size for blk in blocks), dtype=g.dtype)
-        for win, pos, col, row, y in blocks:
-            m, rows, p = y.shape[:3]
-            n = rows * p
-            gp = g[pos] / n
+        scratch = np.empty(max(blk[-1].size for blk in kept), dtype=g.dtype)
+        for p, pos, xb, col, row, y in kept:
+            n, m = y.shape[:2]
+            rows = n // p
             dy = np.multiply(y, y, out=scratch[:y.size].reshape(y.shape))
             np.subtract(1.0, dy, out=dy)
-            dy *= gp[:, None, None, :]
-            dcol, drow = dy.sum(axis=1), dy.sum(axis=2)
-            gw[c:2 * c] += col.reshape(m * p, c).T @ dcol.reshape(m * p, c)
-            gw[2 * c:] += row.reshape(m * rows, c).T @ drow.reshape(m * rows, c)
-            # a cell value reaches the output directly (gp) and through
-            # its column mean (1/R) and its row mean (1/p)
-            col_part = (dcol.reshape(m * p, c) @ w_col.T).reshape(m, 1, p, c) / rows
-            row_part = (drow.reshape(m * rows, c) @ w_row.T).reshape(m, rows, 1, c) / p
-            row_part += gp[:, None, None, :]
-            # pair by pair: a window repeats in a block across slots
-            for j, w in enumerate(win.tolist()):
-                gcell[w, :n] += dy[j].reshape(n, c)
-                grid = gh[w, :n].reshape(rows, p, c)
-                grid += col_part[j]
-                grid += row_part[j]
-        cell_t = gcell[:, :t].reshape(b * t, c)
-        gw[:c] = h.data.reshape(b * t, c).T @ cell_t
-        gh = gh[:, :t] + (cell_t @ w_cell.T).reshape(b, t, c)
-        return gh, gw, gcell.sum(axis=(0, 1))
+            dy *= g[pos] / n
+            g_cell += xb.reshape(n * m, d + 1).T @ dy.reshape(n * m, c)
+            if n > t:
+                g_b += dy[t:].reshape((n - t) * m, c).sum(axis=0)
+            grid = dy.reshape(rows, p, m, c)
+            g_col += col.T @ grid.sum(axis=0).reshape(p * m, c)
+            g_row += row.T @ grid.sum(axis=1).reshape(rows * m, c)
+        g_e = g_cell @ w_cell.T + g_col @ w_col.T + g_row @ w_row.T + grid_means.T @ g
+        g_grid = np.concatenate([e.T @ g_cell, e.T @ g_col, e.T @ g_row])
+        return g_e[:d], g_e[d], g_grid, g_b + g_cell[d]
 
-    return _node(out_data, (h, grid_w, grid_b), backward)
+    return node(out_data, (embed_w, embed_b, grid_w, grid_b), backward)

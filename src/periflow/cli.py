@@ -297,7 +297,7 @@ def cmd_inspect(args) -> int:
     train_cfg, _ = load_config(args.config, args.set, args.seed)
     series = load_csv(args.data)
     period = discover_global_period(series)
-    freqs, periods, amps = top_k_periods(
+    freqs, periods, amps, _ = top_k_periods(
         series.values[None], min(train_cfg.k_periods, max(1, series.length // 2 - 1)))
     strength = {}
     for d, name in enumerate(series.dim_names):

@@ -4,10 +4,19 @@ A window is embedded per timestep and folded into a cycle-by-phase grid
 for each of its k strongest periods. A shared residual transform lets
 every grid cell see its phase-column and cycle-row means, the grid is
 mean-pooled, and the result is projected onto N latent factor slots.
-Fold, transform and pool are one autodiff node (`ad.period_pool`), and a
-batch's pyramid is one (B, k, N, D_h) tensor: every (window, slot) pair
-that picked the same period is folded in one pass. Amplitudes of the
-selected bins are carried along (differentiably) as period weights.
+Amplitudes of the selected bins are carried along (differentiably) as
+period weights.
+
+The embedding is linear per step, so the miner works in input space:
+the picker ranks the embedded spectrum as the input's spectrum mapped
+through the embedding weights (`spectral.top_k_periods`), the amplitude
+weights are one node on the input's spectrum at the picks
+(`bin_amplitudes`), and embedding, fold, transform and pool are one node
+(`ad.period_pool`) that takes every mean of the D input channels and maps
+it, leaving only the cell tanh and its mean to the D_h embedded channels.
+A batch's pyramid is one (B, k, N, D_h) tensor: every (window, slot) pair
+that picked the same period is folded in one pass. `embed` itself is the
+reference the tests hold the miner to.
 """
 from __future__ import annotations
 
@@ -78,7 +87,8 @@ def init_miner(d_in: int, hidden: int, n_factors: int,
 
 
 def embed(x, params: MinerParams) -> Tensor:
-    """Per-timestep linear map (B, T, D) -> (B, T, D_h)."""
+    """Per-timestep linear map (B, T, D) -> (B, T, D_h). The miner folds
+    it into its nodes and never calls it."""
     h = x if isinstance(x, Tensor) else Tensor(x)
     if h.ndim != 3:
         raise ValueError(f"embed expects (B, T, D) windows, got shape {h.shape}")
@@ -90,46 +100,71 @@ def embed(x, params: MinerParams) -> Tensor:
     return ad.reshape(out, (b, t, params.hidden))
 
 
-def bin_amplitudes(h: Tensor, frequencies: np.ndarray) -> Tensor:
-    """Channel-averaged sinusoid amplitude at chosen bins, differentiably.
+def bin_amplitudes(spectrum: np.ndarray, embed_w: Tensor, t: int) -> Tensor:
+    """Channel-averaged sinusoid amplitude of the embedded windows at their
+    picked bins, as one node whose gradient reaches `embed_w`.
 
-    h is (B, T, C) and frequencies (B, k); returns (B, k). Uses an explicit
-    cosine/sine projection so gradients flow into the embedding. Scaled by
-    2/T so a unit-amplitude sinusoid sitting exactly on a bin scores ~1;
-    raw transform magnitudes grow with T and would saturate the downstream
-    softmax.
+    `spectrum` is the (B, k, D) rfft of the T-step input windows at the
+    picks (`top_k_periods`); the embedded windows' spectrum there is
+    spectrum @ embed_w, since the bias only reaches the DC bin, which is
+    never picked. Returns (B, k), scaled by 2/T so a unit-amplitude
+    sinusoid sitting exactly on a bin scores ~1; raw transform magnitudes
+    grow with T and would saturate the downstream softmax.
     """
-    t = h.shape[1]
-    grid = 2.0 * np.pi * np.asarray(frequencies)[..., None] * np.arange(t) / t
-    re = ad.bmm(Tensor(np.cos(grid).astype(h.data.dtype, copy=False)), h)
-    im = ad.bmm(Tensor((-np.sin(grid)).astype(h.data.dtype, copy=False)), h)
-    return ad.tmean(ad.sqrt(re * re + im * im) * (2.0 / t), axis=2)
+    b, k, d = spectrum.shape
+    w = embed_w.data
+    # real parts above imaginary ones: one product of at least two rows
+    parts = np.concatenate([spectrum.real.reshape(b * k, d),
+                            spectrum.imag.reshape(b * k, d)]).astype(w.dtype, copy=False)
+    z = parts @ w
+    re, im = z[:b * k], z[b * k:]
+    amp = np.sqrt(re * re + im * im)
+    scale = 2.0 / t
+    out = ad.array_mean(amp * scale, 1).reshape(b, k)
+
+    def backward(g: np.ndarray):
+        # where the amplitude is 0 the gradient reads 0, as `ad.sqrt`'s
+        ga = np.divide(g.reshape(b * k, 1) * (scale / w.shape[1]), amp,
+                       out=np.zeros_like(amp), where=amp != 0.0)
+        return (parts.T @ np.concatenate([ga * re, ga * im]),)
+
+    return ad.node(out, (embed_w,), backward)
 
 
-def extract_pyramid(h, params: MinerParams, frequencies) -> CausalPyramid:
+def extract_pyramid(x: np.ndarray, params: MinerParams, frequencies,
+                    spectrum: np.ndarray) -> CausalPyramid:
     """Fold embedded windows into per-period grids and project to slots.
 
-    `frequencies` holds each window's k picked bins, shape (B, k), and
-    each pick folds its window at period p = ceil(T/f): zero-padded to
-    ceil(T/p)*p steps and reshaped to a cycles-by-phase grid. The shared
-    residual transform feeds every cell its own value together with its
+    `x` holds the (B, T, D) input windows, `frequencies` each window's k
+    picked bins, shape (B, k), and `spectrum` the input's rfft at them,
+    (B, k, D), as `top_k_periods` returns them. Each pick folds its
+    embedded window at period p = ceil(T/f): zero-padded to ceil(T/p)*p
+    steps and reshaped to a cycles-by-phase grid. The shared residual
+    transform feeds every cell its own value together with its
     phase-column mean and cycle-row mean (the per-period seasonal
-    profile), so grids folded at different periods genuinely differ. Fold,
-    transform and mean-pool are one autodiff node, `ad.period_pool`, which
-    handles every (window, slot) pair of a period in one pass. The pooled
-    grids are projected onto N factor slots; factors are (B, k, N, D_h).
+    profile), so grids folded at different periods genuinely differ.
+    Embedding, fold, transform and mean-pool are one autodiff node,
+    `ad.period_pool`, which handles every (window, slot) pair of a period
+    in one pass. The pooled grids are projected onto N factor slots;
+    factors are (B, k, N, D_h).
     """
-    if h.ndim != 3:
-        raise ValueError(f"extract_pyramid expects (B, T, D_h), got shape {h.shape}")
-    b, t, c = h.shape
-    if c != params.hidden:
-        raise ValueError(f"extract_pyramid: channel dim {c} != hidden {params.hidden}")
+    x = np.asarray(x)
+    if x.ndim != 3:
+        raise ValueError(f"extract_pyramid expects (B, T, D) windows, got shape {x.shape}")
+    b, t, d = x.shape
+    if d != params.embed_w.shape[0]:
+        raise ValueError(f"extract_pyramid: input dim {d} does not match weights "
+                         f"{params.embed_w.shape}")
     frequencies = np.asarray(frequencies)
     if frequencies.ndim != 2 or frequencies.shape[0] != b:
         raise ValueError(f"extract_pyramid expects ({b}, k) frequencies, "
                          f"got shape {frequencies.shape}")
     k = frequencies.shape[1]
-    pooled = ad.period_pool(h, params.grid_w, params.grid_b, -(-t // frequencies))
+    if spectrum.shape != (b, k, d):
+        raise ValueError(f"extract_pyramid expects a ({b}, {k}, {d}) spectrum, "
+                         f"got shape {spectrum.shape}")
+    pooled = ad.period_pool(x, params.embed_w, params.embed_b, params.grid_w,
+                            params.grid_b, -(-t // frequencies))
     slots = ad.affine(pooled, params.slot_w, params.slot_b)
     factors = ad.reshape(slots, (b, k, params.n_factors, params.hidden))
-    return CausalPyramid(factors, bin_amplitudes(h, frequencies))
+    return CausalPyramid(factors, bin_amplitudes(spectrum, params.embed_w, t))

@@ -3,11 +3,17 @@ and a seasonal-strength diagnostic.
 
 `top_k_periods` is the one period picker: the k strongest bins of the
 channel-averaged amplitude spectrum (unnormalized numpy real FFT, bins
-0..T//2), exactly k per window, as (B, k) arrays. The global period of a
-series is its top-1 pick. The DC bin never participates in period
-selection because it encodes the mean, not a rhythm.
+0..T//2), exactly k per window, as (B, k) arrays. The factor miner ranks
+the spectrum of its embedded windows without embedding them: it maps the
+input's spectrum through the embedding weights, and gets the input's
+spectrum at the picks back for the amplitude weights. The global period
+of a series is its top-1 pick of the raw series. The DC bin never
+participates in period selection because it encodes the mean, not a
+rhythm.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +21,8 @@ from .autodiff import array_mean
 from .series import MultivariateSeries
 
 
-# windows per rfft in `top_k_periods`: at T=60, C=32 a block's float64
-# copy and spectrum take about 1.2 MB
+# windows per rfft in `top_k_periods`: at T=60 a block's mixed spectrum
+# into C=32 channels takes about 0.5 MB
 _RFFT_BLOCK = 32
 
 
@@ -24,33 +30,51 @@ class SpectralError(ValueError):
     pass
 
 
-def top_k_periods(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k largest-amplitude bins (channel-averaged, DC excluded) of each
-    window of a (B, T, C) batch.
+class Picks(NamedTuple):
+    """The k picks of each window of a batch, strongest first: bins
+    (B, k), periods ceil(T/f) (B, k), channel-averaged amplitudes (B, k)
+    and the unmixed input's rfft at the picked bins (B, k, C), complex."""
 
-    Returns (frequencies, periods, amplitudes), each (B, k), strongest pick
-    first. Candidate bins are the non-redundant half 1..T//2; amplitudes of
-    at most 1e-12 read as zero and ties resolve to the lower bin, so a
-    window with fewer than k energetic bins fills its remaining picks with
-    its lowest unpicked bins (a constant window picks 1..k).
+    frequencies: np.ndarray
+    periods: np.ndarray
+    amplitudes: np.ndarray
+    spectrum: np.ndarray
+
+
+def top_k_periods(x: np.ndarray, k: int, mix: np.ndarray | None = None) -> Picks:
+    """k largest-amplitude bins (channel-averaged, DC excluded) of each
+    window of a (B, T, C) batch, or of its channels mapped through a
+    (C, C') matrix `mix`: the rfft is linear, so the bins of x @ mix are
+    rfft(x) @ mix, and an added constant only moves the DC bin.
+
+    Candidate bins are the non-redundant half 1..T//2; amplitudes of at
+    most 1e-12 read as zero and ties resolve to the lower bin, so a window
+    with fewer than k energetic bins fills its remaining picks with its
+    lowest unpicked bins (a constant window picks 1..k).
     """
     x = np.asarray(x)
     if x.ndim != 3:
         raise SpectralError(f"top_k_periods expects (B, T, C), got shape {x.shape}")
-    b, t = x.shape[:2]
+    b, t, c = x.shape
     if not 1 <= k < t / 2:
         raise SpectralError(f"k must satisfy 1 <= k < T/2, got k={k}, T={t}")
-    amp = np.empty((b, t // 2 + 1))
-    # a block of windows at a time: its float64 copy and spectrum stay in
+    freqs = np.empty((b, k), dtype=np.intp)
+    amplitudes = np.empty((b, k))
+    spectrum = np.empty((b, k, c), dtype=np.complex128)
+    # a block of windows at a time: its float64 copy and spectra stay in
     # cache, and no float64 copy of the whole batch is made
     for lo in range(0, b, _RFFT_BLOCK):
-        block = np.asarray(x[lo:lo + _RFFT_BLOCK], dtype=np.float64)
-        amp[lo:lo + _RFFT_BLOCK] = array_mean(np.abs(np.fft.rfft(block, axis=1)), 2)
-    band = amp[:, 1:t // 2 + 1]
-    band = np.where(band > 1e-12, band, 0.0)
-    freqs = np.argsort(-band, axis=1, kind="stable")[:, :k] + 1
-    # f <= T//2, so every period ceil(T/f) is at least 2
-    return freqs, -(-t // freqs), np.take_along_axis(amp, freqs, axis=1)
+        spec = np.fft.rfft(np.asarray(x[lo:lo + _RFFT_BLOCK], dtype=np.float64), axis=1)
+        amp = array_mean(np.abs(spec if mix is None else spec @ mix), 2)
+        band = amp[:, 1:]
+        # f <= T//2, so every period ceil(T/f) is at least 2
+        picked = np.argsort(np.where(band > 1e-12, -band, 0.0), axis=1,
+                            kind="stable")[:, :k] + 1
+        at = np.arange(len(picked))[:, None], picked
+        freqs[lo:lo + _RFFT_BLOCK] = picked
+        amplitudes[lo:lo + _RFFT_BLOCK] = amp[at]
+        spectrum[lo:lo + _RFFT_BLOCK] = spec[at]
+    return Picks(freqs, -(-t // freqs), amplitudes, spectrum)
 
 
 def discover_global_period(series: MultivariateSeries) -> int:

@@ -6,10 +6,9 @@ consistency and orthogonality treatment losses:
 
     total = nll + alpha * similarity + beta * independence
 
-A batch is embedded once, every window picks exactly k periods, and the
-batch is folded as one (B, k, N, D_h) pyramid and fused once, which keeps
-the math equal to a window-at-a-time composition of the module-level
-operations.
+Every window picks exactly k periods, and the batch is folded as one
+(B, k, N, D_h) pyramid and fused once, which keeps the math equal to a
+window-at-a-time composition of the module-level operations.
 """
 from __future__ import annotations
 
@@ -24,7 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .causal import independence_loss, similarity_loss
-from .factors import MinerParams, embed, extract_pyramid, init_miner
+# `embed` is not called here; perfbench's tracer looks it up in this module
+from .factors import MinerParams, embed, extract_pyramid, init_miner  # noqa: F401
 from .flow import FlowModel, condition, anomaly_score, init_flow, nll_loss
 from .fusion import FusionParams, fuse, init_fusion
 from .optim import ParamStore
@@ -144,16 +144,17 @@ def make_store(bundle: ModelBundle) -> ParamStore:
 def encode_batch(windows: np.ndarray, bundle: ModelBundle):
     """Clean-path representation (B, N, D_h) for a stack of windows.
 
-    The batch is embedded once, each window picks its k_periods strongest
-    bins, and the whole batch is folded into one pyramid and fused once.
-    Returns the representation tensor and a dict of (B, k) diagnostics:
-    the picked periods, the softmaxed amplitude weights and the attention
-    scores.
+    Each window picks its k_periods strongest bins of its embedded
+    spectrum, and the whole batch is folded into one pyramid and fused
+    once; the miner never materializes the embedded windows (see
+    `ad.period_pool`). Returns the representation tensor and a dict of
+    (B, k) diagnostics: the picked periods, the softmaxed amplitude
+    weights and the attention scores.
     """
-    h = embed(windows, bundle.miner)
-    frequencies, periods, _ = top_k_periods(h.data, bundle.config.k_periods)
-    rep = fuse(extract_pyramid(h, bundle.miner, frequencies), bundle.fusion)
-    return rep.values, {"periods": periods, "amp_weights": rep.amp_softmax.data,
+    picks = top_k_periods(windows, bundle.config.k_periods, bundle.miner.embed_w.data)
+    pyramid = extract_pyramid(windows, bundle.miner, picks.frequencies, picks.spectrum)
+    rep = fuse(pyramid, bundle.fusion)
+    return rep.values, {"periods": picks.periods, "amp_weights": rep.amp_softmax.data,
                         "attention": rep.attention.data}
 
 
@@ -357,8 +358,9 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Rebuild the bundle; a missing or malformed entry or any shape
-    mismatch fails loudly."""
+    """Rebuild the bundle; a missing or malformed entry, any shape mismatch,
+    a non-finite parameter or statistic, or a standard deviation that is
+    not positive fails loudly, naming the entry."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -396,6 +398,8 @@ def load_checkpoint(path) -> ModelBundle:
                 raise ValueError(
                     f"checkpoint shape mismatch for {name}: "
                     f"{arr.shape} vs expected {tensor.data.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise malformed(f"{key} holds a non-finite value")
             tensor.data = arr.astype(np.float64)
         if "stats/mean" in data.files or "stats/std" in data.files:
             stats = []
@@ -406,5 +410,10 @@ def load_checkpoint(path) -> ModelBundle:
                 if stats[-1].shape != (bundle.d_in,):
                     raise malformed(f"{key} has shape {stats[-1].shape}, "
                                     f"expected ({bundle.d_in},)")
-            bundle.stats = Standardization(*stats)
+            mean, std = stats
+            if not np.all(np.isfinite(mean)):
+                raise malformed("stats/mean holds a non-finite value")
+            if not np.all(np.isfinite(std) & (std > 0)):
+                raise malformed("stats/std holds a value that is not finite and positive")
+            bundle.stats = Standardization(mean, std)
     return bundle

@@ -8,7 +8,7 @@ import pytest
 from conftest import check_gradients
 from periflow import autodiff as ad
 from periflow.autodiff import Tensor
-from periflow.factors import CausalPyramid
+from periflow.factors import CausalPyramid, bin_amplitudes
 from periflow.flow import CouplingLayer, Mlp, _couple
 from periflow.fusion import FusionParams, fuse
 from periflow.masks import build_mask
@@ -391,6 +391,33 @@ def _coupling(h, ctx, logdet, *params):
     return _couple(layer, h, ctx, logdet, np.array([3, 0, 2]))[:2]
 
 
+# the windows of the period_pool cases: the op takes them as a constant
+_POOL_X = np.random.default_rng(41).normal(size=(2, 7, 2))
+
+
+def _period_pool(periods):
+    def op(embed_w, embed_b, grid_w, grid_b):
+        # weights centred on zero, so the cell tanh does not saturate (and
+        # read-only, like the contract's own inputs)
+        params = [p - 1.25 for p in (embed_w, embed_b, grid_w, grid_b)]
+        for p in params:
+            p.data.flags.writeable = False
+        x = _POOL_X[:len(periods)].astype(embed_w.data.dtype)
+        return ad.period_pool(x, *params, periods)
+    return op
+
+
+# the input spectrum of the bin_amplitudes case: 2 windows of T=9 steps
+# and D=3 channels at 2 picked bins each
+_AMP_SPECTRUM = np.take_along_axis(
+    np.fft.rfft(np.random.default_rng(42).normal(size=(2, 9, 3)), axis=1),
+    np.array([[1, 4], [3, 1]])[:, :, None], axis=1)
+
+
+def _bin_amplitudes(embed_w):
+    return bin_amplitudes(_AMP_SPECTRUM, embed_w - 1.25, 9)
+
+
 _COUPLING_SHAPES = [(2, 5, 2), (2, 3, 4), (2,), (4, 3), (3,), (3, 2), (2,),
                     (4, 3), (3,), (3, 2), (2,)]
 
@@ -426,8 +453,11 @@ OP_CASES = {
     "affine_one_row": ([(1, 4), (4, 2), (2,)], ad.affine),
     "time_context": ([(2, 5, 3), (2, 4)],
                      lambda x, cond: ad.time_context(x, 1, [3, 0, 2], cond)),
-    "period_pool": ([(2, 7, 3), (9, 3), (3,)],
-                    lambda h, w, b: ad.period_pool(h, w, b, [[2, 7], [3, 2]])),
+    # T=7: period 2 pads a step, period 7 is one cycle (one row), and
+    # windows 0 and 1 share period 2
+    "period_pool": ([(2, 3), (3,), (9, 3), (3,)], _period_pool([[2, 7], [3, 2]])),
+    "period_pool_one_window": ([(2, 3), (3,), (9, 3), (3,)], _period_pool([[7, 2, 3]])),
+    "bin_amplitudes": ([(3, 4)], _bin_amplitudes),
     "fuse": ([(2, 3, 2, 4), (2, 3), (4, 4), (4, 4)], _fuse),
     "fuse_one_window": ([(1, 3, 2, 4), (1, 3), (4, 4), (4, 4)], _fuse),
     "fuse_attention_only": ([(2, 3, 2, 4), (2, 3), (4, 4), (4, 4)],

@@ -415,6 +415,13 @@ def test_score_short_series_names_the_file_and_window_length(tmp_path, capsys):
     ("short_stats_mean", "not a periflow checkpoint (stats/mean has shape (2,), expected (3,))"),
     ("meta_not_json", "not a periflow checkpoint ('meta' is not JSON)"),
     ("other_version", "unsupported checkpoint version 2 (expected 1)"),
+    ("nan_param", "not a periflow checkpoint "
+                  "(param/flow.layer0.s0.w holds a non-finite value)"),
+    ("inf_stats_mean", "not a periflow checkpoint (stats/mean holds a non-finite value)"),
+    ("zero_stats_std", "not a periflow checkpoint "
+                       "(stats/std holds a value that is not finite and positive)"),
+    ("negative_stats_std", "not a periflow checkpoint "
+                           "(stats/std holds a value that is not finite and positive)"),
 ])
 def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
     ckpt, _ = _saved_checkpoint(tmp_path)
@@ -431,6 +438,12 @@ def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
         arrays["stats/mean"] = arrays["stats/mean"][:2]
     elif case == "other_version":
         meta["format_version"] = 2
+    elif case == "nan_param":
+        arrays["param/flow.layer0.s0.w"][1, 2] = np.nan
+    elif case == "inf_stats_mean":
+        arrays["stats/mean"][0] = np.inf
+    elif case in ("zero_stats_std", "negative_stats_std"):
+        arrays["stats/std"][1] = 0.0 if case == "zero_stats_std" else -1.0
     arrays["meta"] = np.frombuffer(b"{meta: 1}" if case == "meta_not_json"
                                    else json.dumps(meta).encode(), dtype=np.uint8)
     with open(ckpt, "wb") as fh:

@@ -55,7 +55,7 @@ def intervene_oracle(x, k_h_frac, sigma, noise, rng):
 def test_constant_signal_dc_only():
     # a constant's energy sits in the excluded DC bin: no band bin carries
     # energy, so the k picks are the lowest bins, with no amplitude
-    freqs, periods, weights = top_k_periods(np.full((1, 8, 1), 4.0), 3)
+    freqs, periods, weights, _ = top_k_periods(np.full((1, 8, 1), 4.0), 3)
     assert freqs.tolist() == [[1, 2, 3]] and periods.tolist() == [[8, 4, 3]]
     np.testing.assert_allclose(weights, 0.0, atol=1e-12)
 
@@ -63,7 +63,7 @@ def test_constant_signal_dc_only():
 def test_cosine_peak_bin():
     n = 64
     x = np.cos(2 * np.pi * np.arange(n) / 8.0)
-    freqs, periods, weights = top_k_periods(x[None, :, None], 1)
+    freqs, periods, weights, _ = top_k_periods(x[None, :, None], 1)
     assert freqs.tolist() == [[8]] and periods.tolist() == [[8]]
     # closed form: a pure cosine of integer frequency concentrates n/2 per line
     np.testing.assert_allclose(weights[0, 0], n / 2, rtol=1e-9)
@@ -73,7 +73,7 @@ def test_fft_matches_naive_dft():
     # odd length, one channel: the picked amplitudes are unnormalized DFT lines
     rng = np.random.default_rng(3)
     x = rng.normal(size=37)
-    freqs, _, weights = top_k_periods(x[None, :, None], 5)
+    freqs, _, weights, _ = top_k_periods(x[None, :, None], 5)
     amp = np.abs(naive_dft(x))
     np.testing.assert_allclose(weights[0], amp[freqs[0]], atol=1e-9)
     assert min(weights[0]) >= max(np.delete(amp[1:19], freqs[0] - 1))
@@ -102,7 +102,7 @@ def test_parseval():
     # line of amplitude n*A/2, so energy = 2 * weight^2 / n
     n, amp = 128, 1.7
     x = amp * np.sin(2 * np.pi * 5 * np.arange(n) / n)
-    _, _, weights = top_k_periods(x[None, :, None], 1)
+    _, _, weights, _ = top_k_periods(x[None, :, None], 1)
     np.testing.assert_allclose(np.sum(x ** 2), 2 * weights[0, 0] ** 2 / n, rtol=1e-9)
 
 
@@ -154,7 +154,7 @@ def test_global_period_rejects_constant():
 def test_top_k_two_lines():
     t = np.arange(120)
     x = 2.0 * np.sin(2 * np.pi * t / 30) + 1.0 * np.sin(2 * np.pi * t / 8)
-    freqs, periods, _ = top_k_periods(x[None, :, None], 2)
+    freqs, periods, _, _ = top_k_periods(x[None, :, None], 2)
     assert set(freqs[0].tolist()) == {4, 15}
     assert periods[0, 0] == 30  # strongest line first
     assert freqs.shape == periods.shape == (1, 2)
@@ -162,14 +162,14 @@ def test_top_k_two_lines():
 
 def test_top_k_consistent_with_global_period():
     s = _sine_series(t_l=120)
-    _, periods, _ = top_k_periods(s.values[None], 1)
+    _, periods, _, _ = top_k_periods(s.values[None], 1)
     assert periods[0, 0] == discover_global_period(s)
 
 
 def test_top_k_matches_sorted_spectrum_oracle():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(100, 2))
-    freqs, _, weights = top_k_periods(x[None], 3)
+    freqs, _, weights, _ = top_k_periods(x[None], 3)
     amp = np.mean([np.abs(naive_dft(x[:, c])) for c in range(2)], axis=0)
     oracle = np.argsort(-amp[1:51], kind="stable")[:3] + 1
     assert freqs[0].tolist() == oracle.tolist()
@@ -180,7 +180,7 @@ def test_top_k_pure_tone_fills_lowest_bins():
     # one line on bin 3; the other two picks are the lowest other bins
     t = np.arange(60)
     x = np.sin(2 * np.pi * t / 20)
-    freqs, periods, _ = top_k_periods(x[None, :, None], 3)
+    freqs, periods, _, _ = top_k_periods(x[None, :, None], 3)
     assert freqs.tolist() == [[3, 1, 2]] and periods.tolist() == [[20, 60, 30]]
 
 
@@ -241,13 +241,15 @@ def _mixed_batch(t, c, seed):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_top_k_batch_matches_per_window_oracle(t, c, k):
     x = _mixed_batch(t, c, seed=t * 10 + c)
-    freqs, periods, weights = top_k_periods(x, k)
+    freqs, periods, weights, spectrum = top_k_periods(x, k)
     assert freqs.shape == periods.shape == weights.shape == (len(x), k)
+    assert spectrum.shape == (len(x), k, c)
     for i, window in enumerate(x):
         ref_freqs, ref_periods, ref_weights = top_k_oracle(window, k)
         assert freqs[i].tolist() == ref_freqs
         assert periods[i].tolist() == ref_periods
         np.testing.assert_array_equal(weights[i], ref_weights)
+        np.testing.assert_array_equal(spectrum[i], np.fft.rfft(window, axis=0)[ref_freqs])
     assert freqs[2].tolist() == [1, 2, 3][:k]  # the constant window
     assert freqs[5].tolist() == [3, 1, 2][:k]  # the pure tone
 
@@ -271,18 +273,25 @@ def _c09_windows(n, seed):
     _mixed_batch(11, 1, seed=5),
 ], ids=["c09", "embedded", "odd_t", "mixed", "short"])
 def test_rfft_picks_match_full_fft_picks(x):
+    # the picks of x, and of x mapped through an embedding, against a full
+    # FFT's of x and of the embedded windows x @ W + b
     t, k = x.shape[1], 3
-    amp = np.abs(np.fft.fft(x, axis=1)).mean(axis=2)
-    band = amp[:, 1:t // 2 + 1]
-    band = np.where(band > 1e-12, band, 0.0)
-    want = np.argsort(-band, axis=1, kind="stable")[:, :k] + 1
-    freqs, periods, amplitudes = top_k_periods(x, k)
-    np.testing.assert_array_equal(freqs, want)
-    np.testing.assert_array_equal(periods, -(-t // want))
-    full = np.take_along_axis(amp, want, axis=1)
-    energetic = full > 1e-12
-    assert np.all(np.abs(amplitudes - full)[energetic]
-                  <= 1e-12 * full[energetic])
+    rng = np.random.default_rng(t)
+    mix = rng.normal(size=(x.shape[2], 8))
+    for given, oracle in ((None, x), (mix, x @ mix + rng.normal(size=8))):
+        amp = np.abs(np.fft.fft(oracle, axis=1)).mean(axis=2)
+        band = amp[:, 1:t // 2 + 1]
+        band = np.where(band > 1e-12, band, 0.0)
+        want = np.argsort(-band, axis=1, kind="stable")[:, :k] + 1
+        freqs, periods, amplitudes, spectrum = top_k_periods(x, k, given)
+        np.testing.assert_array_equal(freqs, want)
+        np.testing.assert_array_equal(periods, -(-t // want))
+        full = np.take_along_axis(amp, want, axis=1)
+        energetic = full > 1e-12
+        assert np.all(np.abs(amplitudes - full)[energetic]
+                      <= 1e-12 * full[energetic])
+        np.testing.assert_array_equal(
+            spectrum, np.take_along_axis(np.fft.rfft(x, axis=1), want[:, :, None], axis=1))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 59, 60, 61])

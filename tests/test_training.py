@@ -4,7 +4,7 @@ import pytest
 
 from periflow.autodiff import Tensor
 from periflow.causal import independence_loss, similarity_loss
-from periflow.factors import embed, extract_pyramid
+from periflow.factors import extract_pyramid
 from periflow.flow import LOG_2PI, condition, nll_loss
 from periflow.fusion import fuse
 from periflow.spectral import intervene, top_k_periods
@@ -89,11 +89,11 @@ def test_encode_batch_matches_per_window():
     for key in ("periods", "amp_weights", "attention"):
         assert diags[key].shape == (5, config.k_periods)
     for i, w in enumerate(windows):
-        h = embed(w[None], bundle.miner)
-        freqs, periods, _ = top_k_periods(h.data, config.k_periods)
-        one = fuse(extract_pyramid(h, bundle.miner, freqs), bundle.fusion)
+        picks = top_k_periods(w[None], config.k_periods, bundle.miner.embed_w.data)
+        one = fuse(extract_pyramid(w[None], bundle.miner, picks.frequencies,
+                                   picks.spectrum), bundle.fusion)
         np.testing.assert_allclose(rep.data[i], one.values.data[0], atol=1e-9)
-        np.testing.assert_array_equal(diags["periods"][i], periods[0])
+        np.testing.assert_array_equal(diags["periods"][i], picks.periods[0])
         np.testing.assert_allclose(diags["attention"][i], one.attention.data[0],
                                    atol=1e-12)
 
@@ -297,9 +297,9 @@ def test_backward_frees_intermediate_grads_only():
     loss, _ = total_loss(data["train"].windows[:8], bundle,
                          np.random.default_rng(13))
     inner = [n for n in _graph_order(loss) if n._backward is not None]
-    # the fused fusion and coupling nodes keep the graph near 70 nodes;
-    # their hidden multi-output cores (no data) must be freed too
-    assert len(inner) > 60 and sum(n.size == 0 for n in inner) == 4
+    # the fused miner, fusion and coupling nodes keep the graph near 55
+    # nodes; their hidden multi-output cores (no data) must be freed too
+    assert len(inner) > 50 and sum(n.size == 0 for n in inner) == 4
 
     loss.backward()
     assert all(n.grad is None for n in inner)
@@ -439,8 +439,7 @@ def _c09_bundle(length=1000):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_scores_alike_alone_and_in_a_chunk(dtype):
     # a window scored alone against the same window inside a 256-window
-    # chunk: bitwise in float32; float64 period_pool blocks differ in
-    # their last bits with the block size
+    # chunk: bitwise, in float32 and in float64
     bundle, data = _c09_bundle()
     windows = make_windows(data["train_series"], 60, 1).windows[:256]
     assert windows.shape[0] == 256
@@ -449,12 +448,8 @@ def test_window_scores_alike_alone_and_in_a_chunk(dtype):
     assert 60 in diags["periods"]  # a one-cycle fold, whose row mean is one row
     for i in (0, 1, 255):
         one, one_t, _ = score_windows(twin, windows[i:i + 1])
-        if dtype == np.float32:
-            np.testing.assert_array_equal(one, tau[i:i + 1])
-            np.testing.assert_array_equal(one_t, tau_t[i:i + 1])
-        else:
-            np.testing.assert_allclose(one, tau[i:i + 1], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(one_t, tau_t[i:i + 1], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(one, tau[i:i + 1])
+        np.testing.assert_array_equal(one_t, tau_t[i:i + 1])
 
 
 def test_float32_twin_scores_close_to_float64():

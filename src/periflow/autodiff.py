@@ -14,7 +14,9 @@ case. Any other shape expansion must go through the explicit
 
 Fused nodes serve the model's hot paths with hand-written backward
 passes; each keeps what its backward needs only while recording:
-- `time_context` builds a coupling net's temporal context;
+- `time_context` builds a coupling net's temporal context (`fill_context`
+  is the same copy into a given array, with no node, which a pass that
+  records nothing runs a block of windows at a time);
 - `period_pool` embeds, folds, transforms and pools the period grids of
   the factor miner, taking every mean of the input channels;
 - `factors.bin_amplitudes` is the miner's amplitude weights, from the
@@ -491,6 +493,26 @@ def row_runs(rows) -> tuple[tuple[int, int, int], ...]:
     return tuple((lo, int(rows[lo]), hi - lo) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
+def fill_context(out: Array, x: Array, radius: int, rows, cond: Array, runs) -> Array:
+    """Write into `out` the temporal context of the (B, T, C) array `x` at
+    the time indices `rows`, as `time_context` defines it, and return
+    `out`; `cond` is (B, H) and `runs` is `row_runs(rows)`."""
+    b, t, c = x.shape
+    width = (2 * radius + 1) * c
+    padded = np.zeros((b, t + 2 * radius, c), dtype=x.dtype)
+    padded[:, radius:radius + t, :] = x
+    padded[:, rows + radius, :] = 0.0
+    # row t's context is the contiguous span*C values from padded[:, t], so
+    # a strided view reads every row's context and a run of consecutive
+    # rows is one basic slice of it, copied with no temporary
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (b, t, width), padded.strides, writeable=False)
+    for at, first, n in runs:
+        out[:, at:at + n, :width] = windows[:, first:first + n]
+    out[:, :, width:] = cond[:, None, :]
+    return out
+
+
 def time_context(x: Tensor, radius: int, rows, cond: Tensor, runs=None) -> Tensor:
     """Temporal context of a (B, T, C) tensor at the time indices `rows`.
 
@@ -508,18 +530,9 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor, runs=None) -> Tenso
     rows = np.asarray(rows, dtype=np.intp)
     m, span = rows.size, 2 * radius + 1
     width = span * c
-    padded = np.zeros((b, t + 2 * radius, c), dtype=x.data.dtype)
-    padded[:, radius:radius + t, :] = x.data
-    padded[:, rows + radius, :] = 0.0
-    out_data = np.empty((b, m, width + cond.shape[1]), dtype=x.data.dtype)
-    # row t's context is the contiguous span*C values from padded[:, t], so
-    # a strided view reads every row's context and a run of consecutive
-    # rows is one basic slice of it, copied with no temporary
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (b, t, width), padded.strides, writeable=False)
-    for at, first, n in row_runs(rows) if runs is None else runs:
-        out_data[:, at:at + n, :width] = windows[:, first:first + n]
-    out_data[:, :, width:] = cond.data[:, None, :]
+    out_data = fill_context(np.empty((b, m, width + cond.shape[1]), dtype=x.data.dtype),
+                            x.data, radius, rows, cond.data,
+                            row_runs(rows) if runs is None else runs)
 
     def backward(g: Array):
         acc = np.zeros((b, t + 2 * radius, c), dtype=g.dtype)

@@ -7,8 +7,11 @@ sees the kept values inside a temporal context window around its timestep,
 concatenated with the per-window conditioning vector, so the Jacobian
 stays block-triangular and the log-determinant is exactly -sum(s).
 Consecutive layers move the two mask values in turn, covering every entry.
-`forward` and `inverse` compute each layer's (s, t) with the same helper;
-`inverse` records no graph.
+`forward` and `inverse` compute each layer's (s, t) with the same helper.
+A pass that records builds each layer's context for the whole batch as one
+`ad.time_context` node; a pass that records nothing, and `inverse`, build
+it for at most `_CONTEXT_BLOCK` windows at a time in one reused buffer, so
+no batch-sized context is held. Scores are bitwise the same either way.
 
 Zero-initialised output layers make the whole flow start as the identity.
 """
@@ -25,6 +28,14 @@ from .masks import PeriodicMask, build_mask
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 SCALE_CLAMP = 5.0
+# windows per block of a coupling layer's context in a pass that records
+# nothing; a 256-window float32 chunk's whole context is 6.3 MB at D=3 and
+# 65 MB at D=38. 16, 32 and 64 take the same CPU time, and 16 saves little
+# more memory than 32. Freeing the whole context had lifted glibc's dynamic
+# trim threshold, so training's backward did not fault its memory back in
+# at every step; 64 would lift it again but makes float32 scoring fault
+# more than 32 does
+_CONTEXT_BLOCK = 32
 
 
 class FlowError(RuntimeError):
@@ -194,21 +205,59 @@ def _scale_shift(layer: CouplingLayer, ctx: np.ndarray, saved: list | None = Non
     return s, t_out
 
 
-def _couple(layer: CouplingLayer, h: Tensor, ctx: Tensor, logdet: Tensor,
-            rows: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
+def _context_buffer(model: FlowModel, b: int, moved: list, dtype) -> np.ndarray:
+    """A flat buffer that holds the context of one block of at most
+    _CONTEXT_BLOCK of b windows, for any layer of `moved` (`_moved_rows`)."""
+    width = (2 * model.context_radius + 1) * model.d_in + model.hidden
+    m = max(rows.size for rows, _ in moved)
+    return np.empty(min(b, _CONTEXT_BLOCK) * m * width, dtype=dtype)
+
+
+def _blocked_scale_shift(layer: CouplingLayer, x: np.ndarray, cond: np.ndarray,
+                         radius: int, rows: np.ndarray, runs: tuple, buf: np.ndarray):
+    """(s, t) of `_scale_shift` on the layer's whole `time_context` of the
+    (B, T, D) array x, without that context: the context of at most
+    _CONTEXT_BLOCK windows at a time is built in `buf` and run through the
+    nets, and each block's (s, t) is written into the (B, M, D) outputs.
+    Every output row of the nets' products is bitwise the same at any row
+    count (`ad.dense`), so the outputs are those of one whole block."""
+    b, _, d = x.shape
+    m = rows.size
+    width = (2 * radius + 1) * d + cond.shape[1]
+    s = np.empty((b, m, d), dtype=x.dtype)
+    t_out = np.empty((b, m, d), dtype=x.dtype)
+    for lo in range(0, b, _CONTEXT_BLOCK):
+        hi = min(lo + _CONTEXT_BLOCK, b)
+        ctx = buf[:(hi - lo) * m * width].reshape(hi - lo, m, width)
+        ad.fill_context(ctx, x[lo:hi], radius, rows, cond[lo:hi], runs)
+        s[lo:hi], t_out[lo:hi] = _scale_shift(layer, ctx)
+    return s, t_out
+
+
+def _layer_params(layer: CouplingLayer) -> list[Tensor]:
+    return [p for net in (layer.s_net, layer.t_net) for pair in net.layers for p in pair]
+
+
+def _couple(layer: CouplingLayer, h: Tensor, ctx: Tensor | None, logdet: Tensor,
+            rows: np.ndarray, s_t: tuple | None = None) -> tuple[Tensor, Tensor, np.ndarray]:
     """One coupling layer as one autodiff node: the moved `rows` of h
     become (h - t) * exp(-s), with (s, t) from the layer's `time_context`
     `ctx`, and s is summed out of `logdet`. Returns the new h and logdet
-    tensors and s as an array.
+    tensors and s as an array. A pass that records nothing may pass no
+    `ctx` and the layer's (s, t) arrays as `s_t` instead
+    (`_blocked_scale_shift`).
 
     Forward and backward run, array for array, the numpy operations that
     the generic ops would run for the same layer (`Mlp.__call__`, the
     clamp, then take, sub, neg, exp, mul, concat, take, tsum and sub), so
     values and gradients are bitwise theirs. Under no_grad nothing is kept
     for the backward."""
-    params = [p for net in (layer.s_net, layer.t_net) for pair in net.layers for p in pair]
-    saved = [] if ad.records((h, ctx, logdet, *params)) else None
-    s, t_out = _scale_shift(layer, ctx.data, saved)
+    params = saved = None
+    if s_t is None:
+        params = _layer_params(layer)
+        saved = [] if ad.records((h, ctx, logdet, *params)) else None
+        s_t = _scale_shift(layer, ctx.data, saved)
+    s, t_out = s_t
     diff = h.data[:, rows] - t_out
     e = np.exp(-s)
     b, t, d = h.shape
@@ -218,6 +267,8 @@ def _couple(layer: CouplingLayer, h: Tensor, ctx: Tensor, logdet: Tensor,
     h_out[...] = h.data
     h_out[:, rows] = diff * e
     logdet_out = logdet.data - np.sum(s, axis=(1, 2))
+    if saved is None:
+        return Tensor(h_out), Tensor(logdet_out), s
 
     def backward(g_h, g_logdet):
         s_in, t_in, th = saved
@@ -231,7 +282,8 @@ def _couple(layer: CouplingLayer, h: Tensor, ctx: Tensor, logdet: Tensor,
         g_raw = (g_raw * np.asarray(1.0 / SCALE_CLAMP, dtype=s.dtype)).reshape(b * m, d)
         g_ctx, s_grads = _net_grads(layer.s_net, s_in, g_raw)
         g_ctx_t, t_grads = _net_grads(layer.t_net, t_in, (-g_diff).reshape(b * m, d))
-        return g_hin, (g_ctx + g_ctx_t).reshape(ctx.shape), g_logdet, *s_grads, *t_grads
+        g_ctx += g_ctx_t  # a product's fresh output: no input is written
+        return g_hin, g_ctx.reshape(ctx.shape), g_logdet, *s_grads, *t_grads
 
     h_new, logdet_new = ad.multi_node((h_out, logdet_out), (h, ctx, logdet, *params), backward)
     return h_new, logdet_new, s
@@ -243,8 +295,12 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
     x: (B, T, D) windows, B >= 1; h_c: (B, D_h) conditioning vectors.
     Returns (z, logdet) Tensors in the dtype of x, plus a (B, T) float64
     per-timestep log-det array when requested (used for score
-    decomposition, not differentiated). Each coupling layer is one
-    `time_context` node and one `_couple` node.
+    decomposition, not differentiated). When the pass records, each
+    coupling layer is one `time_context` node and one `_couple` node; when
+    it records nothing, the layers share one context buffer of
+    `_CONTEXT_BLOCK` windows (`_blocked_scale_shift`), the affine update,
+    log-det and finiteness check still run once per layer, and no tensor
+    is made per block.
     """
     h = x if isinstance(x, Tensor) else Tensor(x)
     if h.ndim != 3:
@@ -258,11 +314,20 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
 
     logdet = Tensor(np.zeros(b, dtype=h.data.dtype))
     logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
-    for li, (layer, (rows, runs)) in enumerate(zip(model.layers, _moved_rows(model, t))):
-        # the context goes with `_couple`'s frame; held here, it would
-        # still be alive when the next layer builds its own
-        h, logdet, s = _couple(
-            layer, h, ad.time_context(h, model.context_radius, rows, hc, runs), logdet, rows)
+    moved = _moved_rows(model, t)
+    radius = model.context_radius
+    buf = None  # a pass that records builds each layer's context in one block
+    if not ad.records((h, hc, *(p for layer in model.layers for p in _layer_params(layer)))):
+        buf = _context_buffer(model, b, moved, h.data.dtype)
+    for li, (layer, (rows, runs)) in enumerate(zip(model.layers, moved)):
+        if buf is None:
+            # the context goes with `_couple`'s frame; held here, it would
+            # still be alive when the next layer builds its own
+            h, logdet, s = _couple(
+                layer, h, ad.time_context(h, radius, rows, hc, runs), logdet, rows)
+        else:
+            h, logdet, s = _couple(layer, h, None, logdet, rows, _blocked_scale_shift(
+                layer, h.data, hc.data, radius, rows, runs, buf))
         if not np.all(np.isfinite(h.data)):
             raise NumericOverflow(f"non-finite values after coupling layer {li}")
         if logdet_t is not None:
@@ -278,15 +343,16 @@ def inverse(z, h_c, model: FlowModel) -> np.ndarray:
     h = np.array(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
     if h.ndim != 3:
         raise FlowError(f"inverse expects (B, T, D) latents, got shape {h.shape}")
-    with ad.no_grad():
-        hc = _conditioning(h_c, h.shape[0], model)
-        for layer, (rows, runs) in zip(reversed(model.layers),
-                                       reversed(_moved_rows(model, h.shape[1]))):
-            s, t_out = _scale_shift(
-                layer, ad.time_context(Tensor(h), model.context_radius, rows, hc, runs).data)
-            h[:, rows] = h[:, rows] * np.exp(s) + t_out
-            if not np.all(np.isfinite(h)):
-                raise NumericOverflow("non-finite values while inverting")
+    if h.shape[2] != model.d_in:
+        raise FlowError(f"inverse: latent dim {h.shape[2]} != model dim {model.d_in}")
+    hc = _conditioning(h_c, h.shape[0], model).data
+    moved = _moved_rows(model, h.shape[1])
+    buf = _context_buffer(model, h.shape[0], moved, h.dtype)
+    for layer, (rows, runs) in zip(reversed(model.layers), reversed(moved)):
+        s, t_out = _blocked_scale_shift(layer, h, hc, model.context_radius, rows, runs, buf)
+        h[:, rows] = h[:, rows] * np.exp(s) + t_out
+        if not np.all(np.isfinite(h)):
+            raise NumericOverflow("non-finite values while inverting")
     return h
 
 

@@ -290,18 +290,20 @@ def score_windows(bundle: ModelBundle, windows: np.ndarray,
     `encode_batch`, each a (B, k) array.
     """
     dtype = bundle.miner.embed_w.data.dtype
-    taus, tau_ts, diags = [], [], []
+    n, t = windows.shape[:2]
+    tau, tau_t, diags = np.empty(n), np.empty((n, t)), {}
     with ad.no_grad():
-        for lo in range(0, windows.shape[0], batch_size):
+        for lo in range(0, n, batch_size):
             chunk = np.ascontiguousarray(windows[lo:lo + batch_size], dtype=dtype)
             rep, d = encode_batch(chunk, bundle)
             h_c = condition(rep, bundle.flow)
-            tau, tau_t = anomaly_score(chunk, h_c, bundle.flow)
-            taus.append(tau)
-            tau_ts.append(tau_t)
-            diags.append(d)
-    return (np.concatenate(taus), np.concatenate(tau_ts),
-            {key: np.concatenate([d[key] for d in diags]) for key in diags[0]})
+            hi = lo + chunk.shape[0]
+            tau[lo:hi], tau_t[lo:hi] = anomaly_score(chunk, h_c, bundle.flow)
+            for key, value in d.items():
+                if key not in diags:
+                    diags[key] = np.empty((n, *value.shape[1:]), dtype=value.dtype)
+                diags[key][lo:hi] = value
+    return tau, tau_t, diags
 
 
 def prepare_series(series: MultivariateSeries, config: TrainConfig,

@@ -5,8 +5,8 @@ import pytest
 from conftest import numeric_gradient, relative_error
 from periflow import autodiff as ad
 from periflow.autodiff import Tensor
-from periflow.flow import (SCALE_CLAMP, _moved_rows, anomaly_score, condition,
-                           forward, init_flow, inverse, log_prob, nll_loss)
+from periflow.flow import (_CONTEXT_BLOCK, SCALE_CLAMP, _moved_rows, anomaly_score,
+                           condition, forward, init_flow, inverse, log_prob, nll_loss)
 from periflow.masks import build_mask
 
 LOG_2PI = np.log(2 * np.pi)
@@ -246,6 +246,8 @@ def test_forward_rejects_wrong_dim():
     model = _model(d=2)
     with pytest.raises(Exception, match="input dim"):
         forward(np.zeros((1, 4, 3)), Tensor(np.zeros((1, 6))), model)
+    with pytest.raises(Exception, match="latent dim"):
+        inverse(np.zeros((1, 4, 3)), Tensor(np.zeros((1, 6))), model)
 
 
 def test_moved_rows_follow_build_mask():
@@ -280,12 +282,24 @@ def test_no_grad_keeps_overflow_checks():
     with ad.no_grad(), np.errstate(all="ignore"), \
             pytest.raises(ad.NumericOverflow, match="coupling layer 0"):
         forward(np.zeros((1, 8, 2)), _hc(model), model)
+    # a non-finite conditioning vector in the last, partial context block
+    # only: the check after the layer still sees it
+    model = _model(d=2)
+    b = 2 * _CONTEXT_BLOCK + 3
+    hc = _hc(model, b).data
+    hc[-1, 0] = np.nan
+    with ad.no_grad(), np.errstate(all="ignore"), \
+            pytest.raises(ad.NumericOverflow, match="coupling layer 0"):
+        forward(np.zeros((b, 8, 2)), Tensor(hc), model)
 
 
 def test_anomaly_score_same_with_and_without_tape():
+    # without the tape the context is built block by block: three full
+    # blocks and a partial one
     model = _model(d=2, t=8, period=3, seed=40, out_scale=0.5)
-    x = np.random.default_rng(41).normal(size=(4, 8, 2))
-    hc = Tensor(_hc(model, 4, seed=42).data, requires_grad=True)
+    b = 3 * _CONTEXT_BLOCK + 5
+    x = np.random.default_rng(41).normal(size=(b, 8, 2))
+    hc = Tensor(_hc(model, b, seed=42).data, requires_grad=True)
     taped_tau, taped_tau_t = anomaly_score(x, hc, model)
     with ad.no_grad():
         tau, tau_t = anomaly_score(x, hc, model)

@@ -1,11 +1,13 @@
 """Objective composition, fit loop behaviour, checkpoint round-trips."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from periflow.autodiff import Tensor
 from periflow.causal import independence_loss, similarity_loss
 from periflow.factors import extract_pyramid
-from periflow.flow import LOG_2PI, condition, nll_loss
+from periflow.flow import _CONTEXT_BLOCK, LOG_2PI, condition, nll_loss
 from periflow.fusion import fuse
 from periflow.spectral import intervene, top_k_periods
 from periflow.series import make_windows
@@ -446,10 +448,32 @@ def test_window_scores_alike_alone_and_in_a_chunk(dtype):
     twin = bundle.astype(dtype)
     tau, tau_t, diags = score_windows(twin, windows)
     assert 60 in diags["periods"]  # a one-cycle fold, whose row mean is one row
-    for i in (0, 1, 255):
+    # the first and last windows of the first coupling-context block too
+    for i in (0, 1, _CONTEXT_BLOCK - 1, _CONTEXT_BLOCK, 255):
         one, one_t, _ = score_windows(twin, windows[i:i + 1])
         np.testing.assert_array_equal(one, tau[i:i + 1])
         np.testing.assert_array_equal(one_t, tau_t[i:i + 1])
+
+
+@pytest.mark.parametrize("d, bound_mb", [(3, 3.3), (38, 31.5)])
+def test_score_chunk_peak_memory(d, bound_mb):
+    # one 256-window float32 chunk at T=60, H=32 and context radius 20:
+    # the coupling context is built a block of windows at a time, so no
+    # (256, M, (2r+1)D + H) array is made (it alone is 6.3 MB at D=3 and
+    # 65 MB at D=38); the bounds are 1.5 times the measured peaks, 2.2 and
+    # 21.0 MB
+    config = TrainConfig(window_length=60, hidden=32)
+    bundle = build_models(config, d, 20, np.random.default_rng(5)).astype(np.float32)
+    assert bundle.flow.context_radius == 20
+    windows = np.random.default_rng(6).normal(size=(256, 60, d))
+    score_windows(bundle, windows)  # warm the caches of the mask rows
+    tracemalloc.start()
+    try:
+        score_windows(bundle, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_float32_twin_scores_close_to_float64():

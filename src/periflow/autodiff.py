@@ -14,17 +14,18 @@ case. Any other shape expansion must go through the explicit
 
 Fused nodes serve the model's hot paths with hand-written backward
 passes; each keeps what its backward needs only while recording:
-- `time_context` builds a coupling net's temporal context (`fill_context`
-  is the same copy into a given array, with no node, which a pass that
-  records nothing runs a block of windows at a time);
+- `time_context` builds a coupling net's temporal context, the reference
+  for `flow._couple`, which builds it a block of windows at a time with
+  `fill_context` (the same copy into a given array, with no node) and
+  scatters its gradient with `context_grads`, as `time_context` does;
 - `period_pool` embeds, folds, transforms and pools the period grids of
   the factor miner, taking every mean of the input channels;
 - `factors.bin_amplitudes` is the miner's amplitude weights, from the
   input's spectrum at the picked bins;
 - `fusion.fuse` is the attention fusion, with three outputs (the fused
   values, the attention scores and the amplitude softmax);
-- `flow._couple` is one coupling layer (scale and shift nets, soft clamp,
-  affine coupling, merge and log-det), with two outputs (h and log-det).
+- `flow._couple` is one coupling layer (context, nets, soft clamp, affine
+  coupling, merge and log-det), with two outputs (h and log-det).
 The last two run the numpy operations of the generic ops they replace, in
 the same order, so their values and gradients are bitwise those of the
 generic chain. A fused node makes its output with `node`, or with
@@ -528,23 +529,28 @@ def time_context(x: Tensor, radius: int, rows, cond: Tensor, runs=None) -> Tenso
     if cond.ndim != 2 or cond.shape[0] != b:
         raise ValueError(f"time_context: cond {cond.shape} does not match x {x.shape}")
     rows = np.asarray(rows, dtype=np.intp)
-    m, span = rows.size, 2 * radius + 1
-    width = span * c
-    out_data = fill_context(np.empty((b, m, width + cond.shape[1]), dtype=x.data.dtype),
+    width = (2 * radius + 1) * c + cond.shape[1]
+    out_data = fill_context(np.empty((b, rows.size, width), dtype=x.data.dtype),
                             x.data, radius, rows, cond.data,
                             row_runs(rows) if runs is None else runs)
+    return node(out_data, (x, cond), lambda g: context_grads(g, t, c, radius, rows))
 
-    def backward(g: Array):
-        acc = np.zeros((b, t + 2 * radius, c), dtype=g.dtype)
-        # largest row first, so each step sums its terms in offset order
-        for i in np.argsort(rows)[::-1]:
-            r = rows[i]
-            acc[:, r:r + span] += g[:, i, :width].reshape(b, span, c)
-        gx = acc[:, radius:radius + t, :]
-        gx[:, rows, :] = 0.0
-        return np.ascontiguousarray(gx), g[:, :, width:].sum(axis=1)
 
-    return node(out_data, (x, cond), backward)
+def context_grads(g: Array, t: int, c: int, radius: int, rows) -> tuple[Array, Array]:
+    """The gradients at x, (B, T, C), and at cond, (B, H), of the
+    `time_context` of x at `rows`, given its (B, M, W) gradient `g`; the
+    one at x is a view."""
+    b = g.shape[0]
+    span = 2 * radius + 1
+    width = span * c
+    acc = np.zeros((b, t + 2 * radius, c), dtype=g.dtype)
+    # largest row first, so each step sums its terms in offset order
+    for i in np.argsort(rows)[::-1]:
+        r = rows[i]
+        acc[:, r:r + span] += g[:, i, :width].reshape(b, span, c)
+    gx = acc[:, radius:radius + t, :]
+    gx[:, rows, :] = 0.0
+    return gx, g[:, :, width:].sum(axis=1)
 
 
 # (window, slot) pairs per pass of `period_pool`: a pass's buffers then stay

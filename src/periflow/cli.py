@@ -13,6 +13,7 @@ comments in it. Commands exit 0 on success and print a single
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -264,13 +265,16 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     scores = []
-    with open(args.scores, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+    # read as `load_csv` reads: header names stripped, blank rows skipped
+    with open(args.scores, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [name.strip() for name in next(reader, [])]
         if "score" not in header:
             raise ConfigError(f"{args.scores}: no 'score' column")
         col = header.index("score")
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.split(",")
+        for line_no, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
             if col >= len(fields):
                 raise SeriesError(f"line {line_no}, column score: row has "
                                   f"{len(fields)} of {len(header)} columns")

@@ -7,11 +7,11 @@ sees the kept values inside a temporal context window around its timestep,
 concatenated with the per-window conditioning vector, so the Jacobian
 stays block-triangular and the log-determinant is exactly -sum(s).
 Consecutive layers move the two mask values in turn, covering every entry.
-`forward` and `inverse` compute each layer's (s, t) with the same helper.
-A pass that records builds each layer's context for the whole batch as one
-`ad.time_context` node; a pass that records nothing, and `inverse`, build
-it for at most `_CONTEXT_BLOCK` windows at a time in one reused buffer, so
-no batch-sized context is held. Scores are bitwise the same either way.
+`forward` and `inverse` compute each layer's (s, t) with the same helper,
+which builds the context for at most `_CONTEXT_BLOCK` windows at a time in
+one buffer that a pass's layers share, so no batch-sized context is made.
+A pass that records keeps no context either: the backward builds each
+block's again in the same buffer.
 
 Zero-initialised output layers make the whole flow start as the identity.
 """
@@ -28,10 +28,10 @@ from .masks import PeriodicMask, build_mask
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 SCALE_CLAMP = 5.0
-# windows per block of a coupling layer's context in a pass that records
-# nothing; a 256-window float32 chunk's whole context is 6.3 MB at D=3 and
-# 65 MB at D=38. 16, 32 and 64 take the same CPU time, and 16 saves little
-# more memory than 32. Freeing the whole context had lifted glibc's dynamic
+# windows per block of a coupling layer's context, forward and backward; a
+# 256-window float32 chunk's whole context is 6.3 MB at D=3 and 65 MB at
+# D=38. 16, 32 and 64 take the same CPU time, and 16 saves little more
+# memory than 32. Freeing the whole context had lifted glibc's dynamic
 # trim threshold, so training's backward did not fault its memory back in
 # at every step; 64 would lift it again but makes float32 scoring fault
 # more than 32 does
@@ -162,10 +162,10 @@ def _conditioning(h_c, b: int, model: FlowModel) -> Tensor:
 
 def _run_net(net: Mlp, x: np.ndarray, inputs: list | None) -> np.ndarray:
     """`net` on an array, by the numpy operations of `Mlp.__call__`; each
-    layer's input is appended to `inputs` when it is a list."""
+    later layer's input is appended to `inputs` when it is a list."""
     last = len(net.layers) - 1
     for i, (w, b) in enumerate(net.layers):
-        if inputs is not None:
+        if inputs is not None and i > 0:
             inputs.append(x)
         x = ad.dense(x, w.data, b.data)
         if i < last:
@@ -175,7 +175,7 @@ def _run_net(net: Mlp, x: np.ndarray, inputs: list | None) -> np.ndarray:
 
 def _net_grads(net: Mlp, inputs: list, g: np.ndarray) -> tuple[np.ndarray, list]:
     """The gradients of `_run_net` at its input and at each (w, b), given
-    the output's gradient `g` and the layer inputs it kept."""
+    the output's gradient `g` and its layers' inputs."""
     grads = []
     for i in range(len(net.layers) - 1, -1, -1):
         x = inputs[i]
@@ -186,22 +186,41 @@ def _net_grads(net: Mlp, inputs: list, g: np.ndarray) -> tuple[np.ndarray, list]
     return g, grads[::-1]
 
 
-def _scale_shift(layer: CouplingLayer, ctx: np.ndarray, saved: list | None = None):
-    """(s, t) of one coupling layer at its moved rows, each (B, M, D), from
-    the (B, M, W) `time_context` of those rows; s is soft-clamped to
-    (-SCALE_CLAMP, SCALE_CLAMP). With a `saved` list, appends to it what
-    the backward of `_couple` needs: the layer inputs of the s net and of
-    the t net, and the clamp's tanh."""
-    b, m, width = ctx.shape
-    flat = ctx.reshape(b * m, width)
-    s_in, t_in = ([], []) if saved is not None else (None, None)
-    s_raw = _run_net(layer.s_net, flat, s_in)
-    th = np.tanh(s_raw.reshape(b, m, s_raw.shape[1])
-                 * np.asarray(1.0 / SCALE_CLAMP, dtype=ctx.dtype))
-    s = th * np.asarray(SCALE_CLAMP, dtype=ctx.dtype)
-    t_out = _run_net(layer.t_net, flat, t_in).reshape(s.shape)
-    if saved is not None:
-        saved += [s_in, t_in, th]
+def _contexts(x: np.ndarray, cond: np.ndarray, radius: int, rows: np.ndarray,
+              runs: tuple, buf: np.ndarray):
+    """Per block of at most _CONTEXT_BLOCK windows of the (B, T, D) array
+    x: the block's slice and its (n, M, W) `ad.time_context` at `rows`,
+    built in `buf`, which each block overwrites."""
+    m = rows.size
+    width = (2 * radius + 1) * x.shape[2] + cond.shape[1]
+    for lo in range(0, x.shape[0], _CONTEXT_BLOCK):
+        at = slice(lo, min(lo + _CONTEXT_BLOCK, x.shape[0]))
+        ctx = buf[:(at.stop - lo) * m * width].reshape(at.stop - lo, m, width)
+        yield at, ad.fill_context(ctx, x[at], radius, rows, cond[at], runs)
+
+
+def _scale_shift(layer: CouplingLayer, x: np.ndarray, cond: np.ndarray, radius: int,
+                 rows: np.ndarray, runs: tuple, buf: np.ndarray, kept: list | None = None):
+    """(s, t) of one coupling layer at the moved `rows` of the (B, T, D)
+    array x, each (B, M, D), s soft-clamped to (-SCALE_CLAMP, SCALE_CLAMP),
+    from the nets on one block of windows' context at a time (`_contexts`);
+    each row of their products is bitwise the same at any row count
+    (`ad.dense`). With a `kept` list, appends per block what the backward
+    of `_couple` needs: the s and t nets' later-layer inputs and the
+    clamp's tanh."""
+    b, _, d = x.shape
+    s = np.empty((b, rows.size, d), dtype=x.dtype)
+    t_out = np.empty_like(s)
+    for at, ctx in _contexts(x, cond, radius, rows, runs, buf):
+        n, m, width = ctx.shape
+        flat = ctx.reshape(n * m, width)
+        s_in, t_in = ([], []) if kept is not None else (None, None)
+        s_raw = _run_net(layer.s_net, flat, s_in)
+        th = np.tanh(s_raw.reshape(n, m, d) * np.asarray(1.0 / SCALE_CLAMP, dtype=x.dtype))
+        s[at] = th * np.asarray(SCALE_CLAMP, dtype=x.dtype)
+        t_out[at] = _run_net(layer.t_net, flat, t_in).reshape(n, m, d)
+        if kept is not None:
+            kept.append((s_in, t_in, th))
     return s, t_out
 
 
@@ -213,51 +232,23 @@ def _context_buffer(model: FlowModel, b: int, moved: list, dtype) -> np.ndarray:
     return np.empty(min(b, _CONTEXT_BLOCK) * m * width, dtype=dtype)
 
 
-def _blocked_scale_shift(layer: CouplingLayer, x: np.ndarray, cond: np.ndarray,
-                         radius: int, rows: np.ndarray, runs: tuple, buf: np.ndarray):
-    """(s, t) of `_scale_shift` on the layer's whole `time_context` of the
-    (B, T, D) array x, without that context: the context of at most
-    _CONTEXT_BLOCK windows at a time is built in `buf` and run through the
-    nets, and each block's (s, t) is written into the (B, M, D) outputs.
-    Every output row of the nets' products is bitwise the same at any row
-    count (`ad.dense`), so the outputs are those of one whole block."""
-    b, _, d = x.shape
-    m = rows.size
-    width = (2 * radius + 1) * d + cond.shape[1]
-    s = np.empty((b, m, d), dtype=x.dtype)
-    t_out = np.empty((b, m, d), dtype=x.dtype)
-    for lo in range(0, b, _CONTEXT_BLOCK):
-        hi = min(lo + _CONTEXT_BLOCK, b)
-        ctx = buf[:(hi - lo) * m * width].reshape(hi - lo, m, width)
-        ad.fill_context(ctx, x[lo:hi], radius, rows, cond[lo:hi], runs)
-        s[lo:hi], t_out[lo:hi] = _scale_shift(layer, ctx)
-    return s, t_out
-
-
-def _layer_params(layer: CouplingLayer) -> list[Tensor]:
-    return [p for net in (layer.s_net, layer.t_net) for pair in net.layers for p in pair]
-
-
-def _couple(layer: CouplingLayer, h: Tensor, ctx: Tensor | None, logdet: Tensor,
-            rows: np.ndarray, s_t: tuple | None = None) -> tuple[Tensor, Tensor, np.ndarray]:
+def _couple(layer: CouplingLayer, h: Tensor, hc: Tensor, logdet: Tensor, rows: np.ndarray,
+            runs: tuple, radius: int, buf: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
     """One coupling layer as one autodiff node: the moved `rows` of h
-    become (h - t) * exp(-s), with (s, t) from the layer's `time_context`
-    `ctx`, and s is summed out of `logdet`. Returns the new h and logdet
-    tensors and s as an array. A pass that records nothing may pass no
-    `ctx` and the layer's (s, t) arrays as `s_t` instead
-    (`_blocked_scale_shift`).
+    become (h - t) * exp(-s), with (s, t) from `_scale_shift` on h and the
+    conditioning hc, and s is summed out of `logdet`. Returns the new h
+    and logdet tensors and s as an array.
 
     Forward and backward run, array for array, the numpy operations that
-    the generic ops would run for the same layer (`Mlp.__call__`, the
-    clamp, then take, sub, neg, exp, mul, concat, take, tsum and sub), so
-    values and gradients are bitwise theirs. Under no_grad nothing is kept
-    for the backward."""
-    params = saved = None
-    if s_t is None:
-        params = _layer_params(layer)
-        saved = [] if ad.records((h, ctx, logdet, *params)) else None
-        s_t = _scale_shift(layer, ctx.data, saved)
-    s, t_out = s_t
+    the generic ops would run for the same layer (`ad.time_context`,
+    `Mlp.__call__`, the clamp, then take, sub, neg, exp, mul, concat, take,
+    tsum and sub), so in one block of windows values and gradients are
+    bitwise theirs; over several, the weight gradients are summed block by
+    block. The backward builds each block's context again in `buf`. Under
+    no_grad nothing is kept for the backward."""
+    params = [p for net in (layer.s_net, layer.t_net) for pair in net.layers for p in pair]
+    kept = [] if ad.records((h, hc, logdet, *params)) else None
+    s, t_out = _scale_shift(layer, h.data, hc.data, radius, rows, runs, buf, kept)
     diff = h.data[:, rows] - t_out
     e = np.exp(-s)
     b, t, d = h.shape
@@ -267,25 +258,34 @@ def _couple(layer: CouplingLayer, h: Tensor, ctx: Tensor | None, logdet: Tensor,
     h_out[...] = h.data
     h_out[:, rows] = diff * e
     logdet_out = logdet.data - np.sum(s, axis=(1, 2))
-    if saved is None:
+    if kept is None:
         return Tensor(h_out), Tensor(logdet_out), s
 
     def backward(g_h, g_logdet):
-        s_in, t_in, th = saved
-        m = rows.size
         g_moved = g_h[:, rows]
         g_diff = g_moved * e
         g_hin = g_h.copy()
         g_hin[:, rows] = g_diff
         g_s = -((g_moved * diff) * e) + np.broadcast_to((-g_logdet).reshape(b, 1, 1), s.shape)
-        g_raw = (g_s * np.asarray(SCALE_CLAMP, dtype=s.dtype)) * (1.0 - th * th)
-        g_raw = (g_raw * np.asarray(1.0 / SCALE_CLAMP, dtype=s.dtype)).reshape(b * m, d)
-        g_ctx, s_grads = _net_grads(layer.s_net, s_in, g_raw)
-        g_ctx_t, t_grads = _net_grads(layer.t_net, t_in, (-g_diff).reshape(b * m, d))
-        g_ctx += g_ctx_t  # a product's fresh output: no input is written
-        return g_hin, g_ctx.reshape(ctx.shape), g_logdet, *s_grads, *t_grads
+        g_hc = np.empty(hc.shape, dtype=g_h.dtype)
+        block_grads = []
+        blocks = _contexts(h.data, hc.data, radius, rows, runs, buf)
+        for (at, ctx), (s_in, t_in, th) in zip(blocks, kept):
+            n, m, width = ctx.shape
+            flat = ctx.reshape(n * m, width)
+            g_raw = (g_s[at] * np.asarray(SCALE_CLAMP, dtype=s.dtype)) * (1.0 - th * th)
+            g_raw = (g_raw * np.asarray(1.0 / SCALE_CLAMP, dtype=s.dtype)).reshape(n * m, d)
+            g_ctx, s_grads = _net_grads(layer.s_net, [flat, *s_in], g_raw)
+            g_ctx_t, t_grads = _net_grads(layer.t_net, [flat, *t_in],
+                                          (-g_diff[at]).reshape(n * m, d))
+            g_ctx += g_ctx_t  # a product's fresh output: no input is written
+            g_x, g_hc[at] = ad.context_grads(g_ctx.reshape(ctx.shape), t, d, radius, rows)
+            g_hin[at] += g_x
+            block_grads.append(s_grads + t_grads)
+        # one block's gradients are returned as they are
+        return g_hin, g_hc, g_logdet, *(sum(gs[1:], gs[0]) for gs in zip(*block_grads))
 
-    h_new, logdet_new = ad.multi_node((h_out, logdet_out), (h, ctx, logdet, *params), backward)
+    h_new, logdet_new = ad.multi_node((h_out, logdet_out), (h, hc, logdet, *params), backward)
     return h_new, logdet_new, s
 
 
@@ -295,12 +295,10 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
     x: (B, T, D) windows, B >= 1; h_c: (B, D_h) conditioning vectors.
     Returns (z, logdet) Tensors in the dtype of x, plus a (B, T) float64
     per-timestep log-det array when requested (used for score
-    decomposition, not differentiated). When the pass records, each
-    coupling layer is one `time_context` node and one `_couple` node; when
-    it records nothing, the layers share one context buffer of
-    `_CONTEXT_BLOCK` windows (`_blocked_scale_shift`), the affine update,
-    log-det and finiteness check still run once per layer, and no tensor
-    is made per block.
+    decomposition, not differentiated). Each coupling layer is one
+    `_couple` node; the layers share one context buffer of
+    `_CONTEXT_BLOCK` windows, and the affine update, log-det and finiteness
+    check run once per layer.
     """
     h = x if isinstance(x, Tensor) else Tensor(x)
     if h.ndim != 3:
@@ -315,19 +313,9 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
     logdet = Tensor(np.zeros(b, dtype=h.data.dtype))
     logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
     moved = _moved_rows(model, t)
-    radius = model.context_radius
-    buf = None  # a pass that records builds each layer's context in one block
-    if not ad.records((h, hc, *(p for layer in model.layers for p in _layer_params(layer)))):
-        buf = _context_buffer(model, b, moved, h.data.dtype)
+    buf = _context_buffer(model, b, moved, h.data.dtype)
     for li, (layer, (rows, runs)) in enumerate(zip(model.layers, moved)):
-        if buf is None:
-            # the context goes with `_couple`'s frame; held here, it would
-            # still be alive when the next layer builds its own
-            h, logdet, s = _couple(
-                layer, h, ad.time_context(h, radius, rows, hc, runs), logdet, rows)
-        else:
-            h, logdet, s = _couple(layer, h, None, logdet, rows, _blocked_scale_shift(
-                layer, h.data, hc.data, radius, rows, runs, buf))
+        h, logdet, s = _couple(layer, h, hc, logdet, rows, runs, model.context_radius, buf)
         if not np.all(np.isfinite(h.data)):
             raise NumericOverflow(f"non-finite values after coupling layer {li}")
         if logdet_t is not None:
@@ -349,7 +337,7 @@ def inverse(z, h_c, model: FlowModel) -> np.ndarray:
     moved = _moved_rows(model, h.shape[1])
     buf = _context_buffer(model, h.shape[0], moved, h.dtype)
     for layer, (rows, runs) in zip(reversed(model.layers), reversed(moved)):
-        s, t_out = _blocked_scale_shift(layer, h, hc, model.context_radius, rows, runs, buf)
+        s, t_out = _scale_shift(layer, h, hc, model.context_radius, rows, runs, buf)
         h[:, rows] = h[:, rows] * np.exp(s) + t_out
         if not np.all(np.isfinite(h)):
             raise NumericOverflow("non-finite values while inverting")

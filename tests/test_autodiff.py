@@ -379,16 +379,19 @@ def _fuse(factors, weights, query_w, key_w):
     return out.values, out.attention, out.amp_softmax
 
 
-def _coupling(h, ctx, logdet, *params):
-    # nets of one hidden block: ctx width 4 -> 3 -> the 2 channels of h;
-    # context and weights centred on zero, so the tanh layers do not
-    # saturate and central differences stay accurate (and read-only, like
-    # the contract's own inputs)
-    ctx, *params = [p - 1.25 for p in (ctx, *params)]
-    for p in (ctx, *params):
+def _coupling(h, hc, logdet, *params):
+    # nets of one hidden block on a radius-1 context of the moved rows 3,
+    # 0 and 2: width 3*2 + 2 = 8 -> 3 -> the 2 channels of h; h, hc and
+    # weights centred on zero, so the tanh layers do not saturate and
+    # central differences stay accurate (and read-only, like the
+    # contract's own inputs)
+    h, hc, *params = [p - 1.25 for p in (h, hc, *params)]
+    for p in (h, hc, *params):
         p.data.flags.writeable = False
     layer = CouplingLayer(Mlp([params[0:2], params[2:4]]), Mlp([params[4:6], params[6:8]]))
-    return _couple(layer, h, ctx, logdet, np.array([3, 0, 2]))[:2]
+    rows = np.array([3, 0, 2])
+    buf = np.empty(2 * 3 * 8, dtype=h.data.dtype)
+    return _couple(layer, h, hc, logdet, rows, ad.row_runs(rows), 1, buf)[:2]
 
 
 # the windows of the period_pool cases: the op takes them as a constant
@@ -418,8 +421,8 @@ def _bin_amplitudes(embed_w):
     return bin_amplitudes(_AMP_SPECTRUM, embed_w - 1.25, 9)
 
 
-_COUPLING_SHAPES = [(2, 5, 2), (2, 3, 4), (2,), (4, 3), (3,), (3, 2), (2,),
-                    (4, 3), (3,), (3, 2), (2,)]
+_COUPLING_SHAPES = [(2, 5, 2), (2, 2), (2,), (8, 3), (3,), (3, 2), (2,),
+                    (8, 3), (3,), (3, 2), (2,)]
 
 
 # The op contract: every op, scalar operator sugar included, keeps its

@@ -315,6 +315,18 @@ def test_eval_rejects_short_row(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: line 3, column score: row has 1 of 3 columns\n"
     assert not (tmp_path / "eval").exists()
+    # read as `load_csv` reads: header names are stripped and a blank row
+    # is skipped, but still counted in the line numbers
+    scores_csv.write_text("index, score, log_likelihood\n0,0.1,-0.1\n\n1\n")
+    code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 4, column score: row has 1 of 3 columns\n"
+    scores_csv.write_text("index, score, log_likelihood\n0,0.1,-0.1\n\n1,0.3,-0.3\n2,0.2,-0.2\n\n")
+    assert main(["eval", "--scores", str(scores_csv), "--data", str(csv),
+                 "--out", str(tmp_path / "eval")]) == 0
+    summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
+    assert summary["n_points"] == 3 and summary["auroc"] == 1.0
 
 
 @pytest.mark.parametrize("setting", [

@@ -1,4 +1,6 @@
 """Coupling flow: invertibility, exact Jacobians, densities, conditioning."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,28 @@ def test_anomaly_score_same_with_and_without_tape():
     np.testing.assert_array_equal(tau_t, taped_tau_t)
 
 
+def test_recording_forward_keeps_no_whole_context():
+    # a float64 training-sized batch (B=32, T=60, context radius 20) at
+    # D=38: the tape keeps per layer the nets' later-layer inputs and the
+    # clamp's tanh, and the pass one shared context block, not each
+    # layer's (B, M, 41 D + H) context (16.3 and 8.1 MB here); 21.8 MB was
+    # measured, 29.9 MB when each layer kept its context
+    rng = np.random.default_rng(70)
+    model = init_flow(38, 32, 2, 20, 60, 2, 2, rng, context_radius=20)
+    x = Tensor(rng.normal(size=(32, 60, 38)))
+    hc = Tensor(rng.normal(size=(32, 32)), requires_grad=True)
+    forward(x, hc, model)  # warm the caches of the mask rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        z, logdet = forward(x, hc, model)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert z.requires_grad and logdet.requires_grad
+    assert grown < 25e6, f"tape {grown / 1e6:.1f} MB"
+
+
 def test_flow_rejects_unbatched_input():
     model = _model(d=2)
     hc = Tensor(np.zeros((1, 6)))
@@ -385,28 +409,31 @@ def _assert_close(actual, expected, rtol=1e-12):
     (9, 9, 2, 12, 2), (60, 60, 7, None, 2), (60, 61, 20, 0, 1), (61, 61, 9, 70, 3),
 ])
 def test_moved_rows_match_dense_oracle(t_model, t, period, radius, layers):
-    # values, log-dets, inverse and every gradient equal the dense coupling
+    # values, log-dets, inverse and every gradient equal the dense coupling,
+    # in one context block and over two full blocks and a partial one,
+    # where the backward sums the weight gradients block by block
     model = _model(d=2, hidden=5, n=2, period=period, t=t_model, layers=layers,
                    seed=50 + t, radius=radius, out_scale=0.4)
     rng = np.random.default_rng(51 + t)
-    x = Tensor(rng.normal(size=(3, t, 2)), requires_grad=True)
-    hc = Tensor(rng.normal(size=(3, model.hidden)), requires_grad=True)
-    # every coupling-net parameter (the conditioner is not part of forward)
-    tensors = [p for name, p in model.named().items() if ".layer" in name] + [x, hc]
+    for b in (3, 2 * _CONTEXT_BLOCK + 3):
+        x = Tensor(rng.normal(size=(b, t, 2)), requires_grad=True)
+        hc = Tensor(rng.normal(size=(b, model.hidden)), requires_grad=True)
+        # every coupling-net parameter (the conditioner is not part of forward)
+        tensors = [p for name, p in model.named().items() if ".layer" in name] + [x, hc]
 
-    def run(coupling):
-        for p in tensors:
-            p.grad = None
-        z, logdet, logdet_t = coupling()
-        (ad.tsum(z * z) * 0.5 - ad.tsum(logdet)).backward()
-        return [z.data, logdet.data, logdet_t] + [p.grad.copy() for p in tensors]
+        def run(coupling):
+            for p in tensors:
+                p.grad = None
+            z, logdet, logdet_t = coupling()
+            (ad.tsum(z * z) * 0.5 - ad.tsum(logdet)).backward()
+            return [z.data, logdet.data, logdet_t] + [p.grad.copy() for p in tensors]
 
-    moved = run(lambda: forward(x, hc, model, want_timestep_logdet=True))
-    dense = run(lambda: _dense_forward(x, hc, model))
-    for actual, expected in zip(moved, dense):
-        _assert_close(actual, expected)
-    z = moved[0]
-    _assert_close(inverse(z, hc, model), _dense_inverse(z, hc, model))
+        moved = run(lambda: forward(x, hc, model, want_timestep_logdet=True))
+        dense = run(lambda: _dense_forward(x, hc, model))
+        for actual, expected in zip(moved, dense):
+            _assert_close(actual, expected)
+        z = moved[0]
+        _assert_close(inverse(z, hc, model), _dense_inverse(z, hc, model))
 
 
 def _chain_forward(x, hc, model):

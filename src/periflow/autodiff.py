@@ -22,22 +22,24 @@ passes; each keeps what its backward needs only while recording:
   the factor miner, taking every mean of the input channels;
 - `factors.bin_amplitudes` is the miner's amplitude weights, from the
   input's spectrum at the picked bins;
-- `fusion.fuse` is the attention fusion, with three outputs (the fused
-  values, the attention scores and the amplitude softmax);
+- `fusion.fuse` is the attention fusion, with one output (the fused
+  values; the attention scores and the amplitude softmax are plain
+  arrays beside it);
 - `flow._couple` is one coupling layer (context, nets, soft clamp, affine
   coupling, merge and log-det), with two outputs (h and log-det).
 The last two run the numpy operations of the generic ops they replace, in
 the same order, so their values and gradients are bitwise those of the
-generic chain. A fused node makes its output with `node`, or with
-`multi_node` when it has several. A product inside one that can have a
-single row goes through `dense`, so a window scores bitwise alike alone
-and in a batch.
+generic chain. A fused node makes its output with `node`; `_couple`, the
+one node with two outputs, makes them with `multi_node`. A product inside
+one that can have a single row goes through `dense`, so a window scores
+bitwise alike alone and in a batch.
 
-Multi-output rule: `multi_node` makes one tensor per output. While
-recording they share one hidden core node (no data) that holds the op's
-parents and backward; the core's gradient is its outputs' gradients
-packed end to end, and an output nothing differentiated contributes
-zeros. Under no_grad the outputs are plain tensors and no core is made.
+Multi-output rule (`_couple`): `multi_node` makes one tensor per
+output. While recording they share one hidden core node (no data) that
+holds the op's parents and backward; the core's gradient is its outputs'
+gradients packed end to end, and an output nothing differentiated
+contributes zeros. Under no_grad the outputs are plain tensors and no
+core is made.
 
 `reshape`, `transpose` and `broadcast_to` may return views of their
 input's buffer (`broadcast_to`'s is numpy's read-only broadcast view, which

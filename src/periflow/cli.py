@@ -13,7 +13,6 @@ comments in it. Commands exit 0 on success and print a single
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -22,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import auroc_summary, emit_reports, window_scores_to_points
-from .series import (MultivariateSeries, SeriesError, SplitSpec, _parse_number,
-                     load_csv, make_windows)
+from .series import (MultivariateSeries, SeriesError, SplitSpec, load_csv,
+                     make_windows)
 from .spectral import (SpectralError, discover_global_period,
                        periodicity_strength, top_k_periods)
 from .synthetic import Anomaly, SynthConfig, generate, write_csv
@@ -247,7 +246,7 @@ def cmd_score(args) -> int:
                                      prepared.length)
     diags = {key: np.concatenate([d[key] for d in chunk_diags]) for key in chunk_diags[0]}
     out = Path(args.out)
-    summary = emit_reports(out, points.scores, series.labels,
+    summary = emit_reports(out, points, series.labels,
                            diagnostics={"window_start": windows.window_starts,
                                         **diags},
                            metadata={"checkpoint": str(args.checkpoint),
@@ -264,28 +263,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scores = []
-    # read as `load_csv` reads: header names stripped, blank rows skipped
-    with open(args.scores, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [name.strip() for name in next(reader, [])]
-        if "score" not in header:
-            raise ConfigError(f"{args.scores}: no 'score' column")
-        col = header.index("score")
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if col >= len(fields):
-                raise SeriesError(f"line {line_no}, column score: row has "
-                                  f"{len(fields)} of {len(header)} columns")
-            scores.append(_parse_number(fields[col].strip(), line_no, "score"))
+    table = load_csv(args.scores)
+    if "score" not in table.dim_names:
+        raise ConfigError(f"{args.scores}: no 'score' column")
+    scores = table.values[:, table.dim_names.index("score")]
     series = load_csv(args.data)
     if series.labels is None:
         raise SeriesError(f"{args.data}: no label column to evaluate against")
     if len(scores) != series.length:
         raise ConfigError(f"{args.scores}: {len(scores)} scores vs "
                           f"{series.length} labels")
-    summary = {**auroc_summary(np.asarray(scores), series.labels),
+    summary = {**auroc_summary(scores, series.labels),
                "n_points": len(scores),
                "anomaly_rate": float(series.labels.mean())}
     out = Path(args.out)

@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -16,35 +15,25 @@ class EvalError(ValueError):
     pass
 
 
-@dataclass
-class AnomalyScoreSeries:
-    """Per-timestep scores on the source timeline."""
+def window_scores_to_points(chunks: Iterable, window_starts: np.ndarray,
+                            series_length: int) -> np.ndarray:
+    """Spread per-window per-timestep scores back onto the source timeline,
+    as one (series_length,) array.
 
-    scores: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.scores)):
-            raise EvalError("non-finite scores")
-
-
-def window_scores_to_points(step_scores, window_starts: np.ndarray,
-                            series_length: int) -> AnomalyScoreSeries:
-    """Spread per-window per-timestep scores back onto the source timeline.
-
-    `step_scores` is one (B, T) array, or an iterator of (b, T) chunks that
-    follow one another in the order of `window_starts`; a chunk is folded
-    into the per-step sums as it comes, so the windows' scores need never
-    be held at once. Each covered timestep receives the mean over all
-    windows that include it, summed window by window in window order;
-    timesteps outside every window copy the nearest covered score.
+    `chunks` yields (b, T) blocks of window scores that follow one another
+    in the order of `window_starts`; each is folded into the per-step sums
+    as it comes, so the windows' scores need never be held at once. Each
+    covered timestep receives the mean over all windows that include it,
+    summed window by window in window order; timesteps outside every
+    window copy the nearest covered score. A non-finite result raises
+    `EvalError`.
     """
     window_starts = np.asarray(window_starts, dtype=np.int64)
-    chunks = step_scores if isinstance(step_scores, Iterator) else [step_scores]
     sums = np.zeros(series_length)
     counts = np.zeros(series_length, dtype=np.int64)
     done = 0
     for chunk in chunks:
-        chunk = np.atleast_2d(np.asarray(chunk, dtype=np.float64))
+        chunk = np.asarray(chunk, dtype=np.float64)
         b, t = chunk.shape
         starts = window_starts[done:done + b]
         if starts.size != b:
@@ -71,7 +60,9 @@ def window_scores_to_points(step_scores, window_starts: np.ndarray,
     left = idx[np.maximum(pos - 1, 0)]
     right = idx[np.minimum(pos, idx.size - 1)]
     scores[holes] = scores[np.where(holes - left <= right - holes, left, right)]
-    return AnomalyScoreSeries(scores)
+    if not np.all(np.isfinite(scores)):
+        raise EvalError("non-finite scores")
+    return scores
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -4,7 +4,8 @@ Each period contributes one token (its factor block pooled over slots);
 single-head scaled dot-product attention over the k tokens yields one
 score per period, which is combined multiplicatively with the softmaxed
 amplitude weights. The fused representation is the resulting convex
-combination of the raw blocks.
+combination of the raw blocks; the two mixing weights are reported as
+arrays, and no loss reads them.
 """
 from __future__ import annotations
 
@@ -28,11 +29,11 @@ class FusionParams:
 
 @dataclass
 class FusedRepresentation:
-    """Convex combination of period blocks plus its mixing diagnostics."""
+    """Convex combination of period blocks plus its (B, k) mixing weights."""
 
     values: Tensor
-    attention: Tensor
-    amp_softmax: Tensor
+    attention: np.ndarray
+    amp_softmax: np.ndarray
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values.data)):
@@ -48,9 +49,9 @@ def init_fusion(hidden: int, rng: np.random.Generator) -> FusionParams:
 
 
 def fuse(pyramid: CausalPyramid, params: FusionParams) -> FusedRepresentation:
-    """Fuse a (B, k, N, D_h) pyramid into (B, N, D_h), as one autodiff node
-    with three outputs: the values, the attention scores and the softmaxed
-    amplitude weights, each differentiable.
+    """Fuse a (B, k, N, D_h) pyramid into (B, N, D_h), as one autodiff node.
+    The attention scores and the softmaxed amplitude weights come back as
+    plain arrays beside the differentiable values.
 
     Forward and backward run, array for array, the numpy operations of the
     equivalent chain of generic ops (the oracle in tests/test_fusion.py),
@@ -76,10 +77,10 @@ def fuse(pyramid: CausalPyramid, params: FusionParams) -> FusedRepresentation:
     stacked = f.reshape(b, k, n * dh)
     fused = np.sum(stacked * u[:, :, None], axis=1).reshape(b, n, dh)
 
-    def backward(g_fused, g_attention, g_amp):
+    def backward(g_fused):
         g_prod = np.broadcast_to(g_fused.reshape(b, 1, n * dh), stacked.shape)
         g_comb = _div_grad(np.sum(g_prod * stacked, axis=2), combined, total)
-        g_col = _div_grad(g_attention + g_comb * w_hat, col_mean, norm)
+        g_col = _div_grad(g_comb * w_hat, col_mean, norm)
         g_attn = np.broadcast_to(g_col.reshape(b, 1, k) / k, attn.shape)
         g_logits = ad.softmax_grad(g_attn, attn) * scale
         g_q = (g_logits @ np.swapaxes(key_t, 1, 2)).reshape(b * k, dh)
@@ -87,15 +88,14 @@ def fuse(pyramid: CausalPyramid, params: FusionParams) -> FusedRepresentation:
             np.swapaxes(q, 1, 2) @ g_logits, (0, 2, 1))).reshape(b * k, dh)
         g_flat = (g_q @ wq.T + g_key @ wk.T).reshape(b, k, 1, dh)
         gf = (g_prod * u[:, :, None]).reshape(f.shape) + np.broadcast_to(g_flat / n, f.shape)
-        g_weights = ad.softmax_grad(g_amp + g_comb * a_p, w_hat)
+        g_weights = ad.softmax_grad(g_comb * a_p, w_hat)
         return g_weights, gf, flat.T @ g_q, flat.T @ g_key
 
     # weights before factors: the sweep then reaches the amplitude branch
     # first, as it did through the chain, and the embedding sums its
     # three gradients in the same order
-    values, attention, amp = ad.multi_node(
-        (fused, a_p, w_hat), (weights, factors, params.query_w, params.key_w), backward)
-    return FusedRepresentation(values, attention, amp)
+    values = ad.node(fused, (weights, factors, params.query_w, params.key_w), backward)
+    return FusedRepresentation(values, a_p, w_hat)
 
 
 def _div_grad(g: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:

@@ -154,8 +154,8 @@ def encode_batch(windows: np.ndarray, bundle: ModelBundle):
     picks = top_k_periods(windows, bundle.config.k_periods, bundle.miner.embed_w.data)
     pyramid = extract_pyramid(windows, bundle.miner, picks.frequencies, picks.spectrum)
     rep = fuse(pyramid, bundle.fusion)
-    return rep.values, {"periods": picks.periods, "amp_weights": rep.amp_softmax.data,
-                        "attention": rep.attention.data}
+    return rep.values, {"periods": picks.periods, "amp_weights": rep.amp_softmax,
+                        "attention": rep.attention}
 
 
 def total_loss(windows: np.ndarray, bundle: ModelBundle,

@@ -299,11 +299,11 @@ def _detection_run(seed: int, anomalies, use_periodic_mask: bool = True,
     test_s = data["test_series"]
     wb = make_windows(test_s, cfg.window_length, 1)
     tau, tau_t, _ = score_windows(bundle, wb.windows)
-    pts = window_scores_to_points(tau_t, wb.window_starts, test_s.length)
-    trained = auroc(pts.scores, test_s.labels)
+    pts = window_scores_to_points([tau_t], wb.window_starts, test_s.length)
+    trained = auroc(pts, test_s.labels)
     base_t = 0.5 * np.sum(wb.windows ** 2, axis=2)
-    base_pts = window_scores_to_points(base_t, wb.window_starts, test_s.length)
-    baseline = auroc(base_pts.scores, test_s.labels)
+    base_pts = window_scores_to_points([base_t], wb.window_starts, test_s.length)
+    baseline = auroc(base_pts, test_s.labels)
     return trained, baseline, history
 
 

@@ -313,7 +313,7 @@ def test_eval_rejects_short_row(tmp_path, capsys):
     code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
                  "--out", str(tmp_path / "eval")])
     assert code == 1
-    assert capsys.readouterr().err == "error: line 3, column score: row has 1 of 3 columns\n"
+    assert capsys.readouterr().err == "error: line 3: expected 3 fields, got 1\n"
     assert not (tmp_path / "eval").exists()
     # read as `load_csv` reads: header names are stripped and a blank row
     # is skipped, but still counted in the line numbers
@@ -321,12 +321,27 @@ def test_eval_rejects_short_row(tmp_path, capsys):
     code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
                  "--out", str(tmp_path / "eval")])
     assert code == 1
-    assert capsys.readouterr().err == "error: line 4, column score: row has 1 of 3 columns\n"
+    assert capsys.readouterr().err == "error: line 4: expected 3 fields, got 1\n"
     scores_csv.write_text("index, score, log_likelihood\n0,0.1,-0.1\n\n1,0.3,-0.3\n2,0.2,-0.2\n\n")
     assert main(["eval", "--scores", str(scores_csv), "--data", str(csv),
                  "--out", str(tmp_path / "eval")]) == 0
     summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
     assert summary["n_points"] == 3 and summary["auroc"] == 1.0
+
+
+def test_eval_parses_every_column(tmp_path, capsys):
+    # the scores file is read as a series, so a bad value fails in any
+    # column, not only in `score`
+    csv = tmp_path / "series.csv"
+    csv.write_text("t,x0,label\n" + "".join(f"{i},0.5,{i % 2}\n" for i in range(3)))
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("index,score,log_likelihood\n0,0.1,-0.1\n1,0.2,abc\n2,0.3,-0.3\n")
+    code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: line 3, column log_likelihood: "
+                                       "cannot parse value 'abc'\n")
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("setting", [

@@ -71,18 +71,18 @@ def test_auroc_rejects_single_class():
 
 def test_alignment_disjoint_windows():
     step = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = window_scores_to_points(step, np.array([0, 2]), 4)
-    np.testing.assert_array_equal(out.scores, [1, 2, 3, 4])
+    out = window_scores_to_points([step], np.array([0, 2]), 4)
+    np.testing.assert_array_equal(out, [1, 2, 3, 4])
     # every step is covered once, so it keeps its one window's value
-    np.testing.assert_array_equal(out.scores, step.ravel())
+    np.testing.assert_array_equal(out, step.ravel())
 
 
 def test_alignment_overlap_mean():
     step = np.array([[1.0, 1.0], [3.0, 3.0]])
-    out = window_scores_to_points(step, np.array([0, 1]), 3)
-    assert out.scores[1] == 2.0
+    out = window_scores_to_points([step], np.array([0, 1]), 3)
+    assert out[1] == 2.0
     # the ends are covered once and keep their window's value
-    np.testing.assert_array_equal(out.scores, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
 
 
 def test_alignment_conservation_identity():
@@ -90,20 +90,20 @@ def test_alignment_conservation_identity():
     t, stride, length = 16, 3, 100
     starts = np.arange(0, length - t + 1, stride)
     step = rng.normal(size=(len(starts), t))
-    out = window_scores_to_points(step, starts, length)
+    out = window_scores_to_points([step], starts, length)
     coverage = np.bincount((starts[:, None] + np.arange(t)).ravel(), minlength=length)
-    lhs = np.sum(out.scores * coverage)
+    lhs = np.sum(out * coverage)
     rhs = step.sum()
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_alignment_trailing_fill():
     step = np.array([[5.0, 5.0]])
-    out = window_scores_to_points(step, np.array([0]), 5)
-    np.testing.assert_array_equal(out.scores, 5.0)
+    out = window_scores_to_points([step], np.array([0]), 5)
+    np.testing.assert_array_equal(out, 5.0)
     # the uncovered steps 2..4 copy step 1, the nearest covered one
-    out = window_scores_to_points(np.array([[5.0, 7.0]]), np.array([0]), 5)
-    np.testing.assert_array_equal(out.scores, [5.0, 7.0, 7.0, 7.0, 7.0])
+    out = window_scores_to_points([np.array([[5.0, 7.0]])], np.array([0]), 5)
+    np.testing.assert_array_equal(out, [5.0, 7.0, 7.0, 7.0, 7.0])
 
 
 def alignment_loop(step, starts, length):
@@ -130,14 +130,14 @@ def test_alignment_matches_loop_with_gaps():
         starts = np.concatenate([starts, starts[:1]])
         step = rng.normal(size=(len(starts), t))
         length = int(starts.max()) + t + int(rng.integers(0, 4))
-        out = window_scores_to_points(step, starts, length)
+        out = window_scores_to_points([step], starts, length)
         scores, _ = alignment_loop(step, starts, length)
-        np.testing.assert_array_equal(out.scores, scores)
+        np.testing.assert_array_equal(out, scores)
         # the same windows folded in chunks of any size sum in the same order
         sizes = rng.integers(1, 4, size=len(starts)).cumsum()
         chunks = iter(np.split(step, sizes[sizes < len(starts)]))
         chunked = window_scores_to_points(chunks, starts, length)
-        np.testing.assert_array_equal(chunked.scores, scores)
+        np.testing.assert_array_equal(chunked, scores)
 
 
 def test_alignment_rejects_chunks_that_miss_their_starts():
@@ -150,7 +150,12 @@ def test_alignment_rejects_chunks_that_miss_their_starts():
 
 def test_alignment_rejects_empty_coverage():
     with pytest.raises(EvalError):
-        window_scores_to_points(np.zeros((0, 4)), np.zeros(0, dtype=int), 10)
+        window_scores_to_points([np.zeros((0, 4))], np.zeros(0, dtype=int), 10)
+
+
+def test_alignment_rejects_non_finite_scores():
+    with pytest.raises(EvalError, match="non-finite scores"):
+        window_scores_to_points([np.array([[1.0, np.inf]])], np.array([0]), 3)
 
 
 def test_emit_reports_with_labels(tmp_path):

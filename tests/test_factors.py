@@ -299,8 +299,8 @@ def _embedded_miner_chain(windows, bundle):
     factors = _fold_oracle(h, bundle.miner, picks.frequencies)
     rep = fuse(CausalPyramid(factors, _amplitude_oracle(h, picks.frequencies)),
                bundle.fusion)
-    return rep.values, {"periods": picks.periods, "amp_weights": rep.amp_softmax.data,
-                        "attention": rep.attention.data}
+    return rep.values, {"periods": picks.periods, "amp_weights": rep.amp_softmax,
+                        "attention": rep.attention}
 
 
 @pytest.mark.parametrize("b", [32, 7, 1])

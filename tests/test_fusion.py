@@ -20,7 +20,7 @@ def test_single_period_passthrough():
     pyr = _pyramid(1)
     out = fuse(pyr, init_fusion(4, np.random.default_rng(1)))
     np.testing.assert_array_equal(out.values.data, pyr.factors.data[:, 0])
-    np.testing.assert_allclose(out.attention.data, [[1.0]])
+    np.testing.assert_allclose(out.attention, [[1.0]])
 
 
 def test_identical_blocks_recovered():
@@ -35,8 +35,8 @@ def test_matches_convex_combination_oracle():
     pyr = _pyramid(3, seed=4)
     params = init_fusion(4, np.random.default_rng(5))
     out = fuse(pyr, params)
-    a_p = out.attention.data[0]
-    w_hat = out.amp_softmax.data[0]
+    a_p = out.attention[0]
+    w_hat = out.amp_softmax[0]
     u = w_hat * a_p
     u = u / u.sum()
     oracle = sum(u[i] * pyr.factors.data[0, i] for i in range(3))
@@ -47,7 +47,7 @@ def test_mixing_weights_are_probabilities():
     for seed in range(5):
         pyr = _pyramid(4, seed=seed)
         out = fuse(pyr, init_fusion(4, np.random.default_rng(seed + 10)))
-        a, w = out.attention.data[0], out.amp_softmax.data[0]
+        a, w = out.attention[0], out.amp_softmax[0]
         assert np.all(a >= 0) and abs(a.sum() - 1) < 1e-12
         assert np.all(w >= 0) and abs(w.sum() - 1) < 1e-12
         u = a * w / np.sum(a * w)
@@ -65,7 +65,7 @@ def test_permutation_equivariance():
     permuted = CausalPyramid(Tensor(pyr.factors.data[:, perm]),
                              Tensor(pyr.weights.data[:, perm]))
     out_p = fuse(permuted, params)
-    np.testing.assert_allclose(out_p.attention.data[0], out.attention.data[0][perm],
+    np.testing.assert_allclose(out_p.attention[0], out.attention[0][perm],
                                atol=1e-12)
     np.testing.assert_allclose(out_p.values.data, out.values.data, atol=1e-12)
 
@@ -76,7 +76,7 @@ def test_attention_shift_invariance():
     pyr = _pyramid(3, seed=8)
     params = init_fusion(4, np.random.default_rng(9))
     out1 = fuse(pyr, params)
-    probe = out1.attention.data.copy()
+    probe = out1.attention.copy()
     logits = np.log(np.maximum(probe, 1e-300))
     shifted = np.exp(logits + 3.7)
     np.testing.assert_allclose(shifted / shifted.sum(axis=-1, keepdims=True),
@@ -89,7 +89,7 @@ def test_fusion_gradients():
 
     def loss():
         out = fuse(pyr, params)
-        return ad.tsum(ad.tanh(out.values)) + ad.tsum(out.attention * out.amp_softmax)
+        return ad.tsum(ad.tanh(out.values))
 
     tensors = [params.query_w, params.key_w, pyr.weights, pyr.factors]
     check_gradients(loss, tensors)
@@ -119,42 +119,31 @@ def _chain_fuse(pyramid, params):
     return fused, a_p, w_hat
 
 
-def _assert_close(actual, expected, rtol=1e-12):
-    scale = max(float(np.max(np.abs(expected))), 1e-300)
-    assert actual.shape == expected.shape and actual.dtype == expected.dtype
-    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
-
-
 @pytest.mark.parametrize("b, k, n, dh", [(1, 1, 2, 4), (2, 3, 2, 4), (5, 4, 3, 6), (1, 3, 4, 32)])
-@pytest.mark.parametrize("outputs", ["all", "values"])
+@pytest.mark.parametrize("outputs", ["values"])  # the one differentiable output
 def test_fuse_matches_generic_chain(b, k, n, dh, outputs):
-    # values, attention, amplitude weights and the four gradients equal
-    # the chain of generic ops the fused node replaced
+    # values, attention, amplitude weights and the four gradients through
+    # the values are bitwise those of the chain of generic ops the fused
+    # node replaced
     rng = np.random.default_rng(20 + b + k)
     pyr = _pyramid(k, n=n, dh=dh, seed=21, b=b)
     params = init_fusion(dh, np.random.default_rng(22))
     tensors = [params.query_w, params.key_w, pyr.weights, pyr.factors]
     w_values = Tensor(rng.normal(size=(b, n, dh)))
-    w_mix = Tensor(rng.normal(size=(b, k)))
 
-    def run(fn):
+    def run(values, attention, amp):
         for t in tensors:
             t.grad = None
-        values, attention, amp = fn()
-        loss = ad.tsum(ad.tanh(values) * w_values)
-        if outputs == "all":
-            loss = loss + ad.tsum(attention * amp * w_mix)
-        loss.backward()
-        return [values.data, attention.data, amp.data] + [t.grad.copy() for t in tensors]
+        ad.tsum(ad.tanh(values) * w_values).backward()
+        return [values.data, attention, amp] + [t.grad.copy() for t in tensors]
 
-    def fused_node():
-        out = fuse(pyr, params)
-        return out.values, out.attention, out.amp_softmax
-
-    fused = run(fused_node)
-    chain = run(lambda: _chain_fuse(pyr, params))
+    out = fuse(pyr, params)
+    fused = run(out.values, out.attention, out.amp_softmax)
+    fused_chain, a_p, w_hat = _chain_fuse(pyr, params)
+    chain = run(fused_chain, a_p.data, w_hat.data)
     for actual, expected in zip(fused, chain):
-        _assert_close(actual, expected)
+        assert actual.shape == expected.shape and actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
 
 
 def test_fuse_reaches_its_inputs_in_the_chain_order():

@@ -15,9 +15,10 @@ case. Any other shape expansion must go through the explicit
 Fused nodes serve the model's hot paths with hand-written backward
 passes; each keeps what its backward needs only while recording:
 - `time_context` builds a coupling net's temporal context, the reference
-  for `flow._couple`, which builds it a block of windows at a time with
-  `fill_context` (the same copy into a given array, with no node) and
-  scatters its gradient with `context_grads`, as `time_context` does;
+  for `flow._couple` (one layer of `log_prob`), which builds it a block
+  of windows at a time with `fill_context` (the same copy into a given
+  array, with no node) and scatters its gradient with `context_grads`, as
+  `time_context` does;
 - `period_pool` embeds, folds, transforms and pools the period grids of
   the factor miner, taking every mean of the input channels;
 - `factors.bin_amplitudes` is the miner's amplitude weights, from the
@@ -25,21 +26,14 @@ passes; each keeps what its backward needs only while recording:
 - `fusion.fuse` is the attention fusion, with one output (the fused
   values; the attention scores and the amplitude softmax are plain
   arrays beside it);
-- `flow._couple` is one coupling layer (context, nets, soft clamp, affine
-  coupling, merge and log-det), with two outputs (h and log-det).
+- `flow.log_prob` is the flow's log-density: every coupling layer
+  (context, nets, soft clamp, affine coupling, merge and log-det) and the
+  standard-normal base, with the windows a constant.
 The last two run the numpy operations of the generic ops they replace, in
 the same order, so their values and gradients are bitwise those of the
-generic chain. A fused node makes its output with `node`; `_couple`, the
-one node with two outputs, makes them with `multi_node`. A product inside
-one that can have a single row goes through `dense`, so a window scores
-bitwise alike alone and in a batch.
-
-Multi-output rule (`_couple`): `multi_node` makes one tensor per
-output. While recording they share one hidden core node (no data) that
-holds the op's parents and backward; the core's gradient is its outputs'
-gradients packed end to end, and an output nothing differentiated
-contributes zeros. Under no_grad the outputs are plain tensors and no
-core is made.
+generic chain. Every op makes its one output with `node`. A product inside
+a fused node that can have a single row goes through `dense`, so a window
+scores bitwise alike alone and in a batch.
 
 `reshape`, `transpose` and `broadcast_to` may return views of their
 input's buffer (`broadcast_to`'s is numpy's read-only broadcast view, which
@@ -81,12 +75,11 @@ class Tensor:
 
     `data` is a float32 or float64 ndarray (anything else is cast to
     float64), contiguous except for the views that `transpose` and
-    `broadcast_to` (read-only) return and the time-major h of a coupling
-    layer. `grad` has the same shape as `data` (except on a `multi_node`
-    core, whose grad packs its outputs') and is set during the backward
-    sweep; it may be a view that other tensors share, so it is read, never
-    written in place. After the sweep only leaves (tensors with no backward
-    closure) keep it.
+    `broadcast_to` (read-only) return and the time-major z of
+    `flow.forward`. `grad` has the same shape as `data` and is set during
+    the backward sweep; it may be a view that other tensors share, so it
+    is read, never written in place. After the sweep only leaves (tensors
+    with no backward closure) keep it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -154,26 +147,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other, self))
 
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other, self))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
     def __truediv__(self, other):
         return div(self, _wrap(other, self))
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -212,48 +193,6 @@ def node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], tup
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def multi_node(outputs: Sequence[Array], parents: Sequence[Tensor],
-               backward: Callable[..., tuple]) -> tuple[Tensor, ...]:
-    """One tensor per output array of a single op. `backward` takes one
-    gradient per output, in order, and returns one per parent.
-
-    While recording, the op is a hidden core node that holds the parents
-    and `backward`, and each output is a node whose one parent is the core.
-    The core's gradient packs its outputs' gradients end to end in one flat
-    array: an output's backward hands the core a zero-filled packed array
-    with its own slot set, so an output nothing differentiated adds zeros.
-    Every output runs before the core in the sweep, so the core sees its
-    gradient complete. The core holds no data. Under no_grad the outputs
-    are plain tensors."""
-    outs = tuple(Tensor(a) for a in outputs)
-    if not records(parents):
-        return outs
-    ends = [0]
-    for out in outs:
-        ends.append(ends[-1] + out.size)
-    # shapes, not tensors, in the closures: no reference cycle keeps a
-    # spent tape alive
-    slots = [(lo, hi, out.shape) for lo, hi, out in zip(ends, ends[1:], outs)]
-    core = Tensor(np.empty(0, dtype=outs[0].data.dtype))
-    core.requires_grad = True
-    core._parents = tuple(parents)
-    core._backward = lambda packed: backward(
-        *(packed[lo:hi].reshape(shape) for lo, hi, shape in slots))
-
-    def slot_backward(lo: int, hi: int, shape: tuple[int, ...]):
-        def hand_on(g: Array):
-            packed = np.zeros(ends[-1], dtype=g.dtype)
-            packed[lo:hi].reshape(shape)[...] = g
-            return (packed,)
-        return hand_on
-
-    for out, slot in zip(outs, slots):
-        out.requires_grad = True
-        out._parents = (core,)
-        out._backward = slot_backward(*slot)
-    return outs
 
 
 def array_mean(a: Array, axis, keepdims: bool = False):

@@ -45,6 +45,15 @@ class GenConfig:
     val_frac: float = 0.2
     test_frac: float = 0.2
 
+    def __post_init__(self):
+        for key, valid, rule in (
+                ("gen_length", self.gen_length >= 1, ">= 1"),
+                ("gen_dims", self.gen_dims >= 1, ">= 1"),
+                ("gen_noise_std", np.isfinite(self.gen_noise_std) and self.gen_noise_std >= 0,
+                 "finite and >= 0")):
+            if not valid:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+
 
 def _coercers() -> dict[str, tuple[str, type]]:
     table: dict[str, tuple[str, type]] = {}

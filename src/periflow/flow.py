@@ -10,8 +10,9 @@ Consecutive layers move the two mask values in turn, covering every entry.
 `forward` and `inverse` compute each layer's (s, t) with the same helper,
 which builds the context for at most `_CONTEXT_BLOCK` windows at a time in
 one buffer that a pass's layers share, so no batch-sized context is made.
-A pass that records keeps no context either: the backward builds each
-block's again in the same buffer.
+`log_prob` is the flow's one autodiff node, over the conditioning and
+every net weight; its tape keeps no context either: the backward builds
+each block's again in the same buffer.
 
 Zero-initialised output layers make the whole flow start as the identity.
 """
@@ -153,8 +154,8 @@ def _moved_rows(model: FlowModel, t: int) -> list[tuple[np.ndarray, tuple]]:
     return [pair[li % 2] for li in range(len(model.layers))]
 
 
-def _conditioning(h_c, b: int, model: FlowModel) -> Tensor:
-    hc = h_c if isinstance(h_c, Tensor) else Tensor(h_c)
+def _conditioning(h_c, b: int, model: FlowModel) -> np.ndarray:
+    hc = (h_c if isinstance(h_c, Tensor) else Tensor(h_c)).data
     if hc.shape != (b, model.hidden):
         raise FlowError(f"conditioning shape {hc.shape} != ({b}, {model.hidden})")
     return hc
@@ -232,34 +233,33 @@ def _context_buffer(model: FlowModel, b: int, moved: list, dtype) -> np.ndarray:
     return np.empty(min(b, _CONTEXT_BLOCK) * m * width, dtype=dtype)
 
 
-def _couple(layer: CouplingLayer, h: Tensor, hc: Tensor, logdet: Tensor, rows: np.ndarray,
-            runs: tuple, radius: int, buf: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
-    """One coupling layer as one autodiff node: the moved `rows` of h
+def _couple(layer: CouplingLayer, h: np.ndarray, hc: np.ndarray, rows: np.ndarray,
+            runs: tuple, radius: int, buf: np.ndarray,
+            backwards: list | None) -> tuple[np.ndarray, np.ndarray]:
+    """One coupling layer on the (B, T, D) array h: its moved `rows`
     become (h - t) * exp(-s), with (s, t) from `_scale_shift` on h and the
-    conditioning hc, and s is summed out of `logdet`. Returns the new h
-    and logdet tensors and s as an array.
+    (B, H) conditioning hc. Returns the new h and s, (B, M, D).
 
-    Forward and backward run, array for array, the numpy operations that
+    With a `backwards` list, appends the layer's backward: from the
+    gradients at the new h and at the log-det, it returns those at h, at
+    hc and at the nets' weights, s net first. Forward and backward run, array for array, the numpy operations that
     the generic ops would run for the same layer (`ad.time_context`,
     `Mlp.__call__`, the clamp, then take, sub, neg, exp, mul, concat, take,
     tsum and sub), so in one block of windows values and gradients are
     bitwise theirs; over several, the weight gradients are summed block by
-    block. The backward builds each block's context again in `buf`. Under
-    no_grad nothing is kept for the backward."""
-    params = [p for net in (layer.s_net, layer.t_net) for pair in net.layers for p in pair]
-    kept = [] if ad.records((h, hc, logdet, *params)) else None
-    s, t_out = _scale_shift(layer, h.data, hc.data, radius, rows, runs, buf, kept)
-    diff = h.data[:, rows] - t_out
+    block. The backward builds each block's context again in `buf`."""
+    kept = [] if backwards is not None else None
+    s, t_out = _scale_shift(layer, h, hc, radius, rows, runs, buf, kept)
+    diff = h[:, rows] - t_out
     e = np.exp(-s)
     b, t, d = h.shape
     # time-major, as a fancy index along axis 1 lays out its result, so
     # that sums over z round as they do through the generic ops
-    h_out = np.empty((t, b, d), dtype=h.data.dtype).transpose(1, 0, 2)
-    h_out[...] = h.data
+    h_out = np.empty((t, b, d), dtype=h.dtype).transpose(1, 0, 2)
+    h_out[...] = h
     h_out[:, rows] = diff * e
-    logdet_out = logdet.data - np.sum(s, axis=(1, 2))
-    if kept is None:
-        return Tensor(h_out), Tensor(logdet_out), s
+    if backwards is None:
+        return h_out, s
 
     def backward(g_h, g_logdet):
         g_moved = g_h[:, rows]
@@ -269,8 +269,7 @@ def _couple(layer: CouplingLayer, h: Tensor, hc: Tensor, logdet: Tensor, rows: n
         g_s = -((g_moved * diff) * e) + np.broadcast_to((-g_logdet).reshape(b, 1, 1), s.shape)
         g_hc = np.empty(hc.shape, dtype=g_h.dtype)
         block_grads = []
-        blocks = _contexts(h.data, hc.data, radius, rows, runs, buf)
-        for (at, ctx), (s_in, t_in, th) in zip(blocks, kept):
+        for (at, ctx), (s_in, t_in, th) in zip(_contexts(h, hc, radius, rows, runs, buf), kept):
             n, m, width = ctx.shape
             flat = ctx.reshape(n * m, width)
             g_raw = (g_s[at] * np.asarray(SCALE_CLAMP, dtype=s.dtype)) * (1.0 - th * th)
@@ -283,24 +282,25 @@ def _couple(layer: CouplingLayer, h: Tensor, hc: Tensor, logdet: Tensor, rows: n
             g_hin[at] += g_x
             block_grads.append(s_grads + t_grads)
         # one block's gradients are returned as they are
-        return g_hin, g_hc, g_logdet, *(sum(gs[1:], gs[0]) for gs in zip(*block_grads))
+        return g_hin, g_hc, [sum(gs[1:], gs[0]) for gs in zip(*block_grads)]
 
-    h_new, logdet_new = ad.multi_node((h_out, logdet_out), (h, hc, logdet, *params), backward)
-    return h_new, logdet_new, s
+    backwards.append(backward)
+    return h_out, s
 
 
-def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
+def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False, *,
+            backwards: list | None = None):
     """Map windows to latent space.
 
     x: (B, T, D) windows, B >= 1; h_c: (B, D_h) conditioning vectors.
     Returns (z, logdet) Tensors in the dtype of x, plus a (B, T) float64
     per-timestep log-det array when requested (used for score
-    decomposition, not differentiated). Each coupling layer is one
-    `_couple` node; the layers share one context buffer of
-    `_CONTEXT_BLOCK` windows, and the affine update, log-det and finiteness
-    check run once per layer.
+    decomposition). Nothing is recorded; `log_prob` passes a `backwards`
+    list, to which each layer appends its backward (`_couple`). The layers
+    share one context buffer of `_CONTEXT_BLOCK` windows, and the affine
+    update, log-det and finiteness check run once per layer.
     """
-    h = x if isinstance(x, Tensor) else Tensor(x)
+    h = (x if isinstance(x, Tensor) else Tensor(x)).data
     if h.ndim != 3:
         raise FlowError(f"forward expects (B, T, D) windows, got shape {h.shape}")
     b, t, d = h.shape
@@ -310,19 +310,20 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False):
         raise FlowError(f"forward: input dim {d} != model dim {model.d_in}")
     hc = _conditioning(h_c, b, model)
 
-    logdet = Tensor(np.zeros(b, dtype=h.data.dtype))
+    logdet = np.zeros(b, dtype=h.dtype)
     logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
     moved = _moved_rows(model, t)
-    buf = _context_buffer(model, b, moved, h.data.dtype)
+    buf = _context_buffer(model, b, moved, h.dtype)
     for li, (layer, (rows, runs)) in enumerate(zip(model.layers, moved)):
-        h, logdet, s = _couple(layer, h, hc, logdet, rows, runs, model.context_radius, buf)
-        if not np.all(np.isfinite(h.data)):
+        h, s = _couple(layer, h, hc, rows, runs, model.context_radius, buf, backwards)
+        if not np.all(np.isfinite(h)):
             raise NumericOverflow(f"non-finite values after coupling layer {li}")
+        logdet = logdet - np.sum(s, axis=(1, 2))
         if logdet_t is not None:
             logdet_t[:, rows] -= s.sum(axis=2, dtype=np.float64)
     if want_timestep_logdet:
-        return h, logdet, logdet_t
-    return h, logdet
+        return Tensor(h), Tensor(logdet), logdet_t
+    return Tensor(h), Tensor(logdet)
 
 
 def inverse(z, h_c, model: FlowModel) -> np.ndarray:
@@ -333,7 +334,7 @@ def inverse(z, h_c, model: FlowModel) -> np.ndarray:
         raise FlowError(f"inverse expects (B, T, D) latents, got shape {h.shape}")
     if h.shape[2] != model.d_in:
         raise FlowError(f"inverse: latent dim {h.shape[2]} != model dim {model.d_in}")
-    hc = _conditioning(h_c, h.shape[0], model).data
+    hc = _conditioning(h_c, h.shape[0], model)
     moved = _moved_rows(model, h.shape[1])
     buf = _context_buffer(model, h.shape[0], moved, h.dtype)
     for layer, (rows, runs) in zip(reversed(model.layers), reversed(moved)):
@@ -346,12 +347,32 @@ def inverse(z, h_c, model: FlowModel) -> np.ndarray:
 
 def log_prob(x, h_c, model: FlowModel) -> Tensor:
     """Exact conditional log-density per window: standard-normal base plus
-    the accumulated log-determinant. Returns a (B,) tensor."""
-    z, logdet = forward(x, h_c, model)
+    the accumulated log-determinant. Returns a (B,) tensor, one node whose
+    parents are h_c and every coupling-net weight; the windows x are a
+    constant. The backward runs the numpy operations of the generic chain
+    logdet - tsum(z * z) * 0.5 - const, then the layers' backwards, last
+    layer first, summing h_c's gradient in a tape sweep's order, so every
+    value and gradient is bitwise the chain's."""
+    hc = h_c if isinstance(h_c, Tensor) else Tensor(h_c)
+    params = [p for layer in model.layers for net in (layer.s_net, layer.t_net)
+              for pair in net.layers for p in pair]
+    backwards = [] if ad.records((hc, *params)) else None
+    z, logdet = (out.data for out in forward(x, hc, model, backwards=backwards))
     b, t, d = z.shape
-    quad = ad.tsum(z * z, axis=(1, 2)) * 0.5
-    const = Tensor(np.full(b, 0.5 * t * d * LOG_2PI, dtype=z.data.dtype))
-    return logdet - quad - const
+    half = np.asarray(0.5, dtype=z.dtype)
+    quad = np.sum(z * z, axis=(1, 2)) * half
+    const = np.full(b, 0.5 * t * d * LOG_2PI, dtype=z.dtype)
+
+    def backward(g):
+        g_zz = np.broadcast_to(((-g) * half).reshape(b, 1, 1), z.shape)
+        g_h, g_hc, grads = g_zz * z + g_zz * z, None, []
+        for layer_backward in reversed(backwards):
+            g_h, g_layer_hc, layer_grads = layer_backward(g_h, g)
+            g_hc = g_layer_hc if g_hc is None else g_hc + g_layer_hc
+            grads[:0] = layer_grads
+        return g_hc, *grads
+
+    return ad.node((logdet - quad) - const, (hc, *params), backward)
 
 
 def nll_loss(x, h_c, model: FlowModel) -> Tensor:

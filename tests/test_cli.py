@@ -63,10 +63,10 @@ def test_resolved_config_round_trips(tmp_path):
         try:
             train_cfg = TrainConfig(**{f.name: _random_value(rng, f.name, f.default)
                                        for f in fields(TrainConfig)})
-        except ValueError:  # out of a range TrainConfig checks
+            gen_cfg = GenConfig(**{f.name: _random_value(rng, f.name, f.default)
+                                   for f in fields(GenConfig)})
+        except ValueError:  # out of a range TrainConfig or GenConfig checks
             continue
-        gen_cfg = GenConfig(**{f.name: _random_value(rng, f.name, f.default)
-                               for f in fields(GenConfig)})
         write_resolved_config(tmp_path, train_cfg, gen_cfg,
                               {"command": "train", "data": "a b.csv", "global_period": 7})
         assert load_config(tmp_path / "resolved_config.txt") == (train_cfg, gen_cfg)
@@ -359,6 +359,18 @@ def test_bad_train_config_names_the_key(tmp_path, capsys, setting):
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
+
+@pytest.mark.parametrize("setting, rule", [
+    ("gen_length=-5", ">= 1, got -5"), ("gen_length=0", ">= 1, got 0"),
+    ("gen_dims=0", ">= 1, got 0"), ("gen_noise_std=nan", "finite and >= 0, got nan"),
+    ("gen_noise_std=inf", "finite and >= 0, got inf"),
+    ("gen_noise_std=-0.1", "finite and >= 0, got -0.1")])
+def test_bad_gen_config_names_the_key(tmp_path, capsys, setting, rule):
+    code = main(["gen", "--out", str(tmp_path / "data"), "--set", setting])
+    assert code == 1
+    key = setting.split("=")[0]
+    assert capsys.readouterr().err == f"error: {key} must be {rule}\n"
+    assert not (tmp_path / "data").exists()
 
 
 def test_split_shorter_than_window_names_the_split(tmp_path, capsys):

@@ -310,25 +310,38 @@ def test_anomaly_score_same_with_and_without_tape():
 
 
 def test_recording_forward_keeps_no_whole_context():
-    # a float64 training-sized batch (B=32, T=60, context radius 20) at
-    # D=38: the tape keeps per layer the nets' later-layer inputs and the
-    # clamp's tanh, and the pass one shared context block, not each
-    # layer's (B, M, 41 D + H) context (16.3 and 8.1 MB here); 21.8 MB was
-    # measured, 29.9 MB when each layer kept its context
+    # a recording float64 log_prob on a training-sized batch (B=32, T=60,
+    # context radius 20) at D=38: the tape keeps per layer the nets'
+    # later-layer inputs and the clamp's tanh, and the pass one shared
+    # context block, not each layer's (B, M, 41 D + H) context (16.3 and
+    # 8.1 MB here); 21.8 MB was measured, 29.9 MB when each layer kept its
+    # context
     rng = np.random.default_rng(70)
     model = init_flow(38, 32, 2, 20, 60, 2, 2, rng, context_radius=20)
-    x = Tensor(rng.normal(size=(32, 60, 38)))
+    x = rng.normal(size=(32, 60, 38))
     hc = Tensor(rng.normal(size=(32, 32)), requires_grad=True)
-    forward(x, hc, model)  # warm the caches of the mask rows
+    log_prob(x, hc, model)  # warm the caches of the mask rows
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        z, logdet = forward(x, hc, model)
+        lp = log_prob(x, hc, model)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert z.requires_grad and logdet.requires_grad
+    assert lp.requires_grad
     assert grown < 25e6, f"tape {grown / 1e6:.1f} MB"
+
+
+def test_forward_records_nothing():
+    # log_prob is the flow's one node: forward records nothing, even when
+    # the conditioning and every net weight require gradients
+    model = _model(d=2, seed=71, out_scale=0.4)
+    assert all(p.requires_grad for p in model.named().values())
+    hc = Tensor(_hc(model, 3, seed=72).data, requires_grad=True)
+    x = Tensor(np.random.default_rng(73).normal(size=(3, 8, 2)), requires_grad=True)
+    for out in forward(x, hc, model, want_timestep_logdet=True)[:2]:
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
 
 
 def test_flow_rejects_unbatched_input():
@@ -404,35 +417,52 @@ def _assert_close(actual, expected, rtol=1e-12):
     assert float(np.max(np.abs(actual - expected), initial=0.0)) <= rtol * scale
 
 
+def _base(z, logdet):
+    """The base term through generic ops: logdet - tsum(z * z) * 0.5 -
+    const, the chain whose numpy operations `log_prob`'s node runs."""
+    b, t, d = z.shape
+    const = Tensor(np.full(b, 0.5 * t * d * LOG_2PI, dtype=z.data.dtype))
+    return logdet - ad.tsum(z * z, axis=(1, 2)) * 0.5 - const
+
+
 @pytest.mark.parametrize("t_model, t, period, radius, layers", [
     (8, 1, 3, None, 2), (8, 1, 3, 0, 3), (2, 2, 1, None, 1), (9, 9, 3, 0, 3),
     (9, 9, 2, 12, 2), (60, 60, 7, None, 2), (60, 61, 20, 0, 1), (61, 61, 9, 70, 3),
 ])
 def test_moved_rows_match_dense_oracle(t_model, t, period, radius, layers):
-    # values, log-dets, inverse and every gradient equal the dense coupling,
-    # in one context block and over two full blocks and a partial one,
-    # where the backward sums the weight gradients block by block
+    # values, log-dets, log-density, inverse and every gradient equal the
+    # dense coupling, in one context block and over two full blocks and a
+    # partial one, where the backward sums the weight gradients block by
+    # block
     model = _model(d=2, hidden=5, n=2, period=period, t=t_model, layers=layers,
                    seed=50 + t, radius=radius, out_scale=0.4)
     rng = np.random.default_rng(51 + t)
     for b in (3, 2 * _CONTEXT_BLOCK + 3):
-        x = Tensor(rng.normal(size=(b, t, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(b, t, 2)))
         hc = Tensor(rng.normal(size=(b, model.hidden)), requires_grad=True)
-        # every coupling-net parameter (the conditioner is not part of forward)
-        tensors = [p for name, p in model.named().items() if ".layer" in name] + [x, hc]
+        # every coupling-net parameter (the conditioner is not part of the flow)
+        tensors = [p for name, p in model.named().items() if ".layer" in name] + [hc]
 
         def run(coupling):
             for p in tensors:
                 p.grad = None
-            z, logdet, logdet_t = coupling()
-            (ad.tsum(z * z) * 0.5 - ad.tsum(logdet)).backward()
-            return [z.data, logdet.data, logdet_t] + [p.grad.copy() for p in tensors]
+            lp, values = coupling()
+            ad.tsum(lp).backward()
+            return [lp.data, *values] + [p.grad.copy() for p in tensors]
 
-        moved = run(lambda: forward(x, hc, model, want_timestep_logdet=True))
-        dense = run(lambda: _dense_forward(x, hc, model))
+        def moved_rows():
+            z, logdet, logdet_t = forward(x, hc, model, want_timestep_logdet=True)
+            return log_prob(x, hc, model), [z.data, logdet.data, logdet_t]
+
+        def dense_rows():
+            z, logdet, logdet_t = _dense_forward(x, hc, model)
+            return _base(z, logdet), [z.data, logdet.data, logdet_t]
+
+        moved = run(moved_rows)
+        dense = run(dense_rows)
         for actual, expected in zip(moved, dense):
             _assert_close(actual, expected)
-        z = moved[0]
+        z = moved[1]
         _assert_close(inverse(z, hc, model), _dense_inverse(z, hc, model))
 
 
@@ -458,9 +488,9 @@ def _chain_forward(x, hc, model):
 
 @pytest.mark.parametrize("b, t, period, layers", [(7, 60, 20, 3), (1, 60, 20, 2), (4, 9, 2, 2)])
 def test_coupling_layers_are_bitwise_the_generic_chain(b, t, period, layers):
-    # the fused layers run the chain's numpy operations in the chain's
-    # order and lay z out as its merge did, so the log-density and every
-    # gradient are bitwise equal, not only close
+    # the log_prob node runs the chain's numpy operations in the chain's
+    # order and lays z out as its merge did, so z, the log-density and
+    # every gradient are bitwise equal, not only close
     model = _model(d=3, hidden=8, n=2, period=period, t=t, layers=layers,
                    seed=60 + b, out_scale=0.4)
     rng = np.random.default_rng(61 + b)
@@ -471,12 +501,14 @@ def test_coupling_layers_are_bitwise_the_generic_chain(b, t, period, layers):
     def run(coupling):
         for p in tensors:
             p.grad = None
-        z, logdet = coupling()
-        lp = logdet - ad.tsum(z * z, axis=(1, 2)) * 0.5
+        lp, z, logdet = coupling()
         ad.tsum(lp).backward()
         return [z.data, logdet.data, lp.data] + [p.grad for p in tensors]
 
-    fused = run(lambda: forward(x, hc, model))
-    chain = run(lambda: _chain_forward(x, hc, model))
-    for actual, expected in zip(fused, chain):
+    def chain():
+        z, logdet = _chain_forward(x, hc, model)
+        return _base(z, logdet), z, logdet
+
+    fused = run(lambda: (log_prob(x, hc, model), *forward(x, hc, model)))
+    for actual, expected in zip(fused, run(chain)):
         assert actual.tobytes() == expected.tobytes()

@@ -7,7 +7,8 @@ import pytest
 from periflow.autodiff import Tensor
 from periflow.causal import independence_loss, similarity_loss
 from periflow.factors import extract_pyramid
-from periflow.flow import _CONTEXT_BLOCK, LOG_2PI, condition, nll_loss
+from periflow import flow
+from periflow.flow import _CONTEXT_BLOCK, LOG_2PI, condition, forward, nll_loss
 from periflow.fusion import fuse
 from periflow.spectral import intervene, top_k_periods
 from periflow.series import make_windows
@@ -299,10 +300,9 @@ def test_backward_frees_intermediate_grads_only():
     loss, _ = total_loss(data["train"].windows[:8], bundle,
                          np.random.default_rng(13))
     inner = [n for n in _graph_order(loss) if n._backward is not None]
-    # the fused miner, fusion and coupling nodes keep the graph near 50
-    # nodes; the two coupling layers' hidden multi-output cores (no data)
-    # must be freed too
-    assert len(inner) > 50 and sum(n.size == 0 for n in inner) == 2
+    # the fused miner, fusion and log_prob nodes keep the graph near 40
+    # nodes, each with its data: no op makes a hidden node
+    assert len(inner) > 40 and all(n.size > 0 for n in inner)
 
     loss.backward()
     assert all(n.grad is None for n in inner)
@@ -315,6 +315,30 @@ def test_backward_frees_intermediate_grads_only():
     assert all(n.grad is not None for n in inner)
     for name, t in params.items():
         np.testing.assert_array_equal(t.grad, freed[name])
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+def test_total_loss_runs_the_flow_once_as_one_node(num_layers, monkeypatch):
+    # the loss reaches the coupling layers through `flow.forward` once (the
+    # name a tracer patches), and its graph holds one flow node: the
+    # log-density, whose parents are every coupling-net weight
+    config, data = _prepared(TrainConfig(**{**CFG, "num_layers": num_layers}))
+    bundle = build_models(config, 2, data["global_period"],
+                          np.random.default_rng(14))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "forward", counted)
+    loss, _ = total_loss(data["train"].windows[:8], bundle, np.random.default_rng(15))
+    assert len(calls) == 1
+    weights = {id(p) for name, p in bundle.flow.named().items() if ".layer" in name}
+    assert len(weights) == 8 * num_layers
+    flow_nodes = [n for n in _graph_order(loss) if weights & {id(p) for p in n._parents}]
+    assert len(flow_nodes) == 1
+    assert weights <= {id(p) for p in flow_nodes[0]._parents}
 
 
 def test_fit_divergence_aborts_with_context(tmp_path):

@@ -17,8 +17,8 @@ passes; each keeps what its backward needs only while recording:
 - `time_context` builds a coupling net's temporal context, the reference
   for `flow._couple` (one layer of `log_prob`), which builds it a block
   of windows at a time with `fill_context` (the same copy into a given
-  array, with no node) and scatters its gradient with `context_grads`, as
-  `time_context` does;
+  array, with no node) and, above the lowest layer, scatters its gradient
+  with `context_grads`, as `time_context` does;
 - `period_pool` embeds, folds, transforms and pools the period grids of
   the factor miner, taking every mean of the input channels;
 - `factors.bin_amplitudes` is the miner's amplitude weights, from the

@@ -12,7 +12,9 @@ which builds the context for at most `_CONTEXT_BLOCK` windows at a time in
 one buffer that a pass's layers share, so no batch-sized context is made.
 `log_prob` is the flow's one autodiff node, over the conditioning and
 every net weight; its tape keeps no context either: the backward builds
-each block's again in the same buffer.
+each block's again in the same buffer. The windows are a constant, so the
+lowest layer's backward forms no gradient at them, only the context
+gradient's conditioning columns.
 
 Zero-initialised output layers make the whole flow start as the identity.
 """
@@ -174,14 +176,16 @@ def _run_net(net: Mlp, x: np.ndarray, inputs: list | None) -> np.ndarray:
     return x
 
 
-def _net_grads(net: Mlp, inputs: list, g: np.ndarray) -> tuple[np.ndarray, list]:
-    """The gradients of `_run_net` at its input and at each (w, b), given
-    the output's gradient `g` and its layers' inputs."""
+def _net_grads(net: Mlp, inputs: list, g: np.ndarray, cols: slice) -> tuple[np.ndarray, list]:
+    """The gradients of `_run_net` at the `cols` columns of its input and
+    at each (w, b), given the output's gradient `g` and its layers'
+    inputs."""
     grads = []
     for i in range(len(net.layers) - 1, -1, -1):
         x = inputs[i]
         grads += [g.sum(axis=0), x.T @ g]
-        g = g @ net.layers[i][0].data.T
+        w = net.layers[i][0].data
+        g = g @ (w if i > 0 else w[cols]).T
         if i > 0:  # x is the previous layer's tanh output
             g = g * (1.0 - x * x)
     return g, grads[::-1]
@@ -242,8 +246,11 @@ def _couple(layer: CouplingLayer, h: np.ndarray, hc: np.ndarray, rows: np.ndarra
 
     With a `backwards` list, appends the layer's backward: from the
     gradients at the new h and at the log-det, it returns those at h, at
-    hc and at the nets' weights, s net first. Forward and backward run, array for array, the numpy operations that
-    the generic ops would run for the same layer (`ad.time_context`,
+    hc and at the nets' weights, s net first; with `need_h` false it
+    returns None at h and forms only the hc columns of the context's
+    gradient, each product column as the whole product computes it. Forward
+    and backward run, array for array, the numpy operations that the
+    generic ops would run for the same layer (`ad.time_context`,
     `Mlp.__call__`, the clamp, then take, sub, neg, exp, mul, concat, take,
     tsum and sub), so in one block of windows values and gradients are
     bitwise theirs; over several, the weight gradients are summed block by
@@ -261,25 +268,31 @@ def _couple(layer: CouplingLayer, h: np.ndarray, hc: np.ndarray, rows: np.ndarra
     if backwards is None:
         return h_out, s
 
-    def backward(g_h, g_logdet):
+    def backward(g_h, g_logdet, need_h):
         g_moved = g_h[:, rows]
         g_diff = g_moved * e
-        g_hin = g_h.copy()
-        g_hin[:, rows] = g_diff
+        g_hin = None
+        if need_h:
+            g_hin = g_h.copy()
+            g_hin[:, rows] = g_diff
         g_s = -((g_moved * diff) * e) + np.broadcast_to((-g_logdet).reshape(b, 1, 1), s.shape)
         g_hc = np.empty(hc.shape, dtype=g_h.dtype)
+        cols = slice(None) if need_h else slice((2 * radius + 1) * d, None)
         block_grads = []
         for (at, ctx), (s_in, t_in, th) in zip(_contexts(h, hc, radius, rows, runs, buf), kept):
             n, m, width = ctx.shape
             flat = ctx.reshape(n * m, width)
             g_raw = (g_s[at] * np.asarray(SCALE_CLAMP, dtype=s.dtype)) * (1.0 - th * th)
             g_raw = (g_raw * np.asarray(1.0 / SCALE_CLAMP, dtype=s.dtype)).reshape(n * m, d)
-            g_ctx, s_grads = _net_grads(layer.s_net, [flat, *s_in], g_raw)
+            g_ctx, s_grads = _net_grads(layer.s_net, [flat, *s_in], g_raw, cols)
             g_ctx_t, t_grads = _net_grads(layer.t_net, [flat, *t_in],
-                                          (-g_diff[at]).reshape(n * m, d))
+                                          (-g_diff[at]).reshape(n * m, d), cols)
             g_ctx += g_ctx_t  # a product's fresh output: no input is written
-            g_x, g_hc[at] = ad.context_grads(g_ctx.reshape(ctx.shape), t, d, radius, rows)
-            g_hin[at] += g_x
+            if need_h:
+                g_x, g_hc[at] = ad.context_grads(g_ctx.reshape(ctx.shape), t, d, radius, rows)
+                g_hin[at] += g_x
+            else:
+                g_hc[at] = g_ctx.reshape(n, m, -1).sum(axis=1)
             block_grads.append(s_grads + t_grads)
         # one block's gradients are returned as they are
         return g_hin, g_hc, [sum(gs[1:], gs[0]) for gs in zip(*block_grads)]
@@ -352,7 +365,8 @@ def log_prob(x, h_c, model: FlowModel) -> Tensor:
     constant. The backward runs the numpy operations of the generic chain
     logdet - tsum(z * z) * 0.5 - const, then the layers' backwards, last
     layer first, summing h_c's gradient in a tape sweep's order, so every
-    value and gradient is bitwise the chain's."""
+    value and gradient is bitwise the chain's. The lowest layer's input is
+    x, so its backward takes no gradient at h (`_couple`'s `need_h`)."""
     hc = h_c if isinstance(h_c, Tensor) else Tensor(h_c)
     params = [p for layer in model.layers for net in (layer.s_net, layer.t_net)
               for pair in net.layers for p in pair]
@@ -366,8 +380,8 @@ def log_prob(x, h_c, model: FlowModel) -> Tensor:
     def backward(g):
         g_zz = np.broadcast_to(((-g) * half).reshape(b, 1, 1), z.shape)
         g_h, g_hc, grads = g_zz * z + g_zz * z, None, []
-        for layer_backward in reversed(backwards):
-            g_h, g_layer_hc, layer_grads = layer_backward(g_h, g)
+        for li in range(len(backwards) - 1, -1, -1):
+            g_h, g_layer_hc, layer_grads = backwards[li](g_h, g, li > 0)
             g_hc = g_layer_hc if g_hc is None else g_hc + g_layer_hc
             grads[:0] = layer_grads
         return g_hc, *grads

@@ -23,6 +23,10 @@ class SplitSpec:
     test_frac: float = 0.2
 
     def __post_init__(self):
+        for key in ("train_frac", "val_frac", "test_frac"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise SeriesError(f"{key} must be finite and >= 0, got {value!r}")
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
             raise SeriesError(f"split fractions must sum to 1, got {total}")
@@ -108,24 +112,30 @@ class WindowBatch:
         return self.windows.shape[0]
 
 
+def _finite(value: float, text: str, line_no: int, column: str) -> float:
+    if not math.isfinite(value):
+        raise SeriesError(f"line {line_no}, column {column}: non-finite value {text!r}")
+    return value
+
+
 def _parse_number(text: str, line_no: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise SeriesError(f"line {line_no}, column {column}: cannot parse value "
                           f"{text!r}") from None
-    if not math.isfinite(value):
-        raise SeriesError(f"line {line_no}, column {column}: non-finite value {text!r}")
-    return value
+    return _finite(value, text, line_no, column)
 
 
 def _parse_timestamp(text: str, line_no: int, column: str) -> float:
-    if _is_float(text):
-        return _parse_number(text, line_no, column)
     try:
-        return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
+        value = float(text)
     except ValueError:
-        raise SeriesError(f"line {line_no}: cannot parse timestamp {text!r}") from None
+        try:
+            return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
+        except ValueError:
+            raise SeriesError(f"line {line_no}: cannot parse timestamp {text!r}") from None
+    return _finite(value, text, line_no, column)
 
 
 def load_csv(path) -> MultivariateSeries:
@@ -175,14 +185,6 @@ def load_csv(path) -> MultivariateSeries:
     names = [header[i] for i in data_idx]
     return MultivariateSeries(values, timestamps,
                               np.asarray(labels) if label_idx is not None else None, names)
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from periflow.cli import ConfigError, GenConfig, load_config, main, write_resolved_config
-from periflow.series import Standardization
+from periflow.series import SeriesError, SplitSpec, Standardization
 from periflow.training import TrainConfig, build_models, save_checkpoint
 
 FAST = [
@@ -371,6 +371,20 @@ def test_bad_gen_config_names_the_key(tmp_path, capsys, setting, rule):
     key = setting.split("=")[0]
     assert capsys.readouterr().err == f"error: {key} must be {rule}\n"
     assert not (tmp_path / "data").exists()
+
+
+def test_bad_split_fraction_names_the_key(tmp_path, capsys):
+    # a NaN fraction fails the sum check no more than a finite one passes
+    # it, and negative fractions can sum to 1, so each is checked alone
+    csv = tmp_path / "series.csv"
+    csv.write_text("t,x0\n" + "".join(f"{i},{np.sin(i / 3):.6f}\n" for i in range(200)))
+    code = main(["train", "--data", str(csv), "--out", str(tmp_path / "run"),
+                 *FAST, "--set", "train_frac=nan"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: train_frac must be finite and >= 0, got nan\n"
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(SeriesError, match=r"^val_frac must be finite and >= 0, got -0.7$"):
+        SplitSpec(1.5, -0.7, 0.2)
 
 
 def test_split_shorter_than_window_names_the_split(tmp_path, capsys):

@@ -145,3 +145,10 @@ def test_load_csv_rejects_non_finite(tmp_path, text, where):
     with pytest.raises(SeriesError) as info:
         load_csv(p)
     assert str(info.value) == where
+
+
+def test_load_csv_rejects_unparsable_timestamp(tmp_path):
+    p = _write(tmp_path, "timestamp,a\n0,1\nsoon,2\n")
+    with pytest.raises(SeriesError) as info:
+        load_csv(p)
+    assert str(info.value) == "line 3: cannot parse timestamp 'soon'"

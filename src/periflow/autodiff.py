@@ -75,11 +75,10 @@ class Tensor:
 
     `data` is a float32 or float64 ndarray (anything else is cast to
     float64), contiguous except for the views that `transpose` and
-    `broadcast_to` (read-only) return and the time-major z of
-    `flow.forward`. `grad` has the same shape as `data` and is set during
-    the backward sweep; it may be a view that other tensors share, so it
-    is read, never written in place. After the sweep only leaves (tensors
-    with no backward closure) keep it.
+    `broadcast_to` (read-only) return. `grad` has the same shape as `data`
+    and is set during the backward sweep; it may be a view that other
+    tensors share, so it is read, never written in place. After the sweep
+    only leaves (tensors with no backward closure) keep it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")

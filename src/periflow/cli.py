@@ -199,9 +199,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.npz"
-    bundle, history, _ = fit(data["train"], data["val"], train_cfg,
-                             data["global_period"], stats=data["stats"],
-                             checkpoint_path=ckpt)
+    _, history = fit(data["train"], data["val"], train_cfg,
+                     data["global_period"], stats=data["stats"],
+                     checkpoint_path=ckpt)
     history_to_csv(history, out / "history.csv")
     write_resolved_config(out, train_cfg, gen_cfg,
                           {"command": "train", "data": args.data,

@@ -99,8 +99,7 @@ def auroc_summary(scores: np.ndarray, labels: np.ndarray) -> dict:
 
 
 def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
-                 diagnostics: dict | None = None,
-                 metadata: dict | None = None) -> dict:
+                 diagnostics: dict, metadata: dict) -> dict:
     """Write the score histogram, per-step trace, per-window period-weight
     table, and a summary JSON. Returns the summary dict.
 
@@ -110,7 +109,7 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
 
     The summary is computed first, so a failure there writes no file."""
     scores = np.asarray(scores, dtype=np.float64)
-    summary = dict(metadata or {})
+    summary = dict(metadata)
     summary["n_scores"] = int(scores.size)
     if labels is not None:
         summary.update(auroc_summary(scores, labels))
@@ -138,18 +137,17 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
         for i, s in enumerate(scores):
             fh.write(f"{i},{float(s)!r},{float(-s)!r}\n")
 
-    if diagnostics is not None:
-        columns = [diagnostics[key] for key in ("periods", "amp_weights", "attention")]
-        k = columns[0].shape[1]
-        with open(out / "period_weights.csv", "w", encoding="utf-8") as fh:
-            fh.write("window_start,period,amplitude_weight,attention_score\n")
-            # a block of windows at a time, so no list of every value is built
-            for lo in range(0, columns[0].shape[0], REPORT_BLOCK):
-                rows = zip(np.repeat(diagnostics["window_start"][lo:lo + REPORT_BLOCK],
-                                     k).tolist(),
-                           *(col[lo:lo + REPORT_BLOCK].ravel().tolist() for col in columns))
-                for start, p, w, a in rows:
-                    fh.write(f"{start},{p},{w!r},{a!r}\n")
+    columns = [diagnostics[key] for key in ("periods", "amp_weights", "attention")]
+    k = columns[0].shape[1]
+    with open(out / "period_weights.csv", "w", encoding="utf-8") as fh:
+        fh.write("window_start,period,amplitude_weight,attention_score\n")
+        # a block of windows at a time, so no list of every value is built
+        for lo in range(0, columns[0].shape[0], REPORT_BLOCK):
+            rows = zip(np.repeat(diagnostics["window_start"][lo:lo + REPORT_BLOCK],
+                                 k).tolist(),
+                       *(col[lo:lo + REPORT_BLOCK].ravel().tolist() for col in columns))
+            for start, p, w, a in rows:
+                fh.write(f"{start},{p},{w!r},{a!r}\n")
 
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

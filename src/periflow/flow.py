@@ -10,11 +10,13 @@ Consecutive layers move the two mask values in turn, covering every entry.
 `forward` and `inverse` compute each layer's (s, t) with the same helper,
 which builds the context for at most `_CONTEXT_BLOCK` windows at a time in
 one buffer that a pass's layers share, so no batch-sized context is made.
-`log_prob` is the flow's one autodiff node, over the conditioning and
-every net weight; its tape keeps no context either: the backward builds
-each block's again in the same buffer. The windows are a constant, so the
-lowest layer's backward forms no gradient at them, only the context
-gradient's conditioning columns.
+They and `anomaly_score` take and return numpy arrays; `condition` and
+`log_prob` take the `Tensor` they differentiate. `log_prob` is the flow's
+one autodiff node, over the conditioning and every net weight; its tape
+keeps no context either: the backward builds each block's again in the
+same buffer. The windows are a constant, so the lowest layer's backward
+forms no gradient at them, only the context gradient's conditioning
+columns.
 
 Zero-initialised output layers make the whole flow start as the identity.
 """
@@ -120,10 +122,9 @@ def init_flow(d_in: int, hidden: int, n_factors: int, period: int,
     return FlowModel(layers, cond_w, cond_b, mask, d_in, hidden, radius)
 
 
-def condition(c_ind, model: FlowModel) -> Tensor:
+def condition(c: Tensor, model: FlowModel) -> Tensor:
     """Flatten the conditioning representation and map it to one hidden
     vector per window: (B, N, D_h) -> (B, D_h)."""
-    c = c_ind if isinstance(c_ind, Tensor) else Tensor(c_ind)
     if c.ndim != 3:
         raise FlowError(f"condition expects (B, N, D_h) factors, got shape {c.shape}")
     b, n, dh = c.shape
@@ -156,8 +157,7 @@ def _moved_rows(model: FlowModel, t: int) -> list[tuple[np.ndarray, tuple]]:
     return [pair[li % 2] for li in range(len(model.layers))]
 
 
-def _conditioning(h_c, b: int, model: FlowModel) -> np.ndarray:
-    hc = (h_c if isinstance(h_c, Tensor) else Tensor(h_c)).data
+def _conditioning(hc: np.ndarray, b: int, model: FlowModel) -> np.ndarray:
     if hc.shape != (b, model.hidden):
         raise FlowError(f"conditioning shape {hc.shape} != ({b}, {model.hidden})")
     return hc
@@ -301,19 +301,17 @@ def _couple(layer: CouplingLayer, h: np.ndarray, hc: np.ndarray, rows: np.ndarra
     return h_out, s
 
 
-def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False, *,
+def forward(x: np.ndarray, hc: np.ndarray, model: FlowModel, *,
             backwards: list | None = None):
-    """Map windows to latent space.
-
-    x: (B, T, D) windows, B >= 1; h_c: (B, D_h) conditioning vectors.
-    Returns (z, logdet) Tensors in the dtype of x, plus a (B, T) float64
-    per-timestep log-det array when requested (used for score
-    decomposition). Nothing is recorded; `log_prob` passes a `backwards`
-    list, to which each layer appends its backward (`_couple`). The layers
-    share one context buffer of `_CONTEXT_BLOCK` windows, and the affine
-    update, log-det and finiteness check run once per layer.
-    """
-    h = (x if isinstance(x, Tensor) else Tensor(x)).data
+    """Map the (B, T, D) windows x, B >= 1, under the (B, D_h)
+    conditioning hc to latent space. Returns z (B, T, D) and logdet (B,)
+    in the dtype of x (float64 unless x is float32), and the (B, T)
+    float64 per-timestep log-det that `anomaly_score` decomposes the
+    score with. Nothing is recorded; `log_prob` passes a `backwards`
+    list, to which each layer appends its backward (`_couple`). The
+    layers share one context buffer of `_CONTEXT_BLOCK` windows, and the
+    affine update, log-dets and finiteness check run once per layer."""
+    h = x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
     if h.ndim != 3:
         raise FlowError(f"forward expects (B, T, D) windows, got shape {h.shape}")
     b, t, d = h.shape
@@ -321,10 +319,10 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False, *,
         raise FlowError("empty batch")
     if d != model.d_in:
         raise FlowError(f"forward: input dim {d} != model dim {model.d_in}")
-    hc = _conditioning(h_c, b, model)
+    hc = _conditioning(hc, b, model)
 
     logdet = np.zeros(b, dtype=h.dtype)
-    logdet_t = np.zeros((b, t)) if want_timestep_logdet else None
+    logdet_t = np.zeros((b, t))
     moved = _moved_rows(model, t)
     buf = _context_buffer(model, b, moved, h.dtype)
     for li, (layer, (rows, runs)) in enumerate(zip(model.layers, moved)):
@@ -332,22 +330,19 @@ def forward(x, h_c, model: FlowModel, want_timestep_logdet: bool = False, *,
         if not np.all(np.isfinite(h)):
             raise NumericOverflow(f"non-finite values after coupling layer {li}")
         logdet = logdet - np.sum(s, axis=(1, 2))
-        if logdet_t is not None:
-            logdet_t[:, rows] -= s.sum(axis=2, dtype=np.float64)
-    if want_timestep_logdet:
-        return Tensor(h), Tensor(logdet), logdet_t
-    return Tensor(h), Tensor(logdet)
+        logdet_t[:, rows] -= s.sum(axis=2, dtype=np.float64)
+    return h, logdet, logdet_t
 
 
-def inverse(z, h_c, model: FlowModel) -> np.ndarray:
-    """Exact inverse of `forward` for (B, T, D) latents, as a numpy array
-    (no gradients)."""
-    h = np.array(z.data if isinstance(z, Tensor) else z, dtype=np.float64)
+def inverse(z: np.ndarray, hc: np.ndarray, model: FlowModel) -> np.ndarray:
+    """Exact inverse of `forward`: the windows of the (B, T, D) latents z
+    under the conditioning hc, as a new float64 array."""
+    h = np.array(z, dtype=np.float64)
     if h.ndim != 3:
         raise FlowError(f"inverse expects (B, T, D) latents, got shape {h.shape}")
     if h.shape[2] != model.d_in:
         raise FlowError(f"inverse: latent dim {h.shape[2]} != model dim {model.d_in}")
-    hc = _conditioning(h_c, h.shape[0], model)
+    hc = _conditioning(hc, h.shape[0], model)
     moved = _moved_rows(model, h.shape[1])
     buf = _context_buffer(model, h.shape[0], moved, h.dtype)
     for layer, (rows, runs) in zip(reversed(model.layers), reversed(moved)):
@@ -358,20 +353,20 @@ def inverse(z, h_c, model: FlowModel) -> np.ndarray:
     return h
 
 
-def log_prob(x, h_c, model: FlowModel) -> Tensor:
-    """Exact conditional log-density per window: standard-normal base plus
+def log_prob(x: np.ndarray, hc: Tensor, model: FlowModel) -> Tensor:
+    """Exact conditional log-density per window of the (B, T, D) array x
+    under the (B, D_h) conditioning tensor hc: standard-normal base plus
     the accumulated log-determinant. Returns a (B,) tensor, one node whose
-    parents are h_c and every coupling-net weight; the windows x are a
+    parents are hc and every coupling-net weight; the windows are a
     constant. The backward runs the numpy operations of the generic chain
     logdet - tsum(z * z) * 0.5 - const, then the layers' backwards, last
-    layer first, summing h_c's gradient in a tape sweep's order, so every
+    layer first, summing hc's gradient in a tape sweep's order, so every
     value and gradient is bitwise the chain's. The lowest layer's input is
     x, so its backward takes no gradient at h (`_couple`'s `need_h`)."""
-    hc = h_c if isinstance(h_c, Tensor) else Tensor(h_c)
     params = [p for layer in model.layers for net in (layer.s_net, layer.t_net)
               for pair in net.layers for p in pair]
     backwards = [] if ad.records((hc, *params)) else None
-    z, logdet = (out.data for out in forward(x, hc, model, backwards=backwards))
+    z, logdet, _ = forward(x, hc.data, model, backwards=backwards)
     b, t, d = z.shape
     half = np.asarray(0.5, dtype=z.dtype)
     quad = np.sum(z * z, axis=(1, 2)) * half
@@ -389,18 +384,20 @@ def log_prob(x, h_c, model: FlowModel) -> Tensor:
     return ad.node((logdet - quad) - const, (hc, *params), backward)
 
 
-def nll_loss(x, h_c, model: FlowModel) -> Tensor:
+def nll_loss(x: np.ndarray, hc: Tensor, model: FlowModel) -> Tensor:
     """Mean negative log-likelihood over the batch."""
-    return ad.tmean(ad.neg(log_prob(x, h_c, model)))
+    return ad.tmean(ad.neg(log_prob(x, hc, model)))
 
 
-def anomaly_score(x, h_c, model: FlowModel) -> tuple[np.ndarray, np.ndarray]:
-    """Negative log-likelihood per window plus its exact additive
-    decomposition over timesteps; higher means more anomalous. Both are
-    float64, summed from z and s in whatever dtype the flow ran."""
-    z, logdet, logdet_t = forward(x, h_c, model, want_timestep_logdet=True)
+def anomaly_score(x: np.ndarray, hc: np.ndarray,
+                  model: FlowModel) -> tuple[np.ndarray, np.ndarray]:
+    """Negative log-likelihood per window of x under hc, as `forward`
+    takes them, plus its exact additive decomposition over timesteps;
+    higher means more anomalous. Both are float64, summed from z and s in
+    whatever dtype the flow ran."""
+    z, _, logdet_t = forward(x, hc, model)
     d = z.shape[2]
-    z_np = z.data.astype(np.float64, copy=False)
+    z_np = z.astype(np.float64, copy=False)
     tau_t = 0.5 * np.sum(z_np * z_np, axis=2) + 0.5 * d * LOG_2PI - logdet_t
     tau = tau_t.sum(axis=1)
     return tau, tau_t

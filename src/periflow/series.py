@@ -99,13 +99,10 @@ class WindowBatch:
 
     windows: np.ndarray
     window_starts: np.ndarray
-    stride: int
 
     def __post_init__(self):
         if self.windows.ndim != 3:
             raise SeriesError(f"windows must be (B, T, D), got {self.windows.shape}")
-        if self.stride < 1:
-            raise SeriesError("stride must be >= 1")
 
     @property
     def count(self) -> int:
@@ -228,4 +225,4 @@ def make_windows(series: MultivariateSeries, window_length: int, stride: int = 1
             f"window length {window_length} exceeds series length {series.length}")
     starts = np.arange(0, series.length - window_length + 1, stride)
     view = np.lib.stride_tricks.sliding_window_view(series.values, window_length, axis=0)
-    return WindowBatch(np.swapaxes(view, 1, 2)[::stride], starts, stride)
+    return WindowBatch(np.swapaxes(view, 1, 2)[::stride], starts)

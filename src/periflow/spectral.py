@@ -83,14 +83,13 @@ def discover_global_period(series: MultivariateSeries) -> int:
     values = series.values
     if series.length < 4:
         raise SpectralError("need at least 4 samples to discover a period")
-    if np.allclose(values, values[0], atol=1e-12):
+    if np.allclose(values, values[0], rtol=0.0, atol=1e-12):
         raise SpectralError("constant series has no dominant frequency")
     return int(top_k_periods(values[None], 1)[1][0, 0])
 
 
-def intervene(x: np.ndarray, k_h_frac: float = 0.25, sigma: float = 0.1,
-              noise: str = "gaussian",
-              rng: np.random.Generator | None = None) -> np.ndarray:
+def intervene(x: np.ndarray, k_h_frac: float, sigma: float, noise: str,
+              rng: np.random.Generator) -> np.ndarray:
     """Perturb the high frequency band of each (T, D) window of a (B, T, D)
     batch and transform back.
 
@@ -107,7 +106,6 @@ def intervene(x: np.ndarray, k_h_frac: float = 0.25, sigma: float = 0.1,
         raise SpectralError("k_h_frac must lie in (0, 1)")
     if noise not in ("gaussian", "laplace"):
         raise SpectralError(f"unknown noise type {noise!r}")
-    rng = rng or np.random.default_rng()
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise SpectralError(f"intervene expects (B, T, D), got shape {x.shape}")

@@ -71,9 +71,7 @@ def generate(config: SynthConfig) -> MultivariateSeries:
         if labels[lo:hi].any():
             warnings.warn(f"overlapping anomaly interval [{lo}, {hi}) merged")
         labels[lo:hi] = 1
-        if anomaly.kind == "spike":
-            values[lo:hi] += anomaly.magnitude
-        elif anomaly.kind == "level_shift":
+        if anomaly.kind in ("spike", "level_shift"):
             values[lo:hi] += anomaly.magnitude
         else:  # period_break: dominant sine continues at a different period
             amp = config.periods[dominant]

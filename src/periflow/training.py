@@ -187,13 +187,13 @@ def total_loss(windows: np.ndarray, bundle: ModelBundle,
 
 
 def evaluate_objective(windows: np.ndarray, bundle: ModelBundle,
-                       rng: np.random.Generator, batch_size: int = 256) -> dict:
-    """Loss components averaged over the given windows, without updates
-    and without recording a graph."""
+                       rng: np.random.Generator) -> dict:
+    """Loss components averaged over the given windows, SCORE_CHUNK at a
+    time, without updates and without recording a graph."""
     sums = {"nll": 0.0, "similarity": 0.0, "independence": 0.0}
     count = 0
-    for lo in range(0, windows.shape[0], batch_size):
-        chunk = np.ascontiguousarray(windows[lo:lo + batch_size])
+    for lo in range(0, windows.shape[0], SCORE_CHUNK):
+        chunk = np.ascontiguousarray(windows[lo:lo + SCORE_CHUNK])
         with ad.no_grad():
             _, comps = total_loss(chunk, bundle, rng)
         for key in sums:
@@ -207,7 +207,7 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
         checkpoint_path=None):
     """Mini-batch Adam over shuffled windows with early stopping.
 
-    Returns (bundle, history, store); the bundle holds the parameters of
+    Returns (bundle, history); the bundle holds the parameters of
     the best validation epoch. History row 0 is the pre-training state.
     """
     if train.count == 0 or val.count == 0:
@@ -275,7 +275,7 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
         save_checkpoint(checkpoint_path, bundle)
     for row in history:
         row["best"] = 1 if row["epoch"] == best_epoch else 0
-    return bundle, history, store
+    return bundle, history
 
 
 def score_windows(bundle: ModelBundle, windows: np.ndarray,
@@ -296,7 +296,7 @@ def score_windows(bundle: ModelBundle, windows: np.ndarray,
         for lo in range(0, n, batch_size):
             chunk = np.ascontiguousarray(windows[lo:lo + batch_size], dtype=dtype)
             rep, d = encode_batch(chunk, bundle)
-            h_c = condition(rep, bundle.flow)
+            h_c = condition(rep, bundle.flow).data
             hi = lo + chunk.shape[0]
             tau[lo:hi], tau_t[lo:hi] = anomaly_score(chunk, h_c, bundle.flow)
             for key, value in d.items():

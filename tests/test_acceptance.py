@@ -44,8 +44,8 @@ def test_c01_flow_invertibility():
         model = _random_flow(rng)
         x = rng.normal(size=(10, 12, 3))
         hc = rng.normal(size=(10, 8))
-        z, _ = forward(x, Tensor(hc), model)
-        back = inverse(z.data, hc, model)
+        z, _, _ = forward(x, hc, model)
+        back = inverse(z, hc, model)
         worst = max(worst, float(np.max(np.abs(back - x))))
     elapsed = time.time() - start
     assert worst < 1e-6
@@ -67,8 +67,8 @@ def test_c02_jacobian_exactness():
         hc = rng.normal(size=(1, model.hidden))
 
         def run(flat):
-            z, _ = forward(flat.reshape(1, t, d), hc, model)
-            return z.data.reshape(-1)
+            z, _, _ = forward(flat.reshape(1, t, d), hc, model)
+            return z.reshape(-1)
 
         flat0 = x.reshape(-1)
         n = flat0.size
@@ -79,9 +79,9 @@ def test_c02_jacobian_exactness():
             hi[i] += eps
             lo[i] -= eps
             jac[:, i] = (run(hi) - run(lo)) / (2 * eps)
-        _, logdet = forward(x[None], hc, model)
+        _, logdet, _ = forward(x[None], hc, model)
         fd = abs(np.linalg.det(jac))
-        worst = max(worst, abs(np.exp(logdet.data[0]) - fd) / fd)
+        worst = max(worst, abs(np.exp(logdet[0]) - fd) / fd)
     elapsed = time.time() - start
     assert worst < 1e-3
     assert elapsed < 30.0
@@ -208,7 +208,8 @@ def test_c06_intervention_band_preservation():
         d = int(rng.integers(1, 4))
         x = rng.normal(size=(t, d))
         k_h_frac = 0.25
-        out = intervene(x[None], k_h_frac=k_h_frac, sigma=1.0, rng=rng)[0]
+        out = intervene(x[None], k_h_frac=k_h_frac, sigma=1.0, noise="gaussian",
+                        rng=rng)[0]
         k_h = min(max(int(round(k_h_frac * t)), 1), t // 2)
         diff = np.abs(np.fft.fft(out, axis=0) - np.fft.fft(x, axis=0))
         worst = max(worst, float(diff[:k_h].max()))
@@ -294,8 +295,8 @@ def _detection_run(seed: int, anomalies, use_periodic_mask: bool = True,
                       num_blocks=2, sigma=0.1, seed=seed, patience=5,
                       use_periodic_mask=use_periodic_mask)
     data = prepare_series(series, cfg)
-    bundle, history, _ = fit(data["train"], data["val"], cfg,
-                             data["global_period"])
+    bundle, history = fit(data["train"], data["val"], cfg,
+                          data["global_period"])
     test_s = data["test_series"]
     wb = make_windows(test_s, cfg.window_length, 1)
     tau, tau_t, _ = score_windows(bundle, wb.windows)

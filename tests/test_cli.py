@@ -248,6 +248,25 @@ def test_inspect_short_series_reports_null_strength(tmp_path, capsys):
     assert report["periodicity_strength"] == {"x0": None}
 
 
+def test_inspect_finds_the_period_of_a_series_on_a_large_offset(tmp_path, capsys):
+    # a 3-amplitude period-20 sine on an offset of 1e6 varies by far more
+    # than the constant test's absolute tolerance, though by less than a
+    # relative one of 1e-5; an exactly constant series is still refused
+    rng = np.random.default_rng(12)
+    t = np.arange(2000)[:, None]
+    values = 1e6 + 3.0 * np.sin(2 * np.pi * t / 20 + rng.uniform(0, 2 * np.pi, 3)) \
+        + 0.3 * rng.normal(size=(2000, 3))
+    for name, data in (("offset", values), ("constant", np.full((2000, 3), 1e6))):
+        rows = "".join(f"{i}," + ",".join(repr(float(v)) for v in row) + "\n"
+                       for i, row in enumerate(data))
+        (tmp_path / f"{name}.csv").write_text(f"t,x0,x1,x2\n{rows}")
+    assert main(["inspect", "--data", str(tmp_path / "offset.csv")]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["global_period"] == 20
+    assert main(["inspect", "--data", str(tmp_path / "constant.csv")]) == 1
+    assert capsys.readouterr().err == "error: constant series has no dominant frequency\n"
+
+
 def test_one_class_labels_score_and_eval(tmp_path, capsys):
     # gen without anomalies labels every step normal; AUROC is undefined
     data_dir = tmp_path / "data"

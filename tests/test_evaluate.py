@@ -158,16 +158,19 @@ def test_alignment_rejects_non_finite_scores():
         window_scores_to_points([np.array([[1.0, np.inf]])], np.array([0]), 3)
 
 
+# two windows' diagnostics, as `score_windows` returns them, k = 2
+_DIAG = {"window_start": np.array([0, 1]),
+         "periods": np.array([[20, 5], [20, 7]]),
+         "amp_weights": np.array([[0.7, 0.3], [0.6, 0.4]]),
+         "attention": np.array([[0.6, 0.4], [0.5, 0.5]])}
+
+
 def test_emit_reports_with_labels(tmp_path):
     rng = np.random.default_rng(4)
     scores = rng.normal(size=200)
     labels = (rng.random(200) < 0.1).astype(int)
     labels[:2] = [0, 1]
-    diag = {"window_start": np.array([0, 1]),
-            "periods": np.array([[20, 5], [20, 7]]),
-            "amp_weights": np.array([[0.7, 0.3], [0.6, 0.4]]),
-            "attention": np.array([[0.6, 0.4], [0.5, 0.5]])}
-    summary = emit_reports(tmp_path, scores, labels, diagnostics=diag,
+    summary = emit_reports(tmp_path, scores, labels, diagnostics=_DIAG,
                            metadata={"run": "test"})
     loaded = json.loads((tmp_path / "summary.json").read_text())
     assert loaded["auroc"] == summary["auroc"]
@@ -182,14 +185,14 @@ def test_emit_reports_with_labels(tmp_path):
 
 def test_emit_reports_without_labels(tmp_path):
     scores = np.arange(10.0)
-    summary = emit_reports(tmp_path, scores, None)
+    summary = emit_reports(tmp_path, scores, None, _DIAG, {})
     assert "auroc" not in summary
     hist = (tmp_path / "score_histogram.csv").read_text().splitlines()
     assert hist[0] == "bin_left,bin_right,count"
 
 
 def test_emit_reports_one_class_labels(tmp_path):
-    summary = emit_reports(tmp_path, np.arange(10.0), np.zeros(10, dtype=int))
+    summary = emit_reports(tmp_path, np.arange(10.0), np.zeros(10, dtype=int), _DIAG, {})
     loaded = json.loads((tmp_path / "summary.json").read_text())
     assert loaded["auroc"] is None and summary["auroc"] is None
     assert "one class" in loaded["auroc_reason"]
@@ -199,5 +202,5 @@ def test_emit_reports_one_class_labels(tmp_path):
 def test_emit_reports_failure_writes_nothing(tmp_path):
     out = tmp_path / "report"
     with pytest.raises(EvalError, match="align"):
-        emit_reports(out, np.arange(10.0), np.array([0, 1] * 4))
+        emit_reports(out, np.arange(10.0), np.array([0, 1] * 4), _DIAG, {})
     assert not out.exists()

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import numeric_gradient, relative_error
 from periflow import autodiff as ad
+from periflow import flow
 from periflow.autodiff import Tensor
 from periflow.flow import (_CONTEXT_BLOCK, SCALE_CLAMP, _moved_rows, anomaly_score,
                            condition, forward, init_flow, inverse, log_prob, nll_loss)
@@ -37,9 +38,9 @@ def test_identity_at_initialisation():
     model = _model()
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 8, 2))
-    z, logdet = forward(x, _hc(model, 3), model)
-    np.testing.assert_array_equal(z.data, x)
-    np.testing.assert_array_equal(logdet.data, np.zeros(3))
+    z, logdet, _ = forward(x, _hc(model, 3).data, model)
+    np.testing.assert_array_equal(z, x)
+    np.testing.assert_array_equal(logdet, np.zeros(3))
 
 
 def test_single_entry_closed_form():
@@ -57,13 +58,13 @@ def test_single_entry_closed_form():
             b.data[:] = 0.0
         net.layers[-1][0].data[:] = 0.0
     x = np.array([[[1.4], [-0.8]]])
-    z, logdet = forward(x, Tensor(np.zeros((1, 4))), model)
-    np.testing.assert_allclose(z.data[0, 0, 0], (1.4 - t_eff) * np.exp(-s_eff),
+    z, logdet, _ = forward(x, np.zeros((1, 4)), model)
+    np.testing.assert_allclose(z[0, 0, 0], (1.4 - t_eff) * np.exp(-s_eff),
                                rtol=1e-12)
-    np.testing.assert_allclose(z.data[0, 1, 0], -0.8)
-    np.testing.assert_allclose(logdet.data[0], -s_eff, rtol=1e-12)
+    np.testing.assert_allclose(z[0, 1, 0], -0.8)
+    np.testing.assert_allclose(logdet[0], -s_eff, rtol=1e-12)
     # algebraic inversion: x = z * exp(s) + t reproduces the input
-    back = inverse(z.data, np.zeros((1, 4)), model)
+    back = inverse(z, np.zeros((1, 4)), model)
     np.testing.assert_allclose(back, x, atol=1e-12)
 
 
@@ -74,8 +75,8 @@ def test_roundtrip_random_models():
         model = _model(d=3, t=12, period=4, seed=seed, out_scale=0.5)
         x = rng.normal(size=(10, 12, 3))
         hc = _hc(model, 10, seed=seed)
-        z, _ = forward(x, hc, model)
-        back = inverse(z.data, hc.data, model)
+        z, _, _ = forward(x, hc.data, model)
+        back = inverse(z, hc.data, model)
         worst = max(worst, float(np.max(np.abs(back - x))))
     assert worst < 1e-6
 
@@ -95,8 +96,8 @@ def test_jacobian_matches_finite_differences():
     hc = _hc(model, 1, seed=8)
 
     def run(flat):
-        z, _ = forward(flat.reshape(1, 4, 3), hc, model)
-        return z.data.reshape(-1)
+        z, _, _ = forward(flat.reshape(1, 4, 3), hc.data, model)
+        return z.reshape(-1)
 
     flat0 = x.reshape(-1)
     n = flat0.size
@@ -107,9 +108,9 @@ def test_jacobian_matches_finite_differences():
         hi[i] += eps
         lo[i] -= eps
         jac[:, i] = (run(hi) - run(lo)) / (2 * eps)
-    _, logdet = forward(x, hc, model)
+    _, logdet, _ = forward(x, hc.data, model)
     fd_det = abs(np.linalg.det(jac))
-    assert abs(np.exp(logdet.data[0]) - fd_det) / fd_det < 1e-3
+    assert abs(np.exp(logdet[0]) - fd_det) / fd_det < 1e-3
 
 
 def test_log_prob_standard_normal_values():
@@ -187,13 +188,13 @@ def test_condition_contract():
     model = _model()
     c = np.zeros((1, 2, 6))
     model.cond_b.data[:] = 0.0
-    np.testing.assert_array_equal(condition(c, model).data, np.zeros((1, 6)))
+    np.testing.assert_array_equal(condition(Tensor(c), model).data, np.zeros((1, 6)))
     rng = np.random.default_rng(17)
     c2 = rng.normal(size=(1, 2, 6))
-    h1, h2 = condition(c2, model), condition(c2, model)
+    h1, h2 = condition(Tensor(c2), model), condition(Tensor(c2), model)
     np.testing.assert_array_equal(h1.data, h2.data)
     with pytest.raises(Exception, match="conditioner expects"):
-        condition(np.zeros((1, 3, 7)), model)
+        condition(Tensor(np.zeros((1, 3, 7))), model)
 
 
 def test_condition_gradient():
@@ -224,7 +225,7 @@ def test_anomaly_score_decomposition():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(5, 8, 2))
     hc = _hc(model, 5, seed=22)
-    tau, tau_t = anomaly_score(x, hc, model)
+    tau, tau_t = anomaly_score(x, hc.data, model)
     np.testing.assert_allclose(tau_t.sum(axis=1), tau, atol=1e-9)
     lp = log_prob(x, hc, model)
     np.testing.assert_allclose(tau, -lp.data, atol=1e-9)
@@ -236,7 +237,7 @@ def test_anomaly_score_spike_dominates_identity_flow():
     quiet = np.zeros((8, 1))
     spiky = np.zeros((8, 1))
     spiky[5, 0] = 5.0
-    tau, tau_t = anomaly_score(np.stack([quiet, spiky]), hc, model)
+    tau, tau_t = anomaly_score(np.stack([quiet, spiky]), hc.data, model)
     assert tau[1] > tau[0]
     assert np.argmax(tau_t[1]) == 5
     # identity flow: per-step score is 0.5*x^2 + 0.5*log(2*pi)
@@ -247,9 +248,9 @@ def test_anomaly_score_spike_dominates_identity_flow():
 def test_forward_rejects_wrong_dim():
     model = _model(d=2)
     with pytest.raises(Exception, match="input dim"):
-        forward(np.zeros((1, 4, 3)), Tensor(np.zeros((1, 6))), model)
+        forward(np.zeros((1, 4, 3)), np.zeros((1, 6)), model)
     with pytest.raises(Exception, match="latent dim"):
-        inverse(np.zeros((1, 4, 3)), Tensor(np.zeros((1, 6))), model)
+        inverse(np.zeros((1, 4, 3)), np.zeros((1, 6)), model)
 
 
 def test_moved_rows_follow_build_mask():
@@ -267,14 +268,14 @@ def test_single_step_window_roundtrip():
     model = _model(d=2, t=8, period=3, seed=30, out_scale=0.5)
     x = np.random.default_rng(31).normal(size=(3, 1, 2))
     hc = _hc(model, 3, seed=32)
-    z, _ = forward(x, hc, model)
-    np.testing.assert_allclose(inverse(z.data, hc, model), x, atol=1e-10)
+    z, _, _ = forward(x, hc.data, model)
+    np.testing.assert_allclose(inverse(z, hc.data, model), x, atol=1e-10)
 
 
 def test_forward_rejects_wrong_conditioning_shape():
     model = _model(d=2)
     with pytest.raises(Exception, match="conditioning shape"):
-        forward(np.zeros((2, 8, 2)), Tensor(np.zeros((1, 6))), model)
+        forward(np.zeros((2, 8, 2)), np.zeros((1, 6)), model)
 
 
 def test_no_grad_keeps_overflow_checks():
@@ -283,7 +284,7 @@ def test_no_grad_keeps_overflow_checks():
     b.data = np.full(b.shape, np.inf)
     with ad.no_grad(), np.errstate(all="ignore"), \
             pytest.raises(ad.NumericOverflow, match="coupling layer 0"):
-        forward(np.zeros((1, 8, 2)), _hc(model), model)
+        forward(np.zeros((1, 8, 2)), _hc(model).data, model)
     # a non-finite conditioning vector in the last, partial context block
     # only: the check after the layer still sees it
     model = _model(d=2)
@@ -292,7 +293,7 @@ def test_no_grad_keeps_overflow_checks():
     hc[-1, 0] = np.nan
     with ad.no_grad(), np.errstate(all="ignore"), \
             pytest.raises(ad.NumericOverflow, match="coupling layer 0"):
-        forward(np.zeros((b, 8, 2)), Tensor(hc), model)
+        forward(np.zeros((b, 8, 2)), hc, model)
 
 
 def test_anomaly_score_same_with_and_without_tape():
@@ -302,9 +303,9 @@ def test_anomaly_score_same_with_and_without_tape():
     b = 3 * _CONTEXT_BLOCK + 5
     x = np.random.default_rng(41).normal(size=(b, 8, 2))
     hc = Tensor(_hc(model, b, seed=42).data, requires_grad=True)
-    taped_tau, taped_tau_t = anomaly_score(x, hc, model)
+    taped_tau, taped_tau_t = anomaly_score(x, hc.data, model)
     with ad.no_grad():
-        tau, tau_t = anomaly_score(x, hc, model)
+        tau, tau_t = anomaly_score(x, hc.data, model)
     np.testing.assert_array_equal(tau, taped_tau)
     np.testing.assert_array_equal(tau_t, taped_tau_t)
 
@@ -362,31 +363,69 @@ def test_backward_takes_no_gradient_at_the_windows(monkeypatch):
     assert peak < 28e6, f"backward peak {peak / 1e6:.1f} MB"
 
 
-def test_forward_records_nothing():
-    # log_prob is the flow's one node: forward records nothing, even when
-    # the conditioning and every net weight require gradients
+def test_forward_records_nothing(monkeypatch):
+    # log_prob is the flow's one node: forward makes no tensor and no
+    # node, even when every net weight requires gradients, and returns
+    # z, the log-det and the per-step log-det as arrays
     model = _model(d=2, seed=71, out_scale=0.4)
     assert all(p.requires_grad for p in model.named().values())
-    hc = Tensor(_hc(model, 3, seed=72).data, requires_grad=True)
-    x = Tensor(np.random.default_rng(73).normal(size=(3, 8, 2)), requires_grad=True)
-    for out in forward(x, hc, model, want_timestep_logdet=True)[:2]:
-        assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+    hc = _hc(model, 3, seed=72).data
+    x = np.random.default_rng(73).normal(size=(3, 8, 2))
+    made = []
+    init = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__",
+                        lambda self, *a, **k: made.append(a) or init(self, *a, **k))
+    monkeypatch.setattr(ad, "node", lambda *a: made.append(a))
+    outs = forward(x, hc, model)
+    assert made == []
+    assert [type(out) for out in outs] == [np.ndarray] * 3
+
+
+def test_forward_casts_integer_windows_to_float64():
+    model = _model(d=2, seed=78, out_scale=0.4)
+    x = np.arange(48).reshape(3, 8, 2) % 5
+    hc = _hc(model, 3, seed=79).data
+    for out, expected in zip(forward(x, hc, model), forward(x.astype(np.float64), hc, model)):
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+
+
+def test_recording_forward_returns_the_per_step_logdet(monkeypatch):
+    # the forward that a recording log_prob runs, with a backwards list,
+    # returns the per-step log-det of a pass that records nothing, bitwise;
+    # its rows sum to the log-det
+    model = _model(d=3, t=12, period=4, layers=3, seed=75, out_scale=0.5)
+    rng = np.random.default_rng(76)
+    x = rng.normal(size=(2 * _CONTEXT_BLOCK + 3, 12, 3))
+    hc = Tensor(_hc(model, x.shape[0], seed=77).data, requires_grad=True)
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append((kwargs, forward(*args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(flow, "forward", recorded)
+    assert log_prob(x, hc, model).requires_grad
+    (kwargs, (_, logdet, logdet_t)), = runs
+    assert len(kwargs["backwards"]) == 3
+    assert logdet_t.dtype == logdet.dtype == np.float64
+    assert logdet_t.tobytes() == forward(x, hc.data, model)[2].tobytes()
+    np.testing.assert_allclose(logdet_t.sum(axis=1), logdet, rtol=1e-12)
 
 
 def test_flow_rejects_unbatched_input():
     model = _model(d=2)
-    hc = Tensor(np.zeros((1, 6)))
+    hc = np.zeros((1, 6))
     with pytest.raises(Exception, match=r"forward expects \(B, T, D\)"):
         forward(np.zeros((8, 2)), hc, model)
     with pytest.raises(Exception, match=r"inverse expects \(B, T, D\)"):
         inverse(np.zeros((8, 2)), hc, model)
     with pytest.raises(Exception, match=r"condition expects \(B, N, D_h\)"):
-        condition(np.zeros((2, 6)), model)
+        condition(Tensor(np.zeros((2, 6))), model)
     with pytest.raises(Exception, match="conditioning shape"):
         forward(np.zeros((1, 8, 2)), np.zeros(6), model)
     with pytest.raises(Exception, match="empty batch"):
-        nll_loss(np.zeros((0, 8, 2)), np.zeros((0, 6)), model)
+        nll_loss(np.zeros((0, 8, 2)), Tensor(np.zeros((0, 6))), model)
 
 
 def _dense_keep_masks(model, t):
@@ -481,8 +520,8 @@ def test_moved_rows_match_dense_oracle(t_model, t, period, radius, layers):
             return [lp.data, *values] + [p.grad.copy() for p in tensors]
 
         def moved_rows():
-            z, logdet, logdet_t = forward(x, hc, model, want_timestep_logdet=True)
-            return log_prob(x, hc, model), [z.data, logdet.data, logdet_t]
+            z, logdet, logdet_t = forward(x.data, hc.data, model)
+            return log_prob(x.data, hc, model), [z, logdet, logdet_t]
 
         def dense_rows():
             z, logdet, logdet_t = _dense_forward(x, hc, model)
@@ -493,7 +532,7 @@ def test_moved_rows_match_dense_oracle(t_model, t, period, radius, layers):
         for actual, expected in zip(moved, dense):
             _assert_close(actual, expected)
         z = moved[1]
-        _assert_close(inverse(z, hc, model), _dense_inverse(z, hc, model))
+        _assert_close(inverse(z, hc.data, model), _dense_inverse(z, hc, model))
 
 
 def _chain_forward(x, hc, model):
@@ -533,12 +572,12 @@ def test_coupling_layers_are_bitwise_the_generic_chain(b, t, period, layers):
             p.grad = None
         lp, z, logdet = coupling()
         ad.tsum(lp).backward()
-        return [z.data, logdet.data, lp.data] + [p.grad for p in tensors]
+        return [z, logdet, lp.data] + [p.grad for p in tensors]
 
     def chain():
         z, logdet = _chain_forward(x, hc, model)
-        return _base(z, logdet), z, logdet
+        return _base(z, logdet), z.data, logdet.data
 
-    fused = run(lambda: (log_prob(x, hc, model), *forward(x, hc, model)))
+    fused = run(lambda: (log_prob(x.data, hc, model), *forward(x.data, hc.data, model)[:2]))
     for actual, expected in zip(fused, run(chain)):
         assert actual.tobytes() == expected.tobytes()

@@ -82,7 +82,8 @@ def test_fft_matches_naive_dft():
 def test_roundtrip_identity():
     # a one-channel window comes back unchanged
     x = np.random.default_rng(4).normal(size=(1, 100, 1))
-    back = intervene(x, sigma=0.0, rng=np.random.default_rng(0))
+    back = intervene(x, k_h_frac=0.25, sigma=0.0, noise="gaussian",
+                     rng=np.random.default_rng(0))
     assert back.shape == x.shape
     assert np.max(np.abs(back - x)) < 1e-9
 
@@ -92,8 +93,10 @@ def test_fft_linearity():
     # whatever the window holds
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=(2, 1, 50, 2))
-    dx = intervene(x, sigma=0.3, rng=np.random.default_rng(9)) - x
-    dy = intervene(2.5 * y, sigma=0.3, rng=np.random.default_rng(9)) - 2.5 * y
+    dx = intervene(x, k_h_frac=0.25, sigma=0.3, noise="gaussian",
+                   rng=np.random.default_rng(9)) - x
+    dy = intervene(2.5 * y, k_h_frac=0.25, sigma=0.3, noise="gaussian",
+                   rng=np.random.default_rng(9)) - 2.5 * y
     np.testing.assert_allclose(dx, dy, atol=1e-9)
 
 
@@ -187,14 +190,14 @@ def test_top_k_pure_tone_fills_lowest_bins():
 def test_intervene_zero_sigma_is_roundtrip():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 60, 3))
-    out = intervene(x, sigma=0.0, rng=rng)
+    out = intervene(x, k_h_frac=0.25, sigma=0.0, noise="gaussian", rng=rng)
     assert np.max(np.abs(out - x)) < 1e-9
 
 
 def test_intervene_preserves_low_band():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 60, 2))
-    out = intervene(x, k_h_frac=0.25, sigma=0.5, rng=rng)
+    out = intervene(x, k_h_frac=0.25, sigma=0.5, noise="gaussian", rng=rng)
     k_h = round(0.25 * 60)
     diff = np.abs(np.fft.fft(out, axis=1) - np.fft.fft(x, axis=1))
     assert np.max(diff[:, :k_h]) < 1e-8
@@ -205,7 +208,8 @@ def test_intervene_noise_scale():
     x = np.zeros((1000, 64, 1))
     sigma = 0.1
     k_h = round(0.25 * 64)
-    spec = np.fft.fft(intervene(x, sigma=sigma, rng=rng), axis=1)
+    spec = np.fft.fft(intervene(x, k_h_frac=0.25, sigma=sigma, noise="gaussian", rng=rng),
+                      axis=1)
     reals, imags = spec[:, k_h:32, 0].real, spec[:, k_h:32, 0].imag
     assert abs(np.std(reals) - sigma) < 0.15 * sigma
     assert abs(np.std(imags) - sigma) < 0.15 * sigma
@@ -214,13 +218,14 @@ def test_intervene_noise_scale():
 def test_intervene_output_is_real_valued():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 59, 2))  # odd length exercises the mirroring
-    out = intervene(x, sigma=1.0, rng=rng)
+    out = intervene(x, k_h_frac=0.25, sigma=1.0, noise="gaussian", rng=rng)
     assert out.dtype == np.float64 and out.shape == x.shape
 
 
 def test_intervene_rejects_negative_sigma():
     with pytest.raises(SpectralError):
-        intervene(np.zeros((1, 10, 1)), sigma=-1.0)
+        intervene(np.zeros((1, 10, 1)), k_h_frac=0.25, sigma=-1.0, noise="gaussian",
+                  rng=np.random.default_rng(0))
 
 
 def _mixed_batch(t, c, seed):
@@ -310,7 +315,8 @@ def test_spectral_rejects_unbatched_input():
     with pytest.raises(SpectralError, match=r"\(B, T, C\)"):
         top_k_periods(np.zeros((20, 2)), 1)
     with pytest.raises(SpectralError, match=r"\(B, T, D\)"):
-        intervene(np.zeros((20, 2)))
+        intervene(np.zeros((20, 2)), k_h_frac=0.25, sigma=0.1, noise="gaussian",
+                  rng=np.random.default_rng(0))
 
 
 def test_periodicity_strength_pure_sine():

@@ -158,10 +158,10 @@ def test_identity_start_nll_is_standard_normal():
 
 def test_fit_improves_and_is_deterministic(tmp_path):
     config, data = _prepared()
-    bundle1, hist1, _ = fit(data["train"], data["val"], config,
-                            data["global_period"], data["stats"])
-    bundle2, hist2, _ = fit(data["train"], data["val"], config,
-                            data["global_period"], data["stats"])
+    bundle1, hist1 = fit(data["train"], data["val"], config,
+                         data["global_period"], data["stats"])
+    bundle2, hist2 = fit(data["train"], data["val"], config,
+                         data["global_period"], data["stats"])
     assert hist1 == hist2
     for a, b in zip(bundle1.named_params().values(), bundle2.named_params().values()):
         np.testing.assert_array_equal(a.data, b.data)
@@ -184,14 +184,14 @@ def test_fit_nll_decreases_on_standard_normal_stream():
                       num_layers=2, num_blocks=1, batch_size=32, epochs=10,
                       train_stride=2, seed=1, patience=100)
     data = prepare_series(series, cfg)
-    _, hist, _ = fit(data["train"], data["val"], cfg, data["global_period"])
+    _, hist = fit(data["train"], data["val"], cfg, data["global_period"])
     assert hist[10]["nll"] < hist[0]["nll"]
 
 
 def test_fit_retains_best_validation_epoch():
     config, data = _prepared()
-    _, history, _ = fit(data["train"], data["val"], config,
-                        data["global_period"])
+    _, history = fit(data["train"], data["val"], config,
+                     data["global_period"])
     best_rows = [r for r in history if r["best"]]
     assert len(best_rows) == 1
     assert all(best_rows[0]["val_nll"] <= r["val_nll"] + 1e-12 for r in history)
@@ -356,8 +356,8 @@ def test_fit_divergence_aborts_with_context(tmp_path):
 
 def test_checkpoint_roundtrip(tmp_path):
     config, data = _prepared()
-    bundle, _, _ = fit(data["train"], data["val"], config,
-                       data["global_period"], data["stats"])
+    bundle, _ = fit(data["train"], data["val"], config,
+                    data["global_period"], data["stats"])
     path = tmp_path / "model.npz"
     save_checkpoint(path, bundle)
     loaded = load_checkpoint(path)
@@ -437,7 +437,7 @@ def test_scoring_without_tape_matches_taped_path():
         rep, _ = encode_batch(chunk, bundle)
         h_c = condition(rep, bundle.flow)
         assert h_c._backward is not None  # this path records the tape
-        part, part_t = anomaly_score(chunk, h_c, bundle.flow)
+        part, part_t = anomaly_score(chunk, h_c.data, bundle.flow)
         taped_tau.append(part)
         taped_tau_t.append(part_t)
     np.testing.assert_array_equal(tau, np.concatenate(taped_tau))
@@ -566,7 +566,7 @@ def test_fit_on_series_with_a_zero_stretch():
     config = TrainConfig(**{**CFG, "epochs": 1, "apply_standardization": False})
     data = prepare_series(series, config)
     assert np.any(np.all(data["train"].windows == 0.0, axis=(1, 2)))
-    _, history, _ = fit(data["train"], data["val"], config, data["global_period"])
+    _, history = fit(data["train"], data["val"], config, data["global_period"])
     assert len(history) == 2
     assert all(np.isfinite(row[key]) for row in history
                for key in ("nll", "similarity", "independence", "val_nll"))

@@ -31,9 +31,9 @@ passes; each keeps what its backward needs only while recording:
   standard-normal base, with the windows a constant.
 The last two run the numpy operations of the generic ops they replace, in
 the same order, so their values and gradients are bitwise those of the
-generic chain. Every op makes its one output with `node`. A product inside
-a fused node that can have a single row goes through `dense`, so a window
-scores bitwise alike alone and in a batch.
+generic chain. Every op makes its one output with `node`. Every product
+whose rows are windows or (window, slot) pairs is `dense`'s fixed tiles,
+so a window scores bitwise alike alone and in a batch.
 
 `reshape`, `transpose` and `broadcast_to` may return views of their
 input's buffer (`broadcast_to`'s is numpy's read-only broadcast view, which
@@ -208,15 +208,18 @@ def array_mean(a: Array, axis, keepdims: bool = False):
     return s.dtype.type(s / np.intp(count))
 
 
+# rows per tile of `dense`. OpenBLAS sums a row in an order set by the row count;
+# 8 fixes it on SkylakeX, Haswell and Sandybridge, 16 or one padded product did not
+_TILE = 8
+
+
 def dense(x: Array, w: Array, b: Array | None = None) -> Array:
-    """x @ w + b (or x @ w) on arrays, for 2-D x. Each output row is
-    bitwise the same whatever the row count: one row goes through the same
-    matrix product as many, with a zero second row (numpy hands a one-row
-    product to BLAS gemv, which sums in another order than gemm)."""
-    if x.shape[0] == 1:
-        out = (np.concatenate([x, np.zeros_like(x)]) @ w)[:1]
-    else:
-        out = x @ w
+    """x @ w + b (or x @ w) for 2-D x, as stacked _TILE-row products of x
+    zero-padded to whole tiles, so a row is bitwise alike at any row count."""
+    m, k = x.shape
+    if m % _TILE:
+        x = np.concatenate([x, np.zeros((-m % _TILE, k), dtype=x.dtype)])
+    out = (x.reshape(-1, _TILE, k) @ w).reshape(-1, w.shape[1])[:m]
     if b is not None:
         out += b
     return out
@@ -286,7 +289,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims disagree, {a.shape} vs {b.shape}")
-    return node(a.data @ b.data, (a, b),
+    return node(dense(a.data, b.data), (a, b),
                 lambda g: (g @ b.data.T, a.data.T @ g))
 
 
@@ -415,7 +418,7 @@ def softmax(a: Tensor) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with b broadcast along rows; x is 2-D (rows, features).
-    Each output row is bitwise the same whatever the row count (`dense`)."""
+    Each output row is bitwise the same whatever the row count (`dense`'s tiles)."""
     if x.ndim != 2:
         raise ValueError(f"affine expects 2-D input, got {x.shape}")
     if b.ndim != 1 or b.shape[0] != w.shape[1]:
@@ -576,12 +579,10 @@ def period_pool(x, embed_w: Tensor, embed_b: Tensor, grid_w: Tensor,
         grid = xb.reshape(rows, p, m, d + 1)
         col = np.multiply(np.add.reduce(grid, 0), 1.0 / rows).reshape(p * m, d + 1)
         row = np.multiply(np.add.reduce(grid, 1), 1.0 / p).reshape(rows * m, d + 1)
-        y = (xb.reshape(n * m, d + 1) @ a_cell).reshape(rows, p, m, c)
+        y = dense(xb.reshape(n * m, d + 1), a_cell).reshape(rows, p, m, c)
         if n > t:
             y.reshape(n, m, c)[t:] += grid_b.data
-        y += (col @ a_col).reshape(p, m, c)
-        # a one-cycle fold of one window has one row: `dense` keeps it
-        # off gemv
+        y += dense(col, a_col).reshape(p, m, c)
         y += dense(row, a_row).reshape(rows, 1, m, c)
         np.tanh(y, out=y)
         y = y.reshape(n, m, c)

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import auroc_summary, emit_reports, window_scores_to_points
-from .series import (MultivariateSeries, SeriesError, SplitSpec, load_csv,
-                     make_windows)
+from .series import (MultivariateSeries, SeriesError, SplitSpec, csv_line,
+                     load_csv, make_windows)
 from .spectral import (SpectralError, discover_global_period,
                        periodicity_strength, top_k_periods)
 from .synthetic import Anomaly, SynthConfig, generate, write_csv
@@ -236,6 +236,13 @@ def cmd_score(args) -> int:
     values = series.values
     if bundle.stats is not None:
         values = bundle.stats.apply(values)
+    # scoring runs in float32 (below), whose cast would turn this into inf
+    big = np.argwhere(np.abs(values) > np.finfo(np.float32).max)
+    if big.size:
+        row, col = big[0]
+        raise SeriesError(f"{args.data}: line {csv_line(args.data, row)}, column "
+                          f"{series.dim_names[col]}: value {float(series.values[row, col])!r} "
+                          f"does not fit float32 once standardized")
     prepared = MultivariateSeries(values, series.timestamps, series.labels,
                                   list(series.dim_names))
     windows = make_windows(prepared, window_length, stride=1)

@@ -113,10 +113,9 @@ def bin_amplitudes(spectrum: np.ndarray, embed_w: Tensor, t: int) -> Tensor:
     """
     b, k, d = spectrum.shape
     w = embed_w.data
-    # real parts above imaginary ones: one product of at least two rows
     parts = np.concatenate([spectrum.real.reshape(b * k, d),
                             spectrum.imag.reshape(b * k, d)]).astype(w.dtype, copy=False)
-    z = parts @ w
+    z = ad.dense(parts, w)
     re, im = z[:b * k], z[b * k:]
     amp = np.sqrt(re * re + im * im)
     scale = 2.0 / t

@@ -209,10 +209,10 @@ def _scale_shift(layer: CouplingLayer, x: np.ndarray, cond: np.ndarray, radius: 
     """(s, t) of one coupling layer at the moved `rows` of the (B, T, D)
     array x, each (B, M, D), s soft-clamped to (-SCALE_CLAMP, SCALE_CLAMP),
     from the nets on one block of windows' context at a time (`_contexts`);
-    each row of their products is bitwise the same at any row count
-    (`ad.dense`). With a `kept` list, appends per block what the backward
-    of `_couple` needs: the s and t nets' later-layer inputs and the
-    clamp's tanh."""
+    their products are `ad.dense`'s fixed tiles, so each row is bitwise the
+    same at any row count. With a `kept` list, appends per block what the
+    backward of `_couple` needs: the s and t nets' later-layer inputs and
+    the clamp's tanh."""
     b, _, d = x.shape
     s = np.empty((b, rows.size, d), dtype=x.dtype)
     t_out = np.empty_like(s)

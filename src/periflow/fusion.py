@@ -62,8 +62,8 @@ def fuse(pyramid: CausalPyramid, params: FusionParams) -> FusedRepresentation:
     b, k, n, dh = f.shape
     dtype = f.dtype
     flat = ad.array_mean(f, 2).reshape(b * k, dh)
-    q = (flat @ wq).reshape(b, k, dh)
-    key_t = np.transpose((flat @ wk).reshape(b, k, dh), (0, 2, 1))
+    q = ad.dense(flat, wq).reshape(b, k, dh)
+    key_t = np.transpose(ad.dense(flat, wk).reshape(b, k, dh), (0, 2, 1))
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
     attn = ad.array_softmax(q @ key_t * scale)
     # one scalar per period: column means of the attention matrix

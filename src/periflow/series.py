@@ -141,7 +141,8 @@ def load_csv(path) -> MultivariateSeries:
     A leading timestamp column (named `timestamp` or `t`) and a `label`
     column are recognised when present; every remaining column is parsed
     as float64. Timestamps are synthesised as 0..T_l-1 when the file has
-    none. A NaN or infinite value is rejected with its line and column.
+    none. A NaN or infinite value is rejected with its line and column, a
+    label other than 0 or 1 with its line, and a column named twice.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -150,6 +151,9 @@ def load_csv(path) -> MultivariateSeries:
         except StopIteration:
             raise SeriesError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        twice = [name for i, name in enumerate(header) if name in header[:i]]
+        if twice:
+            raise SeriesError(f"{path}: header names column {twice[0]!r} twice")
         has_ts = bool(header) and header[0] in ("timestamp", "t")
         label_idx = header.index("label") if "label" in header else None
         data_idx = [i for i, name in enumerate(header)
@@ -171,7 +175,9 @@ def load_csv(path) -> MultivariateSeries:
                 try:
                     lab = int(row[label_idx])
                 except ValueError:
-                    raise SeriesError(f"line {line_no}: bad label {row[label_idx]!r}") from None
+                    lab = -1
+                if lab not in (0, 1):
+                    raise SeriesError(f"line {line_no}: bad label {row[label_idx]!r}")
                 labels.append(lab)
 
     if not values:
@@ -182,6 +188,15 @@ def load_csv(path) -> MultivariateSeries:
     names = [header[i] for i in data_idx]
     return MultivariateSeries(values, timestamps,
                               np.asarray(labels) if label_idx is not None else None, names)
+
+
+def csv_line(path, row: int) -> int:
+    """The line of the CSV file at `path` that `load_csv` read data row
+    `row` from, numbered as its errors number lines."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [line_no for line_no, fields in enumerate(reader, start=2) if fields][row]
 
 
 @dataclass(frozen=True)

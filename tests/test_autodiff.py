@@ -544,13 +544,17 @@ def test_array_mean_is_np_mean_bitwise(shape, axis, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_affine_row_is_the_same_alone_and_in_a_batch(dtype):
-    # a one-row product must not take a different BLAS path than many rows
+def test_dense_row_is_the_same_at_any_row_count(dtype):
+    # the coupling nets' products (K x N = 155 x 32, 32 x 32 and 32 x 3 at
+    # D=3, H=32, radius 20) and a wider one: 1, 30, 35 or 40 rows at an
+    # offset off the tile grid are bitwise those rows of a 10,240-row product
     rng = np.random.default_rng(33)
-    x = Tensor(rng.normal(size=(64, 128)).astype(dtype))
-    w = Tensor(rng.normal(size=(128, 32)).astype(dtype))
-    b = Tensor(rng.normal(size=32).astype(dtype))
-    batched = ad.affine(x, w, b).data
-    for i in (0, 1, 63):
-        np.testing.assert_array_equal(ad.affine(Tensor(x.data[i:i + 1]), w, b).data,
-                                      batched[i:i + 1])
+    for k, n in ((155, 32), (32, 32), (32, 3), (128, 32)):
+        x = rng.normal(size=(10240, k)).astype(dtype)
+        w = rng.normal(size=(k, n)).astype(dtype)
+        b = rng.normal(size=n).astype(dtype)
+        whole = ad.dense(x, w, b)
+        for lo, rows in ((3, 1), (1001, 30), (5005, 35), (10199, 40)):
+            np.testing.assert_array_equal(ad.dense(x[lo:lo + rows], w, b),
+                                          whole[lo:lo + rows],
+                                          err_msg=f"{k} x {n}, rows {lo}:{lo + rows}")

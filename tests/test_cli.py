@@ -429,6 +429,30 @@ def _saved_checkpoint(tmp_path):
     return ckpt, config
 
 
+def test_score_names_a_value_that_overflows_float32(tmp_path, capsys):
+    # float64 training takes the value; float32 scoring cannot, and says
+    # where it is instead of warning and failing on a non-finite block
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 400)
+    lines = csv.read_text().splitlines()
+    fields = lines[351].split(",")
+    fields[2] = "1e39"
+    lines[351] = ",".join(fields)
+    lines.insert(300, "")  # a blank line, which load_csv skips, moves it to line 353
+    csv.write_text("\n".join(lines) + "\n")
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(csv), "--out", str(run), *FAST,
+                 "--set", "epochs=1"]) == 0
+    capsys.readouterr()
+    code = main(["score", "--checkpoint", str(run / "model.npz"), "--data", str(csv),
+                 "--out", str(tmp_path / "scored")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: line 353, column x1: value 1e+39 does not fit float32 "
+        f"once standardized\n")
+    assert not (tmp_path / "scored").exists()
+
+
 @pytest.mark.parametrize("given, key, value, trained", [
     (["--set", "window_length=12"], "window_length", "12", "24"),
     (["--seed", "99"], "seed", "99", "4"),

@@ -296,18 +296,25 @@ def test_no_grad_keeps_overflow_checks():
         forward(np.zeros((b, 8, 2)), hc, model)
 
 
-def test_anomaly_score_same_with_and_without_tape():
-    # without the tape the context is built block by block: three full
-    # blocks and a partial one
-    model = _model(d=2, t=8, period=3, seed=40, out_scale=0.5)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("period", [20, 30, 25])
+def test_anomaly_score_of_a_window_alone_is_its_score_in_a_batch(period, dtype):
+    # a c09-sized flow (D=3, H=32, T=60, context radius the mask period)
+    # over 101 windows, three full context blocks and a partial one: each
+    # window scores bitwise alike alone; the layers move 40 and 20, 30 and
+    # 30, or 35 and 25 rows
+    model = _model(d=3, hidden=32, n=4, period=period, t=60, seed=40, out_scale=0.3)
+    assert model.context_radius == period
+    for p in model.named().values():
+        p.data = p.data.astype(dtype)
     b = 3 * _CONTEXT_BLOCK + 5
-    x = np.random.default_rng(41).normal(size=(b, 8, 2))
-    hc = Tensor(_hc(model, b, seed=42).data, requires_grad=True)
-    taped_tau, taped_tau_t = anomaly_score(x, hc.data, model)
-    with ad.no_grad():
-        tau, tau_t = anomaly_score(x, hc.data, model)
-    np.testing.assert_array_equal(tau, taped_tau)
-    np.testing.assert_array_equal(tau_t, taped_tau_t)
+    x = np.random.default_rng(41).normal(size=(b, 60, 3)).astype(dtype)
+    hc = _hc(model, b, seed=42).data.astype(dtype)
+    tau, tau_t = anomaly_score(x, hc, model)
+    for i in range(b):
+        one, one_t = anomaly_score(x[i:i + 1], hc[i:i + 1], model)
+        np.testing.assert_array_equal(one, tau[i:i + 1], err_msg=f"window {i}")
+        np.testing.assert_array_equal(one_t, tau_t[i:i + 1], err_msg=f"window {i}")
 
 
 def test_recording_forward_keeps_no_whole_context():

@@ -152,3 +152,20 @@ def test_load_csv_rejects_unparsable_timestamp(tmp_path):
     with pytest.raises(SeriesError) as info:
         load_csv(p)
     assert str(info.value) == "line 3: cannot parse timestamp 'soon'"
+
+
+@pytest.mark.parametrize("label", ["2", "-1", "0.5"])
+def test_load_csv_names_the_line_of_a_bad_label(tmp_path, label):
+    p = _write(tmp_path, f"t,a,label\n0,1,0\n1,2,{label}\n2,3,1\n")
+    with pytest.raises(SeriesError) as info:
+        load_csv(p)
+    assert str(info.value) == f"line 3: bad label {label!r}"
+
+
+@pytest.mark.parametrize("header, twice", [("t,ch0,ch1,ch0", "ch0"),
+                                           ("index,score,score", "score")])
+def test_load_csv_refuses_a_column_named_twice(tmp_path, header, twice):
+    p = _write(tmp_path, f"{header}\n0,1,2" + ",3" * (header.count(",") - 2) + "\n")
+    with pytest.raises(SeriesError) as info:
+        load_csv(p)
+    assert str(info.value) == f"{p}: header names column {twice!r} twice"

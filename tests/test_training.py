@@ -410,50 +410,18 @@ def test_score_windows_deterministic():
         np.testing.assert_allclose(chunked[key], diag1[key], rtol=1e-12, atol=1e-15)
 
 
-def test_scoring_without_tape_matches_taped_path():
-    # c09-style series: periods {20, 60}, D=3, noise 0.3, mixed anomalies
-    from periflow.flow import anomaly_score
-    from periflow.synthetic import Anomaly
-    series = generate(SynthConfig(length=1000, dims=3, periods={20: 3.0, 60: 1.0},
-                                  noise_std=0.3, seed=4,
-                                  anomalies=[Anomaly("spike", 850, 2, 8.0),
-                                             Anomaly("level_shift", 900, 20, 4.0)]))
-    config = TrainConfig(window_length=60, hidden=8, n_factors=2, k_periods=3,
-                         num_blocks=1, seed=4)
-    data = prepare_series(series, config)
-    bundle = build_models(config, 3, data["global_period"], np.random.default_rng(5))
-    rng = np.random.default_rng(6)
-    for layer in bundle.flow.layers:  # leave the identity start
-        for net in (layer.s_net, layer.t_net):
-            w, b = net.layers[-1]
-            w.data = rng.normal(0.0, 0.3, size=w.shape)
-            b.data = rng.normal(0.0, 0.3, size=b.shape)
-    windows = data["test"].windows
-    tau, tau_t, _ = score_windows(bundle, windows, batch_size=64)
-
-    taped_tau, taped_tau_t = [], []
-    for lo in range(0, windows.shape[0], 64):
-        chunk = windows[lo:lo + 64]
-        rep, _ = encode_batch(chunk, bundle)
-        h_c = condition(rep, bundle.flow)
-        assert h_c._backward is not None  # this path records the tape
-        part, part_t = anomaly_score(chunk, h_c.data, bundle.flow)
-        taped_tau.append(part)
-        taped_tau_t.append(part_t)
-    np.testing.assert_array_equal(tau, np.concatenate(taped_tau))
-    np.testing.assert_array_equal(tau_t, np.concatenate(taped_tau_t))
-
-
-def _c09_bundle(length=1000):
+def _c09_bundle(length=1000, global_period=None):
     """A c09-sized model (T=60, H=32, N=4, k=3, 2 layers of 2 blocks) with
-    its flow heads moved off zero, and its c09-style series prepared."""
+    its flow heads moved off zero, and its c09-style series prepared; the
+    model is built for `global_period`, or for the series' own."""
     series = generate(SynthConfig(length=length, dims=3, periods={20: 3.0, 60: 1.0},
                                   noise_std=0.3, seed=4,
                                   anomalies=[Anomaly("spike", 650, 2, 8.0),
                                              Anomaly("level_shift", 700, 20, 4.0)]))
     config = TrainConfig(window_length=60, seed=4)
     data = prepare_series(series, config)
-    bundle = build_models(config, 3, data["global_period"], np.random.default_rng(5))
+    bundle = build_models(config, 3, global_period or data["global_period"],
+                          np.random.default_rng(5))
     rng = np.random.default_rng(6)
     for layer in bundle.flow.layers:
         for net in (layer.s_net, layer.t_net):
@@ -466,18 +434,23 @@ def _c09_bundle(length=1000):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_window_scores_alike_alone_and_in_a_chunk(dtype):
     # a window scored alone against the same window inside a 256-window
-    # chunk: bitwise, in float32 and in float64
-    bundle, data = _c09_bundle()
-    windows = make_windows(data["train_series"], 60, 1).windows[:256]
-    assert windows.shape[0] == 256
-    twin = bundle.astype(dtype)
-    tau, tau_t, diags = score_windows(twin, windows)
-    assert 60 in diags["periods"]  # a one-cycle fold, whose row mean is one row
-    # the first and last windows of the first coupling-context block too
-    for i in (0, 1, _CONTEXT_BLOCK - 1, _CONTEXT_BLOCK, 255):
-        one, one_t, _ = score_windows(twin, windows[i:i + 1])
-        np.testing.assert_array_equal(one, tau[i:i + 1])
-        np.testing.assert_array_equal(one_t, tau_t[i:i + 1])
+    # chunk: bitwise, in float32 and in float64, at mask periods 20, 30 and
+    # 25, whose coupling layers move 40 and 20, 30 and 30, and 35 and 25
+    # rows (a global period of at least T masks at T/2)
+    for global_period, mask_period in ((20, 20), (60, 30), (25, 25)):
+        bundle, data = _c09_bundle(global_period=global_period)
+        assert bundle.flow.mask.period == mask_period
+        windows = make_windows(data["train_series"], 60, 1).windows[:256]
+        assert windows.shape[0] == 256
+        twin = bundle.astype(dtype)
+        tau, tau_t, diags = score_windows(twin, windows)
+        assert 60 in diags["periods"]  # a one-cycle fold, whose row mean is one row
+        # the first and last windows of the first coupling-context block too
+        for i in (0, 1, _CONTEXT_BLOCK - 1, _CONTEXT_BLOCK, 255):
+            one, one_t, _ = score_windows(twin, windows[i:i + 1])
+            where = f"mask period {mask_period}, window {i}"
+            np.testing.assert_array_equal(one, tau[i:i + 1], err_msg=where)
+            np.testing.assert_array_equal(one_t, tau_t[i:i + 1], err_msg=where)
 
 
 @pytest.mark.parametrize("d, bound_mb", [(3, 3.3), (38, 31.5)])

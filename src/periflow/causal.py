@@ -14,20 +14,19 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def similarity_loss(a, b) -> Tensor:
+def similarity_loss(a: Tensor, b: Tensor) -> Tensor:
     """1 - cosine similarity between flattened representations, averaged
     over a (B, N, D_h) batch. Zero iff the two are positive scalar multiples.
 
     A window whose clean or augmented representation has norm below 1e-12
     (an all-zero window at the identity start) has no direction to compare
     and is left out of the mean; a batch of only such windows gives 0."""
-    at, bt = (x if isinstance(x, Tensor) else Tensor(x) for x in (a, b))
-    if at.ndim != 3 or at.shape != bt.shape:
+    if a.ndim != 3 or a.shape != b.shape:
         raise ValueError(f"similarity_loss expects two (B, N, D_h) batches of "
-                         f"one shape, got {at.shape} and {bt.shape}")
-    bsz = at.shape[0]
-    flat_a = ad.reshape(at, (bsz, at.shape[1] * at.shape[2]))
-    flat_b = ad.reshape(bt, (bsz, bt.shape[1] * bt.shape[2]))
+                         f"one shape, got {a.shape} and {b.shape}")
+    bsz = a.shape[0]
+    flat_a = ad.reshape(a, (bsz, a.shape[1] * a.shape[2]))
+    flat_b = ad.reshape(b, (bsz, b.shape[1] * b.shape[2]))
     norm_a = np.sqrt(np.sum(flat_a.data ** 2, axis=1))
     norm_b = np.sqrt(np.sum(flat_b.data ** 2, axis=1))
     # negated so a NaN norm stays in and a diverged batch still reads NaN
@@ -43,15 +42,14 @@ def similarity_loss(a, b) -> Tensor:
     return ad.tmean(Tensor(np.ones(keep.size)) - cos)
 
 
-def independence_loss(c) -> Tensor:
+def independence_loss(c: Tensor) -> Tensor:
     """Squared Frobenius distance between the factor-row Gram matrix and
     the identity, averaged over a (B, N, D_h) batch. Zero iff rows are
     orthonormal."""
-    ct = c if isinstance(c, Tensor) else Tensor(c)
-    if ct.ndim != 3:
-        raise ValueError(f"independence_loss expects (B, N, D_h), got shape {ct.shape}")
-    bsz, n, _ = ct.shape
-    gram = ad.bmm(ct, ad.transpose(ct, (0, 2, 1)))
+    if c.ndim != 3:
+        raise ValueError(f"independence_loss expects (B, N, D_h), got shape {c.shape}")
+    bsz, n, _ = c.shape
+    gram = ad.bmm(c, ad.transpose(c, (0, 2, 1)))
     eye = Tensor(np.broadcast_to(np.eye(n), (bsz, n, n)).copy())
     diff = gram - eye
     return ad.tmean(ad.tsum(diff * diff, axis=(1, 2)))

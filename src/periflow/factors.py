@@ -86,17 +86,16 @@ def init_miner(d_in: int, hidden: int, n_factors: int,
     )
 
 
-def embed(x, params: MinerParams) -> Tensor:
+def embed(x: Tensor, params: MinerParams) -> Tensor:
     """Per-timestep linear map (B, T, D) -> (B, T, D_h). The miner folds
     it into its nodes and never calls it."""
-    h = x if isinstance(x, Tensor) else Tensor(x)
-    if h.ndim != 3:
-        raise ValueError(f"embed expects (B, T, D) windows, got shape {h.shape}")
-    b, t, d = h.shape
+    if x.ndim != 3:
+        raise ValueError(f"embed expects (B, T, D) windows, got shape {x.shape}")
+    b, t, d = x.shape
     if d != params.embed_w.shape[0]:
         raise ValueError(f"embed: input dim {d} does not match weights "
                          f"{params.embed_w.shape}")
-    out = ad.affine(ad.reshape(h, (b * t, d)), params.embed_w, params.embed_b)
+    out = ad.affine(ad.reshape(x, (b * t, d)), params.embed_w, params.embed_b)
     return ad.reshape(out, (b, t, params.hidden))
 
 
@@ -130,14 +129,14 @@ def bin_amplitudes(spectrum: np.ndarray, embed_w: Tensor, t: int) -> Tensor:
     return ad.node(out, (embed_w,), backward)
 
 
-def extract_pyramid(x: np.ndarray, params: MinerParams, frequencies,
+def extract_pyramid(x: np.ndarray, params: MinerParams, periods: np.ndarray,
                     spectrum: np.ndarray) -> CausalPyramid:
     """Fold embedded windows into per-period grids and project to slots.
 
-    `x` holds the (B, T, D) input windows, `frequencies` each window's k
-    picked bins, shape (B, k), and `spectrum` the input's rfft at them,
-    (B, k, D), as `top_k_periods` returns them. Each pick folds its
-    embedded window at period p = ceil(T/f): zero-padded to ceil(T/p)*p
+    `x` holds the (B, T, D) input windows, `periods` each window's k
+    picked periods, shape (B, k), and `spectrum` the input's rfft at the
+    picked bins, (B, k, D), as `top_k_periods` returns them. Each pick
+    folds its embedded window at its period p: zero-padded to ceil(T/p)*p
     steps and reshaped to a cycles-by-phase grid. The shared residual
     transform feeds every cell its own value together with its
     phase-column mean and cycle-row mean (the per-period seasonal
@@ -154,16 +153,16 @@ def extract_pyramid(x: np.ndarray, params: MinerParams, frequencies,
     if d != params.embed_w.shape[0]:
         raise ValueError(f"extract_pyramid: input dim {d} does not match weights "
                          f"{params.embed_w.shape}")
-    frequencies = np.asarray(frequencies)
-    if frequencies.ndim != 2 or frequencies.shape[0] != b:
-        raise ValueError(f"extract_pyramid expects ({b}, k) frequencies, "
-                         f"got shape {frequencies.shape}")
-    k = frequencies.shape[1]
+    periods = np.asarray(periods)
+    if periods.ndim != 2 or periods.shape[0] != b:
+        raise ValueError(f"extract_pyramid expects ({b}, k) periods, "
+                         f"got shape {periods.shape}")
+    k = periods.shape[1]
     if spectrum.shape != (b, k, d):
         raise ValueError(f"extract_pyramid expects a ({b}, {k}, {d}) spectrum, "
                          f"got shape {spectrum.shape}")
     pooled = ad.period_pool(x, params.embed_w, params.embed_b, params.grid_w,
-                            params.grid_b, -(-t // frequencies))
+                            params.grid_b, periods)
     slots = ad.affine(pooled, params.slot_w, params.slot_b)
     factors = ad.reshape(slots, (b, k, params.n_factors, params.hidden))
     return CausalPyramid(factors, bin_amplitudes(spectrum, params.embed_w, t))

@@ -1,9 +1,11 @@
 """Conditional coupling flow with checkerboard-in-time partitioning.
 
-Each layer keeps the timesteps of one value of the periodic mask unchanged
-and applies an affine map z = (x - t) * exp(-s) to the others, its moved
-rows. The scale and translation networks run on the moved rows only: each
-sees the kept values inside a temporal context window around its timestep,
+The mask is a time pattern: step t reads (t // p) mod 2 for the mask
+period p (`mask_law`), and every channel shares it. Each layer keeps the
+timesteps of one mask value unchanged and applies an affine map
+z = (x - t) * exp(-s) to the others, its moved rows. The scale and
+translation networks run on the moved rows only: each sees the kept
+values inside a temporal context window around its timestep,
 concatenated with the per-window conditioning vector, so the Jacobian
 stays block-triangular and the log-determinant is exactly -sum(s).
 Consecutive layers move the two mask values in turn, covering every entry.
@@ -29,7 +31,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericOverflow, Tensor
-from .masks import PeriodicMask, build_mask
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 SCALE_CLAMP = 5.0
@@ -75,7 +76,7 @@ class FlowModel:
     layers: list[CouplingLayer]
     cond_w: Tensor
     cond_b: Tensor
-    mask: PeriodicMask
+    mask_period: int
     d_in: int
     hidden: int
     context_radius: int
@@ -105,13 +106,18 @@ def _make_mlp(f_in: int, hidden: int, f_out: int, num_blocks: int,
     return Mlp(layers)
 
 
-def init_flow(d_in: int, hidden: int, n_factors: int, period: int,
-              window_length: int, num_layers: int, num_blocks: int,
-              rng: np.random.Generator,
-              context_radius: int | None = None) -> FlowModel:
-    mask = build_mask(period, window_length)
-    radius = mask.period if context_radius is None else int(context_radius)
-    f_in = (2 * radius + 1) * d_in + hidden
+def mask_law(period: int, t: int) -> tuple[int, np.ndarray]:
+    """The checkerboard in time of a T-step window: the mask period p, the
+    given period clamped to ceil(T/2) when it is at least T so that both
+    values occur, and the (T,) pattern whose entry i is (i // p) mod 2."""
+    p = period if period < t else -(-t // 2)
+    return p, np.arange(t) // p % 2
+
+
+def init_flow(d_in: int, hidden: int, n_factors: int, mask_period: int,
+              num_layers: int, num_blocks: int, rng: np.random.Generator,
+              context_radius: int) -> FlowModel:
+    f_in = (2 * context_radius + 1) * d_in + hidden
     layers = [CouplingLayer(_make_mlp(f_in, hidden, d_in, num_blocks, rng),
                             _make_mlp(f_in, hidden, d_in, num_blocks, rng))
               for _ in range(num_layers)]
@@ -119,7 +125,7 @@ def init_flow(d_in: int, hidden: int, n_factors: int, period: int,
     cond_w = Tensor(rng.normal(0.0, scale, size=(n_factors * hidden, hidden)),
                     requires_grad=True)
     cond_b = Tensor(np.zeros(hidden), requires_grad=True)
-    return FlowModel(layers, cond_w, cond_b, mask, d_in, hidden, radius)
+    return FlowModel(layers, cond_w, cond_b, mask_period, d_in, hidden, context_radius)
 
 
 def condition(c: Tensor, model: FlowModel) -> Tensor:
@@ -136,14 +142,13 @@ def condition(c: Tensor, model: FlowModel) -> Tensor:
 
 @functools.lru_cache(maxsize=16)
 def _mask_rows(period: int, t: int) -> tuple[tuple, tuple]:
-    """For the steps where the `build_mask` pattern is 0, then for the
+    """For the steps where the `mask_law` pattern is 0, then for the
     others: the moved time indices and their `ad.row_runs`. Cached per
-    mask, so the index arrays are read-only. A one-step window is cut from
-    a two-step mask so it can still be scored (the flow is the identity
-    there anyway when nets are zero)."""
-    pattern = build_mask(period, max(t, 2)).time_pattern[:t]
+    (period, T), so the index arrays are read-only. A one-step window
+    moves its step in even layers only."""
+    pattern = mask_law(period, t)[1]
     out = []
-    for value in (0.0, 1.0):
+    for value in (0, 1):
         rows = np.flatnonzero(pattern == value)
         rows.flags.writeable = False
         out.append((rows, ad.row_runs(rows)))
@@ -153,7 +158,7 @@ def _mask_rows(period: int, t: int) -> tuple[tuple, tuple]:
 def _moved_rows(model: FlowModel, t: int) -> list[tuple[np.ndarray, tuple]]:
     """Per layer, the rows and row runs of `_mask_rows`: even layers move
     the steps where the mask pattern is 0, odd layers the others."""
-    pair = _mask_rows(model.mask.period, t)
+    pair = _mask_rows(model.mask_period, t)
     return [pair[li % 2] for li in range(len(model.layers))]
 
 

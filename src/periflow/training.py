@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .causal import independence_loss, similarity_loss
 # `embed` is not called here; perfbench's tracer looks it up in this module
 from .factors import MinerParams, embed, extract_pyramid, init_miner  # noqa: F401
-from .flow import FlowModel, condition, anomaly_score, init_flow, nll_loss
+from .flow import FlowModel, condition, anomaly_score, init_flow, mask_law, nll_loss
 from .fusion import FusionParams, fuse, init_fusion
 from .optim import ParamStore
 from .series import MultivariateSeries, SeriesError, SplitSpec, Standardization, \
@@ -62,7 +62,7 @@ class TrainConfig:
     noise: str = "gaussian"
     seed: int = 0
     patience: int = 10
-    context_radius: int = -1  # -1: use the mask period
+    context_radius: int = -1  # -1: the clamped global period, even without the periodic mask
     use_periodic_mask: bool = True  # False: fixed half/half split mask
     apply_standardization: bool = True
 
@@ -122,15 +122,15 @@ def build_models(config: TrainConfig, d_in: int, global_period: int,
                  rng: np.random.Generator) -> ModelBundle:
     miner = init_miner(d_in, config.hidden, config.n_factors, rng)
     fusion = init_fusion(config.hidden, rng)
-    half = int(np.ceil(config.window_length / 2))
-    clamped = global_period if global_period < config.window_length else half
-    mask_period = clamped if config.use_periodic_mask else half
+    t = config.window_length
+    clamped = mask_law(global_period, t)[0]
     # the receptive field of the coupling nets always spans one global
     # period per side, so the half/half mask ablation changes the mask only
     radius = clamped if config.context_radius < 0 else config.context_radius
+    # the ablation's fixed half/half split is the law at a period of T
+    mask_period = clamped if config.use_periodic_mask else mask_law(t, t)[0]
     flow = init_flow(d_in, config.hidden, config.n_factors, mask_period,
-                     config.window_length, config.num_layers, config.num_blocks,
-                     rng, context_radius=radius)
+                     config.num_layers, config.num_blocks, rng, context_radius=radius)
     return ModelBundle(miner, fusion, flow, global_period, d_in, config)
 
 
@@ -152,7 +152,7 @@ def encode_batch(windows: np.ndarray, bundle: ModelBundle):
     weights and the attention scores.
     """
     picks = top_k_periods(windows, bundle.config.k_periods, bundle.miner.embed_w.data)
-    pyramid = extract_pyramid(windows, bundle.miner, picks.frequencies, picks.spectrum)
+    pyramid = extract_pyramid(windows, bundle.miner, picks.periods, picks.spectrum)
     rep = fuse(pyramid, bundle.fusion)
     return rep.values, {"periods": picks.periods, "amp_weights": rep.amp_softmax,
                         "attention": rep.attention}
@@ -341,15 +341,14 @@ def history_to_csv(history: list[dict], path) -> None:
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:
     """Versioned npz container: every parameter tensor under a named path,
-    plus mask period, input statistics and the training configuration."""
+    plus the global period, input dimension and statistics, and the
+    training configuration, from which the flow's mask follows."""
     arrays = {f"param/{name}": t.data for name, t in bundle.named_params().items()}
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(bundle.config),
         "global_period": bundle.global_period,
-        "mask_period": bundle.flow.mask.period,
         "d_in": bundle.d_in,
-        "context_radius": bundle.flow.context_radius,
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     if bundle.stats is not None:
@@ -385,6 +384,9 @@ def load_checkpoint(path) -> ModelBundle:
         if meta["format_version"] != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version "
                              f"{meta['format_version']} (expected {CHECKPOINT_VERSION})")
+        for key in ("d_in", "global_period"):
+            if type(meta[key]) is not int or meta[key] < 1:
+                raise malformed(f"meta {key!r} is {meta[key]!r}, not a positive int")
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
         if unknown:
             raise malformed(f"unknown config key {unknown[0]!r} in meta")

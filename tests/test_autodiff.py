@@ -11,9 +11,8 @@ from conftest import check_gradients
 from periflow import autodiff as ad
 from periflow.autodiff import Tensor
 from periflow.factors import CausalPyramid, bin_amplitudes
-from periflow.flow import CouplingLayer, Mlp, init_flow, log_prob
+from periflow.flow import CouplingLayer, Mlp, init_flow, log_prob, mask_law
 from periflow.fusion import FusionParams, fuse
-from periflow.masks import build_mask
 
 
 def _param(rng, *shape):
@@ -269,7 +268,7 @@ def test_row_runs():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_time_context_run_copy_matches_fancy_gather(period, t, radius, value, dtype):
     rng = np.random.default_rng(period + t)
-    rows = np.flatnonzero(build_mask(period, max(t, 2)).time_pattern[:t] == value)
+    rows = np.flatnonzero(mask_law(period, t)[1] == value)
     x = rng.normal(size=(5, t, 3)).astype(dtype)
     cond = rng.normal(size=(5, 4)).astype(dtype)
     expected = _fancy_gather(x, radius, rows, cond)
@@ -391,7 +390,7 @@ def _fuse(factors, weights, query_w, key_w):
 # so each net reads a width 3*2 + 2 = 8 context. The op takes the windows
 # as a constant
 _FLOW_X = np.random.default_rng(43).normal(size=(2, 5, 2))
-_FLOW = init_flow(2, 2, 1, 2, 5, 2, 1, np.random.default_rng(44), context_radius=1)
+_FLOW = init_flow(2, 2, 1, 2, 2, 1, np.random.default_rng(44), context_radius=1)
 
 
 def _log_prob(hc, *params):

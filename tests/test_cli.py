@@ -1,4 +1,5 @@
 """End-to-end command-line pipeline."""
+import ast
 import json
 import tracemalloc
 from dataclasses import fields
@@ -518,6 +519,9 @@ def test_score_short_series_names_the_file_and_window_length(tmp_path, capsys):
                        "(stats/std holds a value that is not finite and positive)"),
     ("negative_stats_std", "not a periflow checkpoint "
                            "(stats/std holds a value that is not finite and positive)"),
+    *[(f"{key}={value!r}", f"not a periflow checkpoint "
+                           f"(meta {key!r} is {value!r}, not a positive int)")
+      for key in ("global_period", "d_in") for value in (0, -3, "x", 1.5)],
 ])
 def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
     ckpt, _ = _saved_checkpoint(tmp_path)
@@ -540,6 +544,9 @@ def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
         arrays["stats/mean"][0] = np.inf
     elif case in ("zero_stats_std", "negative_stats_std"):
         arrays["stats/std"][1] = 0.0 if case == "zero_stats_std" else -1.0
+    elif "=" in case:
+        key, value = case.split("=")
+        meta[key] = ast.literal_eval(value)
     arrays["meta"] = np.frombuffer(b"{meta: 1}" if case == "meta_not_json"
                                    else json.dumps(meta).encode(), dtype=np.uint8)
     with open(ckpt, "wb") as fh:

@@ -30,13 +30,13 @@ def test_embed_identity_map():
     params.embed_w.data = np.eye(4)
     params.embed_b.data = np.zeros(4)
     x = _window(t=10, d=4)
-    np.testing.assert_allclose(embed(x[None], params).data[0], x)
+    np.testing.assert_allclose(embed(Tensor(x[None]), params).data[0], x)
 
 
 def test_embed_zero_input_broadcasts_bias():
     params = _miner()
     params.embed_b.data = np.arange(8.0)
-    h = embed(np.zeros((1, 6, 3)), params)
+    h = embed(Tensor(np.zeros((1, 6, 3))), params)
     np.testing.assert_allclose(h.data[0], np.tile(np.arange(8.0), (6, 1)))
 
 
@@ -44,12 +44,13 @@ def test_embed_matches_matmul_oracle():
     params = _miner()
     x = _window()
     expected = x @ params.embed_w.data + params.embed_b.data
-    np.testing.assert_allclose(embed(x[None], params).data[0], expected, atol=1e-10)
+    np.testing.assert_allclose(embed(Tensor(x[None]), params).data[0], expected,
+                               atol=1e-10)
 
 
 def test_embed_shape_mismatch():
     with pytest.raises(ValueError, match="input dim"):
-        embed(np.zeros((1, 5, 7)), _miner(d_in=3))
+        embed(Tensor(np.zeros((1, 5, 7))), _miner(d_in=3))
 
 
 def _spectrum_at(x, frequencies):
@@ -59,7 +60,8 @@ def _spectrum_at(x, frequencies):
 
 
 def _pyramid(x, params, frequencies):
-    return extract_pyramid(x, params, frequencies, _spectrum_at(x, frequencies))
+    periods = -(-x.shape[1] // np.asarray(frequencies))
+    return extract_pyramid(x, params, periods, _spectrum_at(x, frequencies))
 
 
 def test_pyramid_shapes_fixed_regardless_of_periods():
@@ -67,7 +69,7 @@ def test_pyramid_shapes_fixed_regardless_of_periods():
     x = _window()[None]
     for k in (1, 2, 3):
         picks = top_k_periods(x, k, params.embed_w.data)
-        pyr = extract_pyramid(x, params, picks.frequencies, picks.spectrum)
+        pyr = extract_pyramid(x, params, picks.periods, picks.spectrum)
         assert pyr.factors.shape == (1, k, 2, 8)
         assert pyr.weights.shape == (1, k)
 
@@ -83,7 +85,7 @@ def test_pyramid_identity_path():
     t = 24
     x = np.column_stack([np.sin(2 * np.pi * np.arange(t) / 8.0)] * 2)
     pyr = _pyramid(x[None], params, [[3]])  # period 8: 24 = 3 cycles of 8
-    pooled = embed(x[None], params).data[0].mean(axis=0)
+    pooled = embed(Tensor(x[None]), params).data[0].mean(axis=0)
     for row in range(3):
         np.testing.assert_allclose(pyr.factors.data[0, 0, row], pooled, atol=1e-12)
 
@@ -95,7 +97,7 @@ def test_padded_cells_contribute_zero():
     t, p = 10, 4  # pads to 12, grid 3x4
     params.embed_b.data = np.array([0.3, -0.2, 0.1, 0.5])  # pad steps are 0, not b
     x = _window(t=t, d=2, seed=3)
-    h = embed(x[None], params)
+    h = embed(Tensor(x[None]), params)
     pyr = _pyramid(x[None], params, [[3]])  # ceil(10 / 3) = p
 
     grid = np.concatenate([h.data[0], np.zeros((2, 4))]).reshape(3, 4, 4)
@@ -166,7 +168,7 @@ def _check_against_fold_oracle(t, freqs):
         return factors.data, [leaf.grad.copy() for leaf in leaves]
 
     got, got_grads = run(lambda: _pyramid(x, params, freqs).factors)
-    want, want_grads = run(lambda: _fold_oracle(embed(x, params), params, freqs))
+    want, want_grads = run(lambda: _fold_oracle(embed(Tensor(x), params), params, freqs))
     assert relative_error(got, want, floor=np.max(np.abs(want))) < 1e-12
     for g, w in zip(got_grads, want_grads):
         assert relative_error(g, w, floor=np.max(np.abs(w))) < 1e-12
@@ -190,8 +192,8 @@ def test_pyramid_deterministic():
     params = _miner()
     x = _window()[None]
     picks = top_k_periods(x, 2, params.embed_w.data)
-    a = extract_pyramid(x, params, picks.frequencies, picks.spectrum)
-    b = extract_pyramid(x, params, picks.frequencies, picks.spectrum)
+    a = extract_pyramid(x, params, picks.periods, picks.spectrum)
+    b = extract_pyramid(x, params, picks.periods, picks.spectrum)
     np.testing.assert_array_equal(a.factors.data, b.factors.data)
     np.testing.assert_array_equal(a.weights.data, b.weights.data)
 
@@ -224,12 +226,13 @@ def test_bin_amplitudes_match_fft():
 
     got, got_w, got_b = run(lambda: bin_amplitudes(_spectrum_at(x, freqs),
                                                     params.embed_w, 20))
-    want, want_w, want_b = run(lambda: _amplitude_oracle(embed(x, params), freqs))
+    want, want_w, want_b = run(lambda: _amplitude_oracle(embed(Tensor(x), params), freqs))
     assert got_b is None and np.max(np.abs(want_b)) < 1e-12
     assert relative_error(got, want, floor=np.max(np.abs(want))) < 1e-12
     assert relative_error(got_w, want_w, floor=np.max(np.abs(want_w))) < 1e-12
     for i in range(2):
-        spec = np.abs(np.fft.fft(embed(x[i:i + 1], params).data[0], axis=0)).mean(axis=1)
+        spec = np.abs(np.fft.fft(embed(Tensor(x[i:i + 1]), params).data[0],
+                                 axis=0)).mean(axis=1)
         np.testing.assert_allclose(got[i], spec[freqs[i]] * (2.0 / 20), atol=1e-10)
 
 
@@ -252,7 +255,7 @@ def test_pyramid_weights_match_selection():
     params = _miner()
     x = _window(t=32)[None]
     picks = top_k_periods(x, 2, params.embed_w.data)
-    pyr = extract_pyramid(x, params, picks.frequencies, picks.spectrum)
+    pyr = extract_pyramid(x, params, picks.periods, picks.spectrum)
     np.testing.assert_allclose(pyr.weights.data, picks.amplitudes * (2.0 / 32), atol=1e-9)
 
 
@@ -277,14 +280,14 @@ def test_pyramid_gradient_wrt_embedding():
 def test_miner_rejects_unbatched_input():
     params = _miner()
     with pytest.raises(ValueError, match=r"\(B, T, D\)"):
-        embed(_window(), params)
+        embed(Tensor(_window()), params)
     x = _window()[None]
     with pytest.raises(ValueError, match=r"\(B, T, D\) windows"):
-        extract_pyramid(x[0], params, [[3]], _spectrum_at(x, [[3]]))
-    with pytest.raises(ValueError, match=r"\(1, k\) frequencies"):
-        extract_pyramid(x, params, [3], _spectrum_at(x, [[3]]))
+        extract_pyramid(x[0], params, [[8]], _spectrum_at(x, [[3]]))
+    with pytest.raises(ValueError, match=r"\(1, k\) periods"):
+        extract_pyramid(x, params, [8], _spectrum_at(x, [[3]]))
     with pytest.raises(ValueError, match=r"\(1, 2, 3\) spectrum"):
-        extract_pyramid(x, params, [[3, 4]], _spectrum_at(x, [[3]]))
+        extract_pyramid(x, params, [[8, 6]], _spectrum_at(x, [[3]]))
     with pytest.raises(ValueError, match="input dim"):
         _pyramid(np.zeros((1, 24, 2)), params, [[3]])
 
@@ -294,7 +297,7 @@ def _embedded_miner_chain(windows, bundle):
     pick the bins of the embedded spectrum, fold embed(x) in generic ops
     (`_fold_oracle`) and take its amplitudes by projection
     (`_amplitude_oracle`)."""
-    h = embed(windows, bundle.miner)
+    h = embed(Tensor(windows), bundle.miner)
     picks = top_k_periods(h.data, bundle.config.k_periods)
     factors = _fold_oracle(h, bundle.miner, picks.frequencies)
     rep = fuse(CausalPyramid(factors, _amplitude_oracle(h, picks.frequencies)),

@@ -9,8 +9,8 @@ from periflow import autodiff as ad
 from periflow import flow
 from periflow.autodiff import Tensor
 from periflow.flow import (_CONTEXT_BLOCK, SCALE_CLAMP, _moved_rows, anomaly_score,
-                           condition, forward, init_flow, inverse, log_prob, nll_loss)
-from periflow.masks import build_mask
+                           condition, forward, init_flow, inverse, log_prob, mask_law,
+                           nll_loss)
 
 LOG_2PI = np.log(2 * np.pi)
 
@@ -18,8 +18,11 @@ LOG_2PI = np.log(2 * np.pi)
 def _model(d=2, hidden=6, n=2, period=3, t=8, layers=2, blocks=2, seed=0,
            radius=None, out_scale=0.0):
     rng = np.random.default_rng(seed)
-    model = init_flow(d, hidden, n, period, t, layers, blocks, rng,
-                      context_radius=radius)
+    # as `build_models` does: the mask period clamped for T-step windows,
+    # and by default a context radius of one mask period
+    p = mask_law(period, t)[0]
+    model = init_flow(d, hidden, n, p, layers, blocks, rng,
+                      context_radius=p if radius is None else radius)
     if out_scale:
         for layer in model.layers:
             for net in (layer.s_net, layer.t_net):
@@ -253,9 +256,9 @@ def test_forward_rejects_wrong_dim():
         inverse(np.zeros((1, 4, 3)), np.zeros((1, 6)), model)
 
 
-def test_moved_rows_follow_build_mask():
+def test_moved_rows_follow_mask_law():
     model = _model(d=2, t=9, period=3, layers=3)
-    pattern = build_mask(3, 9).time_pattern
+    pattern = mask_law(3, 9)[1]
     for li, (rows, runs) in enumerate(_moved_rows(model, 9)):
         np.testing.assert_array_equal(rows, np.flatnonzero(pattern == li % 2))
         assert runs == (((0, 0, 3), (3, 6, 3)), ((0, 3, 3),))[li % 2]
@@ -325,7 +328,7 @@ def test_recording_forward_keeps_no_whole_context():
     # 8.1 MB here); 21.8 MB was measured, 29.9 MB when each layer kept its
     # context
     rng = np.random.default_rng(70)
-    model = init_flow(38, 32, 2, 20, 60, 2, 2, rng, context_radius=20)
+    model = init_flow(38, 32, 2, 20, 2, 2, rng, context_radius=20)
     x = rng.normal(size=(32, 60, 38))
     hc = Tensor(rng.normal(size=(32, 32)), requires_grad=True)
     log_prob(x, hc, model)  # warm the caches of the mask rows
@@ -347,7 +350,7 @@ def test_backward_takes_no_gradient_at_the_windows(monkeypatch):
     # into h. Float64, B=32, T=60, radius 20, D=38: 20.3 MB was measured,
     # 38.2 MB when the lowest layer formed the whole context gradient
     rng = np.random.default_rng(74)
-    model = init_flow(38, 32, 2, 20, 60, 2, 2, rng, context_radius=20)
+    model = init_flow(38, 32, 2, 20, 2, 2, rng, context_radius=20)
     for layer in model.layers:
         for net in (layer.s_net, layer.t_net):
             for p in net.layers[-1]:
@@ -437,8 +440,8 @@ def test_flow_rejects_unbatched_input():
 
 def _dense_keep_masks(model, t):
     """(1, T, 1) keep-masks per layer as the dense coupling used them: the
-    `build_mask` pattern on even layers, its complement on odd ones."""
-    pattern = build_mask(model.mask.period, max(t, 2)).time_pattern[None, :t, None]
+    `mask_law` pattern on even layers, its complement on odd ones."""
+    pattern = mask_law(model.mask_period, t)[1][None, :, None].astype(np.float64)
     return [pattern if li % 2 == 0 else 1.0 - pattern for li in range(len(model.layers))]
 
 

@@ -1,4 +1,5 @@
 """Objective composition, fit loop behaviour, checkpoint round-trips."""
+import json
 import tracemalloc
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_encode_batch_matches_per_window():
         assert diags[key].shape == (5, config.k_periods)
     for i, w in enumerate(windows):
         picks = top_k_periods(w[None], config.k_periods, bundle.miner.embed_w.data)
-        one = fuse(extract_pyramid(w[None], bundle.miner, picks.frequencies,
+        one = fuse(extract_pyramid(w[None], bundle.miner, picks.periods,
                                    picks.spectrum), bundle.fusion)
         np.testing.assert_allclose(rep.data[i], one.values.data[0], atol=1e-9)
         np.testing.assert_array_equal(diags["periods"][i], picks.periods[0])
@@ -374,6 +375,38 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(tau_a, tau_b)
 
 
+def test_checkpoint_with_mask_meta_entries_loads_and_scores_the_same(tmp_path):
+    # earlier checkpoints also wrote the mask period and context radius
+    # into meta; the loader derives both from the config and the global
+    # period, so such a checkpoint rebuilds the same flow and scores alike
+    config, data = _prepared()
+    bundle = build_models(config, 2, 30, np.random.default_rng(12))  # 30 >= T: clamped
+    rng = np.random.default_rng(13)
+    for layer in bundle.flow.layers:
+        for net in (layer.s_net, layer.t_net):
+            for p in net.layers[-1]:
+                p.data = rng.normal(0.0, 0.3, size=p.shape)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, bundle)
+    with np.load(path, allow_pickle=False) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert set(meta) == {"format_version", "config", "global_period", "d_in"}
+    meta = {"format_version": meta["format_version"], "config": meta["config"],
+            "global_period": 30, "mask_period": 12, "d_in": 2, "context_radius": 12}
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    older = tmp_path / "older.npz"
+    with open(older, "wb") as fh:
+        np.savez(fh, **arrays)
+    windows = data["test"].windows[:10]
+    want, want_t, _ = score_windows(bundle, windows)
+    for loaded in (load_checkpoint(path), load_checkpoint(older)):
+        assert loaded.flow.mask_period == loaded.flow.context_radius == 12
+        tau, tau_t, _ = score_windows(loaded, windows)
+        np.testing.assert_array_equal(tau, want)
+        np.testing.assert_array_equal(tau_t, want_t)
+
+
 def test_checkpoint_shape_mismatch_fails_loudly(tmp_path):
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
@@ -439,7 +472,7 @@ def test_window_scores_alike_alone_and_in_a_chunk(dtype):
     # rows (a global period of at least T masks at T/2)
     for global_period, mask_period in ((20, 20), (60, 30), (25, 25)):
         bundle, data = _c09_bundle(global_period=global_period)
-        assert bundle.flow.mask.period == mask_period
+        assert bundle.flow.mask_period == mask_period
         windows = make_windows(data["train_series"], 60, 1).windows[:256]
         assert windows.shape[0] == 256
         twin = bundle.astype(dtype)

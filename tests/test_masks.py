@@ -1,7 +1,9 @@
 """Periodic checkerboard mask law (`flow.mask_law`)."""
 import numpy as np
+import pytest
 
 from periflow.flow import _moved_rows, forward, init_flow, mask_law
+from periflow.training import TrainConfig, build_models, load_checkpoint, save_checkpoint
 
 
 def test_basic_pattern():
@@ -35,6 +37,20 @@ def test_one_step_window():
         p, pattern = mask_law(period, 1)
         assert p == 1
         np.testing.assert_array_equal(pattern, [0])
+
+
+def test_rejects_nonpositive_period(tmp_path):
+    # the mask law takes the period it is given; a non-positive one can
+    # only come in through a checkpoint's meta, which refuses it by name
+    config = TrainConfig(window_length=10, hidden=8, n_factors=2, k_periods=2, num_blocks=1)
+    bundle = build_models(config, 2, 3, np.random.default_rng(0))
+    for period in (0, -2):
+        bundle.global_period = period
+        ckpt = tmp_path / f"period{period}.npz"
+        save_checkpoint(ckpt, bundle)
+        with pytest.raises(ValueError, match=f"meta 'global_period' is {period}, "
+                                             "not a positive int"):
+            load_checkpoint(ckpt)
 
 
 def test_half_ones_when_length_divides():

@@ -12,28 +12,14 @@ of identical shape or a true scalar, and `affine` handles the bias-add
 case. Any other shape expansion must go through the explicit
 `broadcast_to` op, which keeps shape bugs loud.
 
-Fused nodes serve the model's hot paths with hand-written backward
-passes; each keeps what its backward needs only while recording:
-- `time_context` builds a coupling net's temporal context, the reference
-  for `flow._couple` (one layer of `log_prob`), which builds it a block
-  of windows at a time with `fill_context` (the same copy into a given
-  array, with no node) and, above the lowest layer, scatters its gradient
-  with `context_grads`, as `time_context` does;
-- `period_pool` embeds, folds, transforms and pools the period grids of
-  the factor miner, taking every mean of the input channels;
-- `factors.bin_amplitudes` is the miner's amplitude weights, from the
-  input's spectrum at the picked bins;
-- `fusion.fuse` is the attention fusion, with one output (the fused
-  values; the attention scores and the amplitude softmax are plain
-  arrays beside it);
-- `flow.log_prob` is the flow's log-density: every coupling layer
-  (context, nets, soft clamp, affine coupling, merge and log-det) and the
-  standard-normal base, with the windows a constant.
-The last two run the numpy operations of the generic ops they replace, in
-the same order, so their values and gradients are bitwise those of the
-generic chain. Every op makes its one output with `node`. Every product
-whose rows are windows or (window, slot) pairs is `dense`'s fixed tiles,
-so a window scores bitwise alike alone and in a batch.
+Every op makes its one output with `node`, as do the model modules'
+fused nodes, whose backward passes are hand-written. The generic ops the
+program does not call (`exp`, `tanh`, `matmul`, `broadcast_to`, `concat`,
+`softmax`) build the generic chains the tests hold those nodes to.
+`dense` computes every product whose rows are windows or (window, slot)
+pairs in fixed tiles, so a window scores bitwise alike alone and in a batch;
+`array_mean`, `array_softmax` and `softmax_grad` are array helpers the
+fused nodes share.
 
 `reshape`, `transpose` and `broadcast_to` may return views of their
 input's buffer (`broadcast_to`'s is numpy's read-only broadcast view, which
@@ -425,191 +411,3 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"affine: bias shape {b.shape} does not match weight {w.shape}")
     return node(dense(x.data, w.data, b.data), (x, w, b),
                 lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
-
-
-def row_runs(rows) -> tuple[tuple[int, int, int], ...]:
-    """The runs of consecutive indices in `rows`: (position, first index,
-    length) with rows[position:position + length] == first + 0, 1, ..."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        return ()
-    edges = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
-    return tuple((lo, int(rows[lo]), hi - lo) for lo, hi in zip(edges[:-1], edges[1:]))
-
-
-def fill_context(out: Array, x: Array, radius: int, rows, cond: Array, runs) -> Array:
-    """Write into `out` the temporal context of the (B, T, C) array `x` at
-    the time indices `rows`, as `time_context` defines it, and return
-    `out`; `cond` is (B, H) and `runs` is `row_runs(rows)`."""
-    b, t, c = x.shape
-    width = (2 * radius + 1) * c
-    padded = np.zeros((b, t + 2 * radius, c), dtype=x.dtype)
-    padded[:, radius:radius + t, :] = x
-    padded[:, rows + radius, :] = 0.0
-    # row t's context is the contiguous span*C values from padded[:, t], so
-    # a strided view reads every row's context and a run of consecutive
-    # rows is one basic slice of it, copied with no temporary
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (b, t, width), padded.strides, writeable=False)
-    for at, first, n in runs:
-        out[:, at:at + n, :width] = windows[:, first:first + n]
-    out[:, :, width:] = cond[:, None, :]
-    return out
-
-
-def time_context(x: Tensor, radius: int, rows, cond: Tensor, runs=None) -> Tensor:
-    """Temporal context of a (B, T, C) tensor at the time indices `rows`.
-
-    Output (B, len(rows), (2*radius+1)*C + H): per row t the steps
-    x[:, t-radius ... t+radius, :], then the (B, H) `cond` of its window.
-    Steps outside [0, T) and the steps in `rows` themselves read as zero,
-    so a coupling net sees only the steps its layer keeps. `runs` is
-    `row_runs(rows)`, which a caller that reuses `rows` computes once.
-    """
-    if x.ndim != 3:
-        raise ValueError(f"time_context expects (B,T,C), got {x.shape}")
-    b, t, c = x.shape
-    if cond.ndim != 2 or cond.shape[0] != b:
-        raise ValueError(f"time_context: cond {cond.shape} does not match x {x.shape}")
-    rows = np.asarray(rows, dtype=np.intp)
-    width = (2 * radius + 1) * c + cond.shape[1]
-    out_data = fill_context(np.empty((b, rows.size, width), dtype=x.data.dtype),
-                            x.data, radius, rows, cond.data,
-                            row_runs(rows) if runs is None else runs)
-    return node(out_data, (x, cond), lambda g: context_grads(g, t, c, radius, rows))
-
-
-def context_grads(g: Array, t: int, c: int, radius: int, rows) -> tuple[Array, Array]:
-    """The gradients at x, (B, T, C), and at cond, (B, H), of the
-    `time_context` of x at `rows`, given its (B, M, W) gradient `g`; the
-    one at x is a view."""
-    b = g.shape[0]
-    span = 2 * radius + 1
-    width = span * c
-    acc = np.zeros((b, t + 2 * radius, c), dtype=g.dtype)
-    # largest row first, so each step sums its terms in offset order
-    for i in np.argsort(rows)[::-1]:
-        r = rows[i]
-        acc[:, r:r + span] += g[:, i, :width].reshape(b, span, c)
-    gx = acc[:, radius:radius + t, :]
-    gx[:, rows, :] = 0.0
-    return gx, g[:, :, width:].sum(axis=1)
-
-
-# (window, slot) pairs per pass of `period_pool`: a pass's buffers then stay
-# in the core's cache (at T=60, C=32 each pair's grid is 16 KB)
-_POOL_BLOCK = 32
-
-
-def _period_blocks(periods: Array) -> list:
-    """(period, pairs) for the (window, slot) pairs that picked each period,
-    pair i*k + j for window i's slot j, in blocks of at most _POOL_BLOCK
-    pairs; within a period the pairs keep their order."""
-    flat = periods.ravel()
-    order = flat.argsort(kind="stable")
-    ranked = flat[order]
-    edges = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), flat.size]
-    return [(int(ranked[lo]), order[at:min(at + _POOL_BLOCK, hi)])
-            for lo, hi in zip(edges[:-1], edges[1:])
-            for at in range(lo, hi, _POOL_BLOCK)]
-
-
-def period_pool(x, embed_w: Tensor, embed_b: Tensor, grid_w: Tensor,
-                grid_b: Tensor, periods) -> Tensor:
-    """Embed each window of a (B, T, D) array, fold it at each of its k
-    periods, transform every grid cell and mean-pool: output (B*k, C), row
-    i*k + j for window i's slot j.
-
-    A step embeds to h = x @ embed_w + embed_b. Period p zero-pads a
-    window's h to R = ceil(T/p) cycles of p steps. Each cell gets
-    tanh(cell @ W_cell + b + colmean @ W_col + rowmean @ W_row), with
-    W_cell, W_col, W_row the three C-row blocks of `grid_w`, `b` the
-    `grid_b`, and colmean and rowmean the cell's phase-column and
-    cycle-row means; the pooled value is mean(grid) + mean(tanh(...)) over
-    the R*p cells.
-
-    The embedding is linear, so every mean is taken of the input and then
-    mapped: a real step is [x, 1] and a pad step 0 in D+1 channels, whose
-    means times E = [embed_w; embed_b] are the means of h, and whose cell
-    projection is [x, 1] @ (E @ W_cell). Only the tanh and its mean run on
-    the C channels. The (window, slot) pairs that picked the same period
-    are gathered and transformed together, step-major, in blocks small
-    enough to stay in cache. `x` is a constant: no gradient reaches it.
-    """
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ValueError(f"period_pool expects (B,T,D) windows, got {x.shape}")
-    b, t, d = x.shape
-    c = embed_w.shape[1]
-    if embed_w.shape != (d, c) or embed_b.shape != (c,):
-        raise ValueError(f"period_pool: embedding {embed_w.shape} and bias "
-                         f"{embed_b.shape} do not match {d} input channels")
-    if grid_w.shape != (3 * c, c) or grid_b.shape != (c,):
-        raise ValueError(f"period_pool: grid weights {grid_w.shape} and bias "
-                         f"{grid_b.shape} do not match {c} channels")
-    periods = np.asarray(periods, dtype=np.intp)
-    if periods.ndim != 2 or periods.shape[0] != b:
-        raise ValueError(f"period_pool expects ({b}, k) periods, got {periods.shape}")
-    k = periods.shape[1]
-    dtype = embed_w.data.dtype
-    record = records((embed_w, embed_b, grid_w, grid_b))
-    e = np.concatenate([embed_w.data, embed_b.data[None]])
-    w_cell, w_col, w_row = grid_w.data.reshape(3, c, c)
-    a_col, a_row = e @ w_col, e @ w_row
-    # a real cell's b rides on its 1 channel; pad cells add it apart
-    a_cell = e @ w_cell
-    a_cell[d] += grid_b.data
-    blocks = _period_blocks(periods)
-    # step-major, every window zero-padded to the longest fold: a block
-    # is a take along axis 1, and its means and pools reduce over leading
-    # axes, in an order that does not depend on the block's size
-    span = max(-(-t // p) * p for p, _ in blocks)
-    xs = np.zeros((span, b, d + 1), dtype=dtype)
-    xs[:t, :, :d] = x.transpose(1, 0, 2)
-    xs[:t, :, d] = 1.0
-    # the grid mean of a pair is its window's step sum over its R*p cells
-    fold_cells = (-(-t // periods) * periods).reshape(b * k, 1)
-    grid_means = np.repeat(np.add.reduce(xs, 0), k, axis=0) / fold_cells.astype(dtype)
-    out_data = dense(grid_means, e)
-    kept = []
-    for p, pos in blocks:
-        m, rows = pos.size, -(-t // p)
-        n = rows * p
-        xb = xs[:n].take(pos // k, axis=1)
-        grid = xb.reshape(rows, p, m, d + 1)
-        col = np.multiply(np.add.reduce(grid, 0), 1.0 / rows).reshape(p * m, d + 1)
-        row = np.multiply(np.add.reduce(grid, 1), 1.0 / p).reshape(rows * m, d + 1)
-        y = dense(xb.reshape(n * m, d + 1), a_cell).reshape(rows, p, m, c)
-        if n > t:
-            y.reshape(n, m, c)[t:] += grid_b.data
-        y += dense(col, a_col).reshape(p, m, c)
-        y += dense(row, a_row).reshape(rows, 1, m, c)
-        np.tanh(y, out=y)
-        y = y.reshape(n, m, c)
-        out_data[pos] += np.multiply(np.add.reduce(y, 0), 1.0 / n)
-        if record:  # under no_grad each block's buffers go at once
-            kept.append((p, pos, xb, col, row, y))
-
-    def backward(g: Array):
-        g_cell, g_col, g_row = np.zeros((3, d + 1, c), dtype=g.dtype)
-        g_b = np.zeros(c, dtype=g.dtype)
-        # one scratch buffer for every block's dy: a fresh one per block
-        # costs more to first touch than to fill
-        scratch = np.empty(max(blk[-1].size for blk in kept), dtype=g.dtype)
-        for p, pos, xb, col, row, y in kept:
-            n, m = y.shape[:2]
-            rows = n // p
-            dy = np.multiply(y, y, out=scratch[:y.size].reshape(y.shape))
-            np.subtract(1.0, dy, out=dy)
-            dy *= g[pos] / n
-            g_cell += xb.reshape(n * m, d + 1).T @ dy.reshape(n * m, c)
-            if n > t:
-                g_b += dy[t:].reshape((n - t) * m, c).sum(axis=0)
-            grid = dy.reshape(rows, p, m, c)
-            g_col += col.T @ grid.sum(axis=0).reshape(p * m, c)
-            g_row += row.T @ grid.sum(axis=1).reshape(rows * m, c)
-        g_e = g_cell @ w_cell.T + g_col @ w_col.T + g_row @ w_row.T + grid_means.T @ g
-        g_grid = np.concatenate([e.T @ g_cell, e.T @ g_col, e.T @ g_row])
-        return g_e[:d], g_e[d], g_grid, g_b + g_cell[d]
-
-    return node(out_data, (embed_w, embed_b, grid_w, grid_b), backward)

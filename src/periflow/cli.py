@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import NumericOverflow
 from .evaluate import auroc_summary, emit_reports, window_scores_to_points
 from .series import (MultivariateSeries, SeriesError, SplitSpec, csv_line,
                      load_csv, make_windows)
@@ -236,13 +237,16 @@ def cmd_score(args) -> int:
     values = series.values
     if bundle.stats is not None:
         values = bundle.stats.apply(values)
+
+    def refuse(row, col, why):
+        raise SeriesError(f"{args.data}: line {csv_line(args.data, row)}, column "
+                          f"{series.dim_names[col]}: value {float(series.values[row, col])!r} "
+                          f"{why} once standardized")
+
     # scoring runs in float32 (below), whose cast would turn this into inf
     big = np.argwhere(np.abs(values) > np.finfo(np.float32).max)
     if big.size:
-        row, col = big[0]
-        raise SeriesError(f"{args.data}: line {csv_line(args.data, row)}, column "
-                          f"{series.dim_names[col]}: value {float(series.values[row, col])!r} "
-                          f"does not fit float32 once standardized")
+        refuse(*big[0], "does not fit float32")
     prepared = MultivariateSeries(values, series.timestamps, series.labels,
                                   list(series.dim_names))
     windows = make_windows(prepared, window_length, stride=1)
@@ -251,10 +255,29 @@ def cmd_score(args) -> int:
     twin = bundle.astype(np.float32)
     chunk_diags = []
 
+    def overflow(lo, chunk):
+        # a window scores alike alone and in its chunk: the first that fails
+        # alone names its largest value
+        for i in range(chunk.shape[0]):
+            try:
+                score_windows(twin, chunk[i:i + 1])
+            except NumericOverflow:
+                start = windows.window_starts[lo + i]
+                part = np.abs(values[start:start + window_length])
+                row, col = np.unravel_index(np.argmax(part), part.shape)
+                refuse(start + row, col, "overflows float32 scoring")
+
     def chunk_scores():
         # one chunk's tau_t at a time, folded onto the timeline as it comes
         for lo in range(0, windows.count, SCORE_CHUNK):
-            _, tau_t, diags = score_windows(twin, windows.windows[lo:lo + SCORE_CHUNK])
+            chunk = windows.windows[lo:lo + SCORE_CHUNK]
+            # a value whose square overflows is named, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    _, tau_t, diags = score_windows(twin, chunk)
+                except NumericOverflow:
+                    overflow(lo, chunk)
+                    raise
             chunk_diags.append(diags)
             yield tau_t
 

@@ -10,15 +10,16 @@ concatenated with the per-window conditioning vector, so the Jacobian
 stays block-triangular and the log-determinant is exactly -sum(s).
 Consecutive layers move the two mask values in turn, covering every entry.
 `forward` and `inverse` compute each layer's (s, t) with the same helper,
-which builds the context for at most `_CONTEXT_BLOCK` windows at a time in
-one buffer that a pass's layers share, so no batch-sized context is made.
-They and `anomaly_score` take and return numpy arrays; `condition` and
-`log_prob` take the `Tensor` they differentiate. `log_prob` is the flow's
-one autodiff node, over the conditioning and every net weight; its tape
-keeps no context either: the backward builds each block's again in the
-same buffer. The windows are a constant, so the lowest layer's backward
-forms no gradient at them, only the context gradient's conditioning
-columns.
+which builds the context (`_contexts`) for at most `_CONTEXT_BLOCK`
+windows at a time in one buffer that a pass's layers share, so no
+batch-sized context is made. They and `anomaly_score` take and return
+numpy arrays; `condition` and `log_prob` take the `Tensor` they
+differentiate. `log_prob` is the flow's one autodiff node, over the
+conditioning and every net weight; its tape keeps no context either: the
+backward builds each block's again in the same buffer and scatters its
+gradient (`context_grads`). The windows are a constant, so the lowest
+layer's backward forms no gradient at them, only the context gradient's
+conditioning columns.
 
 Zero-initialised output layers make the whole flow start as the identity.
 """
@@ -140,10 +141,20 @@ def condition(c: Tensor, model: FlowModel) -> Tensor:
     return ad.affine(ad.reshape(c, (b, n * dh)), model.cond_w, model.cond_b)
 
 
+def row_runs(rows) -> tuple[tuple[int, int, int], ...]:
+    """The runs of consecutive indices in `rows`: (position, first index,
+    length) with rows[position:position + length] == first + 0, 1, ..."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        return ()
+    edges = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
+    return tuple((lo, int(rows[lo]), hi - lo) for lo, hi in zip(edges[:-1], edges[1:]))
+
+
 @functools.lru_cache(maxsize=16)
 def _mask_rows(period: int, t: int) -> tuple[tuple, tuple]:
     """For the steps where the `mask_law` pattern is 0, then for the
-    others: the moved time indices and their `ad.row_runs`. Cached per
+    others: the moved time indices and their `row_runs`. Cached per
     (period, T), so the index arrays are read-only. A one-step window
     moves its step in even layers only."""
     pattern = mask_law(period, t)[1]
@@ -151,7 +162,7 @@ def _mask_rows(period: int, t: int) -> tuple[tuple, tuple]:
     for value in (0, 1):
         rows = np.flatnonzero(pattern == value)
         rows.flags.writeable = False
-        out.append((rows, ad.row_runs(rows)))
+        out.append((rows, row_runs(rows)))
     return tuple(out)
 
 
@@ -199,14 +210,50 @@ def _net_grads(net: Mlp, inputs: list, g: np.ndarray, cols: slice) -> tuple[np.n
 def _contexts(x: np.ndarray, cond: np.ndarray, radius: int, rows: np.ndarray,
               runs: tuple, buf: np.ndarray):
     """Per block of at most _CONTEXT_BLOCK windows of the (B, T, D) array
-    x: the block's slice and its (n, M, W) `ad.time_context` at `rows`,
-    built in `buf`, which each block overwrites."""
+    x: the block's slice and its (n, M, (2*radius+1)*D + H) context at the
+    time indices `rows`, built in `buf`, which each block overwrites.
+    Row t's context is the steps x[:, t-radius ... t+radius, :], then the
+    (B, H) `cond` of its window; steps outside [0, T) and the steps in
+    `rows` themselves read as zero, so a coupling net sees only the steps
+    its layer keeps. `runs` is `row_runs(rows)`."""
+    b, t, d = x.shape
     m = rows.size
-    width = (2 * radius + 1) * x.shape[2] + cond.shape[1]
-    for lo in range(0, x.shape[0], _CONTEXT_BLOCK):
-        at = slice(lo, min(lo + _CONTEXT_BLOCK, x.shape[0]))
-        ctx = buf[:(at.stop - lo) * m * width].reshape(at.stop - lo, m, width)
-        yield at, ad.fill_context(ctx, x[at], radius, rows, cond[at], runs)
+    span = (2 * radius + 1) * d
+    width = span + cond.shape[1]
+    for lo in range(0, b, _CONTEXT_BLOCK):
+        at = slice(lo, min(lo + _CONTEXT_BLOCK, b))
+        n = at.stop - lo
+        ctx = buf[:n * m * width].reshape(n, m, width)
+        padded = np.zeros((n, t + 2 * radius, d), dtype=x.dtype)
+        padded[:, radius:radius + t, :] = x[at]
+        padded[:, rows + radius, :] = 0.0
+        # row t's context is the contiguous span values from padded[:, t], so
+        # a strided view reads every row's context and a run of consecutive
+        # rows is one basic slice of it, copied with no temporary
+        windows = np.lib.stride_tricks.as_strided(
+            padded, (n, t, span), padded.strides, writeable=False)
+        for pos, first, k in runs:
+            ctx[:, pos:pos + k, :span] = windows[:, first:first + k]
+        ctx[:, :, span:] = cond[at, None, :]
+        yield at, ctx
+
+
+def context_grads(g: np.ndarray, t: int, c: int, radius: int,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients at x, (B, T, C), and at cond, (B, H), of the
+    `_contexts` of x at `rows`, given their (B, M, W) gradient `g`; the
+    one at x is a view."""
+    b = g.shape[0]
+    span = 2 * radius + 1
+    width = span * c
+    acc = np.zeros((b, t + 2 * radius, c), dtype=g.dtype)
+    # largest row first, so each step sums its terms in offset order
+    for i in np.argsort(rows)[::-1]:
+        r = rows[i]
+        acc[:, r:r + span] += g[:, i, :width].reshape(b, span, c)
+    gx = acc[:, radius:radius + t, :]
+    gx[:, rows, :] = 0.0
+    return gx, g[:, :, width:].sum(axis=1)
 
 
 def _scale_shift(layer: CouplingLayer, x: np.ndarray, cond: np.ndarray, radius: int,
@@ -255,11 +302,12 @@ def _couple(layer: CouplingLayer, h: np.ndarray, hc: np.ndarray, rows: np.ndarra
     returns None at h and forms only the hc columns of the context's
     gradient, each product column as the whole product computes it. Forward
     and backward run, array for array, the numpy operations that the
-    generic ops would run for the same layer (`ad.time_context`,
-    `Mlp.__call__`, the clamp, then take, sub, neg, exp, mul, concat, take,
-    tsum and sub), so in one block of windows values and gradients are
-    bitwise theirs; over several, the weight gradients are summed block by
-    block. The backward builds each block's context again in `buf`."""
+    generic ops would run for the same layer (the context as one node over
+    `_contexts` and `context_grads`, `Mlp.__call__`, the clamp, then take,
+    sub, neg, exp, mul, concat, take, tsum and sub), so in one block of
+    windows values and gradients are bitwise theirs; over several, the
+    weight gradients are summed block by block. The backward builds each
+    block's context again in `buf`."""
     kept = [] if backwards is not None else None
     s, t_out = _scale_shift(layer, h, hc, radius, rows, runs, buf, kept)
     diff = h[:, rows] - t_out
@@ -294,7 +342,7 @@ def _couple(layer: CouplingLayer, h: np.ndarray, hc: np.ndarray, rows: np.ndarra
                                           (-g_diff[at]).reshape(n * m, d), cols)
             g_ctx += g_ctx_t  # a product's fresh output: no input is written
             if need_h:
-                g_x, g_hc[at] = ad.context_grads(g_ctx.reshape(ctx.shape), t, d, radius, rows)
+                g_x, g_hc[at] = context_grads(g_ctx.reshape(ctx.shape), t, d, radius, rows)
                 g_hin[at] += g_x
             else:
                 g_hc[at] = g_ctx.reshape(n, m, -1).sum(axis=1)

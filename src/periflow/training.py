@@ -68,11 +68,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for key, valid, rule in (
-                ("lr", self.lr > 0, "> 0"),
+                ("lr", np.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
                 ("epochs", self.epochs >= 1, ">= 1"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),
-                ("alpha", self.alpha >= 0, ">= 0"),
-                ("beta", self.beta >= 0, ">= 0"),
+                ("alpha", np.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
+                ("beta", np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
                 ("window_length", self.window_length >= 1, ">= 1"),
                 ("k_periods", 1 <= self.k_periods < self.window_length / 2,
                  "in [1, window_length / 2)"),
@@ -81,7 +81,7 @@ class TrainConfig:
                 ("num_layers", self.num_layers >= 1, ">= 1"),
                 ("num_blocks", self.num_blocks >= 0, ">= 0"),
                 ("train_stride", self.train_stride >= 1, ">= 1"),
-                ("sigma", self.sigma >= 0, ">= 0"),
+                ("sigma", np.isfinite(self.sigma) and self.sigma >= 0, "finite and >= 0"),
                 ("k_h_frac", 0 < self.k_h_frac < 1, "in (0, 1)"),
                 ("context_radius", self.context_radius >= -1, ">= -1")):
             if not valid:
@@ -147,7 +147,7 @@ def encode_batch(windows: np.ndarray, bundle: ModelBundle):
     Each window picks its k_periods strongest bins of its embedded
     spectrum, and the whole batch is folded into one pyramid and fused
     once; the miner never materializes the embedded windows (see
-    `ad.period_pool`). Returns the representation tensor and a dict of
+    `factors.period_pool`). Returns the representation tensor and a dict of
     (B, k) diagnostics: the picked periods, the softmaxed amplitude
     weights and the attention scores.
     """
@@ -390,6 +390,11 @@ def load_checkpoint(path) -> ModelBundle:
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
         if unknown:
             raise malformed(f"unknown config key {unknown[0]!r} in meta")
+        for f in fields(TrainConfig):
+            value, kind = meta["config"].get(f.name, f.default), type(f.default)
+            # an int is a float, but a bool is no int
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise malformed(f"config {f.name!r} is {value!r}, not {kind.__name__}")
         config = TrainConfig(**meta["config"])
         rng = np.random.default_rng(0)
         bundle = build_models(config, meta["d_in"], meta["global_period"], rng)

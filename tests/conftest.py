@@ -1,8 +1,11 @@
-"""Shared test helpers: finite-difference gradient oracle."""
+"""Shared test helpers: finite-difference gradient oracle and the coupling
+context as one autodiff node."""
 from __future__ import annotations
 
 import numpy as np
 
+from periflow import autodiff as ad
+from periflow import flow
 from periflow.autodiff import Tensor
 
 
@@ -62,3 +65,18 @@ def check_gradients(build_loss, tensors, eps: float = 1e-6, tol: float = 1e-4) -
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch {err:.3e} for tensor shape {t.shape}"
     return worst
+
+
+def time_context(x: Tensor, radius: int, rows, cond: Tensor) -> Tensor:
+    """The coupling context of the (B, T, C) tensor x at the time indices
+    `rows` as one node, from the flow's kernels: `flow._contexts` builds
+    it and `flow.context_grads` is its backward. Output (B, len(rows),
+    (2*radius+1)*C + H); the generic chains of the tests build their
+    coupling layers on it."""
+    rows = np.asarray(rows, dtype=np.intp)
+    b, t, c = x.shape
+    width = (2 * radius + 1) * c + cond.shape[1]
+    buf = np.empty(min(b, flow._CONTEXT_BLOCK) * rows.size * width, dtype=x.data.dtype)
+    blocks = flow._contexts(x.data, cond.data, radius, rows, flow.row_runs(rows), buf)
+    out = np.concatenate([ctx.copy() for _, ctx in blocks])
+    return ad.node(out, (x, cond), lambda g: flow.context_grads(g, t, c, radius, rows))

@@ -367,7 +367,8 @@ def test_eval_parses_every_column(tmp_path, capsys):
 @pytest.mark.parametrize("setting", [
     "window_length=0", "k_periods=0", "k_periods=12", "hidden=0", "n_factors=0",
     "num_layers=0", "num_blocks=-1", "train_stride=0", "sigma=-0.1",
-    "k_h_frac=0", "k_h_frac=1", "context_radius=-2"])
+    "k_h_frac=0", "k_h_frac=1", "context_radius=-2", "lr=inf", "alpha=inf",
+    "beta=inf", "sigma=inf"])
 def test_bad_train_config_names_the_key(tmp_path, capsys, setting):
     csv = tmp_path / "series.csv"
     csv.write_text("t,x0\n" + "".join(f"{i},{np.sin(i / 3):.6f}\n" for i in range(200)))
@@ -430,14 +431,14 @@ def _saved_checkpoint(tmp_path):
     return ckpt, config
 
 
-def test_score_names_a_value_that_overflows_float32(tmp_path, capsys):
-    # float64 training takes the value; float32 scoring cannot, and says
-    # where it is instead of warning and failing on a non-finite block
+def _score_with_a_big_value(tmp_path, capsys, value):
+    """Train on a 400-step series whose column x1 holds `value` at line 353
+    of its file, in the test split, then score it: the exit code and stderr."""
     csv = tmp_path / "series.csv"
     _write_series(csv, 3, 400)
     lines = csv.read_text().splitlines()
     fields = lines[351].split(",")
-    fields[2] = "1e39"
+    fields[2] = value
     lines[351] = ",".join(fields)
     lines.insert(300, "")  # a blank line, which load_csv skips, moves it to line 353
     csv.write_text("\n".join(lines) + "\n")
@@ -447,10 +448,29 @@ def test_score_names_a_value_that_overflows_float32(tmp_path, capsys):
     capsys.readouterr()
     code = main(["score", "--checkpoint", str(run / "model.npz"), "--data", str(csv),
                  "--out", str(tmp_path / "scored")])
+    return code, capsys.readouterr().err
+
+
+def test_score_names_a_value_that_overflows_float32(tmp_path, capsys):
+    # float64 training takes the value; float32 scoring cannot, and says
+    # where it is instead of warning and failing on a non-finite block
+    code, err = _score_with_a_big_value(tmp_path, capsys, "1e39")
     assert code == 1
-    assert capsys.readouterr().err == (
-        f"error: {csv}: line 353, column x1: value 1e+39 does not fit float32 "
-        f"once standardized\n")
+    csv = tmp_path / "series.csv"
+    assert err == (f"error: {csv}: line 353, column x1: value 1e+39 does not fit float32 "
+                   f"once standardized\n")
+    assert not (tmp_path / "scored").exists()
+
+
+@pytest.mark.parametrize("value", ["1e20", "1e37"])
+def test_score_names_a_value_whose_square_overflows_float32(tmp_path, capsys, value):
+    # the value fits float32 but its square does not: the window that
+    # fails alone names it, with no RuntimeWarning
+    code, err = _score_with_a_big_value(tmp_path, capsys, value)
+    assert code == 1
+    csv = tmp_path / "series.csv"
+    assert err == (f"error: {csv}: line 353, column x1: value {float(value)!r} overflows "
+                   f"float32 scoring once standardized\n")
     assert not (tmp_path / "scored").exists()
 
 
@@ -522,6 +542,10 @@ def test_score_short_series_names_the_file_and_window_length(tmp_path, capsys):
     *[(f"{key}={value!r}", f"not a periflow checkpoint "
                            f"(meta {key!r} is {value!r}, not a positive int)")
       for key in ("global_period", "d_in") for value in (0, -3, "x", 1.5)],
+    *[(f"config.{key}={value!r}", f"not a periflow checkpoint "
+                                  f"(config {key!r} is {value!r}, not {kind})")
+      for key, value, kind in (("window_length", "x", "int"), ("epochs", None, "int"),
+                               ("lr", "0.1", "float"))],
 ])
 def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
     ckpt, _ = _saved_checkpoint(tmp_path)
@@ -544,6 +568,9 @@ def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
         arrays["stats/mean"][0] = np.inf
     elif case in ("zero_stats_std", "negative_stats_std"):
         arrays["stats/std"][1] = 0.0 if case == "zero_stats_std" else -1.0
+    elif case.startswith("config."):
+        key, value = case[len("config."):].split("=")
+        meta["config"][key] = ast.literal_eval(value)
     elif "=" in case:
         key, value = case.split("=")
         meta[key] = ast.literal_eval(value)

@@ -7,7 +7,8 @@ from conftest import numeric_gradient, relative_error
 from periflow import autodiff as ad
 from periflow import training
 from periflow.autodiff import Tensor
-from periflow.factors import CausalPyramid, bin_amplitudes, embed, extract_pyramid, init_miner
+from periflow.factors import (CausalPyramid, bin_amplitudes, embed, extract_pyramid, init_miner,
+                              period_pool)
 from periflow.fusion import fuse
 from periflow.spectral import top_k_periods
 from periflow.synthetic import SynthConfig, generate
@@ -179,10 +180,10 @@ def test_period_pool_records_nothing_under_no_grad():
     x = np.random.default_rng(2).normal(size=(2, 24, 3))
     periods = [[8, 3], [3, 3]]
     weights = (params.embed_w, params.embed_b, params.grid_w, params.grid_b)
-    taped = ad.period_pool(x, *weights, periods)
+    taped = period_pool(x, *weights, periods)
     assert taped.requires_grad and taped._backward is not None
     with ad.no_grad():
-        out = ad.period_pool(x, *weights, periods)
+        out = period_pool(x, *weights, periods)
     assert not out.requires_grad
     assert out._backward is None and out._parents == ()
     np.testing.assert_array_equal(out.data, taped.data)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import numeric_gradient, relative_error
+from conftest import numeric_gradient, relative_error, time_context
 from periflow import autodiff as ad
 from periflow import flow
 from periflow.autodiff import Tensor
@@ -359,8 +359,8 @@ def test_backward_takes_no_gradient_at_the_windows(monkeypatch):
     hc = Tensor(rng.normal(size=(32, 32)), requires_grad=True)
     ad.tsum(log_prob(x, hc, model)).backward()  # warm the caches of the mask rows
     calls = []
-    context_grads = ad.context_grads
-    monkeypatch.setattr(ad, "context_grads", lambda *a: calls.append(a) or context_grads(*a))
+    context_grads = flow.context_grads
+    monkeypatch.setattr(flow, "context_grads", lambda *a: calls.append(a) or context_grads(*a))
     loss = ad.tsum(log_prob(x, hc, model))
     tracemalloc.start()
     try:
@@ -551,8 +551,8 @@ def _chain_forward(x, hc, model):
     h = x
     b, t, d = x.shape
     logdet = Tensor(np.zeros(b))
-    for layer, (rows, runs) in zip(model.layers, _moved_rows(model, t)):
-        ctx = ad.time_context(h, model.context_radius, rows, hc, runs)
+    for layer, (rows, _) in zip(model.layers, _moved_rows(model, t)):
+        ctx = time_context(h, model.context_radius, rows, hc)
         inp = ad.reshape(ctx, (-1, ctx.shape[2]))
         s_raw = ad.reshape(layer.s_net(inp), (b, rows.size, d))
         s = ad.tanh(s_raw * (1.0 / SCALE_CLAMP)) * SCALE_CLAMP

@@ -3,7 +3,8 @@
 Configuration is a flat `key = value` text file; any key can be overridden
 with repeated `--set key=value` flags and the seed with `--seed`. `score`
 runs a trained model, so it refuses a training key (the seed too) whose
-value differs from the checkpoint's. Every command writes its fully
+value differs from the checkpoint's, and a data file whose column names or
+order differ from those it was trained on. Every command writes its fully
 resolved configuration beside its outputs so a run can be reproduced from
 its output directory alone: `--config <out>/resolved_config.txt` reads it
 back, and the run's own facts (command, inputs, discovered period) are `#`
@@ -202,7 +203,7 @@ def cmd_train(args) -> int:
     ckpt = out / "model.npz"
     _, history = fit(data["train"], data["val"], train_cfg,
                      data["global_period"], stats=data["stats"],
-                     checkpoint_path=ckpt)
+                     checkpoint_path=ckpt, columns=series.dim_names)
     history_to_csv(history, out / "history.csv")
     write_resolved_config(out, train_cfg, gen_cfg,
                           {"command": "train", "data": args.data,
@@ -230,6 +231,9 @@ def cmd_score(args) -> int:
     if series.dims != bundle.d_in:
         raise ValueError(f"{args.data}: {series.dims} data columns, but the checkpoint "
                          f"was trained on {bundle.d_in}")
+    if bundle.columns is not None and series.dim_names != bundle.columns:
+        raise ValueError(f"{args.data}: data columns {series.dim_names} differ from "
+                         f"the checkpoint's {bundle.columns}")
     window_length = bundle.config.window_length
     if series.length < window_length:
         raise SeriesError(f"{args.data}: {series.length} steps, fewer than the "
@@ -250,6 +254,7 @@ def cmd_score(args) -> int:
     prepared = MultivariateSeries(values, series.timestamps, series.labels,
                                   list(series.dim_names))
     windows = make_windows(prepared, window_length, stride=1)
+    starts = np.arange(len(windows))  # stride 1: window i starts at step i
     # score in float32, at about half the arithmetic and memory of float64;
     # the picker still sees float64 amplitudes and tau is summed in float64
     twin = bundle.astype(np.float32)
@@ -262,15 +267,14 @@ def cmd_score(args) -> int:
             try:
                 score_windows(twin, chunk[i:i + 1])
             except NumericOverflow:
-                start = windows.window_starts[lo + i]
-                part = np.abs(values[start:start + window_length])
+                part = np.abs(values[lo + i:lo + i + window_length])
                 row, col = np.unravel_index(np.argmax(part), part.shape)
-                refuse(start + row, col, "overflows float32 scoring")
+                refuse(lo + i + row, col, "overflows float32 scoring")
 
     def chunk_scores():
         # one chunk's tau_t at a time, folded onto the timeline as it comes
-        for lo in range(0, windows.count, SCORE_CHUNK):
-            chunk = windows.windows[lo:lo + SCORE_CHUNK]
+        for lo in range(0, len(windows), SCORE_CHUNK):
+            chunk = windows[lo:lo + SCORE_CHUNK]
             # a value whose square overflows is named, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
@@ -281,16 +285,14 @@ def cmd_score(args) -> int:
             chunk_diags.append(diags)
             yield tau_t
 
-    points = window_scores_to_points(chunk_scores(), windows.window_starts,
-                                     prepared.length)
+    points = window_scores_to_points(chunk_scores(), starts, prepared.length)
     diags = {key: np.concatenate([d[key] for d in chunk_diags]) for key in chunk_diags[0]}
     out = Path(args.out)
     summary = emit_reports(out, points, series.labels,
-                           diagnostics={"window_start": windows.window_starts,
-                                        **diags},
+                           diagnostics={"window_start": starts, **diags},
                            metadata={"checkpoint": str(args.checkpoint),
                                      "data": str(args.data),
-                                     "windows": int(windows.count),
+                                     "windows": len(windows),
                                      "window_length": window_length,
                                      "global_period": bundle.global_period,
                                      "seed": bundle.config.seed})

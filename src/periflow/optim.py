@@ -7,23 +7,13 @@ from .autodiff import Tensor
 
 
 class ParamStore:
-    """Flat registry of named parameter tensors plus Adam moment buffers."""
+    """A model's named parameter tensors plus their Adam moment buffers."""
 
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.step_count = 0
-
-    def register(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        if not tensor.requires_grad:
-            raise ValueError(f"parameter {name} must require gradients")
-        self.params[name] = tensor
-        self.m[name] = np.zeros_like(tensor.data)
-        self.v[name] = np.zeros_like(tensor.data)
-        return tensor
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -93,22 +93,6 @@ class MultivariateSeries:
         return self.slice(0, i1), self.slice(i1, i2), self.slice(i2, self.length)
 
 
-@dataclass
-class WindowBatch:
-    """Windows as a (B, T, D) array with their source offsets."""
-
-    windows: np.ndarray
-    window_starts: np.ndarray
-
-    def __post_init__(self):
-        if self.windows.ndim != 3:
-            raise SeriesError(f"windows must be (B, T, D), got {self.windows.shape}")
-
-    @property
-    def count(self) -> int:
-        return self.windows.shape[0]
-
-
 def _finite(value: float, text: str, line_no: int, column: str) -> float:
     if not math.isfinite(value):
         raise SeriesError(f"line {line_no}, column {column}: non-finite value {text!r}")
@@ -142,9 +126,10 @@ def load_csv(path) -> MultivariateSeries:
     column are recognised when present; every remaining column is parsed
     as float64. Timestamps are synthesised as 0..T_l-1 when the file has
     none. A NaN or infinite value is rejected with its line and column, a
-    label other than 0 or 1 with its line, and a column named twice.
+    label other than 0 or 1 with its line, and a column named twice. A
+    UTF-8 byte-order mark, as spreadsheet exports write it, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -193,7 +178,7 @@ def load_csv(path) -> MultivariateSeries:
 def csv_line(path, row: int) -> int:
     """The line of the CSV file at `path` that `load_csv` read data row
     `row` from, numbered as its errors number lines."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         return [line_no for line_no, fields in enumerate(reader, start=2) if fields][row]
@@ -229,15 +214,14 @@ def standardize(series: MultivariateSeries, spec: SplitSpec = SplitSpec(),
     return out, stats
 
 
-def make_windows(series: MultivariateSeries, window_length: int, stride: int = 1) -> WindowBatch:
-    """Contiguous windows covering [0, T_l - T] at the given stride, as a
-    read-only strided view of the series' values: nothing is copied, and
-    indexing a batch of windows copies only that batch."""
+def make_windows(series: MultivariateSeries, window_length: int, stride: int = 1) -> np.ndarray:
+    """Contiguous (B, T, D) windows starting at 0, stride, 2*stride, ... up
+    to T_l - T, as a read-only strided view of the series' values: nothing
+    is copied, and indexing a batch of windows copies only that batch."""
     if stride < 1:
         raise SeriesError("stride must be >= 1")
     if window_length > series.length:
         raise SeriesError(
             f"window length {window_length} exceeds series length {series.length}")
-    starts = np.arange(0, series.length - window_length + 1, stride)
     view = np.lib.stride_tricks.sliding_window_view(series.values, window_length, axis=0)
-    return WindowBatch(np.swapaxes(view, 1, 2)[::stride], starts)
+    return np.swapaxes(view, 1, 2)[::stride]

@@ -29,7 +29,7 @@ from .flow import FlowModel, condition, anomaly_score, init_flow, mask_law, nll_
 from .fusion import FusionParams, fuse, init_fusion
 from .optim import ParamStore
 from .series import MultivariateSeries, SeriesError, SplitSpec, Standardization, \
-    WindowBatch, make_windows, standardize
+    make_windows, standardize
 from .spectral import discover_global_period, intervene, top_k_periods
 
 CHECKPOINT_VERSION = 1
@@ -87,12 +87,13 @@ class TrainConfig:
             if not valid:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         if self.noise not in ("gaussian", "laplace"):
-            raise ValueError(f"unknown noise type {self.noise!r}")
+            raise ValueError(f"noise must be 'gaussian' or 'laplace', got {self.noise!r}")
 
 
 @dataclass
 class ModelBundle:
-    """Everything needed to score: parameter groups, period, input stats."""
+    """Everything needed to score: parameter groups, period, input stats
+    and the names of the data columns trained on, in order."""
 
     miner: MinerParams
     fusion: FusionParams
@@ -101,6 +102,7 @@ class ModelBundle:
     d_in: int
     config: TrainConfig
     stats: Standardization | None = None
+    columns: list[str] | None = None
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -132,13 +134,6 @@ def build_models(config: TrainConfig, d_in: int, global_period: int,
     flow = init_flow(d_in, config.hidden, config.n_factors, mask_period,
                      config.num_layers, config.num_blocks, rng, context_radius=radius)
     return ModelBundle(miner, fusion, flow, global_period, d_in, config)
-
-
-def make_store(bundle: ModelBundle) -> ParamStore:
-    store = ParamStore()
-    for name, tensor in bundle.named_params().items():
-        store.register(name, tensor)
-    return store
 
 
 def encode_batch(windows: np.ndarray, bundle: ModelBundle):
@@ -202,27 +197,27 @@ def evaluate_objective(windows: np.ndarray, bundle: ModelBundle,
     return {key: sums[key] / count for key in sums}
 
 
-def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
+def fit(train: np.ndarray, val: np.ndarray, config: TrainConfig,
         global_period: int, stats: Standardization | None = None,
-        checkpoint_path=None):
-    """Mini-batch Adam over shuffled windows with early stopping.
+        checkpoint_path=None, columns: list[str] | None = None):
+    """Mini-batch Adam over shuffled (B, T, D) windows with early stopping.
 
     Returns (bundle, history); the bundle holds the parameters of
     the best validation epoch. History row 0 is the pre-training state.
     """
-    if train.count == 0 or val.count == 0:
+    if len(train) == 0 or len(val) == 0:
         raise ValueError("fit needs non-empty train and validation batches")
-    d_in = train.windows.shape[2]
+    d_in = train.shape[2]
     seeds = np.random.SeedSequence(config.seed).spawn(4)
     init_rng, shuffle_rng, noise_rng, eval_rng = map(np.random.default_rng, seeds)
 
     bundle = build_models(config, d_in, global_period, init_rng)
-    bundle.stats = stats
-    store = make_store(bundle)
+    bundle.stats, bundle.columns = stats, columns
+    store = ParamStore(bundle.named_params())
 
     history: list[dict] = []
-    row0 = evaluate_objective(train.windows, bundle, eval_rng)
-    row0.update(epoch=0, val_nll=float(np.mean(score_windows(bundle, val.windows)[0])))
+    row0 = evaluate_objective(train, bundle, eval_rng)
+    row0.update(epoch=0, val_nll=float(np.mean(score_windows(bundle, val)[0])))
     history.append(row0)
 
     best_val = row0["val_nll"]
@@ -231,15 +226,15 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
     stale = 0
 
     for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(train.count)
+        order = shuffle_rng.permutation(len(train))
         sums = {"nll": 0.0, "similarity": 0.0, "independence": 0.0}
         seen = 0
-        for bi, lo in enumerate(range(0, train.count, config.batch_size)):
+        for bi, lo in enumerate(range(0, len(train), config.batch_size)):
             idx = order[lo:lo + config.batch_size]
             # overflow is caught by the finiteness check, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    loss, comps = total_loss(train.windows[idx], bundle, noise_rng)
+                    loss, comps = total_loss(train[idx], bundle, noise_rng)
                     finite = np.isfinite(loss.item())
                 except ad.NumericOverflow:
                     finite = False
@@ -248,7 +243,6 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
                     if checkpoint_path is not None:
                         save_checkpoint(checkpoint_path, bundle)
                     raise TrainingDiverged(epoch, bi)
-                store.zero_grad()
                 loss.backward()
                 store.adam_step(config.lr)
             del loss  # free this step's tape before the next one is built
@@ -257,7 +251,7 @@ def fit(train: WindowBatch, val: WindowBatch, config: TrainConfig,
             seen += len(idx)
         row = {key: sums[key] / seen for key in sums}
         row.update(epoch=epoch,
-                   val_nll=float(np.mean(score_windows(bundle, val.windows)[0])))
+                   val_nll=float(np.mean(score_windows(bundle, val)[0])))
         history.append(row)
 
         if row["val_nll"] < best_val:
@@ -341,8 +335,9 @@ def history_to_csv(history: list[dict], path) -> None:
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:
     """Versioned npz container: every parameter tensor under a named path,
-    plus the global period, input dimension and statistics, and the
-    training configuration, from which the flow's mask follows."""
+    plus the global period, input dimension, data column names and
+    statistics, and the training configuration, from which the flow's mask
+    follows."""
     arrays = {f"param/{name}": t.data for name, t in bundle.named_params().items()}
     meta = {
         "format_version": CHECKPOINT_VERSION,
@@ -350,6 +345,8 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
         "global_period": bundle.global_period,
         "d_in": bundle.d_in,
     }
+    if bundle.columns is not None:
+        meta["columns"] = bundle.columns
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     if bundle.stats is not None:
         arrays["stats/mean"] = bundle.stats.mean
@@ -359,9 +356,12 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Rebuild the bundle; a missing or malformed entry, any shape mismatch,
-    a non-finite parameter or statistic, or a standard deviation that is
-    not positive fails loudly, naming the entry."""
+    """Rebuild the bundle; a missing or malformed entry (a config value of
+    the wrong type or out of range, column names that are not `d_in`
+    distinct strings), any shape mismatch, a non-finite parameter or
+    statistic, or a standard deviation that is not positive fails loudly,
+    naming the checkpoint and the entry. A checkpoint without column names
+    loads with `columns` None."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -395,9 +395,19 @@ def load_checkpoint(path) -> ModelBundle:
             # an int is a float, but a bool is no int
             if type(value) is not kind and not (kind is float and type(value) is int):
                 raise malformed(f"config {f.name!r} is {value!r}, not {kind.__name__}")
-        config = TrainConfig(**meta["config"])
+        columns = meta.get("columns")
+        if columns is not None and not (
+                type(columns) is list and all(type(name) is str for name in columns)
+                and len(set(columns)) == len(columns) == meta["d_in"]):
+            raise malformed(f"meta 'columns' is {columns!r}, not a list of "
+                            f"{meta['d_in']} distinct strings")
+        try:
+            config = TrainConfig(**meta["config"])
+        except ValueError as exc:  # an out-of-range value, named by its key
+            raise malformed(str(exc)) from None
         rng = np.random.default_rng(0)
         bundle = build_models(config, meta["d_in"], meta["global_period"], rng)
+        bundle.columns = columns
         for name, tensor in bundle.named_params().items():
             key = f"param/{name}"
             if key not in data:

@@ -2,11 +2,27 @@
 context as one autodiff node."""
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import numpy as np
 
 from periflow import autodiff as ad
 from periflow import flow
 from periflow.autodiff import Tensor
+
+
+def pytest_configure(config):
+    # Hypothesis's pytest plugin caches what it reads of the source during
+    # collection in `.hypothesis/` under the working directory; give it a
+    # home that is removed when the run ends
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = tempfile.mkdtemp(prefix="periflow-hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 def numeric_gradient(f, tensor: Tensor, eps: float = 1e-6) -> np.ndarray:

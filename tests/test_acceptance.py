@@ -150,7 +150,7 @@ def test_c04_gradient_suite():
     synth = SynthConfig(length=64, dims=2, periods={6: 2.0, 3: 0.6},
                         noise_std=0.3, seed=104)
     series = generate(synth)
-    windows = make_windows(series, 12, stride=13).windows
+    windows = make_windows(series, 12, stride=13)
     bundle = build_models(cfg, 2, 6, np.random.default_rng(105))
     # move output layers off zero so upstream gradients are visible
     move_rng = np.random.default_rng(106)
@@ -227,7 +227,7 @@ def test_c07_loss_identities():
                       epochs=1)
     synth = SynthConfig(length=64, dims=2, periods={6: 2.0}, noise_std=0.3,
                         seed=107)
-    windows = make_windows(generate(synth), 12, stride=7).windows
+    windows = make_windows(generate(synth), 12, stride=7)
     bundle = build_models(cfg, 2, 6, np.random.default_rng(108))
     total, comps = total_loss(windows, bundle, np.random.default_rng(109))
     assert abs(comps["similarity"]) < 1e-12
@@ -297,12 +297,13 @@ def _detection_run(seed: int, anomalies, use_periodic_mask: bool = True,
     bundle, history = fit(data["train"], data["val"], cfg,
                           data["global_period"])
     test_s = data["test_series"]
-    wb = make_windows(test_s, cfg.window_length, 1)
-    tau, tau_t, _ = score_windows(bundle, wb.windows)
-    pts = window_scores_to_points([tau_t], wb.window_starts, test_s.length)
+    windows = make_windows(test_s, cfg.window_length, 1)
+    starts = np.arange(len(windows))
+    tau, tau_t, _ = score_windows(bundle, windows)
+    pts = window_scores_to_points([tau_t], starts, test_s.length)
     trained = auroc(pts, test_s.labels)
-    base_t = 0.5 * np.sum(wb.windows ** 2, axis=2)
-    base_pts = window_scores_to_points([base_t], wb.window_starts, test_s.length)
+    base_t = 0.5 * np.sum(windows ** 2, axis=2)
+    base_pts = window_scores_to_points([base_t], starts, test_s.length)
     baseline = auroc(base_pts, test_s.labels)
     return trained, baseline, history
 
@@ -378,9 +379,9 @@ def test_c11_identity_start_nll():
     data = prepare_series(generate(synth), cfg)
     bundle = build_models(cfg, 2, data["global_period"],
                           np.random.default_rng(112))
-    row = evaluate_objective(data["train"].windows, bundle,
+    row = evaluate_objective(data["train"], bundle,
                              np.random.default_rng(113))
-    w = data["train"].windows
+    w = data["train"]
     closed_form = 0.5 * w.shape[1] * w.shape[2] * LOG_2PI + \
         0.5 * float(np.mean(np.sum(w ** 2, axis=(1, 2))))
     assert abs(row["nll"] - closed_form) < 1e-6
@@ -403,7 +404,7 @@ def test_c12_complexity_smoke():
     series = generate(synth)
     times = {}
     for t in (60, 120, 240):
-        windows = make_windows(series, t, stride=4).windows[:240]
+        windows = make_windows(series, t, stride=4)[:240]
         score_windows(bundle, windows[:8], batch_size=32)  # warm-up
         reps = []
         # modest chunks and a median keep allocator jitter out of the

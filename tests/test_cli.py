@@ -368,7 +368,7 @@ def test_eval_parses_every_column(tmp_path, capsys):
     "window_length=0", "k_periods=0", "k_periods=12", "hidden=0", "n_factors=0",
     "num_layers=0", "num_blocks=-1", "train_stride=0", "sigma=-0.1",
     "k_h_frac=0", "k_h_frac=1", "context_radius=-2", "lr=inf", "alpha=inf",
-    "beta=inf", "sigma=inf"])
+    "beta=inf", "sigma=inf", "noise=uniform"])
 def test_bad_train_config_names_the_key(tmp_path, capsys, setting):
     csv = tmp_path / "series.csv"
     csv.write_text("t,x0\n" + "".join(f"{i},{np.sin(i / 3):.6f}\n" for i in range(200)))
@@ -418,6 +418,58 @@ def test_split_shorter_than_window_names_the_split(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: validation split has 40 of 200 steps, fewer than window_length 60\n")
     assert not run.exists()
+
+
+def _train_and_score(tmp_path, capsys):
+    """Train a 3-channel model on the file `series.csv` with columns x0, x1,
+    x2 and score that file: the checkpoint and the score directory."""
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 400)
+    run, scored = tmp_path / "run", tmp_path / "scored"
+    assert main(["train", "--data", str(csv), "--out", str(run), *FAST,
+                 "--set", "epochs=1"]) == 0
+    assert main(["score", "--checkpoint", str(run / "model.npz"), "--data", str(csv),
+                 "--out", str(scored)]) == 0
+    capsys.readouterr()
+    return run / "model.npz", scored
+
+
+@pytest.mark.parametrize("header, given", [
+    ("t,x2,x0,x1", "['x2', 'x0', 'x1']"), ("t,x0,x1,y2", "['x0', 'x1', 'y2']")],
+    ids=["reordered", "renamed"])
+def test_score_refuses_data_columns_that_differ(tmp_path, capsys, header, given):
+    # each value moves with its name, so the counts agree and only the
+    # names tell that channels would be fed to the wrong inputs
+    ckpt, _ = _train_and_score(tmp_path, capsys)
+    rows = [line.split(",") for line in (tmp_path / "series.csv").read_text().splitlines()]
+    order = [rows[0].index(name) if name in rows[0] else 3 for name in header.split(",")]
+    moved = tmp_path / "moved.csv"
+    moved.write_text("\n".join([header] + [",".join(row[i] for i in order)
+                                            for row in rows[1:]]) + "\n")
+    code = main(["score", "--checkpoint", str(ckpt), "--data", str(moved),
+                 "--out", str(tmp_path / "moved_scored")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {moved}: data columns {given} differ from the checkpoint's "
+        f"['x0', 'x1', 'x2']\n")
+    assert not (tmp_path / "moved_scored").exists()
+
+
+def test_checkpoint_without_columns_scores_as_before(tmp_path, capsys):
+    ckpt, scored = _train_and_score(tmp_path, capsys)
+    with np.load(ckpt, allow_pickle=False) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert meta.pop("columns") == ["x0", "x1", "x2"]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    bare = tmp_path / "bare.npz"
+    with open(bare, "wb") as fh:
+        np.savez(fh, **arrays)
+    again = tmp_path / "again"
+    assert main(["score", "--checkpoint", str(bare), "--data", str(tmp_path / "series.csv"),
+                 "--out", str(again)]) == 0
+    for name in ("scores.csv", "period_weights.csv", "score_histogram.csv"):
+        assert (again / name).read_bytes() == (scored / name).read_bytes()
 
 
 def _saved_checkpoint(tmp_path):
@@ -546,6 +598,12 @@ def test_score_short_series_names_the_file_and_window_length(tmp_path, capsys):
                                   f"(config {key!r} is {value!r}, not {kind})")
       for key, value, kind in (("window_length", "x", "int"), ("epochs", None, "int"),
                                ("lr", "0.1", "float"))],
+    ("config.sigma=1e999", "not a periflow checkpoint (sigma must be finite and >= 0, got inf)"),
+    ("config.k_periods=12", "not a periflow checkpoint "
+                            "(k_periods must be in [1, window_length / 2), got 12)"),
+    *[(f"columns={value!r}", f"not a periflow checkpoint "
+                             f"(meta 'columns' is {value!r}, not a list of 3 distinct strings)")
+      for value in ("x0,x1,x2", ["x0", "x1"], ["x0", "x0", "x1"], ["x0", "x1", 2])],
 ])
 def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
     ckpt, _ = _saved_checkpoint(tmp_path)

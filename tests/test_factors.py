@@ -324,7 +324,7 @@ def test_total_loss_gradients_match_the_embedded_miner_chain(b, monkeypatch):
                 w.data = rng.normal(0.0, 0.3, size=w.shape)
     for bias in (bundle.miner.embed_b, bundle.miner.grid_b, bundle.miner.slot_b):
         bias.data = rng.normal(0.0, 0.5, size=bias.shape)
-    windows = data["train"].windows[::3][:b]
+    windows = data["train"][::3][:b]
     params = bundle.named_params()
 
     def gradients():

@@ -7,9 +7,7 @@ from periflow.optim import ParamStore
 
 
 def _store_with(value):
-    store = ParamStore()
-    store.register("w", Tensor(np.array(value), requires_grad=True))
-    return store
+    return ParamStore({"w": Tensor(np.array(value), requires_grad=True)})
 
 
 def test_zero_gradient_leaves_parameters_unchanged():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from periflow.series import (MultivariateSeries, SeriesError, SplitSpec,
-                             load_csv, make_windows, standardize)
+                             csv_line, load_csv, make_windows, standardize)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -22,6 +22,20 @@ def test_load_csv_basic(tmp_path):
     s2 = load_csv(p2)
     assert s2.dims == 2 and s2.dim_names == ["a", "b"]
     np.testing.assert_array_equal(s2.timestamps, [0, 1, 2])
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet exports begin with one; read as part of the first name it
+    # would turn the timestamp column into a data channel
+    text = "timestamp,ch0,ch1,label\n0,1.5,2,0\n\n1,3,-4,1\n"
+    plain = load_csv(_write(tmp_path, text))
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    bom = load_csv(marked)
+    assert bom.dim_names == plain.dim_names == ["ch0", "ch1"]
+    for key in ("values", "timestamps", "labels"):
+        np.testing.assert_array_equal(getattr(bom, key), getattr(plain, key))
+    assert csv_line(marked, 1) == 4
 
 
 def test_load_csv_with_labels(tmp_path):
@@ -108,17 +122,17 @@ def test_standardize_train_stats_property():
 def test_make_windows_counts():
     s = MultivariateSeries(np.arange(10, dtype=float).reshape(-1, 1), np.arange(10))
     wb = make_windows(s, 4, stride=2)
-    assert wb.count == 4
-    np.testing.assert_array_equal(wb.window_starts, [0, 2, 4, 6])
+    assert len(wb) == 4
+    np.testing.assert_array_equal(wb[:, 0, 0], [0, 2, 4, 6])
 
     s60 = MultivariateSeries(np.zeros((60, 1)), np.arange(60))
-    assert make_windows(s60, 60, stride=1).count == 1
+    assert len(make_windows(s60, 60, stride=1)) == 1
 
-    s100 = MultivariateSeries(np.zeros((100, 2)), np.arange(100))
+    s100 = MultivariateSeries(np.arange(200.0).reshape(100, 2), np.arange(100))
     wb3 = make_windows(s100, 60, stride=3)
     # floor((100-60)/3)+1 windows, starts 0..39 step 3
-    assert wb3.count == 14
-    np.testing.assert_array_equal(wb3.window_starts, np.arange(0, 40, 3))
+    assert len(wb3) == 14
+    np.testing.assert_array_equal(wb3[:, 0, 0], 2 * np.arange(0, 40, 3))
 
 
 def test_make_windows_too_long_raises():
@@ -131,7 +145,7 @@ def test_non_overlapping_windows_reconstruct_prefix():
     rng = np.random.default_rng(2)
     s = MultivariateSeries(rng.normal(size=(103, 3)), np.arange(103))
     wb = make_windows(s, 10, stride=10)
-    rebuilt = wb.windows.reshape(-1, 3)
+    rebuilt = wb.reshape(-1, 3)
     np.testing.assert_array_equal(rebuilt, s.values[:rebuilt.shape[0]])
 
 

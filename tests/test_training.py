@@ -11,13 +11,14 @@ from periflow.factors import extract_pyramid
 from periflow import flow
 from periflow.flow import _CONTEXT_BLOCK, LOG_2PI, condition, forward, nll_loss
 from periflow.fusion import fuse
+from periflow.optim import ParamStore
 from periflow.spectral import intervene, top_k_periods
 from periflow.series import make_windows
 from periflow.synthetic import Anomaly, SynthConfig, generate
 from periflow.training import (TrainConfig, TrainingDiverged,
                                build_models, encode_batch, evaluate_objective,
                                fit, history_to_csv, load_checkpoint,
-                               make_store, prepare_series, save_checkpoint,
+                               prepare_series, save_checkpoint,
                                score_windows, total_loss)
 
 CFG = dict(window_length=24, hidden=8, n_factors=2, k_periods=2, num_layers=2,
@@ -40,7 +41,7 @@ def test_total_loss_weight_degeneracy():
     config, data = _prepared(TrainConfig(**{**CFG, "alpha": 0.0, "beta": 0.0}))
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(0))
-    windows = data["train"].windows[:8]
+    windows = data["train"][:8]
     total, comps = total_loss(windows, bundle, np.random.default_rng(1))
     assert total.item() == comps["nll"]
 
@@ -49,7 +50,7 @@ def test_total_loss_zero_sigma_sim_vanishes():
     config, data = _prepared(TrainConfig(**{**CFG, "sigma": 0.0}))
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(0))
-    total, comps = total_loss(data["train"].windows[:8], bundle,
+    total, comps = total_loss(data["train"][:8], bundle,
                               np.random.default_rng(1))
     assert abs(comps["similarity"]) < 1e-12
 
@@ -60,7 +61,7 @@ def test_total_loss_matches_module_composition():
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(3))
-    windows = data["train"].windows[:6]
+    windows = data["train"][:6]
     seed = 99
     total, comps = total_loss(windows, bundle, np.random.default_rng(seed))
 
@@ -88,7 +89,7 @@ def test_encode_batch_matches_per_window():
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(4))
-    windows = data["train"].windows[:5]
+    windows = data["train"][:5]
     rep, diags = encode_batch(windows, bundle)
     for key in ("periods", "amp_weights", "attention"):
         assert diags[key].shape == (5, config.k_periods)
@@ -107,7 +108,7 @@ def test_encode_batch_folds_and_fuses_once(monkeypatch):
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(4))
-    windows = data["train"].windows[:7].copy()
+    windows = data["train"][:7].copy()
     windows[2] = 0.7  # a constant window rides in the same pyramid
     calls = {"extract_pyramid": 0, "fuse": 0}
 
@@ -150,7 +151,7 @@ def test_identity_start_nll_is_standard_normal():
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(5))
-    windows = data["train"].windows
+    windows = data["train"]
     row = evaluate_objective(windows, bundle, np.random.default_rng(6))
     t, d = windows.shape[1], windows.shape[2]
     expected = 0.5 * t * d * LOG_2PI + 0.5 * np.mean(np.sum(windows ** 2, axis=(1, 2)))
@@ -202,13 +203,13 @@ def test_fit_alpha_beta_zero_matches_manual_nll_path():
     # with alpha=beta=0 the update must be driven by the nll gradient alone
     config, data = _prepared(TrainConfig(**{**CFG, "alpha": 0.0, "beta": 0.0,
                                             "epochs": 1}))
-    windows = data["train"].windows[:16]
+    windows = data["train"][:16]
 
     def one_step(alpha, beta):
         cfg = TrainConfig(**{**CFG, "alpha": alpha, "beta": beta, "epochs": 1})
         bundle = build_models(cfg, 2, data["global_period"],
                               np.random.default_rng(7))
-        store = make_store(bundle)
+        store = ParamStore(bundle.named_params())
         loss, _ = total_loss(windows, bundle, np.random.default_rng(8))
         store.zero_grad()
         loss.backward()
@@ -222,7 +223,7 @@ def test_fit_alpha_beta_zero_matches_manual_nll_path():
     from periflow.spectral import intervene
     cfg = TrainConfig(**{**CFG, "alpha": 0.0, "beta": 0.0, "epochs": 1})
     bundle = build_models(cfg, 2, data["global_period"], np.random.default_rng(7))
-    store = make_store(bundle)
+    store = ParamStore(bundle.named_params())
     rng = np.random.default_rng(8)
     clean_rep, _ = encode_batch(windows, bundle)
     augmented = np.concatenate([intervene(w[None], k_h_frac=cfg.k_h_frac,
@@ -251,11 +252,11 @@ def test_gradient_reaches_every_parameter_group():
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(9))
-    store = make_store(bundle)
+    store = ParamStore(bundle.named_params())
     before = store.snapshot()
     rng = np.random.default_rng(10)
     for _ in range(2):
-        loss, _ = total_loss(data["train"].windows[:16], bundle, rng)
+        loss, _ = total_loss(data["train"][:16], bundle, rng)
         store.zero_grad()
         loss.backward()
         store.adam_step(config.lr)
@@ -298,7 +299,7 @@ def test_backward_frees_intermediate_grads_only():
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(12))
     params = bundle.named_params()
-    loss, _ = total_loss(data["train"].windows[:8], bundle,
+    loss, _ = total_loss(data["train"][:8], bundle,
                          np.random.default_rng(13))
     inner = [n for n in _graph_order(loss) if n._backward is not None]
     # the fused miner, fusion and log_prob nodes keep the graph near 40
@@ -333,7 +334,7 @@ def test_total_loss_runs_the_flow_once_as_one_node(num_layers, monkeypatch):
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(flow, "forward", counted)
-    loss, _ = total_loss(data["train"].windows[:8], bundle, np.random.default_rng(15))
+    loss, _ = total_loss(data["train"][:8], bundle, np.random.default_rng(15))
     assert len(calls) == 1
     weights = {id(p) for name, p in bundle.flow.named().items() if ".layer" in name}
     assert len(weights) == 8 * num_layers
@@ -369,7 +370,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.global_period == bundle.global_period
     np.testing.assert_array_equal(loaded.stats.mean, bundle.stats.mean)
 
-    windows = data["test"].windows[:10]
+    windows = data["test"][:10]
     tau_a, _, _ = score_windows(bundle, windows)
     tau_b, _, _ = score_windows(loaded, windows)
     np.testing.assert_array_equal(tau_a, tau_b)
@@ -398,7 +399,7 @@ def test_checkpoint_with_mask_meta_entries_loads_and_scores_the_same(tmp_path):
     older = tmp_path / "older.npz"
     with open(older, "wb") as fh:
         np.savez(fh, **arrays)
-    windows = data["test"].windows[:10]
+    windows = data["test"][:10]
     want, want_t, _ = score_windows(bundle, windows)
     for loaded in (load_checkpoint(path), load_checkpoint(older)):
         assert loaded.flow.mask_period == loaded.flow.context_radius == 12
@@ -431,7 +432,7 @@ def test_score_windows_deterministic():
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(12))
-    windows = data["test"].windows[:10]
+    windows = data["test"][:10]
     tau1, tau_t1, diag1 = score_windows(bundle, windows)
     tau2, tau_t2, _ = score_windows(bundle, windows)
     np.testing.assert_array_equal(tau1, tau2)
@@ -473,7 +474,7 @@ def test_window_scores_alike_alone_and_in_a_chunk(dtype):
     for global_period, mask_period in ((20, 20), (60, 30), (25, 25)):
         bundle, data = _c09_bundle(global_period=global_period)
         assert bundle.flow.mask_period == mask_period
-        windows = make_windows(data["train_series"], 60, 1).windows[:256]
+        windows = make_windows(data["train_series"], 60, 1)[:256]
         assert windows.shape[0] == 256
         twin = bundle.astype(dtype)
         tau, tau_t, diags = score_windows(twin, windows)
@@ -514,7 +515,7 @@ def test_float32_twin_scores_close_to_float64():
     assert all(t.data.dtype == np.float32 for t in twin.named_params().values())
     for name, t in bundle.named_params().items():  # the original is untouched
         assert t.data is params[name] and t.data.dtype == np.float64
-    windows = data["test"].windows
+    windows = data["test"]
     tau, tau_t, diags = score_windows(bundle, windows)
     tau32, tau32_t, diags32 = score_windows(twin, windows)
     assert tau32.dtype == tau32_t.dtype == np.float64
@@ -528,7 +529,7 @@ def test_float32_twin_scores_close_to_float64():
 def test_evaluate_objective_matches_taped_loss():
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"], np.random.default_rng(7))
-    windows = data["val"].windows
+    windows = data["val"]
     comps = evaluate_objective(windows, bundle, np.random.default_rng(8))
     loss, taped = total_loss(windows, bundle, np.random.default_rng(8))
     assert loss._backward is not None
@@ -541,7 +542,7 @@ def test_constant_window_beside_ordinary_ones():
     config, data = _prepared()
     bundle = build_models(config, 2, data["global_period"],
                           np.random.default_rng(14))
-    windows = data["train"].windows[:6].copy()
+    windows = data["train"][:6].copy()
     windows[3] = 0.7
     rep, diags = encode_batch(windows, bundle)
     assert diags["periods"].shape == (6, config.k_periods)
@@ -552,7 +553,7 @@ def test_constant_window_beside_ordinary_ones():
         np.testing.assert_allclose(rep.data[i], encode_batch(w[None], bundle)[0].data[0],
                                    atol=1e-12)
 
-    store = make_store(bundle)
+    store = ParamStore(bundle.named_params())
     loss, _ = total_loss(windows, bundle, np.random.default_rng(15))
     store.zero_grad()
     loss.backward()
@@ -571,7 +572,7 @@ def test_fit_on_series_with_a_zero_stretch():
     series.values[500:600] = 0.0
     config = TrainConfig(**{**CFG, "epochs": 1, "apply_standardization": False})
     data = prepare_series(series, config)
-    assert np.any(np.all(data["train"].windows == 0.0, axis=(1, 2)))
+    assert np.any(np.all(data["train"] == 0.0, axis=(1, 2)))
     _, history = fit(data["train"], data["val"], config, data["global_period"])
     assert len(history) == 2
     assert all(np.isfinite(row[key]) for row in history

@@ -28,7 +28,7 @@ from .series import (MultivariateSeries, SeriesError, SplitSpec, csv_line,
 from .spectral import (SpectralError, discover_global_period,
                        periodicity_strength, top_k_periods)
 from .synthetic import Anomaly, SynthConfig, generate, write_csv
-from .training import (SCORE_CHUNK, TrainConfig, fit, history_to_csv,
+from .training import (SCORE_CHUNK, TrainConfig, check_types, fit, history_to_csv,
                        load_checkpoint, prepare_series, score_windows)
 
 
@@ -48,6 +48,7 @@ class GenConfig:
     test_frac: float = 0.2
 
     def __post_init__(self):
+        check_types(self)
         for key, valid, rule in (
                 ("gen_length", self.gen_length >= 1, ">= 1"),
                 ("gen_dims", self.gen_dims >= 1, ">= 1"),
@@ -241,20 +242,9 @@ def cmd_score(args) -> int:
     values = series.values
     if bundle.stats is not None:
         values = bundle.stats.apply(values)
-
-    def refuse(row, col, why):
-        raise SeriesError(f"{args.data}: line {csv_line(args.data, row)}, column "
-                          f"{series.dim_names[col]}: value {float(series.values[row, col])!r} "
-                          f"{why} once standardized")
-
-    # scoring runs in float32 (below), whose cast would turn this into inf
-    big = np.argwhere(np.abs(values) > np.finfo(np.float32).max)
-    if big.size:
-        refuse(*big[0], "does not fit float32")
     prepared = MultivariateSeries(values, series.timestamps, series.labels,
                                   list(series.dim_names))
     windows = make_windows(prepared, window_length, stride=1)
-    starts = np.arange(len(windows))  # stride 1: window i starts at step i
     # score in float32, at about half the arithmetic and memory of float64;
     # the picker still sees float64 amplitudes and tau is summed in float64
     twin = bundle.astype(np.float32)
@@ -269,13 +259,18 @@ def cmd_score(args) -> int:
             except NumericOverflow:
                 part = np.abs(values[lo + i:lo + i + window_length])
                 row, col = np.unravel_index(np.argmax(part), part.shape)
-                refuse(lo + i + row, col, "overflows float32 scoring")
+                row += lo + i
+                raise SeriesError(f"{args.data}: line {csv_line(args.data, row)}, column "
+                                  f"{series.dim_names[col]}: value "
+                                  f"{float(series.values[row, col])!r} overflows "
+                                  f"float32 scoring once standardized")
 
     def chunk_scores():
         # one chunk's tau_t at a time, folded onto the timeline as it comes
         for lo in range(0, len(windows), SCORE_CHUNK):
             chunk = windows[lo:lo + SCORE_CHUNK]
-            # a value whose square overflows is named, not warned about
+            # a value whose float32 cast or square overflows is named, not
+            # warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     _, tau_t, diags = score_windows(twin, chunk)
@@ -285,11 +280,10 @@ def cmd_score(args) -> int:
             chunk_diags.append(diags)
             yield tau_t
 
-    points = window_scores_to_points(chunk_scores(), starts, prepared.length)
+    points = window_scores_to_points(chunk_scores(), prepared.length)
     diags = {key: np.concatenate([d[key] for d in chunk_diags]) for key in chunk_diags[0]}
     out = Path(args.out)
-    summary = emit_reports(out, points, series.labels,
-                           diagnostics={"window_start": starts, **diags},
+    summary = emit_reports(out, points, series.labels, diagnostics=diags,
                            metadata={"checkpoint": str(args.checkpoint),
                                      "data": str(args.data),
                                      "windows": len(windows),

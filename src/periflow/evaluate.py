@@ -15,51 +15,34 @@ class EvalError(ValueError):
     pass
 
 
-def window_scores_to_points(chunks: Iterable, window_starts: np.ndarray,
-                            series_length: int) -> np.ndarray:
-    """Spread per-window per-timestep scores back onto the source timeline,
-    as one (series_length,) array.
+def window_scores_to_points(chunks: Iterable, series_length: int) -> np.ndarray:
+    """Spread the per-timestep scores of a series' stride-1 windows back
+    onto its timeline, as one (series_length,) array.
 
-    `chunks` yields (b, T) blocks of window scores that follow one another
-    in the order of `window_starts`; each is folded into the per-step sums
-    as it comes, so the windows' scores need never be held at once. Each
-    covered timestep receives the mean over all windows that include it,
-    summed window by window in window order; timesteps outside every
-    window copy the nearest covered score. A non-finite result raises
-    `EvalError`.
+    `chunks` yields (b, T) blocks of window scores, for the windows that
+    start at steps 0, 1, 2, ... in order; each is folded into the per-step
+    sums as it comes, so the windows' scores need never be held at once.
+    Each timestep receives the mean over all windows that include it,
+    summed window by window in window order. Windows that do not cover the
+    series exactly, or a non-finite result, raise `EvalError`.
     """
-    window_starts = np.asarray(window_starts, dtype=np.int64)
     sums = np.zeros(series_length)
     counts = np.zeros(series_length, dtype=np.int64)
-    done = 0
+    done = t = 0
     for chunk in chunks:
         chunk = np.asarray(chunk, dtype=np.float64)
         b, t = chunk.shape
-        starts = window_starts[done:done + b]
-        if starts.size != b:
-            raise EvalError("one start index per window required")
-        over = starts + t > series_length
-        if over.any():
-            raise EvalError(f"window at {starts[over][0]} overruns series of "
-                            f"length {series_length}")
-        steps = starts[:, None] + np.arange(t)
+        if done + b + t - 1 > series_length:
+            raise EvalError(f"window {done + b - 1} of {t} steps overruns a series "
+                            f"of {series_length} steps")
+        steps = np.arange(done, done + b)[:, None] + np.arange(t)
         np.add.at(sums, steps, chunk)  # window by window, as a loop would
         np.add.at(counts, steps, 1)
         done += b
-    if done != window_starts.size:
-        raise EvalError("one start index per window required")
-    covered = counts > 0
-    if not covered.any():
-        raise EvalError("no timestep is covered by any window")
-    scores = np.zeros(series_length)
-    scores[covered] = sums[covered] / counts[covered]
-    # an uncovered step copies the nearest covered one, the left on a tie
-    idx = np.flatnonzero(covered)
-    holes = np.flatnonzero(~covered)
-    pos = np.searchsorted(idx, holes)
-    left = idx[np.maximum(pos - 1, 0)]
-    right = idx[np.minimum(pos, idx.size - 1)]
-    scores[holes] = scores[np.where(holes - left <= right - holes, left, right)]
+    if done == 0 or done + t - 1 < series_length:
+        raise EvalError(f"{done} windows of {t} steps do not cover a series of "
+                        f"{series_length} steps")
+    scores = sums / counts
     if not np.all(np.isfinite(scores)):
         raise EvalError("non-finite scores")
     return scores
@@ -103,9 +86,9 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
     """Write the score histogram, per-step trace, per-window period-weight
     table, and a summary JSON. Returns the summary dict.
 
-    `diagnostics` holds the (B,) `window_start`s and the (B, k) `periods`,
-    `amp_weights` and `attention` of `score_windows`; the period-weight
-    table gets k rows per window.
+    `diagnostics` holds the (B, k) `periods`, `amp_weights` and `attention`
+    of `score_windows` for B stride-1 windows; the period-weight table gets
+    k rows per window, whose `window_start` is the window's index.
 
     The summary is computed first, so a failure there writes no file."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -138,14 +121,14 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
             fh.write(f"{i},{float(s)!r},{float(-s)!r}\n")
 
     columns = [diagnostics[key] for key in ("periods", "amp_weights", "attention")]
-    k = columns[0].shape[1]
+    n, k = columns[0].shape
     with open(out / "period_weights.csv", "w", encoding="utf-8") as fh:
         fh.write("window_start,period,amplitude_weight,attention_score\n")
         # a block of windows at a time, so no list of every value is built
-        for lo in range(0, columns[0].shape[0], REPORT_BLOCK):
-            rows = zip(np.repeat(diagnostics["window_start"][lo:lo + REPORT_BLOCK],
-                                 k).tolist(),
-                       *(col[lo:lo + REPORT_BLOCK].ravel().tolist() for col in columns))
+        for lo in range(0, n, REPORT_BLOCK):
+            hi = min(lo + REPORT_BLOCK, n)
+            rows = zip(np.repeat(np.arange(lo, hi), k).tolist(),
+                       *(col[lo:hi].ravel().tolist() for col in columns))
             for start, p, w, a in rows:
                 fh.write(f"{start},{p},{w!r},{a!r}\n")
 

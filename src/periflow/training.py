@@ -43,6 +43,16 @@ class TrainingDiverged(RuntimeError):
         self.batch_index = batch_index
 
 
+def check_types(config) -> None:
+    """Refuse a field of the dataclass `config` whose value is not of its
+    default's type, naming the key; an int is a float, but a bool is no
+    int."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), type(f.default)
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.001
@@ -67,6 +77,7 @@ class TrainConfig:
     apply_standardization: bool = True
 
     def __post_init__(self):
+        check_types(self)
         for key, valid, rule in (
                 ("lr", np.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
                 ("epochs", self.epochs >= 1, ">= 1"),
@@ -356,12 +367,13 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Rebuild the bundle; a missing or malformed entry (a config value of
-    the wrong type or out of range, column names that are not `d_in`
-    distinct strings), any shape mismatch, a non-finite parameter or
-    statistic, or a standard deviation that is not positive fails loudly,
-    naming the checkpoint and the entry. A checkpoint without column names
-    loads with `columns` None."""
+    """Rebuild the bundle; a missing or malformed entry (a meta or meta
+    config that is not a JSON object, a config value of the wrong type or
+    out of range, column names that are not `d_in` distinct strings), any
+    shape mismatch, a non-finite parameter or statistic, or a standard
+    deviation that is not positive fails loudly, naming the checkpoint and
+    the entry. A checkpoint without column names loads with `columns`
+    None."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -378,6 +390,8 @@ def load_checkpoint(path) -> ModelBundle:
             meta = json.loads(bytes(data["meta"]).decode())
         except ValueError:
             raise malformed("'meta' is not JSON") from None
+        if type(meta) is not dict:
+            raise malformed("meta is not a JSON object")
         for key in ("format_version", "config", "d_in", "global_period"):
             if key not in meta:
                 raise malformed(f"meta has no {key!r}")
@@ -387,14 +401,11 @@ def load_checkpoint(path) -> ModelBundle:
         for key in ("d_in", "global_period"):
             if type(meta[key]) is not int or meta[key] < 1:
                 raise malformed(f"meta {key!r} is {meta[key]!r}, not a positive int")
+        if type(meta["config"]) is not dict:
+            raise malformed("meta 'config' is not a JSON object")
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
         if unknown:
             raise malformed(f"unknown config key {unknown[0]!r} in meta")
-        for f in fields(TrainConfig):
-            value, kind = meta["config"].get(f.name, f.default), type(f.default)
-            # an int is a float, but a bool is no int
-            if type(value) is not kind and not (kind is float and type(value) is int):
-                raise malformed(f"config {f.name!r} is {value!r}, not {kind.__name__}")
         columns = meta.get("columns")
         if columns is not None and not (
                 type(columns) is list and all(type(name) is str for name in columns)
@@ -403,7 +414,7 @@ def load_checkpoint(path) -> ModelBundle:
                             f"{meta['d_in']} distinct strings")
         try:
             config = TrainConfig(**meta["config"])
-        except ValueError as exc:  # an out-of-range value, named by its key
+        except ValueError as exc:  # a value of the wrong type or range, named by its key
             raise malformed(str(exc)) from None
         rng = np.random.default_rng(0)
         bundle = build_models(config, meta["d_in"], meta["global_period"], rng)

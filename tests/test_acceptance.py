@@ -298,12 +298,11 @@ def _detection_run(seed: int, anomalies, use_periodic_mask: bool = True,
                           data["global_period"])
     test_s = data["test_series"]
     windows = make_windows(test_s, cfg.window_length, 1)
-    starts = np.arange(len(windows))
     tau, tau_t, _ = score_windows(bundle, windows)
-    pts = window_scores_to_points([tau_t], starts, test_s.length)
+    pts = window_scores_to_points([tau_t], test_s.length)
     trained = auroc(pts, test_s.labels)
     base_t = 0.5 * np.sum(windows ** 2, axis=2)
-    base_pts = window_scores_to_points([base_t], starts, test_s.length)
+    base_pts = window_scores_to_points([base_t], test_s.length)
     baseline = auroc(base_pts, test_s.labels)
     return trained, baseline, history
 

@@ -70,16 +70,15 @@ def test_auroc_rejects_single_class():
 
 
 def test_alignment_disjoint_windows():
-    step = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = window_scores_to_points([step], np.array([0, 2]), 4)
-    np.testing.assert_array_equal(out, [1, 2, 3, 4])
-    # every step is covered once, so it keeps its one window's value
+    # one-step windows do not overlap: each step keeps its window's value
+    step = np.array([[1.0], [2.0], [3.0], [4.0]])
+    out = window_scores_to_points([step], 4)
     np.testing.assert_array_equal(out, step.ravel())
 
 
 def test_alignment_overlap_mean():
     step = np.array([[1.0, 1.0], [3.0, 3.0]])
-    out = window_scores_to_points([step], np.array([0, 1]), 3)
+    out = window_scores_to_points([step], 3)
     assert out[1] == 2.0
     # the ends are covered once and keep their window's value
     np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
@@ -87,80 +86,66 @@ def test_alignment_overlap_mean():
 
 def test_alignment_conservation_identity():
     rng = np.random.default_rng(3)
-    t, stride, length = 16, 3, 100
-    starts = np.arange(0, length - t + 1, stride)
+    t, length = 16, 100
+    starts = np.arange(length - t + 1)
     step = rng.normal(size=(len(starts), t))
-    out = window_scores_to_points([step], starts, length)
+    out = window_scores_to_points([step], length)
     coverage = np.bincount((starts[:, None] + np.arange(t)).ravel(), minlength=length)
     lhs = np.sum(out * coverage)
     rhs = step.sum()
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
-def test_alignment_trailing_fill():
-    step = np.array([[5.0, 5.0]])
-    out = window_scores_to_points([step], np.array([0]), 5)
-    np.testing.assert_array_equal(out, 5.0)
-    # the uncovered steps 2..4 copy step 1, the nearest covered one
-    out = window_scores_to_points([np.array([[5.0, 7.0]])], np.array([0]), 5)
-    np.testing.assert_array_equal(out, [5.0, 7.0, 7.0, 7.0, 7.0])
-
-
-def alignment_loop(step, starts, length):
-    """Window-at-a-time sums and hole-at-a-time nearest fill: the reference."""
+def alignment_loop(step, length):
+    """Window-at-a-time sums over stride-1 windows: the reference."""
     sums, counts = np.zeros(length), np.zeros(length, dtype=np.int64)
-    for w, lo in enumerate(starts):
-        sums[lo:lo + step.shape[1]] += step[w]
-        counts[lo:lo + step.shape[1]] += 1
-    idx = np.where(counts > 0)[0]
-    scores = np.zeros(length)
-    scores[idx] = sums[idx] / counts[idx]
-    for h in np.where(counts == 0)[0]:
-        scores[h] = scores[idx[np.argmin(np.abs(idx - h))]]  # ties go left
-    return scores, counts
+    for w in range(step.shape[0]):
+        sums[w:w + step.shape[1]] += step[w]
+        counts[w:w + step.shape[1]] += 1
+    return sums / counts
 
 
-def test_alignment_matches_loop_with_gaps():
-    # leading, interior (odd and even widths, so some holes tie) and
-    # trailing gaps, overlapping and repeated windows
+def test_alignment_matches_loop_over_random_chunkings():
     rng = np.random.default_rng(5)
     for _ in range(50):
         t = int(rng.integers(1, 6))
-        starts = np.sort(rng.choice(np.arange(2, 40), size=int(rng.integers(1, 9))))
-        starts = np.concatenate([starts, starts[:1]])
-        step = rng.normal(size=(len(starts), t))
-        length = int(starts.max()) + t + int(rng.integers(0, 4))
-        out = window_scores_to_points([step], starts, length)
-        scores, _ = alignment_loop(step, starts, length)
-        np.testing.assert_array_equal(out, scores)
-        # the same windows folded in chunks of any size sum in the same order
-        sizes = rng.integers(1, 4, size=len(starts)).cumsum()
-        chunks = iter(np.split(step, sizes[sizes < len(starts)]))
-        chunked = window_scores_to_points(chunks, starts, length)
-        np.testing.assert_array_equal(chunked, scores)
+        n = int(rng.integers(1, 40))
+        step = rng.normal(size=(n, t))
+        scores = alignment_loop(step, n + t - 1)
+        np.testing.assert_array_equal(window_scores_to_points([step], n + t - 1), scores)
+        # the same windows folded in chunks of any size, empty ones too,
+        # sum in the same order
+        sizes = rng.integers(0, 4, size=n).cumsum()
+        chunks = iter(np.split(step, sizes[sizes < n]))
+        np.testing.assert_array_equal(window_scores_to_points(chunks, n + t - 1), scores)
 
 
-def test_alignment_rejects_chunks_that_miss_their_starts():
-    chunks = [np.ones((2, 3)), np.ones((2, 3))]
-    with pytest.raises(EvalError, match="one start index per window"):
-        window_scores_to_points(iter(chunks), np.array([0, 1, 2]), 10)
-    with pytest.raises(EvalError, match="one start index per window"):
-        window_scores_to_points(iter(chunks), np.arange(5), 10)
+@pytest.mark.parametrize("n, length, message", [
+    (3, 6, "3 windows of 2 steps do not cover a series of 6 steps"),
+    (3, 3, "window 2 of 2 steps overruns a series of 3 steps"),
+    (1, 1, "window 0 of 2 steps overruns a series of 1 steps")],
+    ids=["too_few", "too_many", "longer_than_the_series"])
+def test_alignment_rejects_windows_that_miss_the_series(n, length, message):
+    chunks = iter(np.array_split(np.ones((n, 2)), 2))
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        window_scores_to_points(chunks, length)
 
 
 def test_alignment_rejects_empty_coverage():
-    with pytest.raises(EvalError):
-        window_scores_to_points([np.zeros((0, 4))], np.zeros(0, dtype=int), 10)
+    for chunks in ([], [np.zeros((0, 4))]):
+        for length in (3, 10):
+            with pytest.raises(EvalError, match="^0 windows of "):
+                window_scores_to_points(chunks, length)
 
 
 def test_alignment_rejects_non_finite_scores():
-    with pytest.raises(EvalError, match="non-finite scores"):
-        window_scores_to_points([np.array([[1.0, np.inf]])], np.array([0]), 3)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(EvalError, match="non-finite scores"):
+            window_scores_to_points([np.array([[1.0, bad], [2.0, 3.0]])], 3)
 
 
 # two windows' diagnostics, as `score_windows` returns them, k = 2
-_DIAG = {"window_start": np.array([0, 1]),
-         "periods": np.array([[20, 5], [20, 7]]),
+_DIAG = {"periods": np.array([[20, 5], [20, 7]]),
          "amp_weights": np.array([[0.7, 0.3], [0.6, 0.4]]),
          "attention": np.array([[0.6, 0.4], [0.5, 0.5]])}
 

@@ -1,5 +1,6 @@
-"""Property tests at the file layer: CSV round trips, refused CSV cells and
-refused checkpoint config values, over generated inputs.
+"""Property tests at the file layer: CSV round trips, refused CSV cells,
+refused checkpoint config values and refused wrong-typed config fields,
+over generated inputs.
 
 Each property draws a fixed sequence of at most 50 examples and keeps no
 example database, so the suite stays deterministic; `conftest.py` keeps
@@ -15,6 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from periflow.cli import GenConfig  # noqa: E402
 from periflow.series import MultivariateSeries, SeriesError, load_csv  # noqa: E402
 from periflow.synthetic import write_csv  # noqa: E402
 from periflow.training import (TrainConfig, build_models, load_checkpoint,  # noqa: E402
@@ -152,4 +154,16 @@ def test_a_bad_checkpoint_config_value_names_the_checkpoint_and_key(scratch, sav
         load_checkpoint(ckpt)
     message = str(info.value)
     assert message.startswith(f"{ckpt}: not a periflow checkpoint (")
-    assert f"(config {key!r} is " in message or f"({key} must be " in message
+    assert f"({key} must be " in message
+
+
+@pytest.mark.parametrize("config, key", [(config, f.name) for config in (TrainConfig, GenConfig)
+                                         for f in fields(config)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_a_wrong_typed_config_value_is_refused_naming_the_key(config, key, data):
+    kind = {f.name: type(f.default) for f in fields(config)}[key]
+    value = data.draw(_wrong_type(kind))
+    with pytest.raises(ValueError) as info:
+        config(**{key: value})
+    assert str(info.value) == f"{key} must be {kind.__name__}, got {value!r}"

@@ -16,55 +16,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import NumericOverflow
+from .config import ConfigError, GenConfig, TrainConfig
 from .evaluate import auroc_summary, emit_reports, window_scores_to_points
 from .series import (MultivariateSeries, SeriesError, SplitSpec, csv_line,
                      load_csv, make_windows)
 from .spectral import (SpectralError, discover_global_period,
                        periodicity_strength, top_k_periods)
 from .synthetic import Anomaly, SynthConfig, generate, write_csv
-from .training import (SCORE_CHUNK, TrainConfig, check_types, fit, history_to_csv,
-                       load_checkpoint, prepare_series, score_windows)
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
-class GenConfig:
-    gen_length: int = 4000
-    gen_dims: int = 3
-    gen_periods: str = "20:3.0,60:1.0"
-    gen_noise_std: float = 0.3
-    gen_anomalies: str = ""
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    test_frac: float = 0.2
-
-    def __post_init__(self):
-        check_types(self)
-        for key, valid, rule in (
-                ("gen_length", self.gen_length >= 1, ">= 1"),
-                ("gen_dims", self.gen_dims >= 1, ">= 1"),
-                ("gen_noise_std", np.isfinite(self.gen_noise_std) and self.gen_noise_std >= 0,
-                 "finite and >= 0")):
-            if not valid:
-                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-
-
-def _coercers() -> dict[str, tuple[str, type]]:
-    table: dict[str, tuple[str, type]] = {}
-    for f in fields(TrainConfig):
-        table[f.name] = ("train", type(f.default))
-    for f in fields(GenConfig):
-        table[f.name] = ("gen", type(f.default))
-    return table
+from .training import (SCORE_CHUNK, fit, history_to_csv, load_checkpoint, prepare_series,
+                       score_windows)
 
 
 def _coerce(key: str, raw: str, target: type):
@@ -85,14 +51,15 @@ def _coerce(key: str, raw: str, target: type):
 def _given_values(path=None, overrides=(), seed=None) -> dict[str, object]:
     """The keys a config file, `--set` overrides and `--seed` give, coerced
     to their types; unknown keys are rejected."""
-    table = _coercers()
+    types = {f.name: type(f.default) for config in (TrainConfig, GenConfig)
+             for f in fields(config)}
     values: dict[str, object] = {}
 
     def absorb(key: str, raw: str):
         key = key.strip()
-        if key not in table:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw, table[key][1])
+        values[key] = _coerce(key, raw, types[key])
 
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
@@ -115,10 +82,8 @@ def _given_values(path=None, overrides=(), seed=None) -> dict[str, object]:
 
 
 def _configs(values: dict[str, object]) -> tuple[TrainConfig, GenConfig]:
-    table = _coercers()
-    train_kwargs = {k: v for k, v in values.items() if table[k][0] == "train"}
-    gen_kwargs = {k: v for k, v in values.items() if table[k][0] == "gen"}
-    return TrainConfig(**train_kwargs), GenConfig(**gen_kwargs)
+    return tuple(config(**{f.name: values[f.name] for f in fields(config) if f.name in values})
+                 for config in (TrainConfig, GenConfig))
 
 
 def load_config(path=None, overrides=(), seed=None) -> tuple[TrainConfig, GenConfig]:
@@ -172,10 +137,6 @@ def _parse_anomalies(spec: str) -> list[Anomaly]:
         (str, int, int, float))]
 
 
-def _split_spec(gen_cfg: GenConfig) -> SplitSpec:
-    return SplitSpec(gen_cfg.train_frac, gen_cfg.val_frac, gen_cfg.test_frac)
-
-
 def cmd_gen(args) -> int:
     train_cfg, gen_cfg = load_config(args.config, args.set, args.seed)
     synth = SynthConfig(gen_cfg.gen_length, gen_cfg.gen_dims,
@@ -198,7 +159,8 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     train_cfg, gen_cfg = load_config(args.config, args.set, args.seed)
     series = load_csv(args.data)
-    data = prepare_series(series, train_cfg, _split_spec(gen_cfg))
+    data = prepare_series(series, train_cfg, SplitSpec(gen_cfg.train_frac, gen_cfg.val_frac,
+                                                         gen_cfg.test_frac))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.npz"

@@ -16,20 +16,12 @@ class SeriesError(ValueError):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological, contiguous train/val/test fractions."""
+    """Chronological, contiguous train/val/test fractions; `GenConfig`
+    declares their valid ranges."""
 
     train_frac: float = 0.6
     val_frac: float = 0.2
     test_frac: float = 0.2
-
-    def __post_init__(self):
-        for key in ("train_frac", "val_frac", "test_frac"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise SeriesError(f"{key} must be finite and >= 0, got {value!r}")
-        total = self.train_frac + self.val_frac + self.test_frac
-        if abs(total - 1.0) > 1e-9:
-            raise SeriesError(f"split fractions must sum to 1, got {total}")
 
     def boundaries(self, n: int) -> tuple[int, int]:
         i1 = int(np.floor(self.train_frac * n))

@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .causal import independence_loss, similarity_loss
+from .config import TrainConfig
 # `embed` is not called here; perfbench's tracer looks it up in this module
 from .factors import MinerParams, embed, extract_pyramid, init_miner  # noqa: F401
 from .flow import FlowModel, condition, anomaly_score, init_flow, mask_law, nll_loss
@@ -41,64 +42,6 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch_index}")
         self.epoch = epoch
         self.batch_index = batch_index
-
-
-def check_types(config) -> None:
-    """Refuse a field of the dataclass `config` whose value is not of its
-    default's type, naming the key; an int is a float, but a bool is no
-    int."""
-    for f in fields(config):
-        value, kind = getattr(config, f.name), type(f.default)
-        if type(value) is not kind and not (kind is float and type(value) is int):
-            raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 0.001
-    epochs: int = 30
-    batch_size: int = 32
-    window_length: int = 60
-    train_stride: int = 1
-    alpha: float = 0.1
-    beta: float = 0.1
-    k_periods: int = 3
-    n_factors: int = 4
-    hidden: int = 32
-    num_layers: int = 2
-    num_blocks: int = 2
-    sigma: float = 0.1
-    k_h_frac: float = 0.25
-    noise: str = "gaussian"
-    seed: int = 0
-    patience: int = 10
-    context_radius: int = -1  # -1: the clamped global period, even without the periodic mask
-    use_periodic_mask: bool = True  # False: fixed half/half split mask
-    apply_standardization: bool = True
-
-    def __post_init__(self):
-        check_types(self)
-        for key, valid, rule in (
-                ("lr", np.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
-                ("epochs", self.epochs >= 1, ">= 1"),
-                ("batch_size", self.batch_size >= 1, ">= 1"),
-                ("alpha", np.isfinite(self.alpha) and self.alpha >= 0, "finite and >= 0"),
-                ("beta", np.isfinite(self.beta) and self.beta >= 0, "finite and >= 0"),
-                ("window_length", self.window_length >= 1, ">= 1"),
-                ("k_periods", 1 <= self.k_periods < self.window_length / 2,
-                 "in [1, window_length / 2)"),
-                ("hidden", self.hidden >= 1, ">= 1"),
-                ("n_factors", self.n_factors >= 1, ">= 1"),
-                ("num_layers", self.num_layers >= 1, ">= 1"),
-                ("num_blocks", self.num_blocks >= 0, ">= 0"),
-                ("train_stride", self.train_stride >= 1, ">= 1"),
-                ("sigma", np.isfinite(self.sigma) and self.sigma >= 0, "finite and >= 0"),
-                ("k_h_frac", 0 < self.k_h_frac < 1, "in (0, 1)"),
-                ("context_radius", self.context_radius >= -1, ">= -1")):
-            if not valid:
-                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        if self.noise not in ("gaussian", "laplace"):
-            raise ValueError(f"noise must be 'gaussian' or 'laplace', got {self.noise!r}")
 
 
 @dataclass
@@ -366,6 +309,26 @@ def save_checkpoint(path, bundle: ModelBundle) -> None:
         np.savez(fh, **arrays)
 
 
+_NOT_OURS = "not a periflow checkpoint ({})".format
+# what a checkpoint's meta must hold, in order: (test, refusal); a test may
+# rely on the rows before it, and a refusal is formatted with the meta as `m`
+_META_RULES = (
+    (lambda m: type(m) is dict, _NOT_OURS("meta is not a JSON object")),
+    *((lambda m, k=k: k in m, _NOT_OURS(f"meta has no {k!r}"))
+      for k in ("format_version", "config", "d_in", "global_period")),
+    (lambda m: m["format_version"] == CHECKPOINT_VERSION,
+     f"unsupported checkpoint version {{m[format_version]}} (expected {CHECKPOINT_VERSION})"),
+    *((lambda m, k=k: type(m[k]) is int and m[k] >= 1,
+       _NOT_OURS(f"meta {k!r} is {{m[{k}]!r}}, not a positive int"))
+      for k in ("d_in", "global_period")),
+    (lambda m: type(m["config"]) is dict, _NOT_OURS("meta 'config' is not a JSON object")),
+    (lambda m: m.get("columns") is None or (
+        type(m["columns"]) is list and all(type(name) is str for name in m["columns"])
+        and len(set(m["columns"])) == len(m["columns"]) == m["d_in"]),
+     _NOT_OURS("meta 'columns' is {m[columns]!r}, not a list of {m[d_in]} distinct strings")),
+)
+
+
 def load_checkpoint(path) -> ModelBundle:
     """Rebuild the bundle; a missing or malformed entry (a meta or meta
     config that is not a JSON object, a config value of the wrong type or
@@ -379,7 +342,7 @@ def load_checkpoint(path) -> ModelBundle:
         raise FileNotFoundError(f"checkpoint not found: {path}")
 
     def malformed(why: str) -> ValueError:
-        return ValueError(f"{path}: not a periflow checkpoint ({why})")
+        return ValueError(f"{path}: {_NOT_OURS(why)}")
 
     if not zipfile.is_zipfile(path):
         raise malformed("not an npz archive")
@@ -390,35 +353,19 @@ def load_checkpoint(path) -> ModelBundle:
             meta = json.loads(bytes(data["meta"]).decode())
         except ValueError:
             raise malformed("'meta' is not JSON") from None
-        if type(meta) is not dict:
-            raise malformed("meta is not a JSON object")
-        for key in ("format_version", "config", "d_in", "global_period"):
-            if key not in meta:
-                raise malformed(f"meta has no {key!r}")
-        if meta["format_version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version "
-                             f"{meta['format_version']} (expected {CHECKPOINT_VERSION})")
-        for key in ("d_in", "global_period"):
-            if type(meta[key]) is not int or meta[key] < 1:
-                raise malformed(f"meta {key!r} is {meta[key]!r}, not a positive int")
-        if type(meta["config"]) is not dict:
-            raise malformed("meta 'config' is not a JSON object")
+        for test, why in _META_RULES:
+            if not test(meta):
+                raise ValueError(f"{path}: " + why.format(m=meta))
         unknown = sorted(set(meta["config"]) - {f.name for f in fields(TrainConfig)})
         if unknown:
             raise malformed(f"unknown config key {unknown[0]!r} in meta")
-        columns = meta.get("columns")
-        if columns is not None and not (
-                type(columns) is list and all(type(name) is str for name in columns)
-                and len(set(columns)) == len(columns) == meta["d_in"]):
-            raise malformed(f"meta 'columns' is {columns!r}, not a list of "
-                            f"{meta['d_in']} distinct strings")
         try:
             config = TrainConfig(**meta["config"])
         except ValueError as exc:  # a value of the wrong type or range, named by its key
             raise malformed(str(exc)) from None
         rng = np.random.default_rng(0)
         bundle = build_models(config, meta["d_in"], meta["global_period"], rng)
-        bundle.columns = columns
+        bundle.columns = meta.get("columns")
         for name, tensor in bundle.named_params().items():
             key = f"param/{name}"
             if key not in data:

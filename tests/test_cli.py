@@ -1,14 +1,16 @@
 """End-to-end command-line pipeline."""
 import ast
 import json
+import re
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from periflow.cli import ConfigError, GenConfig, load_config, main, write_resolved_config
-from periflow.series import SeriesError, SplitSpec, Standardization
+from periflow.series import Standardization
 from periflow.training import TrainConfig, build_models, save_checkpoint
 
 FAST = [
@@ -38,40 +40,6 @@ def test_load_config_rejects_unknown_key(tmp_path):
 def test_load_config_reports_bad_value():
     with pytest.raises(ConfigError, match="epochs"):
         load_config(None, overrides=["epochs=soon"])
-
-
-def _random_value(rng, name, default):
-    if isinstance(default, bool):
-        return bool(rng.integers(2))
-    if isinstance(default, int):
-        return int(rng.integers(-1, 64))
-    if isinstance(default, float):
-        return float(rng.uniform(0.0, 1.0)) * 10.0 ** int(rng.integers(-9, 1))
-    if name == "noise":
-        return str(rng.choice(["gaussian", "laplace"]))
-    if name == "gen_periods":
-        return ",".join(f"{rng.integers(2, 99)}:{rng.uniform(0, 5)}"
-                        for _ in range(rng.integers(1, 4)))
-    assert name == "gen_anomalies"
-    return ";".join(f"{kind}:{rng.integers(0, 999)}:{rng.integers(1, 40)}:{rng.normal()}"
-                    for kind in rng.choice(["spike", "level_shift"], rng.integers(0, 3)))
-
-
-def test_resolved_config_round_trips(tmp_path):
-    rng = np.random.default_rng(17)
-    trials = 0
-    while trials < 40:
-        try:
-            train_cfg = TrainConfig(**{f.name: _random_value(rng, f.name, f.default)
-                                       for f in fields(TrainConfig)})
-            gen_cfg = GenConfig(**{f.name: _random_value(rng, f.name, f.default)
-                                   for f in fields(GenConfig)})
-        except ValueError:  # out of a range TrainConfig or GenConfig checks
-            continue
-        write_resolved_config(tmp_path, train_cfg, gen_cfg,
-                              {"command": "train", "data": "a b.csv", "global_period": 7})
-        assert load_config(tmp_path / "resolved_config.txt") == (train_cfg, gen_cfg)
-        trials += 1
 
 
 def test_gen_reruns_from_its_resolved_config(tmp_path, capsys):
@@ -368,7 +336,7 @@ def test_eval_parses_every_column(tmp_path, capsys):
     "window_length=0", "k_periods=0", "k_periods=12", "hidden=0", "n_factors=0",
     "num_layers=0", "num_blocks=-1", "train_stride=0", "sigma=-0.1",
     "k_h_frac=0", "k_h_frac=1", "context_radius=-2", "lr=inf", "alpha=inf",
-    "beta=inf", "sigma=inf", "noise=uniform"])
+    "beta=inf", "sigma=inf", "noise=uniform", "seed=-1", "gen_periods=20:3.0\nlr=5"])
 def test_bad_train_config_names_the_key(tmp_path, capsys, setting):
     csv = tmp_path / "series.csv"
     csv.write_text("t,x0\n" + "".join(f"{i},{np.sin(i / 3):.6f}\n" for i in range(200)))
@@ -385,7 +353,7 @@ def test_bad_train_config_names_the_key(tmp_path, capsys, setting):
     ("gen_length=-5", ">= 1, got -5"), ("gen_length=0", ">= 1, got 0"),
     ("gen_dims=0", ">= 1, got 0"), ("gen_noise_std=nan", "finite and >= 0, got nan"),
     ("gen_noise_std=inf", "finite and >= 0, got inf"),
-    ("gen_noise_std=-0.1", "finite and >= 0, got -0.1")])
+    ("gen_noise_std=-0.1", "finite and >= 0, got -0.1"), ("seed=-1", ">= 0, got -1")])
 def test_bad_gen_config_names_the_key(tmp_path, capsys, setting, rule):
     code = main(["gen", "--out", str(tmp_path / "data"), "--set", setting])
     assert code == 1
@@ -404,8 +372,40 @@ def test_bad_split_fraction_names_the_key(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: train_frac must be finite and >= 0, got nan\n"
     assert not (tmp_path / "run").exists()
-    with pytest.raises(SeriesError, match=r"^val_frac must be finite and >= 0, got -0.7$"):
-        SplitSpec(1.5, -0.7, 0.2)
+    with pytest.raises(ConfigError, match=r"^val_frac must be finite and >= 0, got -0.7$"):
+        GenConfig(train_frac=1.5, val_frac=-0.7, test_frac=0.2)
+
+
+@pytest.mark.parametrize("command", ["gen", "score"])
+@pytest.mark.parametrize("settings, message", [
+    (["train_frac=-1", "val_frac=0.5"], "train_frac must be finite and >= 0, got -1.0"),
+    (["train_frac=0.7"], "test_frac must be within 1e-9 of 1 - train_frac - val_frac, got 0.2")],
+    ids=["negative", "sum"])
+def test_gen_and_score_refuse_a_bad_split_fraction(tmp_path, capsys, command, settings,
+                                                   message):
+    # the fractions are checked when the configuration is built, before
+    # anything is written, by every command that reads them
+    ckpt, _ = _saved_checkpoint(tmp_path)
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 100)
+    given = [arg for setting in settings for arg in ("--set", setting)]
+    inputs = ["--checkpoint", str(ckpt), "--data", str(csv)] if command == "score" else []
+    code = main([command, *inputs, "--out", str(tmp_path / "out"), *given])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_states_every_declared_rule():
+    # each bullet of README's "Configuration keys" reads "- `key`, ...: rule"
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    stated = set()
+    for bullet in re.findall(r"^- (.*(?:\n  .*)*)", section, re.M):
+        keys, rule = " ".join(bullet.split()).split(": ", 1)
+        stated |= {(key, rule) for key in re.findall(r"`(\w+)`", keys)}
+    assert stated == {(f.name, rule) for config in (TrainConfig, GenConfig)
+                      for f in fields(config) for rule, _ in f.metadata.get("rules", ())}
 
 
 def test_split_shorter_than_window_names_the_split(tmp_path, capsys):

@@ -1,22 +1,24 @@
-"""Property tests at the file layer: CSV round trips, refused CSV cells,
-refused checkpoint config values and refused wrong-typed config fields,
-over generated inputs.
+"""Property tests at the file layer: CSV and config file round trips,
+refused CSV cells, and config values refused in a checkpoint and in the
+dataclasses, over inputs generated from the CSV format and the config
+fields' declared types and rules.
 
 Each property draws a fixed sequence of at most 50 examples and keeps no
 example database, so the suite stays deterministic; `conftest.py` keeps
 Hypothesis's caches out of the tree.
 """
 import json
-import math
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from periflow.cli import GenConfig  # noqa: E402
+from periflow.cli import load_config, write_resolved_config  # noqa: E402
+from periflow.config import ConfigError, GenConfig  # noqa: E402
 from periflow.series import MultivariateSeries, SeriesError, load_csv  # noqa: E402
 from periflow.synthetic import write_csv  # noqa: E402
 from periflow.training import (TrainConfig, build_models, load_checkpoint,  # noqa: E402
@@ -87,28 +89,15 @@ def test_a_bad_data_cell_is_refused_with_its_line_and_column(scratch, original, 
         f"line {row + 2}, column {original.dim_names[col]}: ")
 
 
-_KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
-# values each checked key refuses at the saved config's window_length of 24
-_OUT_OF_RANGE = {
-    "lr": st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan]),
-    "epochs": st.integers(max_value=0),
-    "batch_size": st.integers(max_value=0),
-    "alpha": st.floats(max_value=-1e-300) | st.sampled_from([math.inf, math.nan]),
-    "beta": st.floats(max_value=-1e-300) | st.sampled_from([math.inf, math.nan]),
-    "window_length": st.integers(max_value=0),
-    "k_periods": st.integers(max_value=0) | st.integers(min_value=12),
-    "hidden": st.integers(max_value=0),
-    "n_factors": st.integers(max_value=0),
-    "num_layers": st.integers(max_value=0),
-    "num_blocks": st.integers(max_value=-1),
-    "train_stride": st.integers(max_value=0),
-    "sigma": st.floats(max_value=-1e-300) | st.sampled_from([math.inf, math.nan]),
-    "k_h_frac": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.just(math.nan),
-    "context_radius": st.integers(max_value=-2),
-    "noise": st.text(max_size=8).filter(lambda text: text not in ("gaussian", "laplace")),
-}
 _OTHER_TYPES = (st.text(max_size=4) | st.none() | st.booleans() | st.integers()
                 | st.floats(allow_nan=False) | st.lists(st.integers(), max_size=2))
+# values of each field type: an int is a float, also an odd one past 2**53
+# that a float rounds, and texts rich in the whitespace and line breaks
+# that a line of a config file cannot hold
+_OF_TYPE = {bool: st.booleans(), int: st.integers(),
+            float: st.floats() | st.integers() | st.integers(2 ** 52, 2 ** 63).map(
+                lambda n: 2 * n + 1),
+            str: st.text(max_size=8) | st.text(" \t\n\r\x0b\x85\u2028ab", max_size=4)}
 
 
 def _wrong_type(kind):
@@ -118,17 +107,59 @@ def _wrong_type(kind):
     return _OTHER_TYPES.filter(differs)
 
 
+def _broken_rule(f, value, config):
+    """The first rule of field `f` that `value` breaks, the other fields
+    at `config`'s values, or None."""
+    return next((rule for rule, test in f.metadata.get("rules", ()) if not test(value, config)),
+                None)
+
+
+def _stored(f, value):
+    """`value` as the config holds it: an int given for a float is a float."""
+    return float(value) if type(f.default) is float and type(value) is int else value
+
+
+def _out_of_range(f, config):
+    return _OF_TYPE[type(f.default)].filter(lambda value: _broken_rule(f, value, config))
+
+
 @st.composite
-def bad_config_values(draw):
-    key = draw(st.sampled_from(sorted(_KINDS)))
-    if key in _OUT_OF_RANGE and draw(st.booleans()):
-        return key, draw(_OUT_OF_RANGE[key])
-    return key, draw(_wrong_type(_KINDS[key]))
+def bad_values(draw, f, config):
+    """A value that field `f` refuses, the other fields at `config`'s
+    values, and the refusal's rule: a value of its type that breaks one of
+    its rules, or a value of another type."""
+    if f.metadata.get("rules") and draw(st.booleans()):
+        value = draw(_out_of_range(f, config))
+        return value, _broken_rule(f, value, config)
+    kind = type(f.default)
+    return draw(_wrong_type(kind)), kind.__name__
+
+
+@st.composite
+def valid_configs(draw, config):
+    """A `config` whose every value is drawn from its field's type and kept
+    if it passes the field's rules, given the fields drawn before it, else
+    is the default. The split fractions, whose last the others fix, are
+    drawn as shares of 1."""
+    pinned = {}
+    if config is GenConfig:
+        cut, end = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2)))
+        pinned = {"train_frac": cut, "val_frac": end - cut, "test_frac": 1.0 - end}
+    values = {**{f.name: f.default for f in fields(config)}, **pinned}
+    for f in fields(config):
+        if f.name not in pinned:
+            view = SimpleNamespace(**values)
+            drawn = draw(_OF_TYPE[type(f.default)])
+            values[f.name] = drawn if _broken_rule(f, drawn, view) is None else f.default
+            # a default that a value drawn before it rules out
+            assume(_broken_rule(f, values[f.name], view) is None)
+    return config(**values)
 
 
 @pytest.fixture(scope="module")
-def saved_arrays(scratch):
-    """The entries of an untrained 3-channel, window-24 checkpoint."""
+def saved(scratch):
+    """The entries of an untrained 3-channel, window-24 checkpoint and its
+    config."""
     config = TrainConfig(window_length=24, hidden=8, n_factors=2, k_periods=2,
                          num_blocks=1, seed=4)
     bundle = build_models(config, 3, 6, np.random.default_rng(0))
@@ -136,25 +167,25 @@ def saved_arrays(scratch):
     path = scratch / "saved.npz"
     save_checkpoint(path, bundle)
     with np.load(path, allow_pickle=False) as blob:
-        return {key: blob[key] for key in blob.files}
+        return {key: blob[key] for key in blob.files}, config
 
 
 @PROPERTY
-@given(bad_config_values())
-def test_a_bad_checkpoint_config_value_names_the_checkpoint_and_key(scratch, saved_arrays,
-                                                                     bad):
-    key, value = bad
-    meta = json.loads(bytes(saved_arrays["meta"]).decode())
-    meta["config"][key] = value
+@given(st.data())
+def test_a_bad_checkpoint_config_value_names_the_checkpoint_and_key(scratch, saved, data):
+    arrays, config = saved
+    f = data.draw(st.sampled_from(fields(TrainConfig)))
+    value, rule = data.draw(bad_values(f, config))
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["config"][f.name] = value
     ckpt = scratch / "bad_config.npz"
     with open(ckpt, "wb") as fh:
-        np.savez(fh, **{**saved_arrays, "meta": np.frombuffer(json.dumps(meta).encode(),
-                                                               dtype=np.uint8)})
+        np.savez(fh, **{**arrays, "meta": np.frombuffer(json.dumps(meta).encode(),
+                                                         dtype=np.uint8)})
     with pytest.raises(ValueError) as info:
         load_checkpoint(ckpt)
-    message = str(info.value)
-    assert message.startswith(f"{ckpt}: not a periflow checkpoint (")
-    assert f"({key} must be " in message
+    assert str(info.value) == (f"{ckpt}: not a periflow checkpoint ({f.name} must be {rule}, "
+                               f"got {_stored(f, value)!r})")
 
 
 @pytest.mark.parametrize("config, key", [(config, f.name) for config in (TrainConfig, GenConfig)
@@ -167,3 +198,24 @@ def test_a_wrong_typed_config_value_is_refused_naming_the_key(config, key, data)
     with pytest.raises(ValueError) as info:
         config(**{key: value})
     assert str(info.value) == f"{key} must be {kind.__name__}, got {value!r}"
+
+
+@pytest.mark.parametrize("config, key", [(config, f.name) for config in (TrainConfig, GenConfig)
+                                         for f in fields(config) if f.metadata.get("rules")])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_a_value_its_rules_refuse_is_refused_naming_the_key(config, key, data):
+    f = {f.name: f for f in fields(config)}[key]
+    value = data.draw(_out_of_range(f, config()))
+    with pytest.raises(ConfigError) as info:
+        config(**{key: value})
+    assert str(info.value) == (f"{key} must be {_broken_rule(f, value, config())}, "
+                               f"got {_stored(f, value)!r}")
+
+
+@PROPERTY
+@given(valid_configs(TrainConfig), valid_configs(GenConfig))
+def test_resolved_config_round_trips(scratch, train_cfg, gen_cfg):
+    write_resolved_config(scratch, train_cfg, gen_cfg,
+                          {"command": "train", "data": "a b.csv", "global_period": 7})
+    assert load_config(scratch / "resolved_config.txt") == (train_cfg, gen_cfg)

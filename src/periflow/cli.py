@@ -24,8 +24,7 @@ import numpy as np
 from .autodiff import NumericOverflow
 from .config import ConfigError, GenConfig, TrainConfig
 from .evaluate import auroc_summary, emit_reports, window_scores_to_points
-from .series import (MultivariateSeries, SeriesError, SplitSpec, csv_line,
-                     load_csv, make_windows)
+from .series import SeriesError, csv_line, load_csv, make_windows, write_json
 from .spectral import (SpectralError, discover_global_period,
                        periodicity_strength, top_k_periods)
 from .synthetic import Anomaly, SynthConfig, generate, write_csv
@@ -159,8 +158,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     train_cfg, gen_cfg = load_config(args.config, args.set, args.seed)
     series = load_csv(args.data)
-    data = prepare_series(series, train_cfg, SplitSpec(gen_cfg.train_frac, gen_cfg.val_frac,
-                                                         gen_cfg.test_frac))
+    data = prepare_series(series.values, train_cfg, gen_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "model.npz"
@@ -204,9 +202,7 @@ def cmd_score(args) -> int:
     values = series.values
     if bundle.stats is not None:
         values = bundle.stats.apply(values)
-    prepared = MultivariateSeries(values, series.timestamps, series.labels,
-                                  list(series.dim_names))
-    windows = make_windows(prepared, window_length, stride=1)
+    windows = make_windows(values, window_length, stride=1)
     # score in float32, at about half the arithmetic and memory of float64;
     # the picker still sees float64 amplitudes and tau is summed in float64
     twin = bundle.astype(np.float32)
@@ -242,7 +238,7 @@ def cmd_score(args) -> int:
             chunk_diags.append(diags)
             yield tau_t
 
-    points = window_scores_to_points(chunk_scores(), prepared.length)
+    points = window_scores_to_points(chunk_scores(), series.length)
     diags = {key: np.concatenate([d[key] for d in chunk_diags]) for key in chunk_diags[0]}
     out = Path(args.out)
     summary = emit_reports(out, points, series.labels, diagnostics=diags,
@@ -275,9 +271,7 @@ def cmd_eval(args) -> int:
                "anomaly_rate": float(series.labels.mean())}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -285,7 +279,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     train_cfg, _ = load_config(args.config, args.set, args.seed)
     series = load_csv(args.data)
-    period = discover_global_period(series)
+    period = discover_global_period(series.values)
     freqs, periods, amps, _ = top_k_periods(
         series.values[None], min(train_cfg.k_periods, max(1, series.length // 2 - 1)))
     strength = {}
@@ -302,9 +296,7 @@ def cmd_inspect(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "inspect.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "inspect.json", report)
     print(json.dumps(report, sort_keys=True))
     return 0
 

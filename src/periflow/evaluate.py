@@ -1,14 +1,14 @@
 """Score alignment, AUROC, and report emission."""
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
+from .series import write_json, write_table
+
 HIST_BINS = 50  # bins of score_histogram.csv
-REPORT_BLOCK = 1024  # windows per block of period_weights.csv rows
 
 
 class EvalError(ValueError):
@@ -100,39 +100,20 @@ def emit_reports(out_dir, scores: np.ndarray, labels: np.ndarray | None,
     out.mkdir(parents=True, exist_ok=True)
 
     edges = np.histogram_bin_edges(scores, bins=HIST_BINS)
-    with open(out / "score_histogram.csv", "w", encoding="utf-8") as fh:
-        if labels is None:
-            fh.write("bin_left,bin_right,count\n")
-            counts, _ = np.histogram(scores, bins=edges)
-            for i, c in enumerate(counts):
-                fh.write(f"{float(edges[i])!r},{float(edges[i + 1])!r},{c}\n")
-        else:
-            fh.write("bin_left,bin_right,count_normal,count_anomalous\n")
-            labels = np.asarray(labels)
-            c0, _ = np.histogram(scores[labels == 0], bins=edges)
-            c1, _ = np.histogram(scores[labels == 1], bins=edges)
-            for i in range(len(c0)):
-                fh.write(f"{float(edges[i])!r},{float(edges[i + 1])!r},"
-                         f"{c0[i]},{c1[i]}\n")
-
-    with open(out / "scores.csv", "w", encoding="utf-8") as fh:
-        fh.write("index,score,log_likelihood\n")
-        for i, s in enumerate(scores):
-            fh.write(f"{i},{float(s)!r},{float(-s)!r}\n")
-
-    columns = [diagnostics[key] for key in ("periods", "amp_weights", "attention")]
-    n, k = columns[0].shape
-    with open(out / "period_weights.csv", "w", encoding="utf-8") as fh:
-        fh.write("window_start,period,amplitude_weight,attention_score\n")
-        # a block of windows at a time, so no list of every value is built
-        for lo in range(0, n, REPORT_BLOCK):
-            hi = min(lo + REPORT_BLOCK, n)
-            rows = zip(np.repeat(np.arange(lo, hi), k).tolist(),
-                       *(col[lo:hi].ravel().tolist() for col in columns))
-            for start, p, w, a in rows:
-                fh.write(f"{start},{p},{w!r},{a!r}\n")
-
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if labels is None:
+        counts = {"count": np.histogram(scores, bins=edges)[0]}
+    else:
+        labels = np.asarray(labels)
+        counts = {"count_normal": np.histogram(scores[labels == 0], bins=edges)[0],
+                  "count_anomalous": np.histogram(scores[labels == 1], bins=edges)[0]}
+    write_table(out / "score_histogram.csv", ["bin_left", "bin_right", *counts],
+                [edges[:-1], edges[1:], *counts.values()])
+    write_table(out / "scores.csv", ["index", "score", "log_likelihood"],
+                [np.arange(scores.size), scores, -scores])
+    n, k = diagnostics["periods"].shape
+    write_table(out / "period_weights.csv",
+                ["window_start", "period", "amplitude_weight", "attention_score"],
+                [np.arange(n).repeat(k), *(diagnostics[key].ravel()
+                                           for key in ("periods", "amp_weights", "attention"))])
+    write_json(out / "summary.json", summary)
     return summary

@@ -1,7 +1,9 @@
-"""Loading, standardization, chronological splitting and windowing of series."""
+"""The CSV format, read and written, and standardization, chronological
+splitting and windowing of a series' values."""
 from __future__ import annotations
 
 import csv
+import json
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -12,21 +14,6 @@ import numpy as np
 
 class SeriesError(ValueError):
     """Raised for malformed or inconsistent input series."""
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological, contiguous train/val/test fractions; `GenConfig`
-    declares their valid ranges."""
-
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    test_frac: float = 0.2
-
-    def boundaries(self, n: int) -> tuple[int, int]:
-        i1 = int(np.floor(self.train_frac * n))
-        i2 = int(np.floor((self.train_frac + self.val_frac) * n))
-        return i1, i2
 
 
 @dataclass
@@ -69,20 +56,6 @@ class MultivariateSeries:
     @property
     def dims(self) -> int:
         return self.values.shape[1]
-
-    def slice(self, start: int, stop: int) -> "MultivariateSeries":
-        return MultivariateSeries(
-            self.values[start:stop],
-            self.timestamps[start:stop],
-            None if self.labels is None else self.labels[start:stop],
-            list(self.dim_names),
-        )
-
-    def split(self, spec: SplitSpec) -> tuple["MultivariateSeries", "MultivariateSeries", "MultivariateSeries"]:
-        i1, i2 = spec.boundaries(self.length)
-        if i1 < 1 or i2 <= i1 or i2 >= self.length:
-            raise SeriesError(f"series of length {self.length} cannot be split {spec}")
-        return self.slice(0, i1), self.slice(i1, i2), self.slice(i2, self.length)
 
 
 def _finite(value: float, text: str, line_no: int, column: str) -> float:
@@ -176,44 +149,67 @@ def csv_line(path, row: int) -> int:
         return [line_no for line_no, fields in enumerate(reader, start=2) if fields][row]
 
 
+TABLE_BLOCK = 1024  # rows per write of `write_table`
+
+
+def write_table(path, header: list[str], columns) -> None:
+    """Write equal-length 1-D `columns` under `header` in the format
+    `load_csv` reads: ints as themselves, floats as their shortest repr,
+    so every float reads back bitwise. Rows are formatted a block at a
+    time, so no list of every value is built."""
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), TABLE_BLOCK):
+            block = zip(*(column[lo:lo + TABLE_BLOCK].tolist() for column in columns))
+            fh.write("".join([row % values for values in block]))
+
+
+def write_json(path, report: dict) -> None:
+    """Write `report` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def chronological_split(values: np.ndarray, train_frac: float, val_frac: float):
+    """The contiguous train, validation and test parts of `values`: the
+    first floor(train_frac * n) rows, up to floor((train_frac + val_frac) * n),
+    and the rest, as views."""
+    n = len(values)
+    i1 = int(np.floor(train_frac * n))
+    i2 = int(np.floor((train_frac + val_frac) * n))
+    return values[:i1], values[i1:i2], values[i2:]
+
+
 @dataclass(frozen=True)
 class Standardization:
+    """Zero-mean unit-variance transform with population (1/N) statistics;
+    a near-constant channel keeps its scale (std below 1e-8 is taken as 1),
+    so it maps to zeros."""
+
     mean: np.ndarray
     std: np.ndarray
+
+    @classmethod
+    def fit(cls, train_values: np.ndarray) -> "Standardization":
+        std = train_values.std(axis=0)
+        return cls(train_values.mean(axis=0), np.where(std < 1e-8, 1.0, std))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
 
-def standardize(series: MultivariateSeries, spec: SplitSpec = SplitSpec(),
-                ) -> tuple[MultivariateSeries, Standardization]:
-    """Zero-mean unit-variance transform fitted on the training split only.
-
-    Uses population (1/N) standard deviation; near-constant channels keep
-    their scale (std below 1e-8 is replaced by 1) so they map to zeros.
-    """
-    i1, _ = spec.boundaries(series.length)
-    if i1 < 2:
-        raise SeriesError("training split too short to estimate statistics")
-    train = series.values[:i1]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    std = np.where(std < 1e-8, 1.0, std)
-    stats = Standardization(mean, std)
-    out = MultivariateSeries(stats.apply(series.values), series.timestamps.copy(),
-                             None if series.labels is None else series.labels.copy(),
-                             list(series.dim_names))
-    return out, stats
-
-
-def make_windows(series: MultivariateSeries, window_length: int, stride: int = 1) -> np.ndarray:
-    """Contiguous (B, T, D) windows starting at 0, stride, 2*stride, ... up
-    to T_l - T, as a read-only strided view of the series' values: nothing
-    is copied, and indexing a batch of windows copies only that batch."""
+def make_windows(values: np.ndarray, window_length: int, stride: int = 1) -> np.ndarray:
+    """Contiguous (B, T, D) windows of (T_l, D) `values` starting at 0,
+    stride, 2*stride, ... up to T_l - T, as a read-only strided view:
+    nothing is copied, and indexing a batch of windows copies only that
+    batch."""
     if stride < 1:
         raise SeriesError("stride must be >= 1")
-    if window_length > series.length:
+    if window_length > len(values):
         raise SeriesError(
-            f"window length {window_length} exceeds series length {series.length}")
-    view = np.lib.stride_tricks.sliding_window_view(series.values, window_length, axis=0)
+            f"window length {window_length} exceeds series length {len(values)}")
+    view = np.lib.stride_tricks.sliding_window_view(values, window_length, axis=0)
     return np.swapaxes(view, 1, 2)[::stride]

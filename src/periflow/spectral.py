@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import array_mean
-from .series import MultivariateSeries
 
 
 # windows per rfft in `top_k_periods`: at T=60 a block's mixed spectrum
@@ -77,11 +76,10 @@ def top_k_periods(x: np.ndarray, k: int, mix: np.ndarray | None = None) -> Picks
     return Picks(freqs, -(-t // freqs), amplitudes, spectrum)
 
 
-def discover_global_period(series: MultivariateSeries) -> int:
-    """Dominant period of the full series: the top-1 pick of `top_k_periods`,
-    ceil(T_l / f) for the strongest non-DC bin f."""
-    values = series.values
-    if series.length < 4:
+def discover_global_period(values: np.ndarray) -> int:
+    """Dominant period of a (T_l, D) series: the top-1 pick of
+    `top_k_periods`, ceil(T_l / f) for the strongest non-DC bin f."""
+    if len(values) < 4:
         raise SpectralError("need at least 4 samples to discover a period")
     if np.allclose(values, values[0], rtol=0.0, atol=1e-12):
         raise SpectralError("constant series has no dominant frequency")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import MultivariateSeries
+from .series import MultivariateSeries, write_table
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,8 @@ def generate(config: SynthConfig) -> MultivariateSeries:
 
 def write_csv(series: MultivariateSeries, path) -> None:
     """Emit the same schema `series.load_csv` consumes."""
-    header = ["timestamp", *series.dim_names]
+    header, columns = ["timestamp", *series.dim_names], [series.timestamps, *series.values.T]
     if series.labels is not None:
         header.append("label")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(series.length):
-            row = [repr(float(series.timestamps[i]))]
-            row += [repr(float(v)) for v in series.values[i]]
-            if series.labels is not None:
-                row.append(str(int(series.labels[i])))
-            fh.write(",".join(row) + "\n")
+        columns.append(series.labels)
+    write_table(path, header, columns)

@@ -23,14 +23,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .causal import independence_loss, similarity_loss
-from .config import TrainConfig
+from .config import GenConfig, TrainConfig
 # `embed` is not called here; perfbench's tracer looks it up in this module
 from .factors import MinerParams, embed, extract_pyramid, init_miner  # noqa: F401
 from .flow import FlowModel, condition, anomaly_score, init_flow, mask_law, nll_loss
 from .fusion import FusionParams, fuse, init_fusion
 from .optim import ParamStore
-from .series import MultivariateSeries, SeriesError, SplitSpec, Standardization, \
-    make_windows, standardize
+from .series import SeriesError, Standardization, chronological_split, make_windows, \
+    write_table
 from .spectral import discover_global_period, intervene, top_k_periods
 
 CHECKPOINT_VERSION = 1
@@ -254,37 +254,30 @@ def score_windows(bundle: ModelBundle, windows: np.ndarray,
     return tau, tau_t, diags
 
 
-def prepare_series(series: MultivariateSeries, config: TrainConfig,
-                   split: SplitSpec = SplitSpec()):
-    """Standardize (train statistics only), split chronologically, window,
-    and discover the global period on the training split."""
-    if config.apply_standardization:
-        prepared, stats = standardize(series, split)
-    else:
-        prepared, stats = series, None
-    train_s, val_s, test_s = prepared.split(split)
-    for name, part in (("train", train_s), ("validation", val_s), ("test", test_s)):
-        if part.length < config.window_length:
-            raise SeriesError(f"{name} split has {part.length} of {series.length} "
+def prepare_series(values: np.ndarray, config: TrainConfig, split: GenConfig = GenConfig()):
+    """Split (T_l, D) `values` chronologically by `split`'s fractions,
+    standardize them on the training part's statistics, window them, and
+    discover the global period on the training part."""
+    parts = chronological_split(values, split.train_frac, split.val_frac)
+    for name, part in zip(("train", "validation", "test"), parts):
+        if len(part) < config.window_length:
+            raise SeriesError(f"{name} split has {len(part)} of {len(values)} "
                               f"steps, fewer than window_length {config.window_length}")
-    global_period = discover_global_period(train_s)
-    train_w = make_windows(train_s, config.window_length, config.train_stride)
-    val_w = make_windows(val_s, config.window_length, config.train_stride)
-    test_w = make_windows(test_s, config.window_length, 1)
+    stats = Standardization.fit(parts[0]) if config.apply_standardization else None
+    if stats is not None:
+        parts = [stats.apply(part) for part in parts]
+    train, val, test = parts
     return {
-        "train": train_w, "val": val_w, "test": test_w,
-        "train_series": train_s, "val_series": val_s, "test_series": test_s,
-        "stats": stats, "global_period": global_period,
+        "train": make_windows(train, config.window_length, config.train_stride),
+        "val": make_windows(val, config.window_length, config.train_stride),
+        "test": make_windows(test, config.window_length, 1),
+        "stats": stats, "global_period": discover_global_period(train),
     }
 
 
 def history_to_csv(history: list[dict], path) -> None:
     cols = ["epoch", "nll", "similarity", "independence", "val_nll", "best"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in history:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in cols) + "\n")
+    write_table(path, cols, [[row[c] for row in history] for c in cols])
 
 
 def save_checkpoint(path, bundle: ModelBundle) -> None:

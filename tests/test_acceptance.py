@@ -14,7 +14,7 @@ from periflow.autodiff import Tensor
 from periflow.causal import independence_loss, similarity_loss
 from periflow.evaluate import auroc, window_scores_to_points
 from periflow.flow import LOG_2PI, forward, init_flow, inverse, log_prob, mask_law
-from periflow.series import make_windows
+from periflow.series import chronological_split, make_windows
 from periflow.spectral import intervene
 from periflow.synthetic import Anomaly, SynthConfig, generate
 from periflow.training import (TrainConfig, build_models, evaluate_objective,
@@ -150,7 +150,7 @@ def test_c04_gradient_suite():
     synth = SynthConfig(length=64, dims=2, periods={6: 2.0, 3: 0.6},
                         noise_std=0.3, seed=104)
     series = generate(synth)
-    windows = make_windows(series, 12, stride=13)
+    windows = make_windows(series.values, 12, stride=13)
     bundle = build_models(cfg, 2, 6, np.random.default_rng(105))
     # move output layers off zero so upstream gradients are visible
     move_rng = np.random.default_rng(106)
@@ -227,7 +227,7 @@ def test_c07_loss_identities():
                       epochs=1)
     synth = SynthConfig(length=64, dims=2, periods={6: 2.0}, noise_std=0.3,
                         seed=107)
-    windows = make_windows(generate(synth), 12, stride=7)
+    windows = make_windows(generate(synth).values, 12, stride=7)
     bundle = build_models(cfg, 2, 6, np.random.default_rng(108))
     total, comps = total_loss(windows, bundle, np.random.default_rng(109))
     assert abs(comps["similarity"]) < 1e-12
@@ -293,17 +293,17 @@ def _detection_run(seed: int, anomalies, use_periodic_mask: bool = True,
                       k_periods=3, n_factors=4, hidden=32, num_layers=2,
                       num_blocks=2, sigma=0.1, seed=seed, patience=5,
                       use_periodic_mask=use_periodic_mask)
-    data = prepare_series(series, cfg)
+    data = prepare_series(series.values, cfg)
     bundle, history = fit(data["train"], data["val"], cfg,
                           data["global_period"])
-    test_s = data["test_series"]
-    windows = make_windows(test_s, cfg.window_length, 1)
+    _, _, test_labels = chronological_split(series.labels, 0.6, 0.2)
+    windows = data["test"]
     tau, tau_t, _ = score_windows(bundle, windows)
-    pts = window_scores_to_points([tau_t], test_s.length)
-    trained = auroc(pts, test_s.labels)
+    pts = window_scores_to_points([tau_t], len(test_labels))
+    trained = auroc(pts, test_labels)
     base_t = 0.5 * np.sum(windows ** 2, axis=2)
-    base_pts = window_scores_to_points([base_t], test_s.length)
-    baseline = auroc(base_pts, test_s.labels)
+    base_pts = window_scores_to_points([base_t], len(test_labels))
+    baseline = auroc(base_pts, test_labels)
     return trained, baseline, history
 
 
@@ -375,7 +375,7 @@ def test_c11_identity_start_nll():
                       seed=111)
     synth = SynthConfig(length=600, dims=2, periods={12: 3.0, 4: 1.0},
                         noise_std=0.3, seed=111)
-    data = prepare_series(generate(synth), cfg)
+    data = prepare_series(generate(synth).values, cfg)
     bundle = build_models(cfg, 2, data["global_period"],
                           np.random.default_rng(112))
     row = evaluate_objective(data["train"], bundle,
@@ -403,7 +403,7 @@ def test_c12_complexity_smoke():
     series = generate(synth)
     times = {}
     for t in (60, 120, 240):
-        windows = make_windows(series, t, stride=4)[:240]
+        windows = make_windows(series.values, t, stride=4)[:240]
         score_windows(bundle, windows[:8], batch_size=32)  # warm-up
         reps = []
         # modest chunks and a median keep allocator jitter out of the

@@ -1,4 +1,4 @@
-"""Characterization: the `gen → train → score → eval` run of
+"""Characterization: the `gen → train → score → eval → inspect` run of
 `tools/byte_diff.py` against the outputs committed in `characterization/`.
 
 Every output but `run/model.npz` (binary; `history.csv` and the scores

@@ -396,6 +396,24 @@ def test_gen_and_score_refuse_a_bad_split_fraction(tmp_path, capsys, command, se
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_a_config_string_that_is_not_utf8_is_refused_naming_the_key(tmp_path, capsys,
+                                                                   command):
+    # argv holds a byte that is not UTF-8 as a surrogate, which a resolved
+    # config cannot hold; it is refused before anything is written
+    ckpt, _ = _saved_checkpoint(tmp_path)
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 400)
+    inputs = ["--checkpoint", str(ckpt)] if command == "score" else FAST
+    code = main([command, "--data", str(csv), *inputs, "--out", str(tmp_path / "out"),
+                 "--set", "gen_anomalies=\udcff"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: gen_anomalies must be a single line of UTF-8 text without surrounding "
+        "whitespace, got '\\udcff'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_states_every_declared_rule():
     # each bullet of README's "Configuration keys" reads "- `key`, ...: rule"
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -315,7 +315,7 @@ def test_total_loss_gradients_match_the_embedded_miner_chain(b, monkeypatch):
                                   noise_std=0.3, seed=4))
     config = TrainConfig(window_length=60, hidden=8, n_factors=2, k_periods=3,
                          num_blocks=1, seed=4)
-    data = prepare_series(series, config)
+    data = prepare_series(series.values, config)
     bundle = build_models(config, 3, data["global_period"], np.random.default_rng(5))
     rng = np.random.default_rng(6)
     for layer in bundle.flow.layers:

@@ -1,6 +1,6 @@
-"""Property tests at the file layer: CSV and config file round trips,
-refused CSV cells, and config values refused in a checkpoint and in the
-dataclasses, over inputs generated from the CSV format and the config
+"""Property tests at the file layer: CSV, score file and config file round
+trips, refused CSV cells, and config values refused in a checkpoint and in
+the dataclasses, over inputs generated from the CSV format and the config
 fields' declared types and rules.
 
 Each property draws a fixed sequence of at most 50 examples and keeps no
@@ -10,6 +10,7 @@ Hypothesis's caches out of the tree.
 import json
 from dataclasses import fields
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from periflow.cli import load_config, write_resolved_config  # noqa: E402
+from periflow import series as series_module  # noqa: E402
+from periflow.cli import load_config, main, write_resolved_config  # noqa: E402
 from periflow.config import ConfigError, GenConfig  # noqa: E402
-from periflow.series import MultivariateSeries, SeriesError, load_csv  # noqa: E402
+from periflow.evaluate import auroc  # noqa: E402
+from periflow.series import (MultivariateSeries, SeriesError, load_csv,  # noqa: E402
+                             write_table)
 from periflow.synthetic import write_csv  # noqa: E402
 from periflow.training import (TrainConfig, build_models, load_checkpoint,  # noqa: E402
                                save_checkpoint)
@@ -67,6 +71,48 @@ def test_write_then_load_returns_the_series(scratch, original, bom):
         assert loaded.labels is None
     else:
         np.testing.assert_array_equal(loaded.labels, original.labels)
+
+
+# ints that a float64 holds exactly, and finite floats with the format's
+# edges drawn often: signed zeros, subnormals and the largest magnitudes
+table_ints = st.integers(-2 ** 53, 2 ** 53)
+table_floats = finite | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                         1e308, -1e308, 1.7976931348623157e308])
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 5))
+def test_write_table_then_load_returns_every_value_bitwise(scratch, data, block):
+    n = data.draw(st.integers(1, 12))
+    header = data.draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    columns = [np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+               for cells in data.draw(st.lists(st.sampled_from([table_ints, table_floats]),
+                                               min_size=len(header), max_size=len(header)))]
+    path = scratch / "table.csv"
+    # rows written a few at a time, so that blocks meet inside the table
+    with mock.patch.object(series_module, "TABLE_BLOCK", block):
+        write_table(path, header, columns)
+    loaded = load_csv(path)
+    assert loaded.dim_names == header
+    expected = np.column_stack([column.astype(np.float64) for column in columns])
+    np.testing.assert_array_equal(loaded.values.view(np.int64), expected.view(np.int64))
+
+
+@PROPERTY
+@given(st.lists(table_floats, min_size=2, max_size=40), st.data())
+def test_eval_of_a_written_score_file_is_auroc_of_the_scores(scratch, scores, data):
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                                         max_size=len(scores))))
+    assume(0 < labels.sum() < len(labels))
+    scores = np.array(scores)
+    write_table(scratch / "scores.csv", ["index", "score", "log_likelihood"],
+                [np.arange(len(scores)), scores, -scores])
+    write_table(scratch / "labelled.csv", ["x", "label"], [np.zeros(len(labels)), labels])
+    out = scratch / "eval"
+    assert main(["eval", "--scores", str(scratch / "scores.csv"),
+                 "--data", str(scratch / "labelled.csv"), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["auroc"] == auroc(scores, labels)
 
 
 @PROPERTY

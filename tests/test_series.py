@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from periflow.series import (MultivariateSeries, SeriesError, SplitSpec,
-                             csv_line, load_csv, make_windows, standardize)
+from periflow.series import (MultivariateSeries, SeriesError, Standardization,
+                             chronological_split, csv_line, load_csv, make_windows)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -71,65 +71,67 @@ def test_load_csv_rejects_label_only_schema(tmp_path):
 
 def test_split_boundaries_and_ordering():
     s = MultivariateSeries(np.arange(10, dtype=float).reshape(-1, 1), np.arange(10))
-    train, val, test = s.split(SplitSpec())
-    assert (train.length, val.length, test.length) == (6, 2, 2)
-    assert train.timestamps[-1] < val.timestamps[0] < test.timestamps[0]
+    train, val, test = chronological_split(s.values, 0.6, 0.2)
+    stamps = chronological_split(s.timestamps, 0.6, 0.2)
+    assert (len(train), len(val), len(test)) == (6, 2, 2)
+    assert stamps[0][-1] < stamps[1][0] < stamps[2][0]
     # disjoint and contiguous
-    merged = np.concatenate([train.values, val.values, test.values])
+    merged = np.concatenate([train, val, test])
     np.testing.assert_array_equal(merged, s.values)
 
 
 def test_split_smallest_supported_length():
     s = MultivariateSeries(np.zeros((5, 1)), np.arange(5))
-    train, val, test = s.split(SplitSpec())
-    assert min(train.length, val.length, test.length) >= 1
+    train, val, test = chronological_split(s.values, 0.6, 0.2)
+    assert min(len(train), len(val), len(test)) >= 1
 
 
 def test_standardize_constant_channel_guard():
     vals = np.column_stack([np.full(10, 5.0), np.arange(10, dtype=float)])
     s = MultivariateSeries(vals, np.arange(10))
-    out, stats = standardize(s)
-    np.testing.assert_array_equal(out.values[:, 0], 0.0)
+    stats = Standardization.fit(s.values[:6])
+    out = stats.apply(s.values)
+    np.testing.assert_array_equal(out[:, 0], 0.0)
     assert stats.std[0] == 1.0
 
 
 def test_standardize_two_point_channel():
     # mean 1, population std 1 -> [-1, 1]
     s = MultivariateSeries(np.array([[0.0], [2.0]]), np.arange(2))
-    out, stats = standardize(s, SplitSpec(1.0, 0.0, 0.0))
-    np.testing.assert_allclose(out.values[:, 0], [-1.0, 1.0])
+    stats = Standardization.fit(s.values)
+    out = stats.apply(s.values)
+    np.testing.assert_allclose(out[:, 0], [-1.0, 1.0])
     assert stats.mean[0] == 1.0 and stats.std[0] == 1.0
 
 
 def test_standardize_normal_channel_statistics():
     rng = np.random.default_rng(0)
     s = MultivariateSeries(rng.normal(size=(1000, 1)), np.arange(1000))
-    out, _ = standardize(s, SplitSpec(1.0, 0.0, 0.0))
-    assert abs(out.values.mean()) < 0.1
+    out = Standardization.fit(s.values).apply(s.values)
+    assert abs(out.mean()) < 0.1
 
 
 def test_standardize_train_stats_property():
     rng = np.random.default_rng(1)
     s = MultivariateSeries(rng.normal(2.0, 3.0, size=(500, 4)), np.arange(500))
-    spec = SplitSpec()
-    out, _ = standardize(s, spec)
-    i1, _ = spec.boundaries(s.length)
-    train = out.values[:i1]
+    train, _, _ = chronological_split(s.values, 0.6, 0.2)
+    out = Standardization.fit(train).apply(s.values)
+    train = out[:len(train)]
     assert np.all(np.abs(train.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(train.std(axis=0) - 1.0) < 1e-9)
 
 
 def test_make_windows_counts():
     s = MultivariateSeries(np.arange(10, dtype=float).reshape(-1, 1), np.arange(10))
-    wb = make_windows(s, 4, stride=2)
+    wb = make_windows(s.values, 4, stride=2)
     assert len(wb) == 4
     np.testing.assert_array_equal(wb[:, 0, 0], [0, 2, 4, 6])
 
     s60 = MultivariateSeries(np.zeros((60, 1)), np.arange(60))
-    assert len(make_windows(s60, 60, stride=1)) == 1
+    assert len(make_windows(s60.values, 60, stride=1)) == 1
 
     s100 = MultivariateSeries(np.arange(200.0).reshape(100, 2), np.arange(100))
-    wb3 = make_windows(s100, 60, stride=3)
+    wb3 = make_windows(s100.values, 60, stride=3)
     # floor((100-60)/3)+1 windows, starts 0..39 step 3
     assert len(wb3) == 14
     np.testing.assert_array_equal(wb3[:, 0, 0], 2 * np.arange(0, 40, 3))
@@ -138,13 +140,13 @@ def test_make_windows_counts():
 def test_make_windows_too_long_raises():
     s = MultivariateSeries(np.zeros((5, 1)), np.arange(5))
     with pytest.raises(SeriesError, match="exceeds"):
-        make_windows(s, 6)
+        make_windows(s.values, 6)
 
 
 def test_non_overlapping_windows_reconstruct_prefix():
     rng = np.random.default_rng(2)
     s = MultivariateSeries(rng.normal(size=(103, 3)), np.arange(103))
-    wb = make_windows(s, 10, stride=10)
+    wb = make_windows(s.values, 10, stride=10)
     rebuilt = wb.reshape(-1, 3)
     np.testing.assert_array_equal(rebuilt, s.values[:rebuilt.shape[0]])
 

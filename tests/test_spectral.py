@@ -120,7 +120,7 @@ def _sine_series(t_l=200, period=20, amp=1.0, dims=1, extra=None):
 
 def test_global_period_pure_sine():
     s = _sine_series()
-    assert discover_global_period(s) == 20
+    assert discover_global_period(s.values) == 20
 
 
 def test_global_period_amplitude_dominance():
@@ -131,7 +131,7 @@ def test_global_period_amplitude_dominance():
     amp = np.abs(naive_dft(mix))
     f = int(np.argmax(amp[1:101])) + 1
     assert int(np.ceil(200 / f)) == 20
-    assert discover_global_period(s) == 20
+    assert discover_global_period(s.values) == 20
 
 
 def test_global_period_averages_across_dims():
@@ -139,19 +139,19 @@ def test_global_period_averages_across_dims():
     a = 2.0 * np.sin(2 * np.pi * t / 20)
     b = 4.0 * np.sin(2 * np.pi * t / 20 + 0.5)
     s = MultivariateSeries(np.column_stack([a, b]), t)
-    assert discover_global_period(s) == 20
+    assert discover_global_period(s.values) == 20
 
 
 def test_global_period_scale_invariant():
     s = _sine_series()
     scaled = MultivariateSeries(s.values * 137.0, s.timestamps)
-    assert discover_global_period(scaled) == discover_global_period(s)
+    assert discover_global_period(scaled.values) == discover_global_period(s.values)
 
 
 def test_global_period_rejects_constant():
     s = MultivariateSeries(np.ones((50, 2)), np.arange(50))
     with pytest.raises(SpectralError, match="constant"):
-        discover_global_period(s)
+        discover_global_period(s.values)
 
 
 def test_top_k_two_lines():
@@ -166,7 +166,7 @@ def test_top_k_two_lines():
 def test_top_k_consistent_with_global_period():
     s = _sine_series(t_l=120)
     _, periods, _, _ = top_k_periods(s.values[None], 1)
-    assert periods[0, 0] == discover_global_period(s)
+    assert periods[0, 0] == discover_global_period(s.values)
 
 
 def test_top_k_matches_sorted_spectrum_oracle():

@@ -11,7 +11,7 @@ def test_clean_series_recovers_period():
     cfg = SynthConfig(length=1000, dims=2, periods={20: 3.0}, noise_std=0.0,
                       seed=1)
     s = generate(cfg)
-    assert discover_global_period(s) == 20
+    assert discover_global_period(s.values) == 20
     np.testing.assert_array_equal(s.labels, 0)
 
 

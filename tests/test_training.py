@@ -13,7 +13,6 @@ from periflow.flow import _CONTEXT_BLOCK, LOG_2PI, condition, forward, nll_loss
 from periflow.fusion import fuse
 from periflow.optim import ParamStore
 from periflow.spectral import intervene, top_k_periods
-from periflow.series import make_windows
 from periflow.synthetic import Anomaly, SynthConfig, generate
 from periflow.training import (TrainConfig, TrainingDiverged,
                                build_models, encode_batch, evaluate_objective,
@@ -33,7 +32,7 @@ def _data(length=400, seed=0, noise=0.3):
 
 def _prepared(config=None, length=400):
     config = config or TrainConfig(**CFG)
-    data = prepare_series(_data(length), config)
+    data = prepare_series(_data(length).values, config)
     return config, data
 
 
@@ -185,7 +184,7 @@ def test_fit_nll_decreases_on_standard_normal_stream():
     cfg = TrainConfig(window_length=24, hidden=8, n_factors=2, k_periods=2,
                       num_layers=2, num_blocks=1, batch_size=32, epochs=10,
                       train_stride=2, seed=1, patience=100)
-    data = prepare_series(series, cfg)
+    data = prepare_series(series.values, cfg)
     _, hist = fit(data["train"], data["val"], cfg, data["global_period"])
     assert hist[10]["nll"] < hist[0]["nll"]
 
@@ -453,7 +452,7 @@ def _c09_bundle(length=1000, global_period=None):
                                   anomalies=[Anomaly("spike", 650, 2, 8.0),
                                              Anomaly("level_shift", 700, 20, 4.0)]))
     config = TrainConfig(window_length=60, seed=4)
-    data = prepare_series(series, config)
+    data = prepare_series(series.values, config)
     bundle = build_models(config, 3, global_period or data["global_period"],
                           np.random.default_rng(5))
     rng = np.random.default_rng(6)
@@ -474,7 +473,7 @@ def test_window_scores_alike_alone_and_in_a_chunk(dtype):
     for global_period, mask_period in ((20, 20), (60, 30), (25, 25)):
         bundle, data = _c09_bundle(global_period=global_period)
         assert bundle.flow.mask_period == mask_period
-        windows = make_windows(data["train_series"], 60, 1)[:256]
+        windows = data["train"][:256]
         assert windows.shape[0] == 256
         twin = bundle.astype(dtype)
         tau, tau_t, diags = score_windows(twin, windows)
@@ -571,7 +570,7 @@ def test_fit_on_series_with_a_zero_stretch():
     series = _data(2000)
     series.values[500:600] = 0.0
     config = TrainConfig(**{**CFG, "epochs": 1, "apply_standardization": False})
-    data = prepare_series(series, config)
+    data = prepare_series(series.values, config)
     assert np.any(np.all(data["train"] == 0.0, axis=(1, 2)))
     _, history = fit(data["train"], data["val"], config, data["global_period"])
     assert len(history) == 2

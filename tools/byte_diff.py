@@ -9,8 +9,8 @@ given relative paths, so no output names the directory it ran in and no
 line needs to be ignored. A command's standard output is kept as
 `<name>.stdout` and compared too. The recipes:
 
-- `PIPELINE` (always): `gen → train → score → eval` on a 1,200-step
-  series; `tests/test_characterization.py` pins its outputs.
+- `PIPELINE` (always): `gen → train → score → eval → inspect` on a
+  1,200-step series; `tests/test_characterization.py` pins its outputs.
 - `--perfbench`: perfbench's seed-7 `score` set-up, which trains the
   checkpoint with perfbench's train recipe (`pb/ckpt/`); `periflow score`
   of its score series (`pb/scored/`); and the τ of 300 one-window
@@ -42,6 +42,7 @@ PIPELINE = (
                "--out", "scored"]),
     ("eval", ["eval", "--scores", "scored/scores.csv", "--data", "data/synthetic.csv",
               "--out", "eval"]),
+    ("inspect", ["inspect", "--data", "data/synthetic.csv", "--out", "inspect"]),
 )
 PERFBENCH_SEED = 7
 STREAM_CALLS = 300

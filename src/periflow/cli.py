@@ -24,10 +24,11 @@ import numpy as np
 from .autodiff import NumericOverflow
 from .config import ConfigError, GenConfig, TrainConfig
 from .evaluate import auroc_summary, emit_reports, window_scores_to_points
-from .series import SeriesError, csv_line, load_csv, make_windows, write_json
+from .series import (SeriesError, csv_line, load_csv, make_windows, utf8_text,
+                     write_json)
 from .spectral import (SpectralError, discover_global_period,
                        periodicity_strength, top_k_periods)
-from .synthetic import Anomaly, SynthConfig, generate, write_csv
+from .synthetic import generate, write_csv
 from .training import (SCORE_CHUNK, fit, history_to_csv, load_checkpoint, prepare_series,
                        score_windows)
 
@@ -61,7 +62,7 @@ def _given_values(path=None, overrides=(), seed=None) -> dict[str, object]:
         values[key] = _coerce(key, raw, types[key])
 
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = utf8_text(path)
         for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -103,47 +104,9 @@ def write_resolved_config(out_dir: Path, train_cfg: TrainConfig,
             fh.write(f"# {key} = {value}\n")
 
 
-def _parse_entries(key: str, spec: str, sep: str, form: str,
-                   types: tuple[type, ...]) -> list[tuple]:
-    """Entries of `spec` split at `sep`, each `:`-separated fields parsed
-    with `types`; a malformed entry is a ConfigError naming it and `form`."""
-    out = []
-    for part in spec.split(sep):
-        part = part.strip()
-        if not part:
-            continue
-        values = part.split(":")
-        try:
-            if len(values) != len(types):
-                raise ValueError
-            out.append(tuple(cast(v) for cast, v in zip(types, values)))
-        except ValueError:
-            raise ConfigError(f"{key} entry {part!r}: expected {form}") from None
-    return out
-
-
-def _parse_periods(spec: str) -> dict[int, float]:
-    out = dict(_parse_entries("gen_periods", spec, ",", "period:amplitude",
-                              (int, float)))
-    if not out:
-        raise ConfigError("gen_periods must name at least one period")
-    return out
-
-
-def _parse_anomalies(spec: str) -> list[Anomaly]:
-    return [Anomaly(*entry) for entry in _parse_entries(
-        "gen_anomalies", spec, ";", "kind:start:duration:magnitude",
-        (str, int, int, float))]
-
-
 def cmd_gen(args) -> int:
     train_cfg, gen_cfg = load_config(args.config, args.set, args.seed)
-    synth = SynthConfig(gen_cfg.gen_length, gen_cfg.gen_dims,
-                        _parse_periods(gen_cfg.gen_periods),
-                        gen_cfg.gen_noise_std,
-                        _parse_anomalies(gen_cfg.gen_anomalies),
-                        seed=train_cfg.seed)
-    series = generate(synth)
+    series = generate(gen_cfg, train_cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "synthetic.csv"

@@ -1,6 +1,7 @@
 """The configuration keys: each one's default, type and valid range,
-declared once, beside its default. The CLI and checkpoints read them from
-here, and a test holds the README to them.
+declared once, beside its default, and the grammar of the generator's two
+spec strings. The CLI, checkpoints and the generator read them from here,
+and a test holds the README to them.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ class ConfigError(ValueError):
 
 def ranged(default, *rules):
     """A config field with `default` whose value must pass each (rule, test)
-    in turn; `test(value, config)` may rely on the fields before it."""
+    in turn; `test(value, config)` may rely on the rules and the fields
+    before it."""
     return field(default=default, metadata={"rules": rules})
 
 
@@ -28,6 +30,28 @@ FINITE_AT_LEAST_0 = ("finite and >= 0", lambda v, c: 0 <= v < math.inf)
 ONE_LINE = ("a single line of UTF-8 text without surrounding whitespace",
             lambda v, c: v == v.strip() and len(v.splitlines()) <= 1
             and not re.search("[\ud800-\udfff]", v))
+
+
+def _entries(spec: str, sep: str, types: tuple) -> list[tuple] | None:
+    """The entries of `spec` split at `sep`, blank ones skipped, each a
+    tuple of its `:`-separated fields cast with `types`; None if an entry
+    does not parse."""
+    try:
+        return [tuple(cast(v) for cast, v in zip(types, part.strip().split(":"), strict=True))
+                for part in spec.split(sep) if part.strip()]
+    except ValueError:
+        return None
+
+
+def period_entries(spec: str) -> list[tuple[int, float]] | None:
+    """The (period, amplitude) entries of a `gen_periods` string."""
+    return _entries(spec, ",", (int, float))
+
+
+def anomaly_entries(spec: str) -> list[tuple[str, int, int, float]] | None:
+    """The (kind, start, duration, magnitude) entries of a `gen_anomalies`
+    string; a period break's magnitude is its replacement period."""
+    return _entries(spec, ";", (str, int, int, float))
 
 
 def check(config) -> None:
@@ -81,9 +105,31 @@ class TrainConfig:
 class GenConfig:
     gen_length: int = ranged(4000, AT_LEAST_1)
     gen_dims: int = ranged(3, AT_LEAST_1)
-    gen_periods: str = ranged("20:3.0,60:1.0", ONE_LINE)
+    gen_periods: str = ranged(
+        "20:3.0,60:1.0", ONE_LINE,
+        ("period:amplitude entries split at ','", lambda v, c: period_entries(v) is not None),
+        ("at least one entry", lambda v, c: len(period_entries(v)) > 0),
+        # a period float64 holds exactly
+        ("entries whose periods are distinct and in [2, 2**53]",
+         lambda v, c: all(2 <= p <= 2 ** 53 for p, _ in period_entries(v))
+         and len({p for p, _ in period_entries(v)}) == len(period_entries(v))),
+        ("entries whose amplitudes are finite",
+         lambda v, c: all(math.isfinite(a) for _, a in period_entries(v))))
     gen_noise_std: float = ranged(0.3, FINITE_AT_LEAST_0)
-    gen_anomalies: str = ranged("", ONE_LINE)
+    gen_anomalies: str = ranged(
+        "", ONE_LINE,
+        ("kind:start:duration:magnitude entries split at ';'",
+         lambda v, c: anomaly_entries(v) is not None),
+        ("entries whose kind is spike, level_shift or period_break",
+         lambda v, c: all(k in ("spike", "level_shift", "period_break")
+                          for k, *_ in anomaly_entries(v))),
+        ("entries whose duration is >= 1",
+         lambda v, c: all(d >= 1 for _, _, d, _ in anomaly_entries(v))),
+        ("entries inside [0, gen_length)",
+         lambda v, c: all(0 <= s and s + d <= c.gen_length for _, s, d, _ in
+                          anomaly_entries(v))),
+        ("entries whose magnitudes are finite",
+         lambda v, c: all(math.isfinite(m) for *_, m in anomaly_entries(v))))
     # chronological, contiguous train/validation/test shares of a series
     train_frac: float = ranged(0.6, FINITE_AT_LEAST_0)
     val_frac: float = ranged(0.2, FINITE_AT_LEAST_0)

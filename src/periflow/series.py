@@ -84,6 +84,19 @@ def _parse_timestamp(text: str, line_no: int, column: str) -> float:
     return _finite(value, text, line_no, column)
 
 
+def utf8_text(path) -> str:
+    """The text of the file at `path`; a file that is not UTF-8 is refused
+    naming its first line that is not, and the byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise SeriesError(f"{path}: line {line_no}: byte {data[exc.start]:#04x} "
+                          f"is not UTF-8") from None
+
+
 def load_csv(path) -> MultivariateSeries:
     """Read a comma-separated file with a header row into a series.
 
@@ -91,44 +104,50 @@ def load_csv(path) -> MultivariateSeries:
     column are recognised when present; every remaining column is parsed
     as float64. Timestamps are synthesised as 0..T_l-1 when the file has
     none. A NaN or infinite value is rejected with its line and column, a
-    label other than 0 or 1 with its line, and a column named twice. A
-    UTF-8 byte-order mark, as spreadsheet exports write it, is skipped.
+    label other than 0 or 1 with its line, a column named twice, and a
+    file that is not UTF-8. A UTF-8 byte-order mark, as spreadsheet
+    exports write it, is skipped.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SeriesError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        twice = [name for i, name in enumerate(header) if name in header[:i]]
-        if twice:
-            raise SeriesError(f"{path}: header names column {twice[0]!r} twice")
-        has_ts = bool(header) and header[0] in ("timestamp", "t")
-        label_idx = header.index("label") if "label" in header else None
-        data_idx = [i for i, name in enumerate(header)
-                    if not (has_ts and i == 0) and i != label_idx]
-        if not data_idx:
-            raise SeriesError(f"{path}: no numeric data columns in header {header}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SeriesError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            twice = [name for i, name in enumerate(header) if name in header[:i]]
+            if twice:
+                raise SeriesError(f"{path}: header names column {twice[0]!r} twice")
+            has_ts = bool(header) and header[0] in ("timestamp", "t")
+            label_idx = header.index("label") if "label" in header else None
+            data_idx = [i for i, name in enumerate(header)
+                        if not (has_ts and i == 0) and i != label_idx]
+            if not data_idx:
+                raise SeriesError(f"{path}: no numeric data columns in header {header}")
 
-        # flat float64 buffers: 8 bytes a value, not a Python float in a list
-        values, stamps, labels = array("d"), array("d"), []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SeriesError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            values.extend([_parse_number(row[i], line_no, header[i]) for i in data_idx])
-            if has_ts:
-                stamps.append(_parse_timestamp(row[0], line_no, header[0]))
-            if label_idx is not None:
-                try:
-                    lab = int(row[label_idx])
-                except ValueError:
-                    lab = -1
-                if lab not in (0, 1):
-                    raise SeriesError(f"line {line_no}: bad label {row[label_idx]!r}")
-                labels.append(lab)
+            # flat float64 buffers: 8 bytes a value, not a Python float in a list
+            values, stamps, labels = array("d"), array("d"), []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise SeriesError(f"line {line_no}: expected {len(header)} fields, "
+                                      f"got {len(row)}")
+                values.extend([_parse_number(row[i], line_no, header[i]) for i in data_idx])
+                if has_ts:
+                    stamps.append(_parse_timestamp(row[0], line_no, header[0]))
+                if label_idx is not None:
+                    try:
+                        lab = int(row[label_idx])
+                    except ValueError:
+                        lab = -1
+                    if lab not in (0, 1):
+                        raise SeriesError(f"line {line_no}: bad label {row[label_idx]!r}")
+                    labels.append(lab)
+    except UnicodeDecodeError:
+        utf8_text(path)  # raises, naming the first line that is not UTF-8
+        raise
 
     if not values:
         raise SeriesError(f"{path}: no data rows")

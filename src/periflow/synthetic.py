@@ -8,81 +8,48 @@ at a different period inside the interval).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError, GenConfig, anomaly_entries, period_entries
 from .series import MultivariateSeries, write_table
 
 
-@dataclass(frozen=True)
-class Anomaly:
-    """kind is one of spike | level_shift | period_break.
-
-    `magnitude` is the additive size for spikes and level shifts; for a
-    period break it is the replacement period length.
-    """
-
-    kind: str
-    start: int
-    duration: int
-    magnitude: float
-
-    def __post_init__(self):
-        if self.kind not in ("spike", "level_shift", "period_break"):
-            raise ValueError(f"unknown anomaly kind {self.kind!r}")
-        if self.duration < 1:
-            raise ValueError("anomaly duration must be >= 1")
-
-
-@dataclass
-class SynthConfig:
-    length: int = 4000
-    dims: int = 3
-    periods: dict[int, float] = field(default_factory=lambda: {20: 3.0, 5: 1.0})
-    noise_std: float = 0.3
-    anomalies: list[Anomaly] = field(default_factory=list)
-    seed: int = 0
-
-    def __post_init__(self):
-        for p in self.periods:
-            if p < 2:
-                raise ValueError(f"synthetic period must be >= 2, got {p}")
-        for a in self.anomalies:
-            if not 0 <= a.start < self.length or a.start + a.duration > self.length:
-                raise ValueError(f"anomaly {a} outside [0, {self.length})")
-
-
-def generate(config: SynthConfig) -> MultivariateSeries:
-    """Deterministic (per seed) series with labels set on injected intervals."""
-    rng = np.random.default_rng(config.seed)
-    t = np.arange(config.length, dtype=np.float64)
-    values = np.zeros((config.length, config.dims))
+def generate(config: GenConfig, seed: int) -> MultivariateSeries:
+    """Deterministic (per seed) `gen_length` x `gen_dims` series with labels
+    set on the injected intervals; a series whose values overflow float64
+    is refused with a ConfigError."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(config.gen_length, dtype=np.float64)
+    values = np.zeros((config.gen_length, config.gen_dims))
+    labels = np.zeros(config.gen_length, dtype=np.int64)
+    periods = period_entries(config.gen_periods)
+    dominant, amp = max(periods, key=lambda entry: entry[1])
     phases = {}
-    for period, amp in sorted(config.periods.items()):
-        phases[period] = rng.uniform(0, 2 * np.pi, size=config.dims)
-        values += amp * np.sin(2 * np.pi * t[:, None] / period + phases[period][None, :])
-    values += config.noise_std * rng.standard_normal(values.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for period, amplitude in sorted(periods):
+            phases[period] = rng.uniform(0, 2 * np.pi, size=config.gen_dims)
+            values += amplitude * np.sin(2 * np.pi * t[:, None] / period + phases[period][None, :])
+        values += config.gen_noise_std * rng.standard_normal(values.shape)
 
-    labels = np.zeros(config.length, dtype=np.int64)
-    dominant = max(config.periods, key=lambda p: config.periods[p])
-    for anomaly in config.anomalies:
-        lo, hi = anomaly.start, anomaly.start + anomaly.duration
-        if labels[lo:hi].any():
-            warnings.warn(f"overlapping anomaly interval [{lo}, {hi}) merged")
-        labels[lo:hi] = 1
-        if anomaly.kind in ("spike", "level_shift"):
-            values[lo:hi] += anomaly.magnitude
-        else:  # period_break: dominant sine continues at a different period
-            amp = config.periods[dominant]
-            p_new = max(2, int(round(anomaly.magnitude)))
-            seg = t[lo:hi, None]
-            old = amp * np.sin(2 * np.pi * seg / dominant + phases[dominant][None, :])
-            new = amp * np.sin(2 * np.pi * seg / p_new + phases[dominant][None, :])
-            values[lo:hi] += new - old
-
+        for kind, lo, duration, magnitude in anomaly_entries(config.gen_anomalies):
+            hi = lo + duration
+            if labels[lo:hi].any():
+                warnings.warn(f"overlapping anomaly interval [{lo}, {hi}) merged")
+            labels[lo:hi] = 1
+            if kind in ("spike", "level_shift"):
+                values[lo:hi] += magnitude
+            else:  # period_break: dominant sine continues at a different period
+                p_new = max(2, int(round(magnitude)))
+                seg = t[lo:hi, None]
+                old = amp * np.sin(2 * np.pi * seg / dominant + phases[dominant][None, :])
+                new = amp * np.sin(2 * np.pi * seg / p_new + phases[dominant][None, :])
+                values[lo:hi] += new - old
+    if not np.isfinite(values).all():
+        raise ConfigError("the series that gen_periods, gen_noise_std and gen_anomalies "
+                          "describe overflows float64")
     return MultivariateSeries(values, t, labels,
-                              [f"ch{i}" for i in range(config.dims)])
+                              [f"ch{i}" for i in range(config.gen_dims)])
 
 
 def write_csv(series: MultivariateSeries, path) -> None:

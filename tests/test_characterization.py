@@ -1,5 +1,6 @@
 """Characterization: the `gen → train → score → eval → inspect` run of
-`tools/byte_diff.py` against the outputs committed in `characterization/`.
+`tools/byte_diff.py`, and its second `gen` of every anomaly kind, against
+the outputs committed in `characterization/`.
 
 Every output but `run/model.npz` (binary; `history.csv` and the scores
 pin what it holds) is compared: its text outside numbers exactly, and

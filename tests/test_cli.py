@@ -192,17 +192,57 @@ def test_bad_config_key_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("gen_periods=20", "gen_periods entry '20': expected period:amplitude"),
-    ("gen_periods=20:x", "gen_periods entry '20:x': expected period:amplitude"),
-    ("gen_anomalies=spike:10:2",
-     "gen_anomalies entry 'spike:10:2': expected kind:start:duration:magnitude"),
+    ("gen_periods=20", "gen_periods must be period:amplitude entries split at ',', got '20'"),
+    ("gen_periods=20:x",
+     "gen_periods must be period:amplitude entries split at ',', got '20:x'"),
+    ("gen_anomalies=spike:10:2", "gen_anomalies must be kind:start:duration:magnitude "
+                                 "entries split at ';', got 'spike:10:2'"),
     ("gen_anomalies=spike:10:2:8.0;spike:x:2:8.0",
-     "gen_anomalies entry 'spike:x:2:8.0': expected kind:start:duration:magnitude"),
+     "gen_anomalies must be kind:start:duration:magnitude entries split at ';', "
+     "got 'spike:10:2:8.0;spike:x:2:8.0'"),
+    # values that would write a series `load_csv` refuses
+    ("gen_periods=20:nan", "gen_periods must be entries whose amplitudes are finite, "
+                           "got '20:nan'"),
+    ("gen_periods=20:inf", "gen_periods must be entries whose amplitudes are finite, "
+                           "got '20:inf'"),
+    ("gen_anomalies=spike:5:2:nan", "gen_anomalies must be entries whose magnitudes are "
+                                    "finite, got 'spike:5:2:nan'"),
+    ("gen_anomalies=period_break:5:2:inf", "gen_anomalies must be entries whose magnitudes "
+                                           "are finite, got 'period_break:5:2:inf'"),
+    # finite amplitudes whose sum overflows
+    ("gen_periods=20:1e308,21:1e308", "the series that gen_periods, gen_noise_std and "
+                                      "gen_anomalies describe overflows float64"),
 ])
 def test_bad_gen_entry_names_the_cause(tmp_path, capsys, setting, message):
     code = main(["gen", "--out", str(tmp_path / "data"), "--set", setting])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "score", "inspect"])
+def test_every_command_refuses_a_bad_gen_spec_before_writing(tmp_path, capsys, command):
+    # the spec is checked when the configuration is built, also by the
+    # commands that never generate a series, so no resolved config holds it
+    ckpt, _ = _saved_checkpoint(tmp_path)
+    csv = tmp_path / "series.csv"
+    _write_series(csv, 3, 400)
+    inputs = {"gen": [], "train": ["--data", str(csv)], "inspect": ["--data", str(csv)],
+              "score": ["--checkpoint", str(ckpt), "--data", str(csv)]}[command]
+    code = main([command, *inputs, "--out", str(tmp_path / "out"),
+                 "--set", "gen_periods=1:3.0"])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: gen_periods must be entries whose periods are "
+                                       "distinct and in [2, 2**53], got '1:3.0'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_that_is_not_utf8_is_refused_naming_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"lr = 0.01\n# caf\xe9\nepochs = 5\n")
+    code = main(["gen", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: byte 0xe9 is not UTF-8\n"
     assert not (tmp_path / "data").exists()
 
 

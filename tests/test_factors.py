@@ -7,11 +7,12 @@ from conftest import numeric_gradient, relative_error
 from periflow import autodiff as ad
 from periflow import training
 from periflow.autodiff import Tensor
+from periflow.config import GenConfig
 from periflow.factors import (CausalPyramid, bin_amplitudes, embed, extract_pyramid, init_miner,
                               period_pool)
 from periflow.fusion import fuse
 from periflow.spectral import top_k_periods
-from periflow.synthetic import SynthConfig, generate
+from periflow.synthetic import generate
 from periflow.training import TrainConfig, build_models, prepare_series
 
 
@@ -311,8 +312,7 @@ def _embedded_miner_chain(windows, bundle):
 def test_total_loss_gradients_match_the_embedded_miner_chain(b, monkeypatch):
     # c09-style windows (T=60, D=3, periods 20 and 60), every bias and
     # flow head off zero so that each path carries gradient
-    series = generate(SynthConfig(length=600, dims=3, periods={20: 3.0, 60: 1.0},
-                                  noise_std=0.3, seed=4))
+    series = generate(GenConfig(gen_length=600, gen_periods="20:3.0,60:1.0"), seed=4)
     config = TrainConfig(window_length=60, hidden=8, n_factors=2, k_periods=3,
                          num_blocks=1, seed=4)
     data = prepare_series(series.values, config)

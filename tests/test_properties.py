@@ -144,6 +144,15 @@ _OF_TYPE = {bool: st.booleans(), int: st.integers(),
             float: st.floats() | st.integers() | st.integers(2 ** 52, 2 ** 63).map(
                 lambda n: 2 * n + 1),
             str: st.text(max_size=8) | st.text(" \t\n\r\x0b\x85\u2028ab", max_size=4)}
+# the generator's spec strings, which drawn text would almost never parse,
+# drawn from their grammar with the blank entries and spaces it skips
+_SPECS = {
+    "gen_periods": st.lists(st.builds("{}:{!r}".format, st.integers(2, 99), finite)
+                            | st.just(""), min_size=1, max_size=3).map(", ".join),
+    "gen_anomalies": st.lists(st.builds("{}:{}:{}:{!r}".format,
+                                        st.sampled_from(["spike", "level_shift", "period_break"]),
+                                        st.integers(0, 99), st.integers(1, 9), finite)
+                              | st.just(""), max_size=3).map("; ".join)}
 
 
 def _wrong_type(kind):
@@ -183,10 +192,10 @@ def bad_values(draw, f, config):
 
 @st.composite
 def valid_configs(draw, config):
-    """A `config` whose every value is drawn from its field's type and kept
-    if it passes the field's rules, given the fields drawn before it, else
-    is the default. The split fractions, whose last the others fix, are
-    drawn as shares of 1."""
+    """A `config` whose every value is drawn from its field's type (a spec
+    string from its grammar) and kept if it passes the field's rules,
+    given the fields drawn before it, else is the default. The split
+    fractions, whose last the others fix, are drawn as shares of 1."""
     pinned = {}
     if config is GenConfig:
         cut, end = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2)))
@@ -195,7 +204,7 @@ def valid_configs(draw, config):
     for f in fields(config):
         if f.name not in pinned:
             view = SimpleNamespace(**values)
-            drawn = draw(_OF_TYPE[type(f.default)])
+            drawn = draw(_SPECS.get(f.name, _OF_TYPE[type(f.default)]))
             values[f.name] = drawn if _broken_rule(f, drawn, view) is None else f.default
             # a default that a value drawn before it rules out
             assume(_broken_rule(f, values[f.name], view) is None)

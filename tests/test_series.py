@@ -38,6 +38,17 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
     assert csv_line(marked, 1) == 4
 
 
+@pytest.mark.parametrize("good_rows", [1, 3000])
+def test_load_csv_names_the_first_line_that_is_not_utf8(tmp_path, good_rows):
+    # also past the first block the reader decodes, with a byte-order mark
+    path = tmp_path / "latin1.csv"
+    rows = "".join(f"{i},0.5\n" for i in range(good_rows)).encode()
+    path.write_bytes(b"\xef\xbb\xbft,x0\n" + rows + b"7,\xff2\n8,\xfe3\n")
+    with pytest.raises(SeriesError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: line {good_rows + 2}: byte 0xff is not UTF-8"
+
+
 def test_load_csv_with_labels(tmp_path):
     p = _write(tmp_path, "a,b,label\n1,2,0\n3,4,1\n5,6,0\n")
     s = load_csv(p)

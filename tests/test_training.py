@@ -7,13 +7,14 @@ import pytest
 
 from periflow.autodiff import Tensor
 from periflow.causal import independence_loss, similarity_loss
+from periflow.config import GenConfig
 from periflow.factors import extract_pyramid
 from periflow import flow
 from periflow.flow import _CONTEXT_BLOCK, LOG_2PI, condition, forward, nll_loss
 from periflow.fusion import fuse
 from periflow.optim import ParamStore
 from periflow.spectral import intervene, top_k_periods
-from periflow.synthetic import Anomaly, SynthConfig, generate
+from periflow.synthetic import generate
 from periflow.training import (TrainConfig, TrainingDiverged,
                                build_models, encode_batch, evaluate_objective,
                                fit, history_to_csv, load_checkpoint,
@@ -25,9 +26,8 @@ CFG = dict(window_length=24, hidden=8, n_factors=2, k_periods=2, num_layers=2,
 
 
 def _data(length=400, seed=0, noise=0.3):
-    cfg = SynthConfig(length=length, dims=2, periods={8: 2.0, 3: 0.5},
-                      noise_std=noise, seed=seed)
-    return generate(cfg)
+    return generate(GenConfig(gen_length=length, gen_dims=2, gen_periods="8:2.0,3:0.5",
+                              gen_noise_std=noise), seed)
 
 
 def _prepared(config=None, length=400):
@@ -447,10 +447,9 @@ def _c09_bundle(length=1000, global_period=None):
     """A c09-sized model (T=60, H=32, N=4, k=3, 2 layers of 2 blocks) with
     its flow heads moved off zero, and its c09-style series prepared; the
     model is built for `global_period`, or for the series' own."""
-    series = generate(SynthConfig(length=length, dims=3, periods={20: 3.0, 60: 1.0},
-                                  noise_std=0.3, seed=4,
-                                  anomalies=[Anomaly("spike", 650, 2, 8.0),
-                                             Anomaly("level_shift", 700, 20, 4.0)]))
+    series = generate(GenConfig(gen_length=length, gen_periods="20:3.0,60:1.0",
+                                gen_anomalies="spike:650:2:8.0;level_shift:700:20:4.0"),
+                      seed=4)
     config = TrainConfig(window_length=60, seed=4)
     data = prepare_series(series.values, config)
     bundle = build_models(config, 3, global_period or data["global_period"],

@@ -10,7 +10,9 @@ line needs to be ignored. A command's standard output is kept as
 `<name>.stdout` and compared too. The recipes:
 
 - `PIPELINE` (always): `gen → train → score → eval → inspect` on a
-  1,200-step series; `tests/test_characterization.py` pins its outputs.
+  1,200-step series, then a 300-step `gen` with a spike, a level shift
+  and a period break over three periods; `tests/test_characterization.py`
+  pins their outputs.
 - `--perfbench`: perfbench's seed-7 `score` set-up, which trains the
   checkpoint with perfbench's train recipe (`pb/ckpt/`); `periflow score`
   of its score series (`pb/scored/`); and the τ of 300 one-window
@@ -43,6 +45,12 @@ PIPELINE = (
     ("eval", ["eval", "--scores", "scored/scores.csv", "--data", "data/synthetic.csv",
               "--out", "eval"]),
     ("inspect", ["inspect", "--data", "data/synthetic.csv", "--out", "inspect"]),
+    # every anomaly kind over three periods: the period break continues the
+    # largest-amplitude sine, here not the first period given
+    ("gen_kinds", ["gen", "--out", "kinds", "--seed", "5", "--set", "gen_length=300",
+                   "--set", "gen_dims=2", "--set", "gen_periods=7:1.5,20:3.0,45:0.5",
+                   "--set", "gen_anomalies=spike:40:2:8.0;level_shift:120:20:-4.0;"
+                                            "period_break:200:40:11"]),
 )
 PERFBENCH_SEED = 7
 STREAM_CALLS = 300

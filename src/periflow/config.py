@@ -91,7 +91,7 @@ class TrainConfig:
     noise: str = ranged("gaussian", ("'gaussian' or 'laplace'",
                                      lambda v, c: v in ("gaussian", "laplace")))
     seed: int = ranged(0, AT_LEAST_0)
-    patience: int = 10
+    patience: int = ranged(10, AT_LEAST_1)
     # -1: the clamped global period, even without the periodic mask
     context_radius: int = ranged(-1, (">= -1", lambda v, c: v >= -1))
     use_periodic_mask: bool = True  # False: fixed half/half split mask

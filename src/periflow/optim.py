@@ -41,6 +41,4 @@ class ParamStore:
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
         for name, arr in snap.items():
-            if self.params[name].data.shape != arr.shape:
-                raise ValueError(f"snapshot shape mismatch for {name}")
             self.params[name].data = arr.copy()

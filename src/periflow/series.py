@@ -6,8 +6,9 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,38 +17,14 @@ class SeriesError(ValueError):
     """Raised for malformed or inconsistent input series."""
 
 
-@dataclass
-class MultivariateSeries:
-    """A length-T_l multivariate sequence with optional binary labels.
-
-    Immutable by convention after construction; all consumers treat the
-    arrays as read-only.
-    """
+class MultivariateSeries(NamedTuple):
+    """A length-T_l series of D channels: (T_l, D) float64 values, (T_l,)
+    0/1 int64 labels or None, and the D channel names. Read-only by
+    convention; `load_csv` and `synthetic.generate` build it."""
 
     values: np.ndarray
-    timestamps: np.ndarray
-    labels: np.ndarray | None = None
-    dim_names: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise SeriesError(f"values must be (T_l, D) with T_l,D >= 1, got {self.values.shape}")
-        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
-        if self.timestamps.shape != (self.values.shape[0],):
-            raise SeriesError("timestamps length must match values")
-        if np.any(np.diff(self.timestamps) <= 0):
-            raise SeriesError("timestamps must be strictly increasing")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.values.shape[0],):
-                raise SeriesError("labels length must match values")
-            if not np.all(np.isin(self.labels, [0, 1])):
-                raise SeriesError("labels must be 0 or 1")
-        if not self.dim_names:
-            self.dim_names = [f"x{i}" for i in range(self.values.shape[1])]
-        elif len(self.dim_names) != self.values.shape[1]:
-            raise SeriesError("dim_names length must match value columns")
+    labels: np.ndarray | None
+    dim_names: list[str]
 
     @property
     def length(self) -> int:
@@ -58,30 +35,31 @@ class MultivariateSeries:
         return self.values.shape[1]
 
 
-def _finite(value: float, text: str, line_no: int, column: str) -> float:
+def _finite(value: float, text: str, path, line_no: int, column: str) -> float:
     if not math.isfinite(value):
-        raise SeriesError(f"line {line_no}, column {column}: non-finite value {text!r}")
+        raise SeriesError(f"{path}: line {line_no}, column {column}: non-finite value {text!r}")
     return value
 
 
-def _parse_number(text: str, line_no: int, column: str) -> float:
+def _parse_number(text: str, path, line_no: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise SeriesError(f"line {line_no}, column {column}: cannot parse value "
+        raise SeriesError(f"{path}: line {line_no}, column {column}: cannot parse value "
                           f"{text!r}") from None
-    return _finite(value, text, line_no, column)
+    return _finite(value, text, path, line_no, column)
 
 
-def _parse_timestamp(text: str, line_no: int, column: str) -> float:
+def _parse_timestamp(text: str, path, line_no: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
         try:
             return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
         except ValueError:
-            raise SeriesError(f"line {line_no}: cannot parse timestamp {text!r}") from None
-    return _finite(value, text, line_no, column)
+            raise SeriesError(f"{path}: line {line_no}: cannot parse timestamp "
+                              f"{text!r}") from None
+    return _finite(value, text, path, line_no, column)
 
 
 def utf8_text(path) -> str:
@@ -102,11 +80,12 @@ def load_csv(path) -> MultivariateSeries:
 
     A leading timestamp column (named `timestamp` or `t`) and a `label`
     column are recognised when present; every remaining column is parsed
-    as float64. Timestamps are synthesised as 0..T_l-1 when the file has
-    none. A NaN or infinite value is rejected with its line and column, a
-    label other than 0 or 1 with its line, a column named twice, and a
-    file that is not UTF-8. A UTF-8 byte-order mark, as spreadsheet
-    exports write it, is skipped.
+    as float64. Each stamp, a number or ISO 8601, must be greater than the
+    previous row's; it is checked as its row is read and not kept. Every
+    refusal names the file: a NaN or infinite value with its line and
+    column, a stamp out of order or a label other than 0 or 1 with its
+    line, a column named twice, and a file that is not UTF-8. A UTF-8
+    byte-order mark, as spreadsheet exports write it, is skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -126,37 +105,43 @@ def load_csv(path) -> MultivariateSeries:
             if not data_idx:
                 raise SeriesError(f"{path}: no numeric data columns in header {header}")
 
-            # flat float64 buffers: 8 bytes a value, not a Python float in a list
-            values, stamps, labels = array("d"), array("d"), []
+            # a flat float64 buffer: 8 bytes a value, not a Python float in a list
+            values, labels, last_stamp = array("d"), [], -math.inf
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise SeriesError(f"line {line_no}: expected {len(header)} fields, "
-                                      f"got {len(row)}")
-                values.extend([_parse_number(row[i], line_no, header[i]) for i in data_idx])
+                    raise SeriesError(f"{path}: line {line_no}: expected {len(header)} "
+                                      f"fields, got {len(row)}")
+                values.extend([_parse_number(row[i], path, line_no, header[i])
+                               for i in data_idx])
                 if has_ts:
-                    stamps.append(_parse_timestamp(row[0], line_no, header[0]))
+                    stamp = _parse_timestamp(row[0], path, line_no, header[0])
+                    if stamp <= last_stamp:
+                        raise SeriesError(f"{path}: line {line_no}: timestamp {row[0]!r} "
+                                          f"is not greater than the previous row's")
+                    last_stamp = stamp
                 if label_idx is not None:
                     try:
                         lab = int(row[label_idx])
                     except ValueError:
                         lab = -1
                     if lab not in (0, 1):
-                        raise SeriesError(f"line {line_no}: bad label {row[label_idx]!r}")
+                        raise SeriesError(f"{path}: line {line_no}: bad label "
+                                          f"{row[label_idx]!r}")
                     labels.append(lab)
     except UnicodeDecodeError:
         utf8_text(path)  # raises, naming the first line that is not UTF-8
         raise
+    except csv.Error as exc:  # a field longer than the csv module's limit
+        raise SeriesError(f"{path}: line {reader.line_num}: {exc}") from None
 
     if not values:
         raise SeriesError(f"{path}: no data rows")
-    values = np.frombuffer(values, dtype=np.float64).reshape(-1, len(data_idx))
-    timestamps = (np.frombuffer(stamps, dtype=np.float64) if has_ts
-                  else np.arange(len(values), dtype=np.float64))
-    names = [header[i] for i in data_idx]
-    return MultivariateSeries(values, timestamps,
-                              np.asarray(labels) if label_idx is not None else None, names)
+    return MultivariateSeries(
+        np.frombuffer(values, dtype=np.float64).reshape(-1, len(data_idx)),
+        np.asarray(labels, dtype=np.int64) if label_idx is not None else None,
+        [header[i] for i in data_idx])
 
 
 def csv_line(path, row: int) -> int:

@@ -7,8 +7,6 @@ at a different period inside the interval).
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .config import ConfigError, GenConfig, anomaly_entries, period_entries
@@ -34,9 +32,7 @@ def generate(config: GenConfig, seed: int) -> MultivariateSeries:
 
         for kind, lo, duration, magnitude in anomaly_entries(config.gen_anomalies):
             hi = lo + duration
-            if labels[lo:hi].any():
-                warnings.warn(f"overlapping anomaly interval [{lo}, {hi}) merged")
-            labels[lo:hi] = 1
+            labels[lo:hi] = 1  # overlapping entries: their values add, their labels merge
             if kind in ("spike", "level_shift"):
                 values[lo:hi] += magnitude
             else:  # period_break: dominant sine continues at a different period
@@ -48,13 +44,13 @@ def generate(config: GenConfig, seed: int) -> MultivariateSeries:
     if not np.isfinite(values).all():
         raise ConfigError("the series that gen_periods, gen_noise_std and gen_anomalies "
                           "describe overflows float64")
-    return MultivariateSeries(values, t, labels,
-                              [f"ch{i}" for i in range(config.gen_dims)])
+    return MultivariateSeries(values, labels, [f"ch{i}" for i in range(config.gen_dims)])
 
 
 def write_csv(series: MultivariateSeries, path) -> None:
-    """Emit the same schema `series.load_csv` consumes."""
-    header, columns = ["timestamp", *series.dim_names], [series.timestamps, *series.values.T]
+    """Emit the same schema `series.load_csv` consumes, stamped 0..T_l-1."""
+    header = ["timestamp", *series.dim_names]
+    columns = [np.arange(series.length, dtype=np.float64), *series.values.T]
     if series.labels is not None:
         header.append("label")
         columns.append(series.labels)

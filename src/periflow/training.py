@@ -325,10 +325,11 @@ _META_RULES = (
 def load_checkpoint(path) -> ModelBundle:
     """Rebuild the bundle; a missing or malformed entry (a meta or meta
     config that is not a JSON object, a config value of the wrong type or
-    out of range, column names that are not `d_in` distinct strings), any
-    shape mismatch, a non-finite parameter or statistic, or a standard
-    deviation that is not positive fails loudly, naming the checkpoint and
-    the entry. A checkpoint without column names loads with `columns`
+    out of range, column names that are not `d_in` distinct strings), an
+    array the model needs that is missing, of the wrong shape or not
+    finite, or a standard deviation that is not positive fails loudly,
+    naming the checkpoint and the entry. A checkpoint without column names
+    loads with `columns` None, and one without statistics with `stats`
     None."""
     path = Path(path)
     if not path.exists():
@@ -359,31 +360,23 @@ def load_checkpoint(path) -> ModelBundle:
         rng = np.random.default_rng(0)
         bundle = build_models(config, meta["d_in"], meta["global_period"], rng)
         bundle.columns = meta.get("columns")
-        for name, tensor in bundle.named_params().items():
-            key = f"param/{name}"
-            if key not in data:
-                raise ValueError(f"checkpoint missing parameter {name}")
-            arr = data[key]
-            if arr.shape != tensor.data.shape:
-                raise ValueError(
-                    f"checkpoint shape mismatch for {name}: "
-                    f"{arr.shape} vs expected {tensor.data.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise malformed(f"{key} holds a non-finite value")
-            tensor.data = arr.astype(np.float64)
+        params = bundle.named_params()
+        shapes = {f"param/{name}": tensor.data.shape for name, tensor in params.items()}
         if "stats/mean" in data.files or "stats/std" in data.files:
-            stats = []
-            for key in ("stats/mean", "stats/std"):
-                if key not in data.files:
-                    raise malformed(f"no {key!r} entry")
-                stats.append(data[key])
-                if stats[-1].shape != (bundle.d_in,):
-                    raise malformed(f"{key} has shape {stats[-1].shape}, "
-                                    f"expected ({bundle.d_in},)")
-            mean, std = stats
-            if not np.all(np.isfinite(mean)):
-                raise malformed("stats/mean holds a non-finite value")
-            if not np.all(np.isfinite(std) & (std > 0)):
-                raise malformed("stats/std holds a value that is not finite and positive")
-            bundle.stats = Standardization(mean, std)
+            shapes.update({"stats/mean": (bundle.d_in,), "stats/std": (bundle.d_in,)})
+        arrays = {}
+        for key, shape in shapes.items():
+            if key not in data.files:
+                raise malformed(f"no {key!r} entry")
+            arrays[key] = data[key]
+            if arrays[key].shape != shape:
+                raise malformed(f"{key} has shape {arrays[key].shape}, expected {shape}")
+            if not np.all(np.isfinite(arrays[key])):
+                raise malformed(f"{key} holds a non-finite value")
+        for name, tensor in params.items():
+            tensor.data = arrays[f"param/{name}"].astype(np.float64)
+        if "stats/std" in arrays:
+            if not np.all(arrays["stats/std"] > 0):
+                raise malformed("stats/std holds a value that is not positive")
+            bundle.stats = Standardization(arrays["stats/mean"], arrays["stats/std"])
     return bundle

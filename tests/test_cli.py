@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from periflow.cli import ConfigError, GenConfig, load_config, main, write_resolved_config
-from periflow.series import Standardization
+from periflow.series import Standardization, load_csv
 from periflow.training import TrainConfig, build_models, save_checkpoint
 
 FAST = [
@@ -57,6 +57,17 @@ def test_gen_is_idempotent(tmp_path, capsys):
     assert main(["gen", "--out", str(out2), "--seed", "5", *FAST]) == 0
     assert (out1 / "synthetic.csv").read_bytes() == (out2 / "synthetic.csv").read_bytes()
     assert (out1 / "resolved_config.txt").exists()
+
+
+def test_gen_merges_overlapping_anomalies_silently(tmp_path, capsys):
+    # overlapping entries add their values and merge their labels; that is
+    # no cause for a message
+    out = tmp_path / "data"
+    assert main(["gen", "--out", str(out), "--set", "gen_length=200",
+                 "--set", "gen_anomalies=spike:10:5:1;spike:12:5:1"]) == 0
+    assert capsys.readouterr().err == ""
+    labels = load_csv(out / "synthetic.csv").labels
+    np.testing.assert_array_equal(np.flatnonzero(labels), np.arange(10, 17))
 
 
 def test_full_pipeline(tmp_path, capsys):
@@ -310,7 +321,7 @@ def test_non_finite_csv_value_is_rejected_at_load(tmp_path, capsys, bad):
     code = main(["train", "--data", str(csv), "--out", str(tmp_path / "run"), *FAST])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == f"error: line 11, column {header[2]}: non-finite value '{bad}'\n"
+    assert err == f"error: {csv}: line 11, column {header[2]}: non-finite value '{bad}'\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -329,7 +340,21 @@ def test_eval_rejects_bad_score(tmp_path, capsys, bad, message):
     code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
                  "--out", str(tmp_path / "eval")])
     assert code == 1
-    assert capsys.readouterr().err == f"error: line 4, column score: {message}\n"
+    assert capsys.readouterr().err == f"error: {scores_csv}: line 4, column score: {message}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_names_the_data_file_of_a_bad_label(tmp_path, capsys):
+    # eval reads two CSVs; the refusal says which one is at fault
+    csv = tmp_path / "series.csv"
+    csv.write_text("t,x0,label\n" + "".join(f"{i},0.5,{min(i, 2)}\n" for i in range(6)))
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("index,score,log_likelihood\n"
+                          + "".join(f"{i},{0.1 * i},{-0.1 * i}\n" for i in range(6)))
+    code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {csv}: line 4: bad label '2'\n"
     assert not (tmp_path / "eval").exists()
 
 
@@ -341,7 +366,7 @@ def test_eval_rejects_short_row(tmp_path, capsys):
     code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
                  "--out", str(tmp_path / "eval")])
     assert code == 1
-    assert capsys.readouterr().err == "error: line 3: expected 3 fields, got 1\n"
+    assert capsys.readouterr().err == f"error: {scores_csv}: line 3: expected 3 fields, got 1\n"
     assert not (tmp_path / "eval").exists()
     # read as `load_csv` reads: header names are stripped and a blank row
     # is skipped, but still counted in the line numbers
@@ -349,7 +374,7 @@ def test_eval_rejects_short_row(tmp_path, capsys):
     code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
                  "--out", str(tmp_path / "eval")])
     assert code == 1
-    assert capsys.readouterr().err == "error: line 4: expected 3 fields, got 1\n"
+    assert capsys.readouterr().err == f"error: {scores_csv}: line 4: expected 3 fields, got 1\n"
     scores_csv.write_text("index, score, log_likelihood\n0,0.1,-0.1\n\n1,0.3,-0.3\n2,0.2,-0.2\n\n")
     assert main(["eval", "--scores", str(scores_csv), "--data", str(csv),
                  "--out", str(tmp_path / "eval")]) == 0
@@ -367,8 +392,8 @@ def test_eval_parses_every_column(tmp_path, capsys):
     code = main(["eval", "--scores", str(scores_csv), "--data", str(csv),
                  "--out", str(tmp_path / "eval")])
     assert code == 1
-    assert capsys.readouterr().err == ("error: line 3, column log_likelihood: "
-                                       "cannot parse value 'abc'\n")
+    assert capsys.readouterr().err == (f"error: {scores_csv}: line 3, column log_likelihood: "
+                                       f"cannot parse value 'abc'\n")
     assert not (tmp_path / "eval").exists()
 
 
@@ -376,7 +401,8 @@ def test_eval_parses_every_column(tmp_path, capsys):
     "window_length=0", "k_periods=0", "k_periods=12", "hidden=0", "n_factors=0",
     "num_layers=0", "num_blocks=-1", "train_stride=0", "sigma=-0.1",
     "k_h_frac=0", "k_h_frac=1", "context_radius=-2", "lr=inf", "alpha=inf",
-    "beta=inf", "sigma=inf", "noise=uniform", "seed=-1", "gen_periods=20:3.0\nlr=5"])
+    "beta=inf", "sigma=inf", "noise=uniform", "seed=-1", "patience=0",
+    "gen_periods=20:3.0\nlr=5"])
 def test_bad_train_config_names_the_key(tmp_path, capsys, setting):
     csv = tmp_path / "series.csv"
     csv.write_text("t,x0\n" + "".join(f"{i},{np.sin(i / 3):.6f}\n" for i in range(200)))
@@ -636,11 +662,14 @@ def test_score_short_series_names_the_file_and_window_length(tmp_path, capsys):
     ("other_version", "unsupported checkpoint version 2 (expected 1)"),
     ("nan_param", "not a periflow checkpoint "
                   "(param/flow.layer0.s0.w holds a non-finite value)"),
+    ("no_param", "not a periflow checkpoint (no 'param/flow.cond_b' entry)"),
+    ("short_param", "not a periflow checkpoint "
+                    "(param/flow.cond_b has shape (3,), expected (8,))"),
     ("inf_stats_mean", "not a periflow checkpoint (stats/mean holds a non-finite value)"),
-    ("zero_stats_std", "not a periflow checkpoint "
-                       "(stats/std holds a value that is not finite and positive)"),
+    ("inf_stats_std", "not a periflow checkpoint (stats/std holds a non-finite value)"),
+    ("zero_stats_std", "not a periflow checkpoint (stats/std holds a value that is not positive)"),
     ("negative_stats_std", "not a periflow checkpoint "
-                           "(stats/std holds a value that is not finite and positive)"),
+                           "(stats/std holds a value that is not positive)"),
     *[(f"{key}={value!r}", f"not a periflow checkpoint "
                            f"(meta {key!r} is {value!r}, not a positive int)")
       for key in ("global_period", "d_in") for value in (0, -3, "x", 1.5)],
@@ -674,8 +703,14 @@ def test_malformed_checkpoint_names_the_entry(tmp_path, capsys, case, why):
         meta = 7
     elif case == "nan_param":
         arrays["param/flow.layer0.s0.w"][1, 2] = np.nan
+    elif case == "no_param":
+        del arrays["param/flow.cond_b"]
+    elif case == "short_param":
+        arrays["param/flow.cond_b"] = arrays["param/flow.cond_b"][:3]
     elif case == "inf_stats_mean":
         arrays["stats/mean"][0] = np.inf
+    elif case == "inf_stats_std":
+        arrays["stats/std"][2] = np.inf
     elif case in ("zero_stats_std", "negative_stats_std"):
         arrays["stats/std"][1] = 0.0 if case == "zero_stats_std" else -1.0
     elif case.startswith("config."):

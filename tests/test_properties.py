@@ -43,12 +43,10 @@ def series(draw):
     t_l = draw(st.integers(1, 12))
     d = draw(st.integers(1, 4))
     values = draw(st.lists(finite, min_size=t_l * d, max_size=t_l * d))
-    steps = draw(st.lists(st.floats(1e-3, 1e6), min_size=t_l, max_size=t_l))
-    start = draw(st.floats(-1e9, 1e9))
-    stamps = start + np.cumsum(steps)
     labels = draw(st.none() | st.lists(st.integers(0, 1), min_size=t_l, max_size=t_l))
     dim_names = draw(st.lists(names, min_size=d, max_size=d, unique=True))
-    return MultivariateSeries(np.reshape(values, (t_l, d)), stamps, labels, dim_names)
+    return MultivariateSeries(np.reshape(values, (t_l, d)),
+                              None if labels is None else np.array(labels), dim_names)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +64,6 @@ def test_write_then_load_returns_the_series(scratch, original, bom):
     loaded = load_csv(path)
     assert loaded.dim_names == original.dim_names
     np.testing.assert_array_equal(loaded.values, original.values)
-    np.testing.assert_array_equal(loaded.timestamps, original.timestamps)
     if original.labels is None:
         assert loaded.labels is None
     else:
@@ -132,7 +129,26 @@ def test_a_bad_data_cell_is_refused_with_its_line_and_column(scratch, original, 
     with pytest.raises(SeriesError) as info:
         load_csv(path)
     assert str(info.value).startswith(
-        f"line {row + 2}, column {original.dim_names[col]}: ")
+        f"{path}: line {row + 2}, column {original.dim_names[col]}: ")
+
+
+@PROPERTY
+@given(st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=12), st.floats(-1e9, 1e9),
+       st.data())
+def test_a_stamp_not_after_the_previous_one_is_refused_with_its_line(scratch, steps, start,
+                                                                     data):
+    stamps = (start + np.cumsum(steps)).tolist()
+    path = scratch / "stamps.csv"
+    write_table(path, ["t", "x"], [np.array(stamps), np.zeros(len(stamps))])
+    assert load_csv(path).length == len(stamps)
+    # repeat (a drop of 0) or lower the stamp of row r
+    r = data.draw(st.integers(1, len(stamps) - 1))
+    stamps[r] = stamps[r - 1] - data.draw(st.just(0.0) | st.floats(0.0, 1e6))
+    write_table(path, ["t", "x"], [np.array(stamps), np.zeros(len(stamps))])
+    with pytest.raises(SeriesError) as info:
+        load_csv(path)
+    assert str(info.value) == (f"{path}: line {r + 2}: timestamp '{stamps[r]!r}' "
+                               f"is not greater than the previous row's")
 
 
 _OTHER_TYPES = (st.text(max_size=4) | st.none() | st.booleans() | st.integers()

@@ -31,12 +31,16 @@ def test_label_mass_equals_interval_length():
     assert s.labels.sum() == 3 + 40 + 60
 
 
-def test_overlap_merged_with_warning():
-    config = GenConfig(gen_length=300, gen_dims=1, gen_periods="20:3.0,5:1.0",
-                       gen_anomalies="spike:100:10:5.0;spike:105:10:5.0")
-    with pytest.warns(UserWarning, match="merged"):
-        s = generate(config, seed=4)
-    assert s.labels.sum() == 15
+def test_overlapping_anomalies_add_values_and_merge_labels():
+    # no warning: pytest turns every warning into an error
+    spec = dict(gen_length=300, gen_dims=1, gen_periods="20:3.0,5:1.0")
+    clean = generate(GenConfig(**spec), seed=4)
+    s = generate(GenConfig(**spec, gen_anomalies="spike:100:10:5.0;spike:105:10:5.0"), seed=4)
+    np.testing.assert_array_equal(np.flatnonzero(s.labels), np.arange(100, 115))
+    added = np.zeros(300)
+    added[100:110] += 5.0
+    added[105:115] += 5.0
+    np.testing.assert_allclose(s.values[:, 0] - clean.values[:, 0], added, atol=1e-12)
 
 
 def test_seeded_determinism():
@@ -80,7 +84,6 @@ def gen_configs(draw):
                      gen_anomalies=";".join(anomalies))
 
 
-@pytest.mark.filterwarnings("ignore:overlapping anomaly interval")
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(gen_configs(), st.integers(0, 2 ** 32))
 def test_csv_roundtrip(tmp_path_factory, config, seed):
@@ -91,8 +94,8 @@ def test_csv_roundtrip(tmp_path_factory, config, seed):
     write_csv(s, path)
     back = load_csv(path)
     np.testing.assert_array_equal(back.values.view(np.int64), s.values.view(np.int64))
-    np.testing.assert_array_equal(back.timestamps.view(np.int64),
-                                  s.timestamps.view(np.int64))
+    stamps = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0, ndmin=1)
+    np.testing.assert_array_equal(stamps, np.arange(config.gen_length))
     np.testing.assert_array_equal(back.labels, s.labels)
     assert back.labels.any() == bool(config.gen_anomalies)
     assert back.dim_names == s.dim_names == [f"ch{i}" for i in range(config.gen_dims)]
